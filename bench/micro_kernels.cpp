@@ -5,7 +5,8 @@
 // performance model (bench/fig12_energy) abstracts.
 //
 // Besides the google-benchmark loops, a hand-rolled section measures the
-// contiguous-block Hamming sweep per (dimension × tier), verifies every
+// contiguous-block Hamming sweep per (dimension × tier) and the ID-Level
+// encoder per tier (µs per 50-peak spectrum at D = 8192), verifies every
 // tier is bit-identical to the scalar reference while timing it, and
 // emits machine-readable BENCH_kernels.json (--kernels-out=...) so the
 // CI artifact trail has per-PR kernel numbers. CI runs only this section
@@ -216,6 +217,64 @@ KernelPoint measure_sweep(std::size_t dim, Tier tier, const RefMatrix& matrix,
   return p;
 }
 
+struct EncodePoint {
+  std::string tier;
+  double us_per_spectrum = 0.0;
+  double speedup_vs_scalar = 1.0;
+  bool identical = true;  ///< Tier hypervectors == scalar tier's.
+};
+
+/// Times Encoder::encode per tier over `spectra` (best of `reps` passes)
+/// and checks every hypervector against the scalar tier's.
+std::vector<EncodePoint> measure_encode(std::size_t reps) {
+  constexpr std::size_t kSpectra = 64;
+  constexpr std::size_t kPeaks = 50;
+  oms::hd::EncoderConfig cfg;  // paper shape: D = 8192, 3-bit IDs
+  oms::hd::Encoder encoder(cfg);
+  // Bins drawn uniformly over the whole bank, as a real spectrum's peaks
+  // spread over the m/z range: the ID rows are not cache-resident.
+  oms::util::Xoshiro256 rng(0xE1C0DE);
+  std::vector<std::vector<std::uint32_t>> bins(kSpectra);
+  std::vector<std::vector<float>> weights(kSpectra);
+  for (std::size_t i = 0; i < kSpectra; ++i) {
+    for (std::size_t p = 0; p < kPeaks; ++p) {
+      bins[i].push_back(static_cast<std::uint32_t>(rng.below(cfg.bins)));
+      weights[i].push_back(static_cast<float>(rng.uniform(0.05, 1.0)));
+    }
+    encoder.id_bank().ensure(bins[i]);
+  }
+
+  const Tier saved = kernels::active_tier();
+  std::vector<oms::util::BitVec> expected;
+  std::vector<EncodePoint> points;
+  for (const Tier tier : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
+    if (tier > kernels::best_supported()) continue;
+    kernels::set_active_tier(tier);
+    std::vector<oms::util::BitVec> hvs(kSpectra);
+    double best = 1e300;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      const double t0 = now_s();
+      for (std::size_t i = 0; i < kSpectra; ++i) {
+        hvs[i] = encoder.encode(bins[i], weights[i]);
+      }
+      best = std::min(best, now_s() - t0);
+      benchmark::DoNotOptimize(hvs.data());
+    }
+    if (tier == Tier::kScalar) expected = hvs;
+    EncodePoint p;
+    p.tier = std::string(kernels::tier_name(tier));
+    p.us_per_spectrum = best * 1e6 / static_cast<double>(kSpectra);
+    p.speedup_vs_scalar = points.empty()
+                              ? 1.0
+                              : points.front().us_per_spectrum /
+                                    p.us_per_spectrum;
+    p.identical = hvs == expected;
+    points.push_back(std::move(p));
+  }
+  kernels::set_active_tier(saved);
+  return points;
+}
+
 int run_kernel_sweeps(const std::string& out_path) {
   // Row counts per dimension keep each sweep ~1-4 MiB: larger than L2, so
   // the numbers reflect the streaming sweep the search actually runs, yet
@@ -263,6 +322,16 @@ int run_kernel_sweeps(const std::string& out_path) {
     }
   }
 
+  std::printf("\nID-Level encode, D=8192, 50 peaks, best of %zu passes:\n",
+              reps);
+  const std::vector<EncodePoint> encode_points = measure_encode(reps);
+  for (const EncodePoint& p : encode_points) {
+    all_identical = all_identical && p.identical;
+    std::printf("  %-7s %9.2f us/spectrum  %5.2fx%s\n", p.tier.c_str(),
+                p.us_per_spectrum, p.speedup_vs_scalar,
+                p.identical ? "" : "  !! MISMATCH vs scalar");
+  }
+
   std::ofstream out(out_path);
   out << "{\n  \"bench\": \"kernels\",\n  \"best_supported\": \""
       << kernels::tier_name(kernels::best_supported())
@@ -276,6 +345,15 @@ int run_kernel_sweeps(const std::string& out_path) {
         << ", \"speedup_vs_scalar\": " << p.speedup_vs_scalar
         << ", \"identical\": " << (p.identical ? "true" : "false") << "}"
         << (i + 1 < points.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"encode\": [\n";
+  for (std::size_t i = 0; i < encode_points.size(); ++i) {
+    const EncodePoint& p = encode_points[i];
+    out << "    {\"dim\": 8192, \"peaks\": 50, \"tier\": \"" << p.tier
+        << "\", \"us_per_spectrum\": " << p.us_per_spectrum
+        << ", \"speedup_vs_scalar\": " << p.speedup_vs_scalar
+        << ", \"identical\": " << (p.identical ? "true" : "false") << "}"
+        << (i + 1 < encode_points.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::printf("wrote %s\n", out_path.c_str());

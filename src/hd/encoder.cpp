@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "hd/kernels.hpp"
+
 namespace oms::hd {
 
 Encoder::Encoder(const EncoderConfig& cfg)
@@ -26,48 +28,41 @@ std::vector<std::uint32_t> Encoder::quantize_levels(
   return out;
 }
 
+void Encoder::run_kernel(std::span<const std::uint32_t> bins,
+                         std::span<const float> weights, std::uint64_t* bits,
+                         std::int32_t* acc) const {
+  if (bins.size() != weights.size()) {
+    throw std::invalid_argument("Encoder: bins/weights size mismatch");
+  }
+  // Chunked LV scheme: each peak adds or subtracts its ID row, signed per
+  // component by its level's sign words (chunk-constant runs, Fig. 5c). The
+  // kernel sums one 64-component column block at a time across all peaks.
+  const std::vector<std::uint32_t> lvls = quantize_levels(weights);
+  std::vector<const std::int8_t*> ids(bins.size());
+  std::vector<const std::uint64_t*> signs(bins.size());
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    ids[i] = ids_.row(bins[i]).data();
+    signs[i] = levels_.sign_words(lvls[i]).data();
+  }
+  const kernels::EncodeOperands ops{ids, signs, cfg_.dim,
+                                    max_magnitude(cfg_.id_precision)};
+  kernels::encode(ops, bits, acc);
+}
+
 void Encoder::accumulate(std::span<const std::uint32_t> bins,
                          std::span<const float> weights,
                          std::span<std::int32_t> acc) const {
-  if (bins.size() != weights.size()) {
-    throw std::invalid_argument("Encoder::accumulate: size mismatch");
-  }
   if (acc.size() != cfg_.dim) {
     throw std::invalid_argument("Encoder::accumulate: bad accumulator size");
   }
-  const std::vector<std::uint32_t> lvls = quantize_levels(weights);
-
-  for (std::size_t i = 0; i < bins.size(); ++i) {
-    const std::span<const std::int8_t> id = ids_.row(bins[i]);
-    // Chunked LV scheme: within one chunk all LV components share a sign,
-    // so the element-wise product reduces to adding or subtracting a
-    // contiguous ID segment (this is what Fig. 5c exploits in hardware).
-    // The bank pre-expands each level to a ±1 row, which keeps this inner
-    // loop a flat, vectorizable multiply-accumulate for any chunk width.
-    const std::span<const std::int8_t> lv = levels_.expanded_signs(lvls[i]);
-    const std::int8_t* idp = id.data();
-    const std::int8_t* lvp = lv.data();
-    std::int32_t* out = acc.data();
-    for (std::uint32_t d = 0; d < cfg_.dim; ++d) {
-      out[d] += static_cast<std::int32_t>(idp[d]) * lvp[d];
-    }
-  }
-}
-
-util::BitVec Encoder::binarize(std::span<const std::int32_t> acc) {
-  util::BitVec hv(acc.size());
-  for (std::size_t d = 0; d < acc.size(); ++d) {
-    const bool bit = acc[d] > 0 || (acc[d] == 0 && (d & 1) != 0);
-    if (bit) hv.set(d, true);
-  }
-  return hv;
+  run_kernel(bins, weights, nullptr, acc.data());
 }
 
 util::BitVec Encoder::encode(std::span<const std::uint32_t> bins,
                              std::span<const float> weights) const {
-  std::vector<std::int32_t> acc(cfg_.dim, 0);
-  accumulate(bins, weights, acc);
-  return binarize(acc);
+  util::BitVec hv(cfg_.dim);
+  run_kernel(bins, weights, hv.words().data(), nullptr);
+  return hv;
 }
 
 std::vector<util::BitVec> Encoder::encode_batch(
@@ -87,11 +82,8 @@ std::vector<util::BitVec> Encoder::encode_batch(
   std::vector<util::BitVec> out(bin_lists.size());
   util::ThreadPool::global().parallel_for(
       0, bin_lists.size(), [&](std::size_t lo, std::size_t hi) {
-        std::vector<std::int32_t> acc(cfg_.dim);
         for (std::size_t i = lo; i < hi; ++i) {
-          std::fill(acc.begin(), acc.end(), 0);
-          accumulate(bin_lists[i], weight_lists[i], acc);
-          out[i] = binarize(acc);
+          out[i] = encode(bin_lists[i], weight_lists[i]);
         }
       });
   return out;

@@ -6,6 +6,9 @@
 // ID_i (selected by the peak's m/z bin) is element-wise multiplied by the
 // level hypervector LV_i (selected by the peak's quantized intensity), the
 // products are accumulated per dimension, and the result is binarized.
+// The accumulation runs in one column-blocked kernel (kernels::encode in
+// hd/kernels.hpp), dispatched over the same bit-identical scalar / AVX2 /
+// AVX-512 tiers as the Hamming sweep.
 //
 // The encoder is deliberately independent of the mass-spectrometry types:
 // it consumes parallel (bin, weight) spans, so any sparse non-negative
@@ -75,7 +78,9 @@ class Encoder {
                   std::span<const float> weights,
                   std::span<std::int32_t> acc) const;
 
-  /// Full encode: accumulate + Sign binarization.
+  /// Full encode: Sign() of the accumulation, with a deterministic
+  /// tie-break on zero (set on odd components), so encodings are
+  /// reproducible bit-for-bit.
   [[nodiscard]] util::BitVec encode(std::span<const std::uint32_t> bins,
                                     std::span<const float> weights) const;
 
@@ -85,11 +90,13 @@ class Encoder {
       std::span<const std::vector<std::uint32_t>> bin_lists,
       std::span<const std::vector<float>> weight_lists);
 
-  /// Sign() binarization with a deterministic tie-break on zero (component
-  /// parity), so encodings are reproducible bit-for-bit.
-  [[nodiscard]] static util::BitVec binarize(std::span<const std::int32_t> acc);
-
  private:
+  /// One pass of the kernels::encode kernel over the spectrum's peaks:
+  /// Sign() bits into `bits` and/or exact sums added into `acc`.
+  void run_kernel(std::span<const std::uint32_t> bins,
+                  std::span<const float> weights, std::uint64_t* bits,
+                  std::int32_t* acc) const;
+
   EncoderConfig cfg_;
   IdBank ids_;
   LevelBank levels_;

@@ -1,9 +1,11 @@
 #include "hd/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <cstring>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
     !defined(OMSHD_DISABLE_SIMD)
@@ -111,6 +113,111 @@ std::size_t xor_popcount_scalar(const std::uint64_t* a, const std::uint64_t* b,
   return util::xor_popcount(a, b, n);
 }
 
+// --- ID-Level encoder ----------------------------------------------------
+//
+// Every tier walks the hypervector one 64-component column block (one
+// output word) at a time and keeps that block's partial sums in registers
+// (the scalar tier: in small L1-resident arrays) while each peak's ID
+// segment streams through: int8 lanes within a run of peaks, int16 lanes
+// across runs, int32 only past int16 capacity.
+
+/// Peak counts whose ±ID components sum exactly at a lane width: a run of
+/// `int8_run` peaks fits int8 lanes, `int16_peaks` peaks fit int16 lanes.
+struct RunLimits {
+  std::size_t int8_run;
+  std::size_t int16_peaks;
+};
+
+RunLimits run_limits(int max_magnitude) noexcept {
+  const auto m = static_cast<std::size_t>(std::max(1, max_magnitude));
+  return {127 / m, 32767 / m};
+}
+
+/// Column blocks ahead that the encode loops prefetch each peak's ID row:
+/// the rows (8 KiB each at D = 8192) lie scattered across the bank, more
+/// streams than the hardware prefetcher follows at once.
+constexpr std::size_t kPrefetchBlocks = 8;
+
+/// Odd components of a block. Sign()'s tie-break sets them on a zero sum;
+/// blocks start at multiples of 64, so block-local parity is global parity.
+constexpr std::uint64_t kOddComponents = 0xAAAAAAAAAAAAAAAAULL;
+
+/// Finishes one block from its 64 exact int32 sums.
+void finish_block(const std::int32_t* sums, std::uint64_t* bits,
+                  std::int32_t* acc) noexcept {
+  if (bits != nullptr) {
+    std::uint64_t positive = 0;
+    std::uint64_t tie = 0;
+    for (int j = 0; j < 64; ++j) {
+      positive |= static_cast<std::uint64_t>(sums[j] > 0) << j;
+      tie |= static_cast<std::uint64_t>(sums[j] == 0) << j;
+    }
+    *bits = positive | (tie & kOddComponents);
+  }
+  if (acc != nullptr) {
+    for (int j = 0; j < 64; ++j) acc[j] += sums[j];
+  }
+}
+
+/// Byte j of entry b is 0xFF iff bit j of b is clear: the negate mask of
+/// eight components from their eight LV sign bits.
+constexpr std::array<std::uint64_t, 256> make_negate_masks() noexcept {
+  std::array<std::uint64_t, 256> masks{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    for (int j = 0; j < 8; ++j) {
+      if (((b >> j) & 1U) == 0) masks[b] |= 0xFFULL << (8 * j);
+    }
+  }
+  return masks;
+}
+
+constexpr std::array<std::uint64_t, 256> kNegateMasks = make_negate_masks();
+
+void encode_scalar(const EncodeOperands& ops, std::uint64_t* bits,
+                   std::int32_t* acc) noexcept {
+  const std::size_t n = ops.ids.size();
+  const RunLimits lim = run_limits(ops.max_magnitude);
+  const std::size_t words = ops.dim / 64;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t col = w * 64;
+    std::int32_t sums[64] = {};
+    std::int16_t mid[64] = {};
+    std::size_t in_mid = 0;
+    for (std::size_t p = 0; p < n;) {
+      const std::size_t run = std::min(n - p, lim.int8_run);
+      if (in_mid + run > lim.int16_peaks) {
+        for (int j = 0; j < 64; ++j) sums[j] += mid[j];
+        std::fill_n(mid, 64, std::int16_t{0});
+        in_mid = 0;
+      }
+      std::int8_t low[64] = {};
+      for (const std::size_t end = p + run; p < end; ++p) {
+        const std::int8_t* id = ops.ids[p] + col;
+        const std::uint64_t sign = ops.signs[p][w];
+        if (w + kPrefetchBlocks < words) {
+          __builtin_prefetch(id + 64 * kPrefetchBlocks);
+        }
+        std::int8_t neg[64];
+        for (int k = 0; k < 8; ++k) {
+          std::memcpy(neg + 8 * k, &kNegateMasks[(sign >> (8 * k)) & 0xFF], 8);
+        }
+        // (v ^ neg) - neg negates v exactly where neg is all-ones.
+        for (int j = 0; j < 64; ++j) {
+          const int signed_id = (id[j] ^ neg[j]) - neg[j];
+          low[j] = static_cast<std::int8_t>(low[j] + signed_id);
+        }
+      }
+      for (int j = 0; j < 64; ++j) {
+        mid[j] = static_cast<std::int16_t>(mid[j] + low[j]);
+      }
+      in_mid += run;
+    }
+    for (int j = 0; j < 64; ++j) sums[j] += mid[j];
+    finish_block(sums, bits != nullptr ? bits + w : nullptr,
+                 acc != nullptr ? acc + col : nullptr);
+  }
+}
+
 #ifdef OMSHD_X86_SIMD
 
 // AVX2 popcount via the nibble-LUT (vpshufb) method: per 256-bit vector,
@@ -198,13 +305,225 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void hamming_sweep_avx512(
   }
 }
 
+// AVX2 encode: a 64-component block is two 32-component int8 halves; each
+// half's 32 LV sign bits expand to a byte negate mask with one shuffle.
+__attribute__((target("avx2"), always_inline)) inline __m256i
+negate_mask_avx2(std::uint32_t sign) noexcept {
+  const __m256i spread = _mm256_setr_epi8(
+      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,  //
+      2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
+  const __m256i bit = _mm256_set1_epi64x(0x8040201008040201LL);
+  const __m256i bytes =
+      _mm256_shuffle_epi8(_mm256_set1_epi32(static_cast<int>(sign)), spread);
+  return _mm256_cmpeq_epi8(_mm256_and_si256(bytes, bit),
+                           _mm256_setzero_si256());
+}
+
+/// Sign() bits of 32 int16 sums held as two vectors in component order.
+__attribute__((target("avx2"), always_inline)) inline std::uint32_t
+sign_bits_avx2(__m256i lo, __m256i hi) noexcept {
+  // Saturating packs keep sign and zero-ness; the permute undoes the
+  // per-128-bit-lane interleave of packs.
+  const __m256i packed =
+      _mm256_permute4x64_epi64(_mm256_packs_epi16(lo, hi), 0xD8);
+  const __m256i zero = _mm256_setzero_si256();
+  const auto positive = static_cast<std::uint32_t>(
+      _mm256_movemask_epi8(_mm256_cmpgt_epi8(packed, zero)));
+  const auto tie = static_cast<std::uint32_t>(
+      _mm256_movemask_epi8(_mm256_cmpeq_epi8(packed, zero)));
+  return positive | (tie & static_cast<std::uint32_t>(kOddComponents));
+}
+
+/// sums[0..16) += the 16 int16 lanes of v.
+__attribute__((target("avx2"), always_inline)) inline void spill_avx2(
+    __m256i v, std::int32_t* sums) noexcept {
+  auto* out = reinterpret_cast<__m256i*>(sums);
+  const __m256i lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(v));
+  const __m256i hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(v, 1));
+  _mm256_storeu_si256(out, _mm256_add_epi32(_mm256_loadu_si256(out), lo));
+  _mm256_storeu_si256(out + 1,
+                      _mm256_add_epi32(_mm256_loadu_si256(out + 1), hi));
+}
+
+__attribute__((target("avx2"))) void encode_avx2(const EncodeOperands& ops,
+                                                 std::uint64_t* bits,
+                                                 std::int32_t* acc) noexcept {
+  const std::size_t n = ops.ids.size();
+  const RunLimits lim = run_limits(ops.max_magnitude);
+  const __m256i zero = _mm256_setzero_si256();
+  const std::size_t words = ops.dim / 64;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t col = w * 64;
+    __m256i mid[4] = {};  // int16, 16 components each
+    std::int32_t sums[64] = {};
+    bool spilled = false;
+    std::size_t in_mid = 0;
+    for (std::size_t p = 0; p < n;) {
+      const std::size_t run = std::min(n - p, lim.int8_run);
+      if (in_mid + run > lim.int16_peaks) {
+        for (int k = 0; k < 4; ++k) {
+          spill_avx2(mid[k], sums + 16 * k);
+          mid[k] = zero;
+        }
+        spilled = true;
+        in_mid = 0;
+      }
+      __m256i low[2] = {};
+      for (const std::size_t end = p + run; p < end; ++p) {
+        const std::int8_t* id = ops.ids[p] + col;
+        const std::uint64_t sign = ops.signs[p][w];
+        if (w + kPrefetchBlocks < words) {
+          __builtin_prefetch(id + 64 * kPrefetchBlocks);
+        }
+        for (int h = 0; h < 2; ++h) {
+          const __m256i v = _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(id + 32 * h));
+          const __m256i neg =
+              negate_mask_avx2(static_cast<std::uint32_t>(sign >> (32 * h)));
+          low[h] = _mm256_add_epi8(
+              low[h], _mm256_sub_epi8(_mm256_xor_si256(v, neg), neg));
+        }
+      }
+      for (int h = 0; h < 2; ++h) {
+        mid[2 * h] = _mm256_add_epi16(
+            mid[2 * h], _mm256_cvtepi8_epi16(_mm256_castsi256_si128(low[h])));
+        mid[2 * h + 1] = _mm256_add_epi16(
+            mid[2 * h + 1],
+            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(low[h], 1)));
+      }
+      in_mid += run;
+    }
+    if (!spilled && acc == nullptr) {
+      bits[w] = sign_bits_avx2(mid[0], mid[1]) |
+                static_cast<std::uint64_t>(sign_bits_avx2(mid[2], mid[3]))
+                    << 32;
+      continue;
+    }
+    for (int k = 0; k < 4; ++k) spill_avx2(mid[k], sums + 16 * k);
+    finish_block(sums, bits != nullptr ? bits + w : nullptr,
+                 acc != nullptr ? acc + col : nullptr);
+  }
+}
+
+// AVX-512 encode: one zmm of int8 lanes per 64-component block, the LV
+// sign word used directly as the negate mask; tiles of NB blocks keep NB
+// independent accumulator chains in flight.
+
+/// Lower / upper 256 bits of v. The all-ones maskz forms sidestep the
+/// GCC 12 -Wmaybe-uninitialized false positive of the unmasked intrinsics
+/// (the cast included).
+__attribute__((target("avx512f"), always_inline)) inline __m256i lower_half(
+    __m512i v) noexcept {
+  return _mm512_maskz_extracti64x4_epi64(0xFF, v, 0);
+}
+
+__attribute__((target("avx512f"), always_inline)) inline __m256i upper_half(
+    __m512i v) noexcept {
+  return _mm512_maskz_extracti64x4_epi64(0xFF, v, 1);
+}
+
+/// Sign() bits of 32 int16 sums.
+__attribute__((target("avx512f,avx512bw"), always_inline)) inline std::uint32_t
+sign_bits_avx512(__m512i v) noexcept {
+  const __m512i zero = _mm512_setzero_si512();
+  const std::uint32_t positive =
+      _cvtmask32_u32(_mm512_cmpgt_epi16_mask(v, zero));
+  const std::uint32_t tie = _cvtmask32_u32(_mm512_cmpeq_epi16_mask(v, zero));
+  return positive | (tie & static_cast<std::uint32_t>(kOddComponents));
+}
+
+/// sums[0..32) += the 32 int16 lanes of v.
+__attribute__((target("avx512f,avx512bw"), always_inline)) inline void
+spill_avx512(__m512i v, std::int32_t* sums) noexcept {
+  const __m512i lo = _mm512_maskz_cvtepi16_epi32(0xFFFF, lower_half(v));
+  const __m512i hi = _mm512_maskz_cvtepi16_epi32(0xFFFF, upper_half(v));
+  _mm512_storeu_si512(sums, _mm512_add_epi32(_mm512_loadu_si512(sums), lo));
+  _mm512_storeu_si512(sums + 16,
+                      _mm512_add_epi32(_mm512_loadu_si512(sums + 16), hi));
+}
+
+template <int NB>
+__attribute__((target("avx512f,avx512bw"), always_inline)) inline void
+encode_tile_avx512(const EncodeOperands& ops, const RunLimits& lim,
+                   std::size_t w0, std::uint64_t* bits,
+                   std::int32_t* acc) noexcept {
+  const std::size_t n = ops.ids.size();
+  const std::size_t words = ops.dim / 64;
+  const std::size_t col0 = w0 * 64;
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i mid[2 * NB] = {};  // int16, 32 components each
+  std::int32_t sums[64 * NB] = {};
+  bool spilled = false;
+  std::size_t in_mid = 0;
+  for (std::size_t p = 0; p < n;) {
+    const std::size_t run = std::min(n - p, lim.int8_run);
+    if (in_mid + run > lim.int16_peaks) {
+      for (int k = 0; k < 2 * NB; ++k) {
+        spill_avx512(mid[k], sums + 32 * k);
+        mid[k] = zero;
+      }
+      spilled = true;
+      in_mid = 0;
+    }
+    __m512i low[NB] = {};
+    for (const std::size_t end = p + run; p < end; ++p) {
+      const std::int8_t* id = ops.ids[p] + col0;
+      const std::uint64_t* sign = ops.signs[p] + w0;
+      if (w0 + kPrefetchBlocks + NB <= words) {
+        for (int b = 0; b < NB; ++b) {
+          __builtin_prefetch(id + 64 * (kPrefetchBlocks + b));
+        }
+      }
+      for (int b = 0; b < NB; ++b) {
+        const __m512i v = _mm512_loadu_si512(id + 64 * b);
+        const __mmask64 neg = _cvtu64_mask64(~sign[b]);
+        low[b] = _mm512_add_epi8(low[b], _mm512_mask_sub_epi8(v, neg, zero, v));
+      }
+    }
+    for (int b = 0; b < NB; ++b) {
+      mid[2 * b] = _mm512_add_epi16(mid[2 * b],
+                                    _mm512_cvtepi8_epi16(lower_half(low[b])));
+      mid[2 * b + 1] = _mm512_add_epi16(
+          mid[2 * b + 1], _mm512_cvtepi8_epi16(upper_half(low[b])));
+    }
+    in_mid += run;
+  }
+  if (!spilled && acc == nullptr) {
+    for (int b = 0; b < NB; ++b) {
+      bits[w0 + b] =
+          sign_bits_avx512(mid[2 * b]) |
+          static_cast<std::uint64_t>(sign_bits_avx512(mid[2 * b + 1])) << 32;
+    }
+    return;
+  }
+  for (int k = 0; k < 2 * NB; ++k) spill_avx512(mid[k], sums + 32 * k);
+  for (int b = 0; b < NB; ++b) {
+    finish_block(sums + 64 * b, bits != nullptr ? bits + w0 + b : nullptr,
+                 acc != nullptr ? acc + col0 + 64 * b : nullptr);
+  }
+}
+
+__attribute__((target("avx512f,avx512bw"))) void encode_avx512(
+    const EncodeOperands& ops, std::uint64_t* bits,
+    std::int32_t* acc) noexcept {
+  constexpr int kTile = 4;
+  const RunLimits lim = run_limits(ops.max_magnitude);
+  const std::size_t words = ops.dim / 64;
+  std::size_t w = 0;
+  for (; w + kTile <= words; w += kTile) {
+    encode_tile_avx512<kTile>(ops, lim, w, bits, acc);
+  }
+  for (; w < words; ++w) encode_tile_avx512<1>(ops, lim, w, bits, acc);
+}
+
 #endif  // OMSHD_X86_SIMD
 
 Tier probe_best_supported() noexcept {
 #ifdef OMSHD_X86_SIMD
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512vpopcntdq")) {
+      __builtin_cpu_supports("avx512vpopcntdq") &&
+      __builtin_cpu_supports("avx512bw")) {
     return Tier::kAvx512;
   }
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
@@ -345,6 +664,24 @@ std::size_t sweep_chunk_rows(std::size_t row_words) noexcept {
   const std::size_t row_bytes =
       std::max<std::size_t>(1, row_words) * sizeof(std::uint64_t);
   return std::clamp<std::size_t>(kChunkBytes / row_bytes, 8, 4096);
+}
+
+void encode(const EncodeOperands& ops, std::uint64_t* bits,
+            std::int32_t* acc) noexcept {
+  if (bits == nullptr && acc == nullptr) return;
+#ifdef OMSHD_X86_SIMD
+  switch (active_tier()) {
+    case Tier::kAvx512:
+      encode_avx512(ops, bits, acc);
+      return;
+    case Tier::kAvx2:
+      encode_avx2(ops, bits, acc);
+      return;
+    case Tier::kScalar:
+      break;
+  }
+#endif
+  encode_scalar(ops, bits, acc);
 }
 
 }  // namespace kernels

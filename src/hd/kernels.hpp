@@ -1,21 +1,24 @@
-// SIMD XOR-popcount kernels behind the exact Hamming search, with runtime
-// CPU dispatch. Three tiers share one contract — bit-identical Hamming
-// counts, so swapping tiers can never move a search result:
+// SIMD kernels behind the exact Hamming search and the ID-Level encoder,
+// with runtime CPU dispatch. Three tiers share one contract — bit-identical
+// outputs (Hamming counts, encoded hypervectors, accumulator sums), so
+// swapping tiers can never move a search result:
 //
-//   kScalar  portable std::popcount loop (util::xor_popcount); the
-//            only tier compiled when OMSHD_DISABLE_SIMD is defined or the
-//            target is not x86-64;
+//   kScalar  portable std::popcount loop (util::xor_popcount) and a
+//            column-blocked int8/int16/int32 encode loop; the only tier
+//            compiled when OMSHD_DISABLE_SIMD is defined or the target is
+//            not x86-64;
 //   kAvx2    256-bit XOR + nibble-LUT (vpshufb) popcount, accumulated with
-//            vpsadbw — no special compile flags needed, the functions carry
-//            target("avx2") attributes and are entered only after a CPUID
-//            check;
-//   kAvx512  512-bit XOR + native vpopcntq (AVX-512-VPOPCNTDQ).
+//            vpsadbw, and 32-component int8 encode blocks — no special
+//            compile flags needed, the functions carry target("avx2")
+//            attributes and are entered only after a CPUID check;
+//   kAvx512  512-bit XOR + native vpopcntq (AVX-512-VPOPCNTDQ) and
+//            64-component masked int8 encode blocks (AVX-512BW).
 //
-// The dispatched entry points (xor_popcount, hamming_sweep) read the active
-// tier once per call; best_supported() is CPUID-probed at startup and the
-// OMSHD_KERNEL_TIER env var ("scalar" | "avx2" | "avx512") or
-// set_active_tier() can clamp it down — benches use this to measure every
-// tier, tests to prove bit-identity across all of them.
+// The dispatched entry points (xor_popcount, hamming_sweep, encode) read
+// the active tier once per call; best_supported() is CPUID-probed at
+// startup and the OMSHD_KERNEL_TIER env var ("scalar" | "avx2" | "avx512")
+// or set_active_tier() can clamp it down — benches use this to measure
+// every tier, tests to prove bit-identity across all of them.
 //
 // RefMatrix is the contiguous reference-major view the sweeps run over: a
 // raw word pointer + row stride into a hypervector block (the mmap'd
@@ -201,6 +204,32 @@ void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
 /// reference rows (~chunk * row_words * 8 bytes) stays L2-resident while
 /// every query of a block is scored against it.
 [[nodiscard]] std::size_t sweep_chunk_rows(std::size_t row_words) noexcept;
+
+/// Operands of one spectrum's ID-Level MAC (paper Eq. 1 with chunked
+/// levels, §4.2): for peak p, `ids[p]` is its ID row — `dim` signed int8
+/// components with |v| <= max_magnitude — and `signs[p]` its level's sign
+/// words — dim/64 words, bit d set iff LV component d is +1. So each peak
+/// adds or subtracts its ID row component-wise (Fig. 5c).
+struct EncodeOperands {
+  std::span<const std::int8_t* const> ids;
+  std::span<const std::uint64_t* const> signs;
+  std::size_t dim = 0;    ///< Multiple of 64.
+  int max_magnitude = 1;  ///< Bound on |ID component| (1, 3 or 7).
+};
+
+/// The ID-Level encoder kernel. For every component d it forms the exact
+/// sum acc_d = Σ_p ±ids[p][d] (sign from signs[p] bit d), one 64-component
+/// column block at a time: runs of up to 127/max_magnitude peaks add in
+/// int8 lanes, each run widens into int16 (exact up to 32767/max_magnitude
+/// peaks), and int16 spills into int32 beyond that, so any peak count is
+/// exact. Outputs (either may be null):
+///   bits  dim/64 words, bit d = acc_d > 0 || (acc_d == 0 && d odd) — Sign()
+///         with the deterministic parity tie-break;
+///   acc   dim int32 values, acc[d] += acc_d (the pre-binarization MACs the
+///         in-memory encoder perturbs).
+/// Every tier produces identical outputs.
+void encode(const EncodeOperands& ops, std::uint64_t* bits,
+            std::int32_t* acc) noexcept;
 
 }  // namespace kernels
 }  // namespace oms::hd

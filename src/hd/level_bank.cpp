@@ -48,14 +48,14 @@ LevelBank::LevelBank(std::uint32_t levels, std::uint32_t dim,
     }
   }
 
-  // Materialize the ±1 expansion once; the encoder reads it per peak.
+  // Materialize the packed per-component signs once; the encoder reads
+  // them per peak.
   const std::uint32_t width = chunk_width();
-  expanded_.resize(static_cast<std::size_t>(levels_) * dim_);
+  sign_words_.assign(static_cast<std::size_t>(levels_) * word_count(), 0);
   for (std::uint32_t q = 0; q < levels_; ++q) {
-    std::int8_t* row = &expanded_[static_cast<std::size_t>(q) * dim_];
-    for (std::uint32_t c = 0; c < chunks_; ++c) {
-      const std::int8_t s = signs_[q * chunks_ + c] ? 1 : -1;
-      std::fill_n(row + static_cast<std::size_t>(c) * width, width, s);
+    std::uint64_t* row = &sign_words_[q * word_count()];
+    for (std::uint32_t d = 0; d < dim_; ++d) {
+      if (signs_[q * chunks_ + d / width]) row[d / 64] |= 1ULL << (d % 64);
     }
   }
 }
@@ -63,12 +63,8 @@ LevelBank::LevelBank(std::uint32_t levels, std::uint32_t dim,
 util::BitVec LevelBank::expand(std::uint32_t q) const {
   if (q >= levels_) throw std::out_of_range("LevelBank::expand");
   util::BitVec hv(dim_);
-  const std::uint32_t width = chunk_width();
-  for (std::uint32_t c = 0; c < chunks_; ++c) {
-    if (signs_[q * chunks_ + c]) {
-      for (std::uint32_t k = 0; k < width; ++k) hv.set(c * width + k, true);
-    }
-  }
+  const std::span<const std::uint64_t> words = sign_words(q);
+  std::copy(words.begin(), words.end(), hv.words().begin());
   return hv;
 }
 

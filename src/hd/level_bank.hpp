@@ -38,11 +38,13 @@ class LevelBank {
     return signs_[q * chunks_ + c] ? +1 : -1;
   }
 
-  /// Contiguous ±1 int8 view of level q's full hypervector (length dim).
-  /// Materialized once at construction; this is the encoder's hot path.
-  [[nodiscard]] std::span<const std::int8_t> expanded_signs(
+  /// Level q's hypervector packed as ceil(dim/64) words, bit d set iff
+  /// component d is +1 (BitVec layout). Materialized once at construction;
+  /// the encoder kernel reads one word per peak per 64-component block.
+  [[nodiscard]] std::span<const std::uint64_t> sign_words(
       std::uint32_t q) const {
-    return {&expanded_[static_cast<std::size_t>(q) * dim_], dim_};
+    return {&sign_words_[static_cast<std::size_t>(q) * word_count()],
+            word_count()};
   }
 
   /// Full bipolar hypervector for level q, expanded to D components.
@@ -57,13 +59,17 @@ class LevelBank {
                                              std::uint32_t b) const;
 
  private:
+  [[nodiscard]] std::size_t word_count() const noexcept {
+    return (static_cast<std::size_t>(dim_) + 63) / 64;
+  }
+
   std::uint32_t levels_;
   std::uint32_t dim_;
   std::uint32_t chunks_;
   /// signs_[q * chunks_ + c] = 1 if chunk c of level q is +1.
   std::vector<std::uint8_t> signs_;
-  /// Per-level ±1 expansion over all dim components (levels_ × dim_).
-  std::vector<std::int8_t> expanded_;
+  /// Per-level packed signs over all dim components (levels_ × words).
+  std::vector<std::uint64_t> sign_words_;
 };
 
 }  // namespace oms::hd

@@ -10,6 +10,13 @@ bool preprocess(const Spectrum& in, const PreprocessConfig& cfg,
                 BinnedSpectrum& out) {
   out = BinnedSpectrum{};
 
+  // A NaN passes every threshold comparison below (all compare false) and
+  // would poison the L2 norm, so non-finite input is rejected outright.
+  if (!std::isfinite(in.precursor_mz)) return false;
+  for (const auto& p : in.peaks) {
+    if (!std::isfinite(p.mz) || !std::isfinite(p.intensity)) return false;
+  }
+
   const float base = in.base_peak_intensity();
   if (base <= 0.0F) return false;
   const float min_intensity = base * cfg.min_intensity_ratio;

@@ -50,7 +50,8 @@ struct BinnedSpectrum {
 };
 
 /// Applies the full preprocessing chain. Returns false (and leaves `out`
-/// empty) if the spectrum fails quality filtering (too few peaks).
+/// empty) if the spectrum fails quality filtering: a non-finite precursor
+/// m/z, peak m/z or intensity, or too few peaks.
 [[nodiscard]] bool preprocess(const Spectrum& in, const PreprocessConfig& cfg,
                               BinnedSpectrum& out);
 

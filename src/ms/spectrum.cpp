@@ -1,6 +1,7 @@
 #include "ms/spectrum.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace oms::ms {
 
@@ -16,7 +17,11 @@ void Spectrum::sort_peaks() {
 }
 
 bool Spectrum::well_formed() const noexcept {
+  if (!std::isfinite(precursor_mz)) return false;
   for (std::size_t i = 0; i < peaks.size(); ++i) {
+    if (!std::isfinite(peaks[i].mz) || !std::isfinite(peaks[i].intensity)) {
+      return false;
+    }
     if (peaks[i].intensity < 0.0F) return false;
     if (i > 0 && peaks[i].mz < peaks[i - 1].mz) return false;
   }

@@ -38,7 +38,8 @@ struct Spectrum {
   /// Sorts peaks ascending by m/z (parsers call this after loading).
   void sort_peaks();
 
-  /// True if peaks are sorted by m/z and all intensities are non-negative.
+  /// True if the precursor m/z and every peak are finite, peaks are sorted
+  /// by m/z, and all intensities are non-negative.
   [[nodiscard]] bool well_formed() const noexcept;
 };
 

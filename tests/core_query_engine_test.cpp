@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <limits>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -426,6 +428,56 @@ TEST(QueryEngine, SubmitAfterDrainThrows) {
   (void)engine.drain();
   EXPECT_THROW(engine.submit(wl.queries.front()), std::logic_error);
   EXPECT_THROW((void)engine.drain(), std::logic_error);
+}
+
+// A non-finite query must be dropped at preprocess — never encoded and
+// searched as if valid — and the drop accounting identity must still hold.
+TEST(QueryEngine, NonFiniteQueriesAreDroppedAtPreprocess) {
+  const ms::Workload& wl = shared_workload();
+  Pipeline pipeline(small_config("ideal-hd"));
+  pipeline.set_library(wl.references);
+
+  PipelineResult clean_result;
+  QueryEngineStats clean_stats;
+  {
+    QueryEngine engine(pipeline);
+    engine.submit_batch(wl.queries);
+    clean_result = engine.drain();
+    clean_stats = engine.stats();
+  }
+
+  std::vector<ms::Spectrum> queries = wl.queries;
+  const ms::Spectrum& seed = wl.queries.front();
+  ASSERT_GE(seed.peaks.size(), 2U);
+  std::vector<ms::Spectrum> bad(3, seed);
+  bad[0].peaks[1].intensity = std::numeric_limits<float>::quiet_NaN();
+  bad[1].peaks[0].mz = std::numeric_limits<double>::quiet_NaN();
+  bad[2].precursor_mz = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < bad.size(); ++k) {
+    bad[k].id = 1000000 + static_cast<std::uint32_t>(k);
+    queries.insert(queries.begin() + static_cast<std::ptrdiff_t>(7 * k + 3),
+                   bad[k]);
+  }
+
+  QueryEngine engine(pipeline);
+  engine.submit_batch(queries);
+  const PipelineResult result = engine.drain();
+  const QueryEngineStats stats = engine.stats();
+
+  EXPECT_EQ(stats.submitted, queries.size());
+  EXPECT_EQ(stats.dropped_preprocess, clean_stats.dropped_preprocess + 3);
+  EXPECT_EQ(stats.searched, clean_stats.searched);
+  EXPECT_EQ(stats.submitted,
+            stats.emitted + stats.dropped_preprocess + stats.empty_window);
+  ASSERT_EQ(result.psms.size(), clean_result.psms.size());
+  for (std::size_t i = 0; i < result.psms.size(); ++i) {
+    EXPECT_EQ(result.psms[i].query_id, clean_result.psms[i].query_id) << i;
+    EXPECT_EQ(result.psms[i].reference_index,
+              clean_result.psms[i].reference_index)
+        << i;
+    EXPECT_EQ(result.psms[i].score, clean_result.psms[i].score) << i;
+  }
+  EXPECT_EQ(result.identification_set(), clean_result.identification_set());
 }
 
 TEST(QueryEngine, DrainWithoutSubmissionsIsEmpty) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
+
+#include "hd/kernels.hpp"
 
 namespace oms::hd {
 namespace {
@@ -182,13 +186,13 @@ TEST(Encoder, AccumulateMatchesManualComputation) {
   }
 }
 
-TEST(Encoder, BinarizeTieBreakIsDeterministic) {
-  const std::vector<std::int32_t> acc = {0, 0, 5, -5};
-  const util::BitVec hv = Encoder::binarize(acc);
-  EXPECT_FALSE(hv.get(0));  // even index tie → 0
-  EXPECT_TRUE(hv.get(1));   // odd index tie → 1
-  EXPECT_TRUE(hv.get(2));
-  EXPECT_FALSE(hv.get(3));
+TEST(Encoder, EmptySpectrumPinsParityTieBreak) {
+  // No peaks: every sum is zero, so exactly the odd components are set.
+  Encoder enc(small_config());
+  const util::BitVec hv = enc.encode({}, {});
+  for (std::size_t d = 0; d < hv.size(); ++d) {
+    ASSERT_EQ(hv.get(d), (d & 1) != 0) << "dim " << d;
+  }
 }
 
 TEST(Encoder, QuantizeLevelsRelativeToMax) {
@@ -206,6 +210,147 @@ TEST(Encoder, EmptySpectrumGivesDeterministicVector) {
   const util::BitVec hv = enc.encode({}, {});
   EXPECT_EQ(hv.size(), enc.config().dim);
 }
+
+// --- Cross-tier identity ---------------------------------------------------
+//
+// Every kernel tier this CPU runs must reproduce, through encode(),
+// encode_batch() and accumulate(), a plain int32 evaluation of Eq. 1
+// written here — across ID precisions, chunked and unchunked levels,
+// column-block tails, int8-run and int16-capacity boundaries.
+
+using kernels::Tier;
+
+std::vector<Tier> runnable_tiers() {
+  std::vector<Tier> tiers;
+  for (int t = 0; t <= static_cast<int>(kernels::best_supported()); ++t) {
+    tiers.push_back(static_cast<Tier>(t));
+  }
+  return tiers;
+}
+
+/// Restores the ambient dispatch tier on scope exit.
+class TierGuard {
+ public:
+  TierGuard() : saved_(kernels::active_tier()) {}
+  ~TierGuard() { kernels::set_active_tier(saved_); }
+
+ private:
+  Tier saved_;
+};
+
+std::vector<std::int32_t> reference_sums(const Encoder& enc,
+                                         const std::vector<std::uint32_t>& bins,
+                                         const std::vector<float>& weights) {
+  const std::uint32_t dim = enc.config().dim;
+  const std::uint32_t width = enc.level_bank().chunk_width();
+  const auto levels = enc.quantize_levels(weights);
+  std::vector<std::int32_t> sums(dim, 0);
+  for (std::size_t p = 0; p < bins.size(); ++p) {
+    const auto id = enc.id_bank().row(bins[p]);
+    for (std::uint32_t d = 0; d < dim; ++d) {
+      sums[d] += id[d] * enc.level_bank().chunk_sign(levels[p], d / width);
+    }
+  }
+  return sums;
+}
+
+util::BitVec reference_bits(const std::vector<std::int32_t>& sums) {
+  util::BitVec hv(sums.size());
+  for (std::size_t d = 0; d < sums.size(); ++d) {
+    hv.set(d, sums[d] > 0 || (sums[d] == 0 && (d & 1) != 0));
+  }
+  return hv;
+}
+
+struct TierCase {
+  IdPrecision precision;
+  std::uint32_t dim;
+  bool chunked;  ///< chunks = dim/32 (width 32) vs chunks = dim (width 1)
+};
+
+class EncoderCrossTier : public ::testing::TestWithParam<TierCase> {};
+
+TEST_P(EncoderCrossTier, EveryTierMatchesScalarReference) {
+  const TierCase tc = GetParam();
+  EncoderConfig cfg = small_config(tc.precision);
+  cfg.dim = tc.dim;
+  cfg.chunks = tc.chunked ? tc.dim / 32 : tc.dim;
+  Encoder enc(cfg);
+
+  std::vector<std::vector<std::uint32_t>> bin_lists;
+  std::vector<std::vector<float>> weight_lists;
+  std::vector<std::uint32_t> bins;
+  std::vector<float> weights;
+  for (const std::size_t n : {0U, 1U, 18U, 19U, 50U}) {
+    make_sparse(1000 + n, n, bins, weights);
+    bin_lists.push_back(bins);
+    weight_lists.push_back(weights);
+  }
+  // One bin repeated at one level: every peak adds the same ±ID value, so
+  // |sum| reaches n · max_magnitude — 18 and 19 straddle the 3-bit int8
+  // run, 5000 exceeds 3-bit int16 capacity (4681 peaks).
+  for (const std::size_t n : {18U, 19U, 5000U}) {
+    bin_lists.emplace_back(n, 777U);
+    weight_lists.emplace_back(n, 0.5F);
+  }
+  // Same bin at the lowest and highest level: the two peaks cancel on the
+  // chunks (about half, if any) where those levels' signs differ, so exact
+  // zeros sit amid nonzero sums.
+  bin_lists.push_back({4242U, 4242U});
+  weight_lists.push_back({1.0F, 0.001F});
+  for (const auto& b : bin_lists) enc.id_bank().ensure(b);
+
+  std::vector<std::vector<std::int32_t>> want_sums;
+  std::vector<util::BitVec> want_bits;
+  for (std::size_t i = 0; i < bin_lists.size(); ++i) {
+    want_sums.push_back(reference_sums(enc, bin_lists[i], weight_lists[i]));
+    want_bits.push_back(reference_bits(want_sums.back()));
+  }
+  if (enc.level_bank().level_distance(0, cfg.levels - 1) > 0) {
+    const auto& cancel = want_sums.back();
+    ASSERT_NE(std::count(cancel.begin(), cancel.end(), 0), 0);
+  }
+
+  TierGuard guard;
+  for (const Tier tier : runnable_tiers()) {
+    ASSERT_EQ(kernels::set_active_tier(tier), tier);
+    const auto batch = enc.encode_batch(bin_lists, weight_lists);
+    for (std::size_t i = 0; i < bin_lists.size(); ++i) {
+      SCOPED_TRACE(::testing::Message()
+                   << kernels::tier_name(tier) << " spectrum " << i
+                   << " peaks " << bin_lists[i].size());
+      EXPECT_EQ(enc.encode(bin_lists[i], weight_lists[i]), want_bits[i]);
+      EXPECT_EQ(batch[i], want_bits[i]);
+      // accumulate() adds into the caller's buffer.
+      std::vector<std::int32_t> acc(cfg.dim, 3);
+      enc.accumulate(bin_lists[i], weight_lists[i], acc);
+      for (std::uint32_t d = 0; d < cfg.dim; ++d) {
+        ASSERT_EQ(acc[d], want_sums[i][d] + 3) << "dim " << d;
+      }
+    }
+  }
+}
+
+std::vector<TierCase> tier_cases() {
+  std::vector<TierCase> cases;
+  for (const IdPrecision p :
+       {IdPrecision::k1Bit, IdPrecision::k2Bit, IdPrecision::k3Bit}) {
+    for (const std::uint32_t dim : {64U, 192U, 8256U}) {
+      for (const bool chunked : {false, true}) {
+        cases.push_back({p, dim, chunked});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PrecisionDimChunking, EncoderCrossTier, ::testing::ValuesIn(tier_cases()),
+    [](const ::testing::TestParamInfo<TierCase>& info) {
+      return "bits" + std::to_string(static_cast<int>(info.param.precision)) +
+             "_dim" + std::to_string(info.param.dim) +
+             (info.param.chunked ? "_chunked" : "_unchunked");
+    });
 
 class EncoderPrecisionSweep : public ::testing::TestWithParam<IdPrecision> {};
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace oms::ms {
 namespace {
@@ -79,6 +80,45 @@ TEST(Preprocess, RejectsEmptySpectrum) {
   s.precursor_mz = 500.0;
   BinnedSpectrum out;
   EXPECT_FALSE(preprocess(s, tiny_config(), out));
+}
+
+// A NaN intensity compares false against every threshold, so without an
+// explicit check it survived filtering and turned every weight into NaN.
+TEST(Preprocess, RejectsNonFiniteIntensity) {
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    const Spectrum s =
+        make_spectrum({{200.0, 100.0F}, {300.0, bad}, {400.0, 50.0F}});
+    EXPECT_FALSE(s.well_formed()) << bad;
+    BinnedSpectrum out;
+    EXPECT_FALSE(preprocess(s, tiny_config(), out)) << bad;
+    EXPECT_TRUE(out.bins.empty()) << bad;
+  }
+}
+
+TEST(Preprocess, RejectsNonFiniteMz) {
+  Spectrum s = make_spectrum({{200.0, 100.0F}, {400.0, 50.0F}});
+  s.peaks.push_back({std::numeric_limits<double>::quiet_NaN(), 80.0F});
+  EXPECT_FALSE(s.well_formed());
+  BinnedSpectrum out;
+  EXPECT_FALSE(preprocess(s, tiny_config(), out));
+}
+
+TEST(Preprocess, RejectsNonFinitePrecursor) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const Spectrum s =
+        make_spectrum({{200.0, 100.0F}, {300.0, 90.0F}}, bad);
+    EXPECT_FALSE(s.well_formed()) << bad;
+    BinnedSpectrum out;
+    EXPECT_FALSE(preprocess(s, tiny_config(), out)) << bad;
+  }
+}
+
+TEST(Preprocess, FiniteSpectrumIsWellFormed) {
+  const Spectrum s = make_spectrum({{200.0, 100.0F}, {300.0, 0.0F}});
+  EXPECT_TRUE(s.well_formed());
 }
 
 TEST(Preprocess, OutputIsUnitNorm) {
