@@ -9,17 +9,22 @@
 // encoder per tier (µs per 50-peak spectrum at D = 8192), verifies every
 // tier is bit-identical to the scalar reference while timing it, and
 // emits machine-readable BENCH_kernels.json (--kernels-out=...) so the
-// CI artifact trail has per-PR kernel numbers. CI runs only this section
-// (`--benchmark_filter=NONE` skips the gbench loops).
+// CI artifact trail has per-PR kernel numbers. Its "imc" rows time the
+// RRAM-modelled encode_keyed and search_many against their unpruned
+// reference loops and report how often each still draws noise. CI runs
+// only this section (`--benchmark_filter=NONE` skips the gbench loops).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "accel/imc_encoder.hpp"
+#include "accel/imc_search.hpp"
 #include "hd/encoder.hpp"
 #include "hd/kernels.hpp"
 #include "hd/search.hpp"
@@ -275,6 +280,164 @@ std::vector<EncodePoint> measure_encode(std::size_t reps) {
   return points;
 }
 
+/// The RRAM-modelled ("rram-statistical") paths at the paper shape, each
+/// timed next to its unpruned reference loop — every component or pair
+/// draws its noise — and checked for identity against it. The draw
+/// fractions apply the engine's skip rules inside the reference loops.
+struct ImcPoint {
+  double encode_us_per_spectrum = 0.0;
+  double encode_reference_us_per_spectrum = 0.0;
+  double encode_draw_frac = 0.0;  ///< Components that still draw noise.
+  bool encode_identical = true;
+  double search_ns_per_candidate = 0.0;
+  double search_reference_ns_per_candidate = 0.0;
+  double search_draw_frac = 0.0;  ///< (query, candidate) pairs that draw.
+  bool search_identical = true;
+};
+
+ImcPoint measure_imc(std::size_t reps) {
+  namespace accel = oms::accel;
+  namespace util = oms::util;
+  ImcPoint point;
+
+  // encode_keyed: 64 spectra of 50 peaks, D = 8192, 3-bit IDs.
+  {
+    constexpr std::size_t kSpectra = 64;
+    constexpr std::size_t kPeaks = 50;
+    const oms::hd::EncoderConfig cfg;
+    oms::hd::Encoder encoder(cfg);
+    accel::ImcEncoderConfig icfg;
+    icfg.calibration_samples = 1024;
+    accel::ImcEncoder imc(encoder, icfg);
+    util::Xoshiro256 rng(0x1AC0DE);
+    std::vector<std::vector<std::uint32_t>> bins(kSpectra);
+    std::vector<std::vector<float>> weights(kSpectra);
+    for (std::size_t i = 0; i < kSpectra; ++i) {
+      for (std::size_t p = 0; p < kPeaks; ++p) {
+        bins[i].push_back(static_cast<std::uint32_t>(rng.below(cfg.bins)));
+        weights[i].push_back(static_cast<float>(rng.uniform(0.05, 1.0)));
+      }
+      encoder.id_bank().ensure(bins[i]);
+    }
+    imc.precalibrate(bins);
+
+    std::vector<util::BitVec> hvs(kSpectra);
+    std::vector<util::BitVec> ref(kSpectra);
+    std::size_t draws = 0;
+    double best = 1e300;
+    double best_ref = 1e300;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      double t0 = now_s();
+      for (std::size_t i = 0; i < kSpectra; ++i) {
+        hvs[i] = imc.encode_keyed(bins[i], weights[i], i);
+      }
+      best = std::min(best, now_s() - t0);
+      benchmark::DoNotOptimize(hvs.data());
+
+      t0 = now_s();
+      std::vector<std::int32_t> acc(cfg.dim);
+      for (std::size_t i = 0; i < kSpectra; ++i) {
+        std::fill(acc.begin(), acc.end(), 0);
+        encoder.accumulate(bins[i], weights[i], acc);
+        const double sigma = imc.keyed_noise_sigma(bins[i].size());
+        const std::uint64_t key = util::hash_combine(icfg.seed, i, 0xE2C0ULL);
+        ref[i] = util::BitVec(cfg.dim);
+        for (std::size_t d = 0; d < cfg.dim; ++d) {
+          const double a = static_cast<double>(acc[d]);
+          if (a + sigma * util::counter_normal(key, d) > 0.0) {
+            ref[i].set(d, true);
+          }
+          if (rep == 0) {  // counted once; best-of timing skips this pass
+            draws += std::abs(a) <= sigma * util::counter_normal_bound(key, d);
+          }
+        }
+      }
+      best_ref = std::min(best_ref, now_s() - t0);
+      benchmark::DoNotOptimize(ref.data());
+    }
+    point.encode_us_per_spectrum = best * 1e6 / kSpectra;
+    point.encode_reference_us_per_spectrum = best_ref * 1e6 / kSpectra;
+    point.encode_draw_frac = static_cast<double>(draws) /
+                             static_cast<double>(kSpectra * cfg.dim);
+    point.encode_identical = hvs == ref;
+  }
+
+  // search_many: a block of 16 open-window queries (each a 25%-flipped
+  // copy of one reference) over 4096 contiguous references, k = 1.
+  {
+    constexpr std::size_t kDim = 8192;
+    constexpr std::size_t kRefs = 4096;
+    constexpr std::size_t kQueries = 16;
+    constexpr std::size_t kWords = kDim / 64;
+    constexpr std::size_t kTop = 1;
+    util::SplitMix64 sm(0x5EA6C4);
+    std::vector<std::uint64_t> block(kRefs * kWords);
+    for (auto& w : block) w = sm.next();
+    std::vector<util::BitVec> refs;
+    for (std::size_t i = 0; i < kRefs; ++i) {
+      refs.push_back(util::BitVec::view(block.data() + i * kWords, kDim));
+    }
+    std::vector<util::BitVec> hvs;
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      util::BitVec hv = refs[(q * 997) % kRefs];
+      for (std::size_t f = 0; f < kDim / 4; ++f) hv.flip(sm.next() % kDim);
+      hvs.push_back(std::move(hv));
+    }
+    std::vector<oms::hd::BatchQuery> queries;
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      queries.push_back({&hvs[q], 0, kRefs, 100 + q});
+    }
+    accel::ImcSearchConfig scfg;
+    scfg.calibration_samples = 1024;
+    const accel::ImcSearchEngine engine(refs, scfg);
+    const double margin = util::kCounterNormalMax * engine.phase_sigma() *
+                          std::sqrt(static_cast<double>(kDim / 64));
+
+    std::vector<std::vector<oms::hd::SearchHit>> hits;
+    std::vector<std::vector<oms::hd::SearchHit>> ref(kQueries);
+    std::size_t draws = 0;
+    double best = 1e300;
+    double best_ref = 1e300;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      double t0 = now_s();
+      hits = engine.search_many(queries, kTop);
+      best = std::min(best, now_s() - t0);
+      benchmark::DoNotOptimize(hits.data());
+
+      t0 = now_s();
+      for (std::size_t q = 0; q < kQueries; ++q) {
+        ref[q].clear();
+        for (std::size_t i = 0; i < kRefs; ++i) {
+          if (rep == 0) {  // counted once; best-of timing skips this pass
+            const double exact =
+                static_cast<double>(kDim) -
+                2.0 * static_cast<double>(kernels::xor_popcount(
+                          hvs[q].words().data(), refs[i].words().data(),
+                          kWords));
+            draws += ref[q].size() < kTop ||
+                     engine.gain() * exact + margin + 1.0 >
+                         static_cast<double>(ref[q].back().dot);
+          }
+          const double d = engine.dot_keyed(hvs[q], i, queries[q].stream);
+          oms::hd::insert_top_k(
+              ref[q],
+              oms::hd::SearchHit{i, std::llround(d),
+                                 (d / static_cast<double>(kDim) + 1.0) / 2.0},
+              kTop);
+        }
+      }
+      best_ref = std::min(best_ref, now_s() - t0);
+      benchmark::DoNotOptimize(ref.data());
+    }
+    const double pairs = static_cast<double>(kQueries * kRefs);
+    point.search_ns_per_candidate = best * 1e9 / pairs;
+    point.search_reference_ns_per_candidate = best_ref * 1e9 / pairs;
+    point.search_draw_frac = static_cast<double>(draws) / pairs;
+    point.search_identical = hits == ref;
+  }
+  return point;
+}
+
 int run_kernel_sweeps(const std::string& out_path) {
   // Row counts per dimension keep each sweep ~1-4 MiB: larger than L2, so
   // the numbers reflect the streaming sweep the search actually runs, yet
@@ -332,6 +495,23 @@ int run_kernel_sweeps(const std::string& out_path) {
                 p.identical ? "" : "  !! MISMATCH vs scalar");
   }
 
+  std::printf("\nRRAM-modelled paths, D=8192, best of %zu passes:\n", reps);
+  const ImcPoint imc = measure_imc(reps);
+  all_identical = all_identical && imc.encode_identical &&
+                  imc.search_identical;
+  std::printf("  encode_keyed  %9.2f us/spectrum (reference %.2f)  "
+              "draws %.2f%% of components%s\n",
+              imc.encode_us_per_spectrum,
+              imc.encode_reference_us_per_spectrum,
+              100.0 * imc.encode_draw_frac,
+              imc.encode_identical ? "" : "  !! MISMATCH vs reference");
+  std::printf("  search_many   %9.2f ns/candidate (reference %.2f)  "
+              "draws %.2f%% of pairs%s\n",
+              imc.search_ns_per_candidate,
+              imc.search_reference_ns_per_candidate,
+              100.0 * imc.search_draw_frac,
+              imc.search_identical ? "" : "  !! MISMATCH vs reference");
+
   std::ofstream out(out_path);
   out << "{\n  \"bench\": \"kernels\",\n  \"best_supported\": \""
       << kernels::tier_name(kernels::best_supported())
@@ -355,7 +535,21 @@ int run_kernel_sweeps(const std::string& out_path) {
         << ", \"identical\": " << (p.identical ? "true" : "false") << "}"
         << (i + 1 < encode_points.size() ? "," : "") << "\n";
   }
-  out << "  ]\n}\n";
+  out << "  ],\n  \"imc\": [\n"
+      << "    {\"path\": \"encode_keyed\", \"dim\": 8192, \"peaks\": 50, "
+      << "\"us_per_spectrum\": " << imc.encode_us_per_spectrum
+      << ", \"reference_us_per_spectrum\": "
+      << imc.encode_reference_us_per_spectrum
+      << ", \"draw_frac\": " << imc.encode_draw_frac
+      << ", \"identical\": " << (imc.encode_identical ? "true" : "false")
+      << "},\n"
+      << "    {\"path\": \"search_many\", \"dim\": 8192, \"k\": 1, "
+      << "\"ns_per_candidate\": " << imc.search_ns_per_candidate
+      << ", \"reference_ns_per_candidate\": "
+      << imc.search_reference_ns_per_candidate
+      << ", \"draw_frac\": " << imc.search_draw_frac
+      << ", \"identical\": " << (imc.search_identical ? "true" : "false")
+      << "}\n  ]\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return all_identical ? 0 : 1;  // a mismatch fails the bench run loudly
 }

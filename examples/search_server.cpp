@@ -35,6 +35,10 @@
 //   QUIT
 //     ← BYE   (pipe mode: the process exits; tcp: the connection closes)
 //
+// A line longer than 1 MiB is answered with "ERR line too long" and ends
+// the conversation (pipe mode: the process exits; tcp: the connection
+// closes).
+//
 // Observability overhead contract: metrics are block-granular (a handful
 // of clock reads per ~64-query block); per-query span tracing is off
 // unless OPEN sets trace=N (trace every Nth query), and while off every
@@ -80,6 +84,11 @@ oms::core::PipelineConfig base_config() {
   return cfg;
 }
 
+/// Longest command line accepted, terminator excluded. A Q line with
+/// tens of thousands of peaks fits; a longer one is answered with
+/// "ERR line too long" and the connection is closed.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
 struct App {
   oms::serve::SearchServer server;
   explicit App(const oms::serve::SearchServerConfig& cfg) : server(cfg) {}
@@ -93,24 +102,41 @@ class Conversation {
   Conversation(App& app, std::FILE* in, std::FILE* out)
       : app_(app), in_(in), out_(out) {}
 
-  /// Runs until QUIT or EOF. Open sessions are closed (results dropped)
-  /// on the way out.
+  /// Runs until QUIT, EOF or an over-long line. Open sessions are closed
+  /// (results dropped) on the way out.
   void run() {
-    char* line = nullptr;
-    std::size_t cap = 0;
-    ssize_t len = 0;
-    while ((len = getline(&line, &cap, in_)) > 0) {
-      while (len > 0 && (line[len - 1] == '\n' || line[len - 1] == '\r')) {
-        line[--len] = '\0';
+    std::string line;
+    while (true) {
+      const Read r = read_line(line);
+      if (r == Read::kEof) break;
+      if (r == Read::kTooLong) {
+        reply("ERR line too long");
+        break;
       }
-      if (len == 0) continue;
-      if (!dispatch(line)) break;  // QUIT
+      while (!line.empty() && line.back() == '\r') line.pop_back();
+      if (line.empty()) continue;
+      if (!dispatch(line.data())) break;  // QUIT
     }
-    std::free(line);
     sessions_.clear();  // abandoned sessions wind down in ~Session
   }
 
  private:
+  enum class Read { kLine, kEof, kTooLong };
+
+  /// Reads one line without its '\n' into `line`, refusing to buffer more
+  /// than kMaxLineBytes of it: a client cannot grow the server's memory
+  /// without bound by never sending a newline. Only this thread reads in_.
+  Read read_line(std::string& line) {
+    line.clear();
+    int c = 0;
+    while ((c = getc_unlocked(in_)) != EOF) {
+      if (c == '\n') return Read::kLine;
+      if (line.size() == kMaxLineBytes) return Read::kTooLong;
+      line.push_back(static_cast<char>(c));
+    }
+    return line.empty() ? Read::kEof : Read::kLine;
+  }
+
   void reply(const std::string& s) {
     const std::lock_guard lock(out_mu_);
     std::fprintf(out_, "%s\n", s.c_str());
@@ -118,8 +144,12 @@ class Conversation {
   }
 
   bool dispatch(char* line) {
+    // strtok_r, not strtok: in tcp mode every connection thread parses
+    // concurrently, and strtok's hidden static cursor would be shared.
     std::vector<char*> tok;
-    for (char* t = std::strtok(line, " "); t; t = std::strtok(nullptr, " ")) {
+    char* save = nullptr;
+    for (char* t = strtok_r(line, " ", &save); t;
+         t = strtok_r(nullptr, " ", &save)) {
       tok.push_back(t);
     }
     if (tok.empty()) return true;
@@ -349,6 +379,8 @@ void print_help() {
       "       scheduler grant/stream gauges.\n"
       "  QUIT\n"
       "    -> BYE\n"
+      "  A line over 1 MiB gets ERR line too long and closes the\n"
+      "  connection.\n"
       "\n"
       "Observability overhead contract:\n"
       "  Metrics are always on and block-granular (a handful of clock\n"

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "rram/chip.hpp"
+#include "util/rng.hpp"
 
 namespace oms::accel {
 namespace {
@@ -117,6 +118,12 @@ util::BitVec ImcEncoder::encode_statistical(
   return hv;
 }
 
+double ImcEncoder::keyed_noise_sigma(std::size_t peaks) const {
+  return sigma_for_const(peaks) *
+         std::sqrt(static_cast<double>(peaks) *
+                   mean_square_magnitude(encoder_.config().id_precision));
+}
+
 util::BitVec ImcEncoder::encode_keyed(std::span<const std::uint32_t> bins,
                                       std::span<const float> weights,
                                       std::uint64_t stream) const {
@@ -131,17 +138,32 @@ util::BitVec ImcEncoder::encode_keyed(std::span<const std::uint32_t> bins,
   std::vector<std::int32_t> acc(cfg.dim, 0);
   encoder_.accumulate(bins, weights, acc);
 
-  const double sigma_acc =
-      sigma_for_const(bins.size()) *
-      std::sqrt(static_cast<double>(bins.size()) *
-                mean_square_magnitude(cfg.id_precision));
+  const double sigma_acc = keyed_noise_sigma(bins.size());
   const std::uint64_t key = util::hash_combine(cfg_.seed, stream, 0xE2C0ULL);
 
+  // Bit d is (acc[d] + sigma_acc * z_d > 0). Where |acc[d]| exceeds
+  // sigma_acc times a bound on |z_d| the noise cannot flip the sign
+  // (rounding is monotone, so the computed product respects the bound
+  // too), and the bit is sign(acc[d]). A branch-free first pass writes
+  // those bits and lists the components the bound cannot settle; only
+  // they draw their noise.
   util::BitVec hv(cfg.dim);
+  const std::span<std::uint64_t> words = hv.words();
+  std::vector<std::uint32_t> undecided(cfg.dim);
+  std::size_t n = 0;
   for (std::size_t d = 0; d < cfg.dim; ++d) {
+    const double a = static_cast<double>(acc[d]);
+    words[d >> 6] |= static_cast<std::uint64_t>(a > 0.0) << (d & 63);
+    undecided[n] = static_cast<std::uint32_t>(d);
+    n += std::abs(a) <= sigma_acc * util::counter_normal_bound(key, d);
+  }
+  for (std::size_t t = 0; t < n; ++t) {
+    const std::size_t d = undecided[t];
     const double noisy = static_cast<double>(acc[d]) +
                          sigma_acc * util::counter_normal(key, d);
-    if (noisy > 0.0) hv.set(d, true);
+    const std::uint64_t bit = std::uint64_t{1} << (d & 63);
+    std::uint64_t& word = words[d >> 6];
+    word = noisy > 0.0 ? (word | bit) : (word & ~bit);
   }
   return hv;
 }

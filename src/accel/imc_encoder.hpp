@@ -48,10 +48,17 @@ class ImcEncoder {
 
   /// Thread-safe statistical encode with noise keyed on (seed, stream):
   /// reproducible regardless of thread scheduling. Requires precalibrate()
-  /// to have covered this spectrum's peak-count bucket.
+  /// to have covered this spectrum's peak-count bucket. Components whose
+  /// exact sum outweighs any possible draw keep its sign without drawing
+  /// (util::counter_normal_bound); the bits are those of drawing for all.
   [[nodiscard]] util::BitVec encode_keyed(std::span<const std::uint32_t> bins,
                                           std::span<const float> weights,
                                           std::uint64_t stream) const;
+
+  /// Noise sigma, in accumulator units, that encode_keyed adds to every
+  /// component of a spectrum with `peaks` peaks (same precalibration
+  /// requirement).
+  [[nodiscard]] double keyed_noise_sigma(std::size_t peaks) const;
 
   /// Calibrates and caches the MAC sigma for every peak-count bucket in
   /// the batch (statistical mode; no-op otherwise). Calibration is

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+
+#include "util/rng.hpp"
 
 namespace oms::accel {
 
@@ -10,6 +13,7 @@ ImcSearchEngine::ImcSearchEngine(std::span<const util::BitVec> references,
                                  const ImcSearchConfig& cfg)
     : cfg_(cfg),
       refs_(references),
+      view_(hd::RefView::from_span(references)),
       rng_(util::hash_combine(cfg.seed, 0x1333C5ULL)) {
   if (refs_.empty()) return;
   const std::size_t dim = refs_.front().size();
@@ -150,37 +154,18 @@ double ImcSearchEngine::dot_keyed(const util::BitVec& query, std::size_t index,
 std::vector<hd::SearchHit> ImcSearchEngine::top_k_keyed(
     const util::BitVec& query, std::size_t first, std::size_t last,
     std::size_t k, std::uint64_t stream) const {
-  std::vector<hd::SearchHit> hits;
-  if (cfg_.fidelity == Fidelity::kCircuit) {
-    throw std::logic_error(
-        "top_k_keyed is not available in circuit fidelity");
-  }
-  last = std::min(last, refs_.size());
-  if (k == 0 || first >= last) return hits;
-  const double dim = static_cast<double>(query.size());
-  if (cfg_.fidelity == Fidelity::kStatistical && phase_sigma_ > 0.0) {
-    // One batched update instead of a contended per-candidate increment.
-    phases_executed_.fetch_add(phases_per_query(query) * (last - first),
-                               std::memory_order_relaxed);
-  }
-
-  for (std::size_t i = first; i < last; ++i) {
-    const double d = keyed_value(query, i, stream);
-    const auto dot_int = static_cast<std::int64_t>(std::llround(d));
-    hd::insert_top_k(hits, hd::SearchHit{i, dot_int, (d / dim + 1.0) / 2.0},
-                     k);
-  }
-  return hits;
+  const hd::BatchQuery q{&query, first, last, stream};
+  return std::move(search_many({&q, 1}, k).front());
 }
 
 std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
     std::span<const hd::BatchQuery> queries, std::size_t k) const {
   if (cfg_.fidelity == Fidelity::kCircuit) {
     throw std::logic_error(
-        "search_many is not available in circuit fidelity");
+        "keyed search is not available in circuit fidelity");
   }
   std::vector<std::vector<hd::SearchHit>> out(queries.size());
-  if (k == 0 || queries.empty()) return out;
+  if (k == 0 || queries.empty() || !view_.valid()) return out;
 
   std::vector<hd::BatchQuery> clipped(queries.begin(), queries.end());
   for (hd::BatchQuery& q : clipped) {
@@ -191,18 +176,31 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
   const bool noisy =
       cfg_.fidelity == Fidelity::kStatistical && phase_sigma_ > 0.0;
 
-  // Per-query constants hoisted out of the sweep: the fan-out path redoes
-  // the stream-key hash and √phases for every (query, reference) visit.
-  // Multiplication order below matches keyed_value exactly, so hoisting
-  // cannot move a score by even one ulp.
-  std::vector<std::uint64_t> keys(clipped.size());
-  std::vector<double> sqrt_phases(clipped.size());
-  for (std::size_t slot = 0; slot < clipped.size(); ++slot) {
-    keys[slot] = util::hash_combine(cfg_.seed, clipped[slot].stream);
-    sqrt_phases[slot] = std::sqrt(
-        static_cast<double>(phases_per_query(*clipped[slot].hv)));
+  // Per-query constants hoisted out of the sweep. Multiplication order
+  // below matches keyed_value exactly, so hoisting cannot move a score by
+  // even one ulp. `margin` is the largest noise term any draw can add:
+  // |z| <= kCounterNormalMax, and rounding is monotone, so the computed
+  // z * sigma * sqrt_phases never exceeds it.
+  struct Slot {
+    const std::uint64_t* words;
+    double dim;
+    std::uint64_t key;
+    double sqrt_phases;
+    double margin;
+  };
+  std::vector<Slot> slots(clipped.size());
+  for (std::size_t s = 0; s < clipped.size(); ++s) {
+    const util::BitVec& hv = *clipped[s].hv;
+    const double sqrt_phases =
+        std::sqrt(static_cast<double>(phases_per_query(hv)));
+    slots[s] = {hv.words().data(), static_cast<double>(hv.size()),
+                util::hash_combine(cfg_.seed, clipped[s].stream), sqrt_phases,
+                util::kCounterNormalMax * phase_sigma_ * sqrt_phases};
   }
 
+  const hd::kernels::Tier tier = hd::kernels::active_tier();
+  const std::size_t chunk = hd::kernels::sweep_chunk_rows(view_.word_count());
+  std::vector<std::uint32_t> dist(chunk);
   std::uint64_t phases = 0;
   hd::for_each_query_segment(
       clipped, [&](std::size_t lo, std::size_t hi,
@@ -210,27 +208,43 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
         if (noisy) {
           // Shared phase scheduling: one activation pass over this
           // segment's reference rows serves every covering query, so the
-          // phase count is per segment, not per (query, segment).
+          // phase count is per segment, not per (query, segment). The
+          // modelled chip scores every candidate, pruned or not.
           phases += phases_per_query(*clipped[active.front()].hv) * (hi - lo);
         }
-        for (std::size_t i = lo; i < hi; ++i) {
-          for (const std::size_t slot : active) {
-            const hd::BatchQuery& q = clipped[slot];
-            const double exact =
-                static_cast<double>(util::bipolar_dot(*q.hv, refs_[i]));
-            double d = exact;
-            if (noisy) {
-              const double z =
-                  util::counter_normal(keys[slot], i + cfg_.index_offset);
-              d = gain_ * exact + z * phase_sigma_ * sqrt_phases[slot];
+        // Chunked so a run of reference rows stays cache-resident while
+        // every active query is scored against it; candidates still ascend
+        // per query (the insert_top_k tie-break contract).
+        for (std::size_t c0 = lo; c0 < hi; c0 += chunk) {
+          const std::size_t c1 = std::min(hi, c0 + chunk);
+          for (const std::size_t s : active) {
+            const Slot& q = slots[s];
+            std::vector<hd::SearchHit>& hits = out[s];
+            hd::kernels::hamming_sweep_tier(tier, q.words, view_, c0, c1,
+                                            dist.data());
+            for (std::size_t j = 0; j < c1 - c0; ++j) {
+              const std::size_t i = c0 + j;
+              const double exact = q.dim - 2.0 * dist[j];
+              double d = exact;
+              if (noisy) {
+                // Exact pruning: d <= gain * exact + margin =: u and
+                // llround(d) <= d + 0.5, so once the list is full a
+                // candidate with u + 1 <= the k-th best dot rounds to less
+                // than that dot, and insert_top_k (dot desc, index asc)
+                // would reject it under any draw. Skip the draw.
+                if (hits.size() == k &&
+                    gain_ * exact + q.margin + 1.0 <=
+                        static_cast<double>(hits.back().dot)) {
+                  continue;
+                }
+                const double z =
+                    util::counter_normal(q.key, i + cfg_.index_offset);
+                d = gain_ * exact + z * phase_sigma_ * q.sqrt_phases;
+              }
+              const auto dot_int = static_cast<std::int64_t>(std::llround(d));
+              hd::insert_top_k(
+                  hits, hd::SearchHit{i, dot_int, (d / q.dim + 1.0) / 2.0}, k);
             }
-            const auto dot_int = static_cast<std::int64_t>(std::llround(d));
-            hd::insert_top_k(
-                out[slot],
-                hd::SearchHit{i, dot_int,
-                              (d / static_cast<double>(q.hv->size()) + 1.0) /
-                                  2.0},
-                k);
           }
         }
       });

@@ -10,7 +10,11 @@
 //                    Use for small reference sets (tests, Fig. 9 style).
 //  * kStatistical  — exact popcount dot + Gaussian noise with the phase
 //                    sigma measured by calibrate_mvm_error. Scales to
-//                    full workloads (Figs. 10/11/13).
+//                    full workloads (Figs. 10/11/13). The keyed paths take
+//                    exact dots from the dispatched hd::kernels sweep and
+//                    draw noise only for candidates it could lift into the
+//                    top-k (see search_many); the modelled phases still
+//                    charge every candidate.
 //  * kIdeal        — exact search (equivalent to hd::top_k_search).
 #pragma once
 
@@ -84,7 +88,8 @@ class ImcSearchEngine {
   [[nodiscard]] double dot_keyed(const util::BitVec& query, std::size_t index,
                                  std::uint64_t stream) const;
 
-  /// Thread-safe top-k built on dot_keyed (statistical/ideal only).
+  /// Thread-safe top-k with dot_keyed's scores (statistical/ideal only):
+  /// a one-query search_many.
   [[nodiscard]] std::vector<hd::SearchHit> top_k_keyed(
       const util::BitVec& query, std::size_t first, std::size_t last,
       std::size_t k, std::uint64_t stream) const;
@@ -97,6 +102,12 @@ class ImcSearchEngine {
   /// bit-identical to top_k_keyed(*queries[i].hv, ..., queries[i].stream)
   /// — keyed noise depends on (seed, stream, global reference index), not
   /// on block composition.
+  ///
+  /// Exact dots come from the dispatched XOR-popcount sweep. Once a
+  /// query's list holds k hits, a candidate whose score cannot reach the
+  /// k-th best under any draw (|z| <= util::kCounterNormalMax) skips its
+  /// noise draw; the hits are those of scoring every candidate with
+  /// dot_keyed, and phases_executed still counts every candidate.
   [[nodiscard]] std::vector<std::vector<hd::SearchHit>> search_many(
       std::span<const hd::BatchQuery> queries, std::size_t k) const;
 
@@ -111,7 +122,7 @@ class ImcSearchEngine {
                                    std::size_t index);
   [[nodiscard]] double statistical_dot(const util::BitVec& query,
                                        std::size_t index);
-  /// dot_keyed without the phase accounting (top_k_keyed batches it).
+  /// dot_keyed without the phase accounting.
   [[nodiscard]] double keyed_value(const util::BitVec& query,
                                    std::size_t index,
                                    std::uint64_t stream) const;
@@ -122,6 +133,7 @@ class ImcSearchEngine {
 
   ImcSearchConfig cfg_;
   std::span<const util::BitVec> refs_;
+  hd::RefView view_;  ///< Piecewise layout of refs_ for the kernel sweeps.
   double phase_sigma_ = 0.0;
   double gain_ = 1.0;
   mutable std::atomic<std::uint64_t> phases_executed_{0};

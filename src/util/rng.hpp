@@ -11,6 +11,9 @@
 // 64-bit seed, which is what reproducibility of every table/figure requires.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -34,18 +37,97 @@ namespace oms::util {
   return mix64(seed ^ mix64(a ^ mix64(b)));
 }
 
+namespace detail {
+
+/// The two hashes behind one counter_normal draw: h1 yields the radius
+/// uniform u1, h2 the angle uniform u2 (Box–Muller).
+struct CounterNormalHashes {
+  std::uint64_t h1;
+  std::uint64_t h2;
+};
+
+[[nodiscard]] constexpr CounterNormalHashes counter_normal_hashes(
+    std::uint64_t seed, std::uint64_t counter) noexcept {
+  const std::uint64_t h1 = mix64(seed ^ mix64(counter));
+  return {h1, mix64(h1 ^ 0xd1b54a32d192ed03ULL)};
+}
+
+/// Newton square root and Taylor cosine: constexpr stand-ins for libm,
+/// used only to build the bound tables below.
+[[nodiscard]] constexpr double ct_sqrt(double x) noexcept {
+  double r = x > 1.0 ? x : 1.0;
+  for (int i = 0; i < 64; ++i) r = 0.5 * (r + x / r);
+  return r;
+}
+
+[[nodiscard]] constexpr double ct_cos(double x) noexcept {  // |x| <= 2π
+  double term = 1.0;
+  double sum = 1.0;
+  for (int n = 1; n < 40; ++n) {
+    term *= -x * x / static_cast<double>((2 * n - 1) * (2 * n));
+    sum += term;
+  }
+  return sum;
+}
+
+/// Slack for libm rounding in counter_normal (a few ulps, ~1e-15
+/// relative) and for the constexpr approximations above.
+inline constexpr double kBoundPad = 0x1.0p-30;
+
+/// u1 >= 2^-(lz+1) when h1 has lz leading zeros (lz >= 53 leaves
+/// h1 >> 11 == 0, so u1 = 2^-54), hence the radius sqrt(-2 ln u1) is at
+/// most sqrt(2 (min(lz, 53) + 1) ln 2).
+inline constexpr std::array<double, 54> kRadiusBound = [] {
+  std::array<double, 54> t{};
+  for (int lz = 0; lz < 54; ++lz) {
+    t[lz] = ct_sqrt(2.0 * (lz + 1) * 0.6931471805599453) * (1.0 + kBoundPad);
+  }
+  return t;
+}();
+
+/// The top 6 bits j of h2 place u2 in [j/64, (j+1)/64). |cos 2πu| is
+/// monotone between multiples of 1/4, so its maximum over that interval
+/// sits at an endpoint. Capped at 1 so no bound exceeds kCounterNormalMax.
+inline constexpr std::array<double, 64> kCosBound = [] {
+  std::array<double, 64> t{};
+  for (int j = 0; j < 64; ++j) {
+    const double a = ct_cos(6.283185307179586 * j / 64.0);
+    const double b = ct_cos(6.283185307179586 * (j + 1) / 64.0);
+    const double m = std::max(a < 0 ? -a : a, b < 0 ? -b : b) + kBoundPad;
+    t[j] = std::min(m, 1.0);
+  }
+  return t;
+}();
+
+}  // namespace detail
+
 /// One standard-normal draw keyed by (seed, counter): deterministic,
 /// stateless, and safe to evaluate from any thread in any order. Used
 /// where simulation noise must not depend on scheduling (e.g. parallel
 /// statistical RRAM scoring).
 [[nodiscard]] inline double counter_normal(std::uint64_t seed,
                                            std::uint64_t counter) noexcept {
-  const std::uint64_t h1 = mix64(seed ^ mix64(counter));
-  const std::uint64_t h2 = mix64(h1 ^ 0xd1b54a32d192ed03ULL);
+  const auto [h1, h2] = detail::counter_normal_hashes(seed, counter);
   const double u1 = (static_cast<double>(h1 >> 11) + 0.5) * 0x1.0p-53;
   const double u2 = static_cast<double>(h2 >> 11) * 0x1.0p-53;
   return __builtin_sqrt(-2.0 * __builtin_log(u1)) *
          __builtin_cos(6.283185307179586 * u2);
+}
+
+/// Bound on |counter_normal(seed, counter)| over every (seed, counter):
+/// u1 >= 2^-54, so |z| <= sqrt(-2 ln 2^-54) ≈ 8.652 (padded for rounding).
+/// Callers whose result cannot change under any draw that small can skip
+/// the draw itself.
+inline constexpr double kCounterNormalMax = detail::kRadiusBound[53];
+
+/// Per-draw bound on |counter_normal(seed, counter)| from the hash bits
+/// alone — no log, sqrt or cos: the leading zeros of h1 bound −ln u1 and
+/// the top 6 bits of h2 bound |cos 2πu2|. Never above kCounterNormalMax.
+[[nodiscard]] constexpr double counter_normal_bound(
+    std::uint64_t seed, std::uint64_t counter) noexcept {
+  const auto [h1, h2] = detail::counter_normal_hashes(seed, counter);
+  const int lz = std::countl_zero(h1);
+  return detail::kRadiusBound[std::min(lz, 53)] * detail::kCosBound[h2 >> 58];
 }
 
 /// SplitMix64: a 64-bit generator with a single word of state. Primarily

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+
 namespace oms::accel {
 namespace {
 
@@ -97,6 +99,61 @@ TEST(ImcEncoder, KeyedEncodeDeterministicAfterPrecalibrate) {
   EXPECT_EQ(a, b);
   const util::BitVec c = imc.encode_keyed(bin_lists[0], weight_lists[0], 6);
   EXPECT_NE(a, c);
+}
+
+/// encode_keyed without pruning: every component draws its noise.
+util::BitVec unpruned_encode_keyed(const hd::Encoder& enc,
+                                   const ImcEncoder& imc,
+                                   std::span<const std::uint32_t> bins,
+                                   std::span<const float> weights,
+                                   std::uint64_t stream,
+                                   std::size_t& zero_sums) {
+  const std::size_t dim = enc.config().dim;
+  std::vector<std::int32_t> acc(dim, 0);
+  enc.accumulate(bins, weights, acc);
+  const double sigma = imc.keyed_noise_sigma(bins.size());
+  const std::uint64_t key =
+      util::hash_combine(imc.config().seed, stream, 0xE2C0ULL);
+  util::BitVec hv(dim);
+  for (std::size_t d = 0; d < dim; ++d) {
+    if (acc[d] == 0) ++zero_sums;
+    if (static_cast<double>(acc[d]) + sigma * util::counter_normal(key, d) >
+        0.0) {
+      hv.set(d, true);
+    }
+  }
+  return hv;
+}
+
+TEST(ImcEncoder, KeyedEncodeEqualsUnprunedReference) {
+  std::size_t zero_sums = 0;
+  for (const hd::IdPrecision p :
+       {hd::IdPrecision::k1Bit, hd::IdPrecision::k2Bit,
+        hd::IdPrecision::k3Bit}) {
+    for (const std::uint32_t dim : {64U, 8256U}) {
+      hd::EncoderConfig ecfg = encoder_config(p);
+      ecfg.dim = dim;
+      ecfg.chunks = dim / 64;
+      hd::Encoder enc(ecfg);
+      ImcEncoder imc(enc, imc_config(Fidelity::kStatistical));
+      for (const std::size_t peaks : {1U, 18U, 50U}) {
+        std::vector<std::vector<std::uint32_t>> bins(1);
+        std::vector<std::vector<float>> weights(1);
+        make_sparse(peaks * 31 + dim, peaks, bins[0], weights[0]);
+        enc.id_bank().ensure(bins[0]);
+        imc.precalibrate(bins);
+        for (std::uint64_t stream = 0; stream < 4; ++stream) {
+          EXPECT_EQ(imc.encode_keyed(bins[0], weights[0], stream),
+                    unpruned_encode_keyed(enc, imc, bins[0], weights[0],
+                                          stream, zero_sums))
+              << "bits " << static_cast<int>(p) << " dim " << dim
+              << " peaks " << peaks << " stream " << stream;
+        }
+      }
+    }
+  }
+  // Tied sums always draw; make sure the comparison covered some.
+  EXPECT_GT(zero_sums, 0U);
 }
 
 TEST(ImcEncoder, KeyedEncodeWithoutCalibrationThrows) {

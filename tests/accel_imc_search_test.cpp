@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace oms::accel {
 namespace {
@@ -151,6 +157,148 @@ TEST(ImcSearch, TopKAgreementWithExactSearchIsHigh) {
     }
   }
   EXPECT_GE(agree, 45) << "top-1 agreement should be ≥ 90%";
+}
+
+// --- Pruned keyed search is exact ----------------------------------------
+//
+// search_many and top_k_keyed skip noise draws for candidates that cannot
+// enter the top-k. These properties compare them against a brute force
+// that scores every candidate with dot_keyed and sorts the lot.
+
+/// dot_keyed for every candidate of q's window, then a full sort by
+/// (dot desc, index asc), truncated to k.
+std::vector<hd::SearchHit> brute_force(const ImcSearchEngine& oracle,
+                                       const hd::BatchQuery& q,
+                                       std::size_t k) {
+  std::vector<hd::SearchHit> all;
+  const std::size_t last = std::min(q.last, oracle.reference_count());
+  const double dim = static_cast<double>(q.hv->size());
+  for (std::size_t i = q.first; i < last; ++i) {
+    const double d = oracle.dot_keyed(*q.hv, i, q.stream);
+    all.push_back({i, std::llround(d), (d / dim + 1.0) / 2.0});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const hd::SearchHit& a, const hd::SearchHit& b) {
+              return a.dot != b.dot ? a.dot > b.dot
+                                    : a.reference_index < b.reference_index;
+            });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+/// Candidates covered by the union of the clipped windows: the shared
+/// segment sweep charges each once per block.
+std::size_t union_size(const std::vector<hd::BatchQuery>& queries,
+                       std::size_t n_refs) {
+  std::vector<bool> covered(n_refs, false);
+  for (const hd::BatchQuery& q : queries) {
+    for (std::size_t i = q.first; i < std::min(q.last, n_refs); ++i) {
+      covered[i] = true;
+    }
+  }
+  return static_cast<std::size_t>(
+      std::count(covered.begin(), covered.end(), true));
+}
+
+struct Device {
+  const char* name;
+  ImcSearchConfig cfg;
+};
+
+std::vector<Device> devices() {
+  std::vector<Device> out;
+  out.push_back({"default", config_with(Fidelity::kStatistical)});
+  // Noisy enough that the noise margin dwarfs most score gaps, so pruning
+  // rarely fires and the draws decide the ranking.
+  ImcSearchConfig noisy = config_with(Fidelity::kStatistical);
+  noisy.array.sense_sigma *= 60.0;
+  noisy.array.wire_sigma *= 60.0;
+  out.push_back({"noisy", noisy});
+  out.push_back({"ideal", config_with(Fidelity::kIdeal)});
+  return out;
+}
+
+TEST(ImcSearchPruning, NoisyDeviceInflatesPhaseSigma) {
+  const auto refs = random_refs(8, 1024, 40);
+  const auto devs = devices();
+  const ImcSearchEngine base(refs, devs[0].cfg);
+  const ImcSearchEngine noisy(refs, devs[1].cfg);
+  ASSERT_GT(base.phase_sigma(), 0.0);
+  EXPECT_GE(noisy.phase_sigma(), 20.0 * base.phase_sigma());
+}
+
+TEST(ImcSearchPruning, SearchManyAndTopKKeyedEqualBruteForce) {
+  constexpr std::size_t kDim = 1024;
+  // References 200..239 duplicate 20..59, so queries near them see exact
+  // ties (noise-free) and equal rounded scores (noisy).
+  auto refs = random_refs(300, kDim, 41);
+  for (std::size_t i = 0; i < 40; ++i) refs[200 + i] = refs[20 + i];
+
+  util::Xoshiro256 rng(42);
+  std::vector<util::BitVec> hvs;
+  for (std::size_t q = 0; q < 12; ++q) {
+    util::BitVec hv(kDim);
+    if (q % 4 == 3) {
+      hv.randomize(rng.next());
+    } else {
+      hv = refs[20 + rng.below(40)];
+      for (std::size_t f = 0; f < 60 * (q % 4 + 1); ++f) {
+        hv.flip(rng.below(kDim));
+      }
+    }
+    hvs.push_back(std::move(hv));
+  }
+  // Windows: whole library, nested, disjoint, overlapping, empty, and
+  // past the end (clipped to empty).
+  const std::pair<std::size_t, std::size_t> windows[] = {
+      {0, 300},   {10, 250}, {20, 60},  {190, 240}, {0, 40},   {260, 300},
+      {35, 210},  {5, 5},    {120, 80}, {300, 400}, {199, 201}, {0, 1000}};
+
+  std::size_t ties = 0;
+  for (const Device& dev : devices()) {
+    for (const std::size_t offset : {std::size_t{0}, std::size_t{1000}}) {
+      ImcSearchConfig cfg = dev.cfg;
+      cfg.index_offset = offset;
+      const ImcSearchEngine engine(refs, cfg);
+      const ImcSearchEngine oracle(refs, cfg);
+      const bool noisy = cfg.fidelity == Fidelity::kStatistical;
+      const std::size_t ppq = kDim / cfg.activated_pairs;
+
+      std::vector<hd::BatchQuery> block;
+      for (std::size_t q = 0; q < hvs.size(); ++q) {
+        block.push_back({&hvs[q], windows[q].first, windows[q].second,
+                         500 + q});
+      }
+      for (const std::size_t k : {1U, 3U, 8U}) {
+        SCOPED_TRACE(std::string(dev.name) + " offset " +
+                     std::to_string(offset) + " k " + std::to_string(k));
+        std::uint64_t before = engine.phases_executed();
+        const auto batched = engine.search_many(block, k);
+        EXPECT_EQ(engine.phases_executed() - before,
+                  noisy ? ppq * union_size(block, refs.size()) : 0U);
+
+        for (std::size_t q = 0; q < block.size(); ++q) {
+          const auto want = brute_force(oracle, block[q], k);
+          for (std::size_t h = 1; h < want.size(); ++h) {
+            ties += want[h].dot == want[h - 1].dot;
+          }
+          EXPECT_EQ(batched[q], want) << "search_many query " << q;
+
+          before = engine.phases_executed();
+          EXPECT_EQ(engine.top_k_keyed(*block[q].hv, block[q].first,
+                                       block[q].last, k, block[q].stream),
+                    want)
+              << "top_k_keyed query " << q;
+          const std::size_t last = std::min(block[q].last, refs.size());
+          const std::size_t len = block[q].first < last
+                                      ? last - block[q].first
+                                      : 0;
+          EXPECT_EQ(engine.phases_executed() - before, noisy ? ppq * len : 0U);
+        }
+      }
+    }
+  }
+  EXPECT_GT(ties, 0U) << "the duplicates must produce equal-score hits";
 }
 
 }  // namespace

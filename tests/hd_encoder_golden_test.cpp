@@ -5,6 +5,9 @@
 // a level/ID bank change, a different noise key — fails loudly here rather
 // than as a silently different PSM list or a non-reproducible index.
 //
+// The same holds for the keyed RRAM-modelled search: a digest of the hits
+// pins the noise keys, the rounding of noisy scores and the top-k order.
+//
 // If an encoding change is intended, the digests must be re-recorded
 // deliberately, and every persisted library re-encoded.
 #include <gtest/gtest.h>
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "accel/imc_encoder.hpp"
+#include "accel/imc_search.hpp"
 #include "hd/encoder.hpp"
 #include "hd/kernels.hpp"
 #include "index/format.hpp"
@@ -124,6 +128,68 @@ TEST(EncoderGolden, ImcKeyedEncodeDigest) {
     hash = fold(hash, imc.encode_keyed(s.bins[i], s.weights[i], 1000 + i));
   }
   EXPECT_EQ(hash, 0xcf3893381e0bc5d2ULL);
+}
+
+std::uint64_t fold(std::uint64_t hash,
+                   const std::vector<hd::SearchHit>& hits) {
+  for (const hd::SearchHit& h : hits) {
+    hash = index::fnv1a64(&h.reference_index, sizeof h.reference_index, hash);
+    hash = index::fnv1a64(&h.dot, sizeof h.dot, hash);
+    hash = index::fnv1a64(&h.similarity, sizeof h.similarity, hash);
+  }
+  return index::fnv1a64("|", 1, hash);
+}
+
+/// rram-statistical search over a contiguous 2k-reference block: 200
+/// queries, most of them noisy copies of a reference inside their window,
+/// searched in blocks of 16 (search_many) and one by one (top_k_keyed).
+TEST(EncoderGolden, ImcKeyedSearchDigest) {
+  constexpr std::size_t kDim = 2048;
+  constexpr std::size_t kRefs = 2000;
+  constexpr std::size_t kWords = kDim / 64;
+  util::Xoshiro256 rng(505);
+  std::vector<std::uint64_t> block(kRefs * kWords);
+  for (auto& w : block) w = rng.next();
+  std::vector<util::BitVec> refs;
+  for (std::size_t i = 0; i < kRefs; ++i) {
+    refs.push_back(util::BitVec::view(block.data() + i * kWords, kDim));
+  }
+
+  std::vector<util::BitVec> hvs;
+  std::vector<hd::BatchQuery> queries;
+  for (std::size_t q = 0; q < 200; ++q) {
+    const std::size_t target = rng.below(kRefs);
+    util::BitVec hv(kDim);
+    if (q % 5 == 4) {
+      hv.randomize(rng.next());
+    } else {
+      hv = refs[target];
+      for (std::size_t f = 0; f < kDim / 6; ++f) hv.flip(rng.below(kDim));
+    }
+    hvs.push_back(std::move(hv));
+    const std::size_t half = 20 + rng.below(600);
+    queries.push_back({nullptr, target > half ? target - half : 0,
+                       target + half, 7000 + q});
+  }
+  for (std::size_t q = 0; q < queries.size(); ++q) queries[q].hv = &hvs[q];
+
+  accel::ImcSearchConfig cfg;
+  cfg.calibration_samples = 512;
+  const accel::ImcSearchEngine engine(refs, cfg);
+  std::uint64_t batched = 0xcbf29ce484222325ULL;
+  for (std::size_t b = 0; b < queries.size(); b += 16) {
+    const std::size_t n = std::min<std::size_t>(16, queries.size() - b);
+    const auto block_hits =
+        engine.search_many(std::span(queries).subspan(b, n), 5);
+    for (const auto& hits : block_hits) batched = fold(batched, hits);
+  }
+  std::uint64_t single = 0xcbf29ce484222325ULL;
+  for (const hd::BatchQuery& q : queries) {
+    single = fold(single, engine.top_k_keyed(*q.hv, q.first, q.last, 5,
+                                             q.stream));
+  }
+  EXPECT_EQ(batched, single);
+  EXPECT_EQ(batched, 0x9aea9827438ce1c3ULL);
 }
 
 }  // namespace

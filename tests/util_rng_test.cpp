@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -124,6 +125,39 @@ TEST(CounterNormal, MomentsMatchStandardNormal) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.02);
   EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
+}
+
+TEST(CounterNormalBound, GlobalMaxCoversTheSmallestUniform) {
+  // u1 >= 2^-54, so |z| <= sqrt(-2 ln 2^-54) = sqrt(108 ln 2).
+  EXPECT_GE(kCounterNormalMax, std::sqrt(108.0 * std::log(2.0)));
+  EXPECT_LT(kCounterNormalMax, 8.6522);
+}
+
+TEST(CounterNormalBound, BoundsEveryDraw) {
+  for (std::uint64_t i = 0; i < 1000000; ++i) {
+    const std::uint64_t seed = mix64(i / 1000);
+    const std::uint64_t counter = i * 0x9e3779b97f4a7c15ULL;
+    const double bound = counter_normal_bound(seed, counter);
+    ASSERT_GE(bound, std::abs(counter_normal(seed, counter)))
+        << seed << " " << counter;
+    ASSERT_LE(bound, kCounterNormalMax);
+  }
+}
+
+TEST(CounterNormalBound, BoundsDrawsInTheFarTail) {
+  // Counters whose h1 has >= 20 leading zeros put u1 below 2^-20, the
+  // deep tail the bound's radius table must still cover.
+  const std::uint64_t seed = 0xC0FFEE;
+  int found = 0;
+  for (std::uint64_t c = 0; found < 8; ++c) {
+    if (std::countl_zero(detail::counter_normal_hashes(seed, c).h1) < 20) {
+      continue;
+    }
+    ++found;
+    EXPECT_GE(counter_normal_bound(seed, c), std::abs(counter_normal(seed, c)))
+        << c;
+    EXPECT_LE(counter_normal_bound(seed, c), kCounterNormalMax);
+  }
 }
 
 }  // namespace
