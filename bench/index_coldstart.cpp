@@ -64,21 +64,15 @@ struct Measurement {
   }
 };
 
-/// Batched exact-search throughput over one multi-segment library, by
-/// sweep entry point: the per-BitVec fallback (what multi-segment search
-/// cost before hd::RefView), the piecewise extent sweep over the same
-/// fragmented mapping, and the contiguous sweep after compaction.
+/// Batched exact-search throughput over one multi-segment library: the
+/// piecewise extent sweep over the fragmented mapping, and the contiguous
+/// sweep after compaction.
 struct MultisegMeasurement {
   std::size_t segments = 0;
   std::size_t extents = 0;       ///< Piecewise view extents pre-compaction.
   std::size_t rows = 0;          ///< Library entries swept.
-  double per_vector_qps = 0.0;
   double piecewise_qps = 0.0;
   double contiguous_qps = 0.0;   ///< Post-compaction (1 extent).
-
-  [[nodiscard]] double piecewise_speedup() const noexcept {
-    return per_vector_qps > 0.0 ? piecewise_qps / per_vector_qps : 0.0;
-  }
 };
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -128,10 +122,8 @@ void write_json(const std::string& path,
       << ",\n  \"multiseg\": {\"segments\": " << multiseg.segments
       << ", \"extents\": " << multiseg.extents
       << ", \"rows\": " << multiseg.rows
-      << ", \"per_vector_qps\": " << multiseg.per_vector_qps
       << ", \"piecewise_qps\": " << multiseg.piecewise_qps
       << ", \"contiguous_qps\": " << multiseg.contiguous_qps
-      << ", \"piecewise_speedup\": " << multiseg.piecewise_speedup()
       << "}\n}\n";
 }
 
@@ -300,10 +292,9 @@ int main(int argc, char** argv) {
 
   // --- multi-segment search throughput ----------------------------------
   // One library grown as two appended halves: its word rows live in two
-  // disjoint mappings interleaved by mass, so no single RefMatrix exists.
-  // Compare the batched exact sweep through its three entry points:
-  // per-BitVec fallback (the pre-RefView cost of fragmentation), the
-  // piecewise extent sweep, and the contiguous sweep after compaction.
+  // disjoint mappings interleaved by mass, so its view has many extents.
+  // Compare the batched exact sweep over that piecewise view with the
+  // one-extent sweep after compaction.
   MultisegMeasurement ms_m;
   {
     oms::core::PipelineConfig seg_cfg =
@@ -339,8 +330,8 @@ int main(int argc, char** argv) {
     ms_m.rows = lib.size();
 
     // Random probe hypervectors with paper-shaped mass windows (±500 Da
-    // around masses spread across the axis); content-independent, so the
-    // three layouts sweep identical candidate ranges.
+    // around masses spread across the axis); content-independent, so both
+    // layouts sweep identical candidate ranges.
     constexpr std::size_t kProbes = 64;
     constexpr std::size_t kTopK = 4;
     std::vector<oms::util::BitVec> probes(kProbes);
@@ -369,18 +360,20 @@ int main(int argc, char** argv) {
       return best;
     };
 
-    // Sanity first: the three entry points must agree bit for bit.
-    const auto want =
-        oms::hd::top_k_search_batch(batch, lib.hypervectors(), kTopK);
+    // Sanity first: both layouts must agree bit for bit with the
+    // per-query span oracle.
+    std::vector<std::vector<oms::hd::SearchHit>> want;
+    for (const oms::hd::BatchQuery& q : batch) {
+      want.push_back(oms::hd::top_k_search(*q.hv, lib.hypervectors(), q.first,
+                                           q.last, kTopK));
+    }
     if (oms::hd::top_k_search_batch(batch, lib.ref_view(), kTopK) != want) {
       std::fprintf(stderr,
-                   "FATAL: piecewise sweep diverged from fallback\n");
+                   "FATAL: piecewise sweep diverged from the span oracle\n");
+      cleanup();
       return 1;
     }
 
-    ms_m.per_vector_qps = time_qps([&] {
-      (void)oms::hd::top_k_search_batch(batch, lib.hypervectors(), kTopK);
-    });
     ms_m.piecewise_qps = time_qps([&] {
       (void)oms::hd::top_k_search_batch(batch, lib.ref_view(), kTopK);
     });
@@ -390,7 +383,7 @@ int main(int argc, char** argv) {
     if (oms::hd::top_k_search_batch(batch, compacted.ref_view(), kTopK) !=
         want) {
       std::fprintf(stderr,
-                   "FATAL: compacted sweep diverged from fallback\n");
+                   "FATAL: compacted sweep diverged from the span oracle\n");
       cleanup();
       return 1;
     }
@@ -402,11 +395,10 @@ int main(int argc, char** argv) {
     std::printf(
         "multi-segment batched search (%zu rows, %zu segments, %zu "
         "extents):\n"
-        "  per-vector fallback  %10.0f q/s\n"
-        "  piecewise RefView    %10.0f q/s  (%.2fx)\n"
+        "  piecewise RefView    %10.0f q/s\n"
         "  compacted contiguous %10.0f q/s\n\n",
-        ms_m.rows, ms_m.segments, ms_m.extents, ms_m.per_vector_qps,
-        ms_m.piecewise_qps, ms_m.piecewise_speedup(), ms_m.contiguous_qps);
+        ms_m.rows, ms_m.segments, ms_m.extents, ms_m.piecewise_qps,
+        ms_m.contiguous_qps);
   }
 
   write_json(out_path, results, appends, ms_m, dim);

@@ -37,7 +37,7 @@
 
 namespace {
 
-using oms::hd::RefMatrix;
+using oms::hd::RefExtent;
 using oms::hd::kernels::Tier;
 namespace kernels = oms::hd::kernels;
 
@@ -196,15 +196,16 @@ double now_s() {
 
 /// Times the full-block Hamming sweep for one tier; best of `reps` passes.
 /// Also checks the produced distances against `expected` (scalar counts).
-KernelPoint measure_sweep(std::size_t dim, Tier tier, const RefMatrix& matrix,
+KernelPoint measure_sweep(std::size_t dim, Tier tier, const RefExtent& block,
                           const std::uint64_t* qwords,
                           const std::vector<std::uint32_t>& expected,
                           std::size_t reps) {
-  std::vector<std::uint32_t> dist(matrix.count);
+  const std::size_t wc = (dim + 63) / 64;
+  std::vector<std::uint32_t> dist(block.rows);
   double best = 1e300;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const double t0 = now_s();
-    kernels::hamming_sweep_tier(tier, qwords, matrix, 0, matrix.count,
+    kernels::hamming_sweep_tier(tier, qwords, block, wc, 0, block.rows,
                                 dist.data());
     const double t1 = now_s();
     benchmark::DoNotOptimize(dist.data());
@@ -215,9 +216,9 @@ KernelPoint measure_sweep(std::size_t dim, Tier tier, const RefMatrix& matrix,
   p.dim = dim;
   p.tier = std::string(kernels::tier_name(tier));
   p.identical = dist == expected;
-  p.ns_per_ref = best * 1e9 / static_cast<double>(matrix.count);
-  const double bytes = static_cast<double>(matrix.count) *
-                       static_cast<double>(matrix.word_count()) * 8.0;
+  p.ns_per_ref = best * 1e9 / static_cast<double>(block.rows);
+  const double bytes = static_cast<double>(block.rows) *
+                       static_cast<double>(wc) * 8.0;
   p.gib_per_s = bytes / best / (1024.0 * 1024.0 * 1024.0);
   return p;
 }
@@ -462,17 +463,17 @@ int run_kernel_sweeps(const std::string& out_path) {
     for (auto& w : block) w = sm.next();
     std::vector<std::uint64_t> qwords(wc);
     for (auto& w : qwords) w = sm.next();
-    const RefMatrix matrix{block.data(), wc, s.rows, s.dim};
+    const RefExtent extent{block.data(), wc, s.rows, 0};
 
     // Scalar counts are the shared reference for timing *and* identity.
     std::vector<std::uint32_t> expected(s.rows);
-    kernels::hamming_sweep_tier(Tier::kScalar, qwords.data(), matrix, 0,
+    kernels::hamming_sweep_tier(Tier::kScalar, qwords.data(), extent, wc, 0,
                                 s.rows, expected.data());
 
     double scalar_ns = 0.0;
     for (const Tier tier : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
       if (tier > kernels::best_supported()) continue;
-      KernelPoint p = measure_sweep(s.dim, tier, matrix, qwords.data(),
+      KernelPoint p = measure_sweep(s.dim, tier, extent, qwords.data(),
                                     expected, reps);
       if (tier == Tier::kScalar) scalar_ns = p.ns_per_ref;
       p.speedup_vs_scalar = scalar_ns > 0.0 ? scalar_ns / p.ns_per_ref : 1.0;

@@ -118,7 +118,6 @@ int main(int argc, char** argv) {
       ecfg.block_size = block;
       ecfg.stage_threads = threads;
       ecfg.emit_policy = oms::core::EmitPolicy::Rolling;
-      ecfg.expected_queries = wl.queries.size();
       // Fires on the emission thread; nothing else touches accept_times
       // until after drain() returns.
       ecfg.on_accept = [&](const oms::core::Psm&) {
@@ -128,6 +127,7 @@ int main(int argc, char** argv) {
       oms::core::QueryEngine engine(pipeline, ecfg);
       t0 = Clock::now();
       engine.submit_batch(wl.queries);
+      engine.close_stream();
       const auto result = engine.drain();
       const double wall = seconds_since(t0);
       if (accept_times.empty()) continue;

@@ -135,7 +135,7 @@ int inspect_manifest(const std::string& path) {
   // The merged mass order interleaves segments, so the sweep layer sees a
   // piecewise view (hd::RefView) rather than one contiguous block. Show
   // how fragmented it actually is — many short extents is the signal that
-  // a compaction would restore the contiguous fast path.
+  // a compaction would restore the one-extent view.
   const SegmentedLibrary lib = SegmentedLibrary::open(path);
   const oms::hd::RefView& view = lib.ref_view();
   std::printf("piecewise view: %zu extent(s) over %zu rows (%s; mean run "

@@ -150,16 +150,18 @@ int main(int argc, char** argv) {
     // blocks are still in flight. The instrument run and the confident
     // identifications overlap instead of being serialized.
     ecfg.emit_policy = oms::core::EmitPolicy::Rolling;
-    ecfg.expected_queries = queries.size();
     ecfg.on_accept = [](const oms::core::Psm& p) {
       std::printf("  hit  query=%u  %-24s score=%.4f  shift=%+.2f Da\n",
                   p.query_id, p.peptide.c_str(), p.score, p.mass_shift);
     };
-    std::printf("rolling FDR at q<=%.3g over %zu expected queries:\n",
+    std::printf("rolling FDR at q<=%.3g over %zu queries:\n",
                 cfg.fdr_threshold, queries.size());
   }
   oms::core::QueryEngine engine(pipeline, ecfg);
   engine.submit_batch(queries);
+  // Every query is in: closing bounds the stream, so confident hits
+  // release as the in-flight blocks resolve.
+  engine.close_stream();
   const auto result = engine.drain();
   const auto es = engine.stats();
   std::printf("streamed %zu queries in %zu blocks of %zu\n", es.submitted,

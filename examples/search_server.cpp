@@ -18,12 +18,14 @@
 //        [max_in_flight=N] [admit=block|reject] [timeout_ms=N]
 //     ← OK <session-id>            or  ERR <message>
 //   Q <session-id> <query-id> <precursor_mz> <charge> <mz:int,mz:int,...>
-//     ⇠ (nothing on admission; confident PSMs stream asynchronously)
+//     ⇠ (nothing on admission)
 //     ← REJECT <session-id> <query-id>   only when admission sheds it
 //   ⇠ PSM <session-id> <query-id> <peptide> <score> <mass-shift>
 //     (%.17g — parses back to the exact double; may interleave anywhere)
 //   CLOSE <session-id>
-//     ⇠ remaining PSM lines (the Rolling-FDR close flush)
+//     ⇠ accepted PSM lines, released as the stream's tail resolves
+//       (closing bounds the stream by what was submitted — no stream
+//       length is declared up front)
 //     ← CLOSED <session-id> accepted=<n> searched=<n>
 //   STATS
 //     ← STATS <json>   one-line obs::MetricsRegistry snapshot
@@ -364,11 +366,13 @@ void print_help() {
       "       [trace=N]\n"
       "    -> OK <session-id> | ERR <message>\n"
       "  Q <session-id> <query-id> <precursor_mz> <charge> <mz:int,...>\n"
-      "    -> REJECT <sid> <qid> only when admission sheds the query;\n"
-      "       confident PSMs stream asynchronously as\n"
-      "       PSM <sid> <qid> <peptide> <score> <mass-shift>\n"
+      "    -> REJECT <sid> <qid> only when admission sheds the query\n"
       "  CLOSE <session-id>\n"
-      "    -> remaining PSM lines, then CLOSED <sid> accepted=N searched=N\n"
+      "    -> accepted PSMs, released as the stream's tail resolves\n"
+      "       (close bounds the stream by what was submitted; no stream\n"
+      "       length is declared up front), as\n"
+      "       PSM <sid> <qid> <peptide> <score> <mass-shift>\n"
+      "       then CLOSED <sid> accepted=N searched=N\n"
       "  STATS\n"
       "    -> STATS <json> — one-line obs::MetricsRegistry snapshot:\n"
       "       serve.* counters (queries_total, psms_total, per-session\n"

@@ -199,7 +199,8 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
   }
 
   const hd::kernels::Tier tier = hd::kernels::active_tier();
-  const std::size_t chunk = hd::kernels::sweep_chunk_rows(view_.word_count());
+  const std::size_t wc = view_.word_count();
+  const std::size_t chunk = hd::kernels::sweep_chunk_rows(wc);
   std::vector<std::uint32_t> dist(chunk);
   std::uint64_t phases = 0;
   hd::for_each_query_segment(
@@ -212,41 +213,48 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
           // modelled chip scores every candidate, pruned or not.
           phases += phases_per_query(*clipped[active.front()].hv) * (hi - lo);
         }
-        // Chunked so a run of reference rows stays cache-resident while
-        // every active query is scored against it; candidates still ascend
-        // per query (the insert_top_k tie-break contract).
-        for (std::size_t c0 = lo; c0 < hi; c0 += chunk) {
-          const std::size_t c1 = std::min(hi, c0 + chunk);
-          for (const std::size_t s : active) {
-            const Slot& q = slots[s];
-            std::vector<hd::SearchHit>& hits = out[s];
-            hd::kernels::hamming_sweep_tier(tier, q.words, view_, c0, c1,
-                                            dist.data());
-            for (std::size_t j = 0; j < c1 - c0; ++j) {
-              const std::size_t i = c0 + j;
-              const double exact = q.dim - 2.0 * dist[j];
-              double d = exact;
-              if (noisy) {
-                // Exact pruning: d <= gain * exact + margin =: u and
-                // llround(d) <= d + 0.5, so once the list is full a
-                // candidate with u + 1 <= the k-th best dot rounds to less
-                // than that dot, and insert_top_k (dot desc, index asc)
-                // would reject it under any draw. Skip the draw.
-                if (hits.size() == k &&
-                    gain_ * exact + q.margin + 1.0 <=
-                        static_cast<double>(hits.back().dot)) {
-                  continue;
+        // Per extent, chunked so a run of reference rows stays
+        // cache-resident while every active query is scored against it;
+        // candidates still ascend per query (the insert_top_k tie-break
+        // contract).
+        view_.for_each_extent(lo, hi, [&](const hd::RefExtent& ext,
+                                          std::size_t lfirst,
+                                          std::size_t llast) {
+          for (std::size_t c0 = lfirst; c0 < llast; c0 += chunk) {
+            const std::size_t c1 = std::min(llast, c0 + chunk);
+            for (const std::size_t s : active) {
+              const Slot& q = slots[s];
+              std::vector<hd::SearchHit>& hits = out[s];
+              hd::kernels::hamming_sweep_tier(tier, q.words, ext, wc, c0, c1,
+                                              dist.data());
+              for (std::size_t j = 0; j < c1 - c0; ++j) {
+                const std::size_t i = ext.base + c0 + j;
+                const double exact = q.dim - 2.0 * dist[j];
+                double d = exact;
+                if (noisy) {
+                  // Exact pruning: d <= gain * exact + margin =: u and
+                  // llround(d) <= d + 0.5, so once the list is full a
+                  // candidate with u + 1 <= the k-th best dot rounds to
+                  // less than that dot, and insert_top_k (dot desc, index
+                  // asc) would reject it under any draw. Skip the draw.
+                  if (hits.size() == k &&
+                      gain_ * exact + q.margin + 1.0 <=
+                          static_cast<double>(hits.back().dot)) {
+                    continue;
+                  }
+                  const double z =
+                      util::counter_normal(q.key, i + cfg_.index_offset);
+                  d = gain_ * exact + z * phase_sigma_ * q.sqrt_phases;
                 }
-                const double z =
-                    util::counter_normal(q.key, i + cfg_.index_offset);
-                d = gain_ * exact + z * phase_sigma_ * q.sqrt_phases;
+                const auto dot_int =
+                    static_cast<std::int64_t>(std::llround(d));
+                hd::insert_top_k(
+                    hits, hd::SearchHit{i, dot_int, (d / q.dim + 1.0) / 2.0},
+                    k);
               }
-              const auto dot_int = static_cast<std::int64_t>(std::llround(d));
-              hd::insert_top_k(
-                  hits, hd::SearchHit{i, dot_int, (d / q.dim + 1.0) / 2.0}, k);
             }
           }
-        }
+        });
       });
   if (phases > 0) {
     phases_executed_.fetch_add(phases, std::memory_order_relaxed);

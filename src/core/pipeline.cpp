@@ -31,9 +31,7 @@ std::string Pipeline::backend_name() const {
 }
 
 const ms::SpectralLibrary& Pipeline::library() const noexcept {
-  if (index_) return index_->library();
-  if (segmented_) return segmented_->library();
-  return library_;
+  return artifact_ ? artifact_->library() : library_;
 }
 
 BackendStats Pipeline::backend_stats() const {
@@ -139,8 +137,7 @@ void Pipeline::set_library(const std::vector<ms::Spectrum>& targets) {
 
   // All search paths go through the registry — the pipeline never touches
   // a concrete engine type.
-  index_.reset();
-  segmented_.reset();
+  artifact_.reset();
   ref_view_ = ref_hvs_;
   BackendOptions opts = cfg_.backend_options;
   opts.seed = cfg_.seed;
@@ -149,67 +146,32 @@ void Pipeline::set_library(const std::vector<ms::Spectrum>& targets) {
 }
 
 void Pipeline::set_library(std::shared_ptr<const index::LibraryIndex> index) {
-  set_library(std::move(index), nullptr);
+  set_library(std::make_shared<const index::SegmentedLibrary>(
+      index::SegmentedLibrary::of(std::move(index))));
 }
 
-void Pipeline::set_library(std::shared_ptr<const index::LibraryIndex> index,
-                           std::shared_ptr<SearchBackend> shared_backend) {
+void Pipeline::set_library(
+    std::shared_ptr<const index::SegmentedLibrary> library,
+    std::shared_ptr<SearchBackend> shared_backend) {
   BackendRegistry::instance().require(backend_name());
-  if (!index) {
-    throw std::invalid_argument("Pipeline::set_library: null index");
-  }
-  if (!index->has_entries()) {
-    throw std::runtime_error(
-        "Pipeline::set_library: hypervector-only cache (no library "
-        "entries) — build a full index with index::IndexBuilder");
+  if (!library) {
+    throw std::invalid_argument("Pipeline::set_library: null library");
   }
   // Fail loudly on any configuration drift before a single query runs.
-  oms::index::validate_fingerprint(index->fingerprint(), cfg_);
+  // Every segment carries the manifest's fingerprint (checked at open),
+  // so validating the manifest's covers them all.
+  oms::index::validate_fingerprint(library->fingerprint(), cfg_);
 
   // Adopt the artifact: entries and hypervectors come straight from the
-  // mapped file; nothing is preprocessed or encoded here (the counter
+  // mapped files; nothing is preprocessed or encoded here (the counter
   // reset keeps the zero-re-encoding contract observable after a warm
   // replica switches to the artifact).
   reference_encodes_ = 0;
   library_ = ms::SpectralLibrary();
   ref_hvs_.clear();
-  segmented_.reset();
-  index_ = std::move(index);
-  ref_view_ = index_->hypervectors();
+  artifact_ = std::move(library);
+  ref_view_ = artifact_->hypervectors();
 
-  adopt_backend(std::move(shared_backend));
-}
-
-void Pipeline::set_library(
-    std::shared_ptr<const index::SegmentedLibrary> segments) {
-  set_library(std::move(segments), nullptr);
-}
-
-void Pipeline::set_library(
-    std::shared_ptr<const index::SegmentedLibrary> segments,
-    std::shared_ptr<SearchBackend> shared_backend) {
-  BackendRegistry::instance().require(backend_name());
-  if (!segments) {
-    throw std::invalid_argument("Pipeline::set_library: null segments");
-  }
-  // Every segment carries the manifest's fingerprint (checked at open),
-  // so validating the manifest's covers them all.
-  oms::index::validate_fingerprint(segments->fingerprint(), cfg_);
-
-  // Adopt the merged view: entries and hypervectors come straight from
-  // the segments' mapped word blocks, in global merged order — the same
-  // zero-re-encoding contract as the single-index path.
-  reference_encodes_ = 0;
-  library_ = ms::SpectralLibrary();
-  ref_hvs_.clear();
-  index_.reset();
-  segmented_ = std::move(segments);
-  ref_view_ = segmented_->hypervectors();
-
-  adopt_backend(std::move(shared_backend));
-}
-
-void Pipeline::adopt_backend(std::shared_ptr<SearchBackend> shared_backend) {
   // Query-side encoding must still go through the IMC model when the
   // backend's trait demands it (the references already did, per the
   // fingerprint).
@@ -220,8 +182,8 @@ void Pipeline::adopt_backend(std::shared_ptr<SearchBackend> shared_backend) {
 
   if (shared_backend) {
     // Multi-tenant path: adopt a backend another pipeline (or the
-    // serve-layer library cache) already built over this same index's
-    // word block. Per-call engine state cannot be multiplexed, and a
+    // serve-layer library cache) already built over this same library's
+    // hypervectors. Per-call engine state cannot be multiplexed, and a
     // name mismatch would silently search through the wrong substrate.
     if (!shared_backend->thread_safe()) {
       throw std::invalid_argument(

@@ -37,8 +37,8 @@
 #include "ms/synthesizer.hpp"
 
 namespace oms::index {
-class LibraryIndex;  // persistent search artifact (index/library_index.hpp)
-class SegmentedLibrary;  // manifest of segments (index/segmented_library.hpp)
+class LibraryIndex;  // one persistent artifact (index/library_index.hpp)
+class SegmentedLibrary;  // the library type (index/segmented_library.hpp)
 }  // namespace oms::index
 
 namespace oms::core {
@@ -115,42 +115,32 @@ class Pipeline {
   /// search backend through the registry. Must be called before run().
   void set_library(const std::vector<ms::Spectrum>& targets);
 
-  /// Cold-start path: adopts a persistent index::LibraryIndex in place of
-  /// raw spectra. The library entries and reference hypervectors come
-  /// straight from the (typically mmap'd) artifact — zero encode calls —
-  /// and the search backend is built over the mapped word block. Throws
-  /// std::invalid_argument when the index's fingerprint does not match
-  /// this pipeline's preprocess/encoder/encoding configuration, and
-  /// std::runtime_error for hypervector-only caches (no entries). The
-  /// pipeline shares ownership, so the mapping outlives it.
-  void set_library(std::shared_ptr<const index::LibraryIndex> index);
-
-  /// Multi-tenant variant (the serve::LibraryCache seam): adopts the
-  /// artifact AND an externally owned search backend already built over
-  /// that same index's hypervector block, instead of constructing a
-  /// private one — so N sessions on one library share one backend
-  /// instance (and its exact BackendStats counters). The backend must be
+  /// Cold-start path: adopts a persistent index::SegmentedLibrary (a
+  /// manifest of segments, or a monolithic index opened as one segment)
+  /// in place of raw spectra. The library entries and reference
+  /// hypervectors come straight from the (typically mmap'd) artifact —
+  /// zero encode calls — in the library's global merged order, so search
+  /// results are bit-identical to the equivalent monolithic artifact (see
+  /// segmented_library.hpp for the tie-order caveat). Throws
+  /// std::invalid_argument when the library's fingerprint does not match
+  /// this pipeline's preprocess/encoder/encoding configuration. The
+  /// pipeline shares ownership, so the mappings outlive it.
+  ///
+  /// Multi-tenant use (the serve::LibraryCache seam): `shared_backend`,
+  /// when non-null, is an externally owned search backend already built
+  /// over this same library's hypervectors, adopted instead of
+  /// constructing a private one — so N sessions on one library share one
+  /// backend instance (and its exact BackendStats counters). It must be
   /// thread_safe() (per-call engine state cannot be multiplexed across
-  /// concurrent sessions; std::invalid_argument otherwise), must have
-  /// been registered under this pipeline's backend_name (checked), and
-  /// must outlive every query — shared_ptr ownership handles that. A
-  /// null backend falls back to building a private one.
-  void set_library(std::shared_ptr<const index::LibraryIndex> index,
-                   std::shared_ptr<SearchBackend> shared_backend);
+  /// concurrent sessions; std::invalid_argument otherwise) and registered
+  /// under this pipeline's backend_name (checked).
+  void set_library(std::shared_ptr<const index::SegmentedLibrary> library,
+                   std::shared_ptr<SearchBackend> shared_backend = nullptr);
 
-  /// Segmented cold-start path: adopts an opened index::SegmentedLibrary
-  /// — N immutable segment artifacts merged into one logical library —
-  /// with the same zero-encode, fingerprint-validated contract as the
-  /// single-index overload. Reference indices follow the segmented
-  /// library's global merged order, so search results are bit-identical
-  /// to the equivalent monolithic artifact (see segmented_library.hpp
-  /// for the tie-order caveat).
-  void set_library(std::shared_ptr<const index::SegmentedLibrary> segments);
-
-  /// Multi-tenant segmented variant (see the shared-backend overload
-  /// above for the sharing contract).
-  void set_library(std::shared_ptr<const index::SegmentedLibrary> segments,
-                   std::shared_ptr<SearchBackend> shared_backend);
+  /// Monolithic-index shorthand for
+  /// set_library(SegmentedLibrary::of(index)); throws std::runtime_error
+  /// for hypervector-only caches (no entries).
+  void set_library(std::shared_ptr<const index::LibraryIndex> index);
 
   /// The pipeline's search backend, shareable with other pipelines over
   /// the same reference set (null before set_library). The donation path
@@ -160,10 +150,11 @@ class Pipeline {
     return backend_;
   }
 
-  /// The active library: owned (spectra path) or the index's (load path).
+  /// The active library: owned (spectra path) or the artifact's (load
+  /// path).
   [[nodiscard]] const ms::SpectralLibrary& library() const noexcept;
   /// Encoded reference hypervectors, aligned with library() order. On the
-  /// index load path these are zero-copy views into the mapped word block.
+  /// artifact load path these are zero-copy views into the mapped words.
   [[nodiscard]] std::span<const util::BitVec> reference_hvs()
       const noexcept {
     return ref_view_;
@@ -189,10 +180,6 @@ class Pipeline {
       const std::vector<ms::BinnedSpectrum>& spectra, std::uint64_t ber_salt);
   /// Query-side IMC encoder when the backend's trait requires it.
   void ensure_imc_encoder();
-  /// Shared tail of the artifact load paths: query-side IMC encoder when
-  /// the trait demands it, then adopt the shared backend (validated) or
-  /// build a private one over ref_view_.
-  void adopt_backend(std::shared_ptr<SearchBackend> shared_backend);
   /// Alias for library() used by the engine internals.
   [[nodiscard]] const ms::SpectralLibrary& lib() const noexcept {
     return library();
@@ -203,11 +190,8 @@ class Pipeline {
   ms::SpectralLibrary library_;             ///< Spectra-path storage.
   std::vector<util::BitVec> ref_hvs_;       ///< Spectra-path storage.
   /// Keep-alive for the load path: the mapped artifact must outlive the
-  /// backend reading its word block. Non-null ⇔ index-backed library.
-  std::shared_ptr<const index::LibraryIndex> index_;
-  /// Keep-alive for the segmented load path; at most one of index_ /
-  /// segmented_ is non-null.
-  std::shared_ptr<const index::SegmentedLibrary> segmented_;
+  /// backend reading its word blocks. Non-null ⇔ artifact-backed library.
+  std::shared_ptr<const index::SegmentedLibrary> artifact_;
   std::span<const util::BitVec> ref_view_;      ///< Active hypervectors.
   std::size_t reference_encodes_ = 0;
   /// shared_ptr so serve-layer sessions can multiplex one backend over a

@@ -78,11 +78,9 @@ struct QueryEngine::Impl {
     if (pipeline.lib().empty() || !pipeline.backend_) {
       throw std::logic_error("QueryEngine: Pipeline::set_library() first");
     }
-    // The estimator serves two release triggers: the expected_queries
-    // promise (mid-stream releases) and close_stream() (release-at-close
-    // with no promise). Either can fire under Rolling, so the estimator is
-    // always built for it; roll_emit holds everything back until one of
-    // the two bounds becomes available.
+    // The estimator serves close_stream()'s release: roll_emit holds
+    // everything back until the stream is closed and the future-arrival
+    // bound exists.
     if (cfg.emit_policy == EmitPolicy::Rolling) {
       if (pipeline.cfg_.grouped_fdr) {
         rolling_grouped = std::make_unique<StreamingGroupedFdr>(
@@ -405,9 +403,9 @@ struct QueryEngine::Impl {
       }
     }
     // The stream is complete once to_emit closes: every stage has finished,
-    // so the outstanding-query count is exact (zero when the caller's
-    // expected_queries promise was exact) and everything the final filter
-    // will accept can be released before the drain machinery runs.
+    // so the outstanding-query count is exact (zero) and everything the
+    // final filter will accept can be released before the drain machinery
+    // runs.
     try {
       roll_emit();
     } catch (...) {
@@ -420,38 +418,24 @@ struct QueryEngine::Impl {
   /// future decoy; confident survivors go to the user callback now.
   void roll_emit() {
     if (!rolling && !rolling_grouped) return;
-    // A future-arrival bound exists once the caller promised a total
-    // (expected_queries) or declared the stream closed; with neither,
-    // nothing can release before the drain flush.
-    const bool stream_closed = closed.load(std::memory_order_acquire);
-    if (!stream_closed && cfg.expected_queries == 0) return;
+    // A future-arrival bound exists once the caller declared the stream
+    // closed; before that, nothing can release before the drain flush.
+    if (!closed.load(std::memory_order_acquire)) return;
     if (failed.load(std::memory_order_acquire)) return;
-    // Every admitted query yields at most one PSM. Queries the caller has
-    // promised but not yet submitted count as outstanding too; queries that
-    // already resolved without a PSM (quality-filtered, empty mass window)
-    // do not. Relaxed loads may lag and over-count the future — that only
-    // delays a release, never unsounds one. If submissions overrun the
-    // promise, fall back to what has actually arrived so far — the bound
-    // stays as honest as the caller's expected_queries hint. A closed
-    // stream needs no promise: the admitted count IS the total, so the
-    // bound tightens to the unresolved tail and hits zero once every
-    // in-flight query resolves — that is how close releases the whole
-    // eligible set.
+    // Every admitted query yields at most one PSM; queries that already
+    // resolved without a PSM (quality-filtered, empty mass window) do not.
+    // The admitted count IS the total once closed, so the bound is the
+    // unresolved tail and hits zero once every in-flight query resolves —
+    // that is how close releases the whole eligible set. Relaxed loads may
+    // lag and over-count the future — that only delays a release, never
+    // unsounds one.
     const std::size_t seen =
         rolling_grouped ? rolling_grouped->size() : rolling->size();
     const std::size_t done =
         seen + dropped_preprocess.load(std::memory_order_relaxed) +
         empty_window.load(std::memory_order_relaxed);
     const std::size_t arrived = submitted.load(std::memory_order_acquire);
-    // Trigger precedence (the documented contract of the deprecated
-    // expected_queries field): a closed stream supersedes any promise.
-    // Closing declares the arrived count to BE the total, so a promise
-    // larger than what actually arrived must not keep charging phantom
-    // future decoys — otherwise "promise N, close after M < N" would
-    // strand the tail until drain.
-    const std::size_t expected =
-        stream_closed ? arrived : std::max(cfg.expected_queries, arrived);
-    const std::size_t max_future = expected > done ? expected - done : 0;
+    const std::size_t max_future = arrived > done ? arrived - done : 0;
     const double threshold = pipeline.cfg_.fdr_threshold;
     const std::vector<StreamingFdr::Release> releases =
         rolling_grouped ? rolling_grouped->emit_confident(threshold, max_future)

@@ -26,10 +26,10 @@
 // result — rolling release order may vary with scheduling, membership
 // never does. A stream has an explicit lifecycle for serving callers
 // (serve::Session): submit/submit_batch/try_submit admit queries,
-// close_stream() declares "no more arrivals" — which replaces the old
-// expected_queries caller-promise and releases every PSM the final filter
-// will accept as the in-flight tail resolves — and drain() collects the
-// result.
+// close_stream() declares "no more arrivals" — which bounds the future
+// arrivals by the queries already submitted and releases every PSM the
+// final filter will accept as the in-flight tail resolves — and drain()
+// collects the result.
 //
 // Determinism contract: every per-query artifact — encoding noise, injected
 // bit errors, search noise, rescoring — is keyed on the query's spectrum id
@@ -88,29 +88,6 @@ struct QueryEngineConfig {
   /// callback must tolerate that concurrency. The drain-time flush fires
   /// on the drain() caller's thread, in admission order.
   std::function<void(const Psm&)> on_accept;
-  /// DEPRECATED — prefer close_stream(). Upper bound on the total number
-  /// of queries this engine will be given (0 = unknown). The
-  /// confident-emission bound charges every query not yet scored as a
-  /// potential future decoy, so with an unknown total nothing can be
-  /// released before the stream ends; with a declared bound the
-  /// early-release guarantee holds as long as the caller keeps the
-  /// promise and submits no more than this many queries. The promise is
-  /// awkward for callers that do not know their stream length up front
-  /// (an acquisition run ends when it ends): close_stream() supersedes it
-  /// by declaring "no more arrivals" *after the fact*, which tightens the
-  /// bound to the queries actually submitted and needs no global count.
-  /// The field remains for callers that genuinely know the total and want
-  /// releases to start mid-stream rather than at close.
-  ///
-  /// Precedence when both are used: close_stream() WINS outright. Before
-  /// close, the future-arrival bound is max(expected_queries, submitted);
-  /// from the moment the stream is closed the promise is ignored and the
-  /// bound is exactly the submitted count — so a caller that promised N
-  /// but closed after M < N queries releases everything eligible for the
-  /// M that arrived, rather than withholding PSMs against N − M queries
-  /// that can never come (pinned by
-  /// QueryEngine.PromiseThenEarlyCloseReleasesEverything).
-  std::size_t expected_queries = 0;
   /// Serving hook: called from engine-internal stage threads each time
   /// queries finish flowing through the pipeline (with the count newly
   /// resolved) — a query resolves when it is quality-filtered, finds no
@@ -202,12 +179,12 @@ class QueryEngine {
 
   /// Declares the end of arrivals without collecting the result: no
   /// further submissions are accepted (submit throws std::logic_error),
-  /// and the confident-emission bound tightens from the expected_queries
-  /// promise to "exactly the queries already submitted" — so as the tail
-  /// of the stream resolves, every PSM the final filter will accept is
-  /// released through on_accept (under EmitPolicy::Rolling) with no
-  /// global-count promise needed. Idempotent; drain() may follow to
-  /// block for completion and collect the PipelineResult.
+  /// and the confident-emission bound becomes "exactly the queries already
+  /// submitted" — so as the tail of the stream resolves, every PSM the
+  /// final filter will accept is released through on_accept (under
+  /// EmitPolicy::Rolling). Until then no future-arrival bound exists and
+  /// nothing releases early. Idempotent; drain() may follow to block for
+  /// completion and collect the PipelineResult.
   void close_stream();
 
   /// True once a stage failure has poisoned the stream (drain() rethrows

@@ -168,8 +168,7 @@ class IdealHdBackend final : public SearchBackend {
  public:
   IdealHdBackend(std::span<const util::BitVec> references,
                  std::size_t query_block, const hd::PrefilterConfig& prefilter)
-      : refs_(references),
-        view_(hd::RefView::from_span(references)),
+      : view_(hd::RefView::from_span(references)),
         query_block_(query_block),
         prefilter_(prefilter) {}
 
@@ -182,16 +181,12 @@ class IdealHdBackend final : public SearchBackend {
       std::size_t k, std::uint64_t stream) override {
     if (prefilter_.enabled) {
       hd::PrefilterCounters local;
-      auto hits = hd::top_k_search_prefiltered(
-          query, refs_, first, last, k, prefilter_, stream, &local,
-          view_.valid() ? &view_ : nullptr);
+      auto hits = hd::top_k_search_prefiltered(query, view_, first, last, k,
+                                               prefilter_, stream, &local);
       prefilter_counters_.add(local);
       return hits;
     }
-    if (view_.valid()) {
-      return hd::top_k_search(query, view_, first, last, k);
-    }
-    return hd::top_k_search(query, refs_, first, last, k);
+    return hd::top_k_search(query, view_, first, last, k);
   }
 
   [[nodiscard]] std::vector<std::vector<hd::SearchHit>> search_batch(
@@ -201,15 +196,11 @@ class IdealHdBackend final : public SearchBackend {
                              if (prefilter_.enabled) {
                                hd::PrefilterCounters local;
                                auto hits = hd::top_k_search_batch_prefiltered(
-                                   sub, refs_, k, prefilter_, &local,
-                                   view_.valid() ? &view_ : nullptr);
+                                   sub, view_, k, prefilter_, &local);
                                prefilter_counters_.add(local);
                                return hits;
                              }
-                             if (view_.valid()) {
-                               return hd::top_k_search_batch(sub, view_, k);
-                             }
-                             return hd::top_k_search_batch(sub, refs_, k);
+                             return hd::top_k_search_batch(sub, view_, k);
                            });
     counters_.count(queries.size(), query_block_);
     return out;
@@ -218,9 +209,9 @@ class IdealHdBackend final : public SearchBackend {
   [[nodiscard]] BackendStats stats() const override {
     BackendStats s;
     s.backend = "ideal-hd";
-    s.references = refs_.size();
+    s.references = view_.count();
     s.kernel = hd::kernels::tier_name(hd::kernels::active_tier());
-    s.contiguous_refs = view_.valid() && view_.contiguous();
+    s.contiguous_refs = view_.contiguous();
     s.extent_count = view_.extent_count();
     counters_.fill(s);
     prefilter_counters_.fill(s);
@@ -228,8 +219,7 @@ class IdealHdBackend final : public SearchBackend {
   }
 
  private:
-  std::span<const util::BitVec> refs_;
-  hd::RefView view_;  ///< Piecewise layout of refs_; invalid ⇔ mixed dims.
+  hd::RefView view_;  ///< Piecewise layout of the references.
   std::size_t query_block_;
   hd::PrefilterConfig prefilter_;
   BlockCounters counters_;

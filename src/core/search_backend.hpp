@@ -45,17 +45,17 @@
 //
 // Reference libraries reach a backend as a span of util::BitVec — either
 // encoded in-process by core::Pipeline::set_library(spectra), or mapped
-// zero-copy from a persistent index::LibraryIndex (index/library_index.hpp)
-// or multi-segment index::SegmentedLibrary, whose word blocks back every
-// backend with no re-encoding on cold start. The exact digital kernel
-// underneath "ideal-hd" dispatches at runtime over scalar / AVX2 /
-// AVX-512-VPOPCNTDQ popcount tiers (hd/kernels.hpp; all bit-identical),
-// sweeping the references through the piecewise hd::RefView seam: at
-// construction the span is coalesced into maximal contiguous extents
-// (RefView::from_span — a mapped monolithic block is one extent,
-// LibraryIndex::ref_matrix() the same view; a segmented library one
-// extent per run of same-segment rows), and every sweep — per-query,
-// batched, prefiltered — runs per extent with global reference indices.
+// zero-copy from an index::SegmentedLibrary (index/segmented_library.hpp:
+// a manifest of segments, or a monolithic index::LibraryIndex opened as
+// one segment), whose word blocks back every backend with no re-encoding
+// on cold start. The exact digital kernel underneath "ideal-hd" dispatches
+// at runtime over scalar / AVX2 / AVX-512-VPOPCNTDQ popcount tiers
+// (hd/kernels.hpp; all bit-identical), sweeping the references through the
+// piecewise hd::RefView seam: at construction the span is coalesced into
+// maximal contiguous extents (RefView::from_span — a mapped monolithic
+// block is one extent, a segmented library one extent per run of
+// same-segment rows), and every sweep — per-query, batched, prefiltered —
+// runs per extent with global reference indices.
 // BackendStats::kernel / contiguous_refs / extent_count report which
 // layout a run swept. The optional ANN candidate prefilter
 // (BackendOptions::prefilter) prunes each precursor window before the
@@ -68,7 +68,7 @@
 // thread_safe() == true may be *shared* across concurrent sessions —
 // serve::LibraryCache holds one instance per (fingerprint, path,
 // backend-config) and hands it to every compatible serve::Session via
-// Pipeline::set_library(index, shared_backend), with cross-tenant
+// Pipeline::set_library(library, shared_backend), with cross-tenant
 // search_batch calls arbitrated by serve::FairScheduler. A shared backend
 // must therefore keep top_k / search_batch reentrant and its BackendStats
 // counters atomic (the built-ins already do, for the exact-counter
@@ -146,14 +146,14 @@ struct BackendStats {
   /// touch the digital kernel.
   std::string kernel;
   /// True when the reference hypervectors form ONE contiguous word block
-  /// (hd::RefMatrix — the mmap'd monolithic index layout). A segmented
-  /// library reports false here but still sweeps through the piecewise
-  /// hd::RefView; extent_count below says how fragmented that view is.
+  /// (a one-extent hd::RefView — the mmap'd monolithic index layout). A
+  /// multi-segment library reports false here but still sweeps block-wise;
+  /// extent_count below says how fragmented its view is.
   bool contiguous_refs = false;
   /// Contiguous extents of the piecewise reference view the digital
   /// sweeps run over (hd::RefView): 1 = monolithic (contiguous_refs),
-  /// >1 = segmented/fragmented but still block-swept, 0 = no piecewise
-  /// view (per-BitVec fallback, or a substrate that never builds one).
+  /// >1 = segmented/fragmented but still block-swept, 0 = no references
+  /// (or a substrate that never builds a view).
   std::size_t extent_count = 0;
   /// ANN candidate-prefilter accounting ("ideal-hd" with
   /// BackendOptions::prefilter enabled; all zero otherwise). Candidates

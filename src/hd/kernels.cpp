@@ -15,29 +15,6 @@
 
 namespace oms::hd {
 
-RefMatrix RefMatrix::from_span(std::span<const util::BitVec> refs) noexcept {
-  if (refs.empty() || refs.front().size() == 0) return {};
-  const std::uint64_t* base = refs.front().words().data();
-  const std::size_t dim = refs.front().size();
-  const std::size_t wc = (dim + 63) / 64;
-
-  std::size_t stride = wc;
-  if (refs.size() > 1) {
-    // Integer pointer math: the rows need not come from one array object.
-    const auto b0 = reinterpret_cast<std::uintptr_t>(base);
-    const auto b1 = reinterpret_cast<std::uintptr_t>(refs[1].words().data());
-    if (b1 <= b0 || (b1 - b0) % sizeof(std::uint64_t) != 0) return {};
-    stride = (b1 - b0) / sizeof(std::uint64_t);
-    if (stride < wc) return {};
-  }
-  for (std::size_t i = 1; i < refs.size(); ++i) {
-    if (refs[i].size() != dim || refs[i].words().data() != base + i * stride) {
-      return {};
-    }
-  }
-  return RefMatrix{base, stride, refs.size(), dim};
-}
-
 std::size_t RefView::extent_index(std::size_t i) const noexcept {
   // Last extent whose base <= i; extents partition [0, count_), so a
   // valid view always has extents_[0].base == 0 and the -1 is safe.
@@ -50,12 +27,6 @@ std::size_t RefView::extent_index(std::size_t i) const noexcept {
 const std::uint64_t* RefView::row(std::size_t i) const noexcept {
   const RefExtent& e = extents_[extent_index(i)];
   return e.words + (i - e.base) * e.stride;
-}
-
-RefMatrix RefView::matrix() const noexcept {
-  if (!contiguous()) return {};
-  return RefMatrix{extents_.front().words, extents_.front().stride, count_,
-                   dim_};
 }
 
 RefView RefView::from_span(std::span<const util::BitVec> refs) {
@@ -72,10 +43,10 @@ RefView RefView::from_span(std::span<const util::BitVec> refs) {
     std::size_t rows = 1;
     std::size_t stride = wc;
     if (i + 1 < refs.size() && refs[i + 1].size() == dim) {
-      // Integer pointer math, as in RefMatrix::from_span: consecutive rows
-      // need not come from one array object. A second row only extends the
-      // run for a positive uint64-aligned stride >= word_count; every
-      // further row is verified at base + j*stride before joining.
+      // Integer pointer math: consecutive rows need not come from one
+      // array object. A second row only extends the run for a positive
+      // uint64-aligned stride >= word_count; every further row is
+      // verified at base + j*stride before joining.
       const auto b0 = reinterpret_cast<std::uintptr_t>(base);
       const auto b1 = reinterpret_cast<std::uintptr_t>(refs[i + 1].words().data());
       if (b1 > b0 && (b1 - b0) % sizeof(std::uint64_t) == 0 &&
@@ -92,15 +63,6 @@ RefView RefView::from_span(std::span<const util::BitVec> refs) {
   }
   view.count_ = refs.size();
   view.dim_ = dim;
-  return view;
-}
-
-RefView RefView::from_matrix(const RefMatrix& m) {
-  RefView view;
-  if (!m.valid() || m.count == 0) return view;
-  view.extents_.push_back(RefExtent{m.words, m.stride, m.count, 0});
-  view.count_ = m.count;
-  view.dim_ = m.dim;
   return view;
 }
 
@@ -259,12 +221,11 @@ __attribute__((target("avx2"))) std::size_t xor_popcount_avx2(
 }
 
 __attribute__((target("avx2"))) void hamming_sweep_avx2(
-    const std::uint64_t* query, const RefMatrix& refs, std::size_t first,
-    std::size_t last, std::uint32_t* out) noexcept {
-  const std::size_t wc = refs.word_count();
+    const std::uint64_t* query, const RefExtent& ext, std::size_t wc,
+    std::size_t first, std::size_t last, std::uint32_t* out) noexcept {
   for (std::size_t i = first; i < last; ++i) {
-    out[i - first] =
-        static_cast<std::uint32_t>(xor_popcount_avx2_impl(query, refs.row(i), wc));
+    out[i - first] = static_cast<std::uint32_t>(
+        xor_popcount_avx2_impl(query, ext.words + i * ext.stride, wc));
   }
 }
 
@@ -296,12 +257,11 @@ xor_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b,
 }
 
 __attribute__((target("avx512f,avx512vpopcntdq"))) void hamming_sweep_avx512(
-    const std::uint64_t* query, const RefMatrix& refs, std::size_t first,
-    std::size_t last, std::uint32_t* out) noexcept {
-  const std::size_t wc = refs.word_count();
+    const std::uint64_t* query, const RefExtent& ext, std::size_t wc,
+    std::size_t first, std::size_t last, std::uint32_t* out) noexcept {
   for (std::size_t i = first; i < last; ++i) {
     out[i - first] = static_cast<std::uint32_t>(
-        xor_popcount_avx512_impl(query, refs.row(i), wc));
+        xor_popcount_avx512_impl(query, ext.words + i * ext.stride, wc));
   }
 }
 
@@ -605,15 +565,16 @@ std::size_t xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
 }
 
 void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
-                        const RefMatrix& refs, std::size_t first,
-                        std::size_t last, std::uint32_t* out) noexcept {
+                        const RefExtent& ext, std::size_t word_count,
+                        std::size_t lfirst, std::size_t llast,
+                        std::uint32_t* out) noexcept {
 #ifdef OMSHD_X86_SIMD
   switch (tier) {
     case Tier::kAvx512:
-      hamming_sweep_avx512(query, refs, first, last, out);
+      hamming_sweep_avx512(query, ext, word_count, lfirst, llast, out);
       return;
     case Tier::kAvx2:
-      hamming_sweep_avx2(query, refs, first, last, out);
+      hamming_sweep_avx2(query, ext, word_count, lfirst, llast, out);
       return;
     case Tier::kScalar:
       break;
@@ -621,39 +582,10 @@ void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
 #else
   (void)tier;
 #endif
-  const std::size_t wc = refs.word_count();
-  for (std::size_t i = first; i < last; ++i) {
-    out[i - first] =
-        static_cast<std::uint32_t>(xor_popcount_scalar(query, refs.row(i), wc));
+  for (std::size_t i = lfirst; i < llast; ++i) {
+    out[i - lfirst] = static_cast<std::uint32_t>(
+        xor_popcount_scalar(query, ext.words + i * ext.stride, word_count));
   }
-}
-
-void hamming_sweep(const std::uint64_t* query, const RefMatrix& refs,
-                   std::size_t first, std::size_t last,
-                   std::uint32_t* out) noexcept {
-  hamming_sweep_tier(active_tier(), query, refs, first, last, out);
-}
-
-void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
-                        const RefView& refs, std::size_t first,
-                        std::size_t last, std::uint32_t* out) noexcept {
-  if (first >= last) return;
-  const std::span<const RefExtent> extents = refs.extents();
-  for (std::size_t e = refs.extent_index(first); e < extents.size(); ++e) {
-    const RefExtent& ext = extents[e];
-    if (ext.base >= last) break;
-    const std::size_t lo = std::max(first, ext.base);
-    const std::size_t hi = std::min(last, ext.base + ext.rows);
-    const RefMatrix m{ext.words, ext.stride, ext.rows, refs.dim()};
-    hamming_sweep_tier(tier, query, m, lo - ext.base, hi - ext.base,
-                       out + (lo - first));
-  }
-}
-
-void hamming_sweep(const std::uint64_t* query, const RefView& refs,
-                   std::size_t first, std::size_t last,
-                   std::uint32_t* out) noexcept {
-  hamming_sweep_tier(active_tier(), query, refs, first, last, out);
 }
 
 std::size_t sweep_chunk_rows(std::size_t row_words) noexcept {

@@ -14,29 +14,27 @@
 //   kAvx512  512-bit XOR + native vpopcntq (AVX-512-VPOPCNTDQ) and
 //            64-component masked int8 encode blocks (AVX-512BW).
 //
-// The dispatched entry points (xor_popcount, hamming_sweep, encode) read
-// the active tier once per call; best_supported() is CPUID-probed at
-// startup and the OMSHD_KERNEL_TIER env var ("scalar" | "avx2" | "avx512")
-// or set_active_tier() can clamp it down — benches use this to measure
-// every tier, tests to prove bit-identity across all of them.
+// The dispatched entry points (xor_popcount, encode) read the active tier
+// once per call; the sweep primitive (hamming_sweep_tier) takes the tier
+// from its caller, which resolves it once per search. best_supported() is
+// CPUID-probed at startup and the OMSHD_KERNEL_TIER env var ("scalar" |
+// "avx2" | "avx512") or set_active_tier() can clamp it down — benches use
+// this to measure every tier, tests to prove bit-identity across all of
+// them.
 //
-// RefMatrix is the contiguous reference-major view the sweeps run over: a
-// raw word pointer + row stride into a hypervector block (the mmap'd
-// index::LibraryIndex word block is laid out exactly like this, 64-byte
-// aligned — the PR 4 alignment choice this layer cashes in). All loads are
+// RefView is the one reference layout every sweep runs over: an ordered
+// list of contiguous (words, stride, rows, base-index) extents partitioning
+// the global reference index space [0, count). The mmap'd
+// index::LibraryIndex word block (64-byte aligned) is one extent; a
+// multi-segment index::SegmentedLibrary — whose merged order interleaves
+// disjoint mapped blocks — is one extent per run of same-segment rows, so
+// it keeps the SIMD sweeps instead of dropping to per-BitVec indirection.
+// The sweep primitive works on one extent at a time. All loads are
 // unaligned-safe, so the 8-byte-aligned in-memory MappedFile fallback goes
 // through the same kernels.
-//
-// RefView generalizes that to a *piecewise* layout: an ordered list of
-// contiguous (words, stride, rows, base-index) extents partitioning the
-// global reference index space [0, count). A one-extent view IS a
-// RefMatrix, so the monolithic fast path is the degenerate case of the
-// piecewise sweep rather than a parallel code path; a multi-segment
-// index::SegmentedLibrary — whose merged order interleaves disjoint
-// mapped blocks — exposes itself as a many-extent view and keeps the
-// SIMD sweeps instead of dropping to per-BitVec indirection.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -46,38 +44,6 @@
 #include "util/bitvec.hpp"
 
 namespace oms::hd {
-
-/// Contiguous reference-major matrix view: hypervector i occupies words
-/// [words + i*stride, words + i*stride + word_count) with word_count =
-/// ceil(dim/64) <= stride. Non-owning; the block must outlive the view.
-struct RefMatrix {
-  const std::uint64_t* words = nullptr;
-  std::size_t stride = 0;  ///< Words between consecutive rows (>= word_count).
-  std::size_t count = 0;   ///< Rows (hypervectors).
-  std::size_t dim = 0;     ///< Bits per row.
-
-  [[nodiscard]] constexpr bool valid() const noexcept {
-    return words != nullptr;
-  }
-  [[nodiscard]] constexpr std::size_t word_count() const noexcept {
-    return (dim + 63) / 64;
-  }
-  [[nodiscard]] constexpr const std::uint64_t* row(
-      std::size_t i) const noexcept {
-    return words + i * stride;
-  }
-
-  /// Detects whether `refs` is a constant-stride walk over one contiguous
-  /// word block (equal dims, row i at base + i*stride for a uint64-aligned
-  /// stride >= word_count) and returns the matching view; an invalid (null)
-  /// matrix otherwise. The zero-copy BitVec views a LibraryIndex exposes
-  /// always detect; per-BitVec owned storage normally does not (and when a
-  /// heap layout happens to be regular, the resulting view is still
-  /// correct — every row pointer is verified). O(refs.size()) pointer
-  /// checks: cheap next to any sweep, but hoist it out of per-query loops.
-  [[nodiscard]] static RefMatrix from_span(
-      std::span<const util::BitVec> refs) noexcept;
-};
 
 /// One contiguous run of a piecewise reference view: global rows
 /// [base, base + rows) live at words + j*stride for j in [0, rows).
@@ -92,8 +58,8 @@ struct RefExtent {
 /// partitioning the global index space [0, count()), all sharing one dim.
 /// The sweeps and search kernels iterate extents with global reference
 /// indices, so results (and the index-keyed noise of simulated backends)
-/// are bit-identical to a monolithic RefMatrix over the same rows.
-/// Non-owning; the underlying blocks must outlive the view.
+/// are bit-identical to a one-extent view over a contiguous copy of the
+/// same rows. Non-owning; the underlying blocks must outlive the view.
 class RefView {
  public:
   RefView() = default;
@@ -107,7 +73,7 @@ class RefView {
   [[nodiscard]] std::size_t extent_count() const noexcept {
     return extents_.size();
   }
-  /// True when the whole view is one extent — today's RefMatrix layout.
+  /// True when the whole view is one extent (a monolithic word block).
   [[nodiscard]] bool contiguous() const noexcept {
     return extents_.size() == 1;
   }
@@ -122,18 +88,30 @@ class RefView {
   /// Row pointer by global index (extent_index + offset arithmetic).
   [[nodiscard]] const std::uint64_t* row(std::size_t i) const noexcept;
 
-  /// The equivalent RefMatrix when contiguous(); invalid otherwise.
-  [[nodiscard]] RefMatrix matrix() const noexcept;
+  /// Calls fn(extent, local_first, local_last) for every extent overlapping
+  /// global rows [first, last), ascending — the per-extent decomposition
+  /// every sweep shares. Binary-searches the first extent, then walks.
+  template <typename Fn>
+  void for_each_extent(std::size_t first, std::size_t last, Fn&& fn) const {
+    if (first >= last) return;
+    for (std::size_t e = extent_index(first); e < extents_.size(); ++e) {
+      const RefExtent& ext = extents_[e];
+      if (ext.base >= last) break;
+      const std::size_t lo = std::max(first, ext.base);
+      const std::size_t hi = std::min(last, ext.base + ext.rows);
+      if (lo < hi) fn(ext, lo - ext.base, hi - ext.base);
+    }
+  }
 
   /// Greedily coalesces `refs` into maximal constant-stride runs: block-
   /// backed spans (LibraryIndex, one SegmentedLibrary segment) become one
   /// extent per underlying block, individually heap-allocated BitVecs
   /// degenerate to single-row extents (still correct — every row pointer
-  /// is taken verbatim). Invalid on an empty span or mixed dims.
+  /// is verified, so a heap layout that happens to be regular still yields
+  /// a correct view). Invalid on an empty span or mixed dims.
+  /// O(refs.size()) pointer checks: cheap next to any sweep, but hoist it
+  /// out of per-query loops.
   [[nodiscard]] static RefView from_span(std::span<const util::BitVec> refs);
-
-  /// Wraps a valid RefMatrix as the degenerate one-extent view.
-  [[nodiscard]] static RefView from_matrix(const RefMatrix& m);
 
  private:
   std::vector<RefExtent> extents_;
@@ -172,33 +150,18 @@ Tier set_active_tier(Tier tier) noexcept;
                                             const std::uint64_t* b,
                                             std::size_t n) noexcept;
 
-/// Hamming distances of one query against matrix rows [first, last):
-/// out[j] = popcount(query ^ row(first + j)). The reference-major inner
-/// loop of the exact search; rows stream sequentially so the hardware
-/// prefetcher sees one linear walk over the mapped block.
-void hamming_sweep(const std::uint64_t* query, const RefMatrix& refs,
-                   std::size_t first, std::size_t last,
-                   std::uint32_t* out) noexcept;
-
-/// Same, through an explicit tier (must be <= best_supported()).
+/// Hamming distances of one query against the rows [lfirst, llast) of one
+/// extent (local indices): out[j] = popcount(query ^ row(lfirst + j)) over
+/// `word_count` words, row r at ext.words + r * ext.stride. The
+/// reference-major inner loop of every sweep; rows stream sequentially so
+/// the hardware prefetcher sees one linear walk over the mapped block.
+/// `tier` (<= best_supported()) is resolved once by the caller, which also
+/// walks the extents (RefView::for_each_extent), so batched callers make
+/// one call per (chunk, query) with no dispatch or extent lookup inside.
 void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
-                        const RefMatrix& refs, std::size_t first,
-                        std::size_t last, std::uint32_t* out) noexcept;
-
-/// Piecewise sweep: Hamming distances of one query against view rows
-/// [first, last) in *global* index order, out[j] for row first + j. Runs
-/// the contiguous sweep per overlapping extent, so a one-extent view is
-/// exactly the RefMatrix sweep.
-void hamming_sweep(const std::uint64_t* query, const RefView& refs,
-                   std::size_t first, std::size_t last,
-                   std::uint32_t* out) noexcept;
-
-/// Same, through an explicit tier (must be <= best_supported()). The tier
-/// is resolved once by the caller, not per extent — batched callers hoist
-/// the atomic dispatch load out of their sweep loops with this.
-void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
-                        const RefView& refs, std::size_t first,
-                        std::size_t last, std::uint32_t* out) noexcept;
+                        const RefExtent& ext, std::size_t word_count,
+                        std::size_t lfirst, std::size_t llast,
+                        std::uint32_t* out) noexcept;
 
 /// Rows per cache block for a batched sweep: sized so one chunk of
 /// reference rows (~chunk * row_words * 8 bytes) stays L2-resident while

@@ -29,42 +29,21 @@ class DistanceBuffer {
   std::vector<std::uint32_t> buf_;
 };
 
-/// Calls fn(extent, local_first, local_last) for every extent of `view`
-/// overlapping global range [first, last), ascending — the per-extent
-/// decomposition every piecewise kernel shares. Binary-searches the first
-/// overlapping extent, then walks forward.
-template <typename Fn>
-void for_each_extent_range(const RefView& view, std::size_t first,
-                           std::size_t last, Fn&& fn) {
-  if (first >= last) return;
-  const std::span<const RefExtent> extents = view.extents();
-  for (std::size_t e = view.extent_index(first); e < extents.size(); ++e) {
-    const RefExtent& ext = extents[e];
-    if (ext.base >= last) break;
-    const std::size_t lo = std::max(first, ext.base);
-    const std::size_t hi = std::min(last, ext.base + ext.rows);
-    if (lo < hi) fn(ext, lo - ext.base, hi - ext.base);
-  }
-}
-
 /// Chunked sweep of one query over extent rows [lfirst, llast), inserting
-/// hits with *global* indices. The shared core of the per-query RefMatrix
-/// and RefView searches (no allocation beyond the caller's scratch).
-/// `ref_dim` sizes the word sweep, `query_dim` the dot/similarity scale —
-/// always equal in practice, kept separate to match the historical paths
-/// exactly.
+/// hits with *global* indices — the core of the per-query RefView search
+/// (no allocation beyond the caller's scratch). `word_count` sizes the word
+/// sweep, `query_dim` the dot/similarity scale.
 void sweep_extent_into_top_k(kernels::Tier tier, const std::uint64_t* qwords,
-                             std::size_t query_dim, std::size_t ref_dim,
+                             std::size_t query_dim, std::size_t word_count,
                              const RefExtent& ext, std::size_t lfirst,
                              std::size_t llast, std::size_t k,
                              std::vector<SearchHit>& hits,
                              DistanceBuffer& scratch) {
-  const RefMatrix m{ext.words, ext.stride, ext.rows, ref_dim};
   const std::size_t chunk = kernels::sweep_chunk_rows(ext.stride);
   std::uint32_t* dist = scratch.ensure(std::min(chunk, llast - lfirst));
   for (std::size_t c0 = lfirst; c0 < llast; c0 += chunk) {
     const std::size_t c1 = std::min(llast, c0 + chunk);
-    kernels::hamming_sweep_tier(tier, qwords, m, c0, c1, dist);
+    kernels::hamming_sweep_tier(tier, qwords, ext, word_count, c0, c1, dist);
     for (std::size_t j = 0; j < c1 - c0; ++j) {
       insert_top_k(hits, make_hit(ext.base + c0 + j, dist[j], query_dim), k);
     }
@@ -95,26 +74,6 @@ std::vector<SearchHit> top_k_search(const util::BitVec& query,
 }
 
 std::vector<SearchHit> top_k_search(const util::BitVec& query,
-                                    const RefMatrix& references,
-                                    std::size_t first, std::size_t last,
-                                    std::size_t k) {
-  std::vector<SearchHit> hits;
-  if (k == 0 || first >= last) return hits;
-  last = std::min(last, references.count);
-  if (first >= last) return hits;
-
-  // The degenerate one-extent case of the piecewise sweep (no RefView
-  // allocation: the extent lives on the stack).
-  const RefExtent whole{references.words, references.stride, references.count,
-                        0};
-  DistanceBuffer scratch;
-  sweep_extent_into_top_k(kernels::active_tier(), query.words().data(),
-                          query.size(), references.dim, whole, first, last, k,
-                          hits, scratch);
-  return hits;
-}
-
-std::vector<SearchHit> top_k_search(const util::BitVec& query,
                                     const RefView& references,
                                     std::size_t first, std::size_t last,
                                     std::size_t k) {
@@ -126,12 +85,13 @@ std::vector<SearchHit> top_k_search(const util::BitVec& query,
   const kernels::Tier tier = kernels::active_tier();
   const std::uint64_t* qwords = query.words().data();
   const std::size_t query_dim = query.size();
+  const std::size_t wc = references.word_count();
   DistanceBuffer scratch;
-  for_each_extent_range(
-      references, first, last,
+  references.for_each_extent(
+      first, last,
       [&](const RefExtent& ext, std::size_t lfirst, std::size_t llast) {
-        sweep_extent_into_top_k(tier, qwords, query_dim, references.dim(),
-                                ext, lfirst, llast, k, hits, scratch);
+        sweep_extent_into_top_k(tier, qwords, query_dim, wc, ext, lfirst,
+                                llast, k, hits, scratch);
       });
   return hits;
 }
@@ -155,16 +115,13 @@ std::vector<BatchQuery> clip_queries(std::span<const BatchQuery> queries,
 struct SlotQueries {
   std::vector<const std::uint64_t*> words;
   std::vector<std::size_t> dims;
-  std::vector<std::size_t> word_counts;
 
   explicit SlotQueries(std::span<const BatchQuery> queries) {
     words.reserve(queries.size());
     dims.reserve(queries.size());
-    word_counts.reserve(queries.size());
     for (const BatchQuery& q : queries) {
       words.push_back(q.hv->words().data());
       dims.push_back(q.hv->size());
-      word_counts.push_back(q.hv->word_count());
     }
   }
 };
@@ -180,7 +137,7 @@ std::vector<std::vector<SearchHit>> top_k_search_batch(
   const auto clipped = clip_queries(queries, references.count());
   const SlotQueries slots(clipped);
   const kernels::Tier tier = kernels::active_tier();
-  const std::size_t ref_dim = references.dim();
+  const std::size_t wc = references.word_count();
   DistanceBuffer scratch;
 
   for_each_query_segment(
@@ -193,19 +150,18 @@ std::vector<std::vector<SearchHit>> top_k_search_batch(
         // Extents ascend and chunks ascend within them, so every query
         // still sees its candidates in ascending global order (the
         // insert_top_k tie-break contract).
-        for_each_extent_range(
-            references, lo, hi,
+        references.for_each_extent(
+            lo, hi,
             [&](const RefExtent& ext, std::size_t lfirst,
                 std::size_t llast) {
-              const RefMatrix m{ext.words, ext.stride, ext.rows, ref_dim};
               const std::size_t chunk = kernels::sweep_chunk_rows(ext.stride);
               std::uint32_t* dist =
                   scratch.ensure(std::min(chunk, llast - lfirst));
               for (std::size_t c0 = lfirst; c0 < llast; c0 += chunk) {
                 const std::size_t c1 = std::min(llast, c0 + chunk);
                 for (const std::size_t slot : active) {
-                  kernels::hamming_sweep_tier(tier, slots.words[slot], m, c0,
-                                              c1, dist);
+                  kernels::hamming_sweep_tier(tier, slots.words[slot], ext,
+                                              wc, c0, c1, dist);
                   const std::size_t dim = slots.dims[slot];
                   for (std::size_t j = 0; j < c1 - c0; ++j) {
                     insert_top_k(out[slot],
@@ -214,41 +170,6 @@ std::vector<std::vector<SearchHit>> top_k_search_batch(
                 }
               }
             });
-      });
-  return out;
-}
-
-std::vector<std::vector<SearchHit>> top_k_search_batch(
-    std::span<const BatchQuery> queries, const RefMatrix& references,
-    std::size_t k) {
-  // The monolithic fast path is the one-extent special case of the
-  // piecewise kernel (one small allocation per block call).
-  return top_k_search_batch(queries, RefView::from_matrix(references), k);
-}
-
-std::vector<std::vector<SearchHit>> top_k_search_batch(
-    std::span<const BatchQuery> queries,
-    std::span<const util::BitVec> references, std::size_t k) {
-  const RefMatrix matrix = RefMatrix::from_span(references);
-  if (matrix.valid()) return top_k_search_batch(queries, matrix, k);
-
-  std::vector<std::vector<SearchHit>> out(queries.size());
-  if (k == 0 || queries.empty()) return out;
-
-  const auto clipped = clip_queries(queries, references.size());
-  const SlotQueries slots(clipped);
-
-  for_each_query_segment(
-      clipped, [&](std::size_t lo, std::size_t hi,
-                   std::span<const std::size_t> active) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::uint64_t* rwords = references[i].words().data();
-          for (const std::size_t slot : active) {
-            const std::size_t ham = kernels::xor_popcount(
-                slots.words[slot], rwords, slots.word_counts[slot]);
-            insert_top_k(out[slot], make_hit(i, ham, slots.dims[slot]), k);
-          }
-        }
       });
   return out;
 }
@@ -265,19 +186,17 @@ SearchHit best_match(const util::BitVec& query,
 
 namespace {
 
-/// Uniform row access over either a piecewise view or a plain span. Both
-/// prefilter passes (the sketch scan and the shortlist sweep) visit rows
-/// in ascending global order, so the extent cursor advances amortized
-/// O(1) instead of binary-searching per row.
+/// Row access over a piecewise view for the prefilter passes. Both (the
+/// sketch scan and the shortlist sweep) visit rows in ascending global
+/// order, so the extent cursor advances amortized O(1) instead of
+/// binary-searching per row.
 struct RowSource {
-  std::span<const util::BitVec> refs;
-  const RefView* view = nullptr;
-  mutable std::size_t cursor = 0;  ///< Extent hint for ascending access.
+  const RefView& view;
+  std::size_t cursor = 0;  ///< Extent hint for ascending access.
 
-  [[nodiscard]] const std::uint64_t* row(std::size_t i) const noexcept {
-    if (view == nullptr) return refs[i].words().data();
-    const std::span<const RefExtent> extents = view->extents();
-    if (i < extents[cursor].base) cursor = view->extent_index(i);
+  [[nodiscard]] const std::uint64_t* row(std::size_t i) noexcept {
+    const std::span<const RefExtent> extents = view.extents();
+    if (i < extents[cursor].base) cursor = view.extent_index(i);
     while (i >= extents[cursor].base + extents[cursor].rows) ++cursor;
     const RefExtent& e = extents[cursor];
     return e.words + (i - e.base) * e.stride;
@@ -297,30 +216,17 @@ bool audit_this_query(const PrefilterConfig& cfg,
          cfg.audit_fraction * static_cast<double>(kScale);
 }
 
-std::vector<SearchHit> exact_top_k(const util::BitVec& query,
-                                   const RowSource& rows, std::size_t first,
-                                   std::size_t last, std::size_t k) {
-  if (rows.view != nullptr) {
-    return top_k_search(query, *rows.view, first, last, k);
-  }
-  return top_k_search(query, rows.refs, first, last, k);
-}
-
 }  // namespace
 
 std::vector<SearchHit> top_k_search_prefiltered(
-    const util::BitVec& query, std::span<const util::BitVec> references,
-    std::size_t first, std::size_t last, std::size_t k,
-    const PrefilterConfig& cfg, std::uint64_t stream,
-    PrefilterCounters* counters, const RefView* view) {
-  if (view != nullptr && !view->valid()) view = nullptr;
-  const std::size_t n_refs =
-      view != nullptr ? view->count() : references.size();
-  last = std::min(last, n_refs);
+    const util::BitVec& query, const RefView& references, std::size_t first,
+    std::size_t last, std::size_t k, const PrefilterConfig& cfg,
+    std::uint64_t stream, PrefilterCounters* counters) {
+  last = std::min(last, references.count());
   first = std::min(first, last);
   if (k == 0 || first >= last) return {};
 
-  const RowSource rows{references, view};
+  RowSource rows{references};
   const std::size_t window = last - first;
   const std::size_t keep_target = std::max<std::size_t>(
       cfg.min_keep,
@@ -335,7 +241,7 @@ std::vector<SearchHit> top_k_search_prefiltered(
       counters->scanned += window;
       counters->windows_bypassed += 1;
     }
-    return exact_top_k(query, rows, first, last, k);
+    return top_k_search(query, references, first, last, k);
   }
 
   // Sketch pass: sampled-word Hamming over `sketch_words` evenly spaced
@@ -388,7 +294,7 @@ std::vector<SearchHit> top_k_search_prefiltered(
       // count how much of the true top-k the shortlist preserved. The
       // audited query still returns the prefiltered hits, so turning
       // auditing on can never change a PSM.
-      const auto exact = exact_top_k(query, rows, first, last, k);
+      const auto exact = top_k_search(query, references, first, last, k);
       counters->audited_queries += 1;
       counters->audit_expected += exact.size();
       for (const SearchHit& e : exact) {
@@ -405,15 +311,13 @@ std::vector<SearchHit> top_k_search_prefiltered(
 }
 
 std::vector<std::vector<SearchHit>> top_k_search_batch_prefiltered(
-    std::span<const BatchQuery> queries,
-    std::span<const util::BitVec> references, std::size_t k,
-    const PrefilterConfig& cfg, PrefilterCounters* counters,
-    const RefView* view) {
+    std::span<const BatchQuery> queries, const RefView& references,
+    std::size_t k, const PrefilterConfig& cfg, PrefilterCounters* counters) {
   std::vector<std::vector<SearchHit>> out(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const BatchQuery& q = queries[i];
     out[i] = top_k_search_prefiltered(*q.hv, references, q.first, q.last, k,
-                                      cfg, q.stream, counters, view);
+                                      cfg, q.stream, counters);
   }
   return out;
 }

@@ -14,17 +14,14 @@
 //
 // Kernel/dispatch seam: the word-level XOR-popcount work underneath lives
 // in hd/kernels.hpp — runtime-dispatched scalar / AVX2 / AVX-512-VPOPCNTDQ
-// tiers, all bit-identical, plus the contiguous RefMatrix view over a
-// hypervector word block and the piecewise RefView (an ordered list of
-// contiguous extents with global indices). The RefView overloads below
-// are the fast path: cache-blocked sweeps per extent, so both a mapped
-// monolithic index::LibraryIndex (one extent) and a multi-segment
-// index::SegmentedLibrary (one extent per run of same-segment rows) go
-// through the same kernel; the RefMatrix overloads are the degenerate
-// one-extent case. The span overloads auto-detect a contiguous layout per
-// batch and fall back to per-BitVec indirection (still through the
-// dispatched pair kernel) when the references are individually
-// heap-allocated.
+// tiers, all bit-identical, plus the piecewise RefView (an ordered list of
+// contiguous extents with global indices), the one reference layout every
+// sweep here takes. Sweeps are cache-blocked per extent, so a mapped
+// monolithic index::LibraryIndex (one extent), a multi-segment
+// index::SegmentedLibrary (one extent per run of same-segment rows) and
+// in-process encodings (RefView::from_span) all go through the same
+// kernel. The span top_k_search and best_match are the scalar reference:
+// a plain per-BitVec loop the test suites compare every sweep against.
 //
 // ANN candidate prefilter (opt-in, off by default): before the exact sweep
 // of a precursor window, a cheap sampled-word Hamming sketch ranks the
@@ -67,27 +64,18 @@ struct SearchHit {
 
 /// Scores `query` against references[first..last) and returns up to `k`
 /// best hits sorted by decreasing similarity (ties broken by lower index,
-/// so results are deterministic).
+/// so results are deterministic). The scalar reference oracle: one
+/// dispatched pair-popcount per BitVec, no layout detection — what the
+/// RefView sweeps are tested against.
 [[nodiscard]] std::vector<SearchHit> top_k_search(
     const util::BitVec& query, std::span<const util::BitVec> references,
     std::size_t first, std::size_t last, std::size_t k);
 
-/// Same search over a contiguous reference matrix (bit-identical results):
-/// the SIMD sweep runs straight over the word block with no per-BitVec
-/// indirection. Callers holding a block-backed library (index load path)
-/// should build the RefMatrix once and use this overload per query.
-[[nodiscard]] std::vector<SearchHit> top_k_search(const util::BitVec& query,
-                                                  const RefMatrix& references,
-                                                  std::size_t first,
-                                                  std::size_t last,
-                                                  std::size_t k);
-
 /// Same search over a piecewise view (bit-identical results): the chunked
 /// SIMD sweep runs per extent with global reference indices, visiting
-/// candidates in ascending global order. A one-extent view takes exactly
-/// the RefMatrix path; a multi-segment SegmentedLibrary's view keeps the
-/// block sweep across its mapped segments instead of falling back to
-/// per-BitVec indirection.
+/// candidates in ascending global order. Callers holding a library build
+/// the view once (RefView::from_span, or the library's ref_view()) and
+/// reuse it per query.
 [[nodiscard]] std::vector<SearchHit> top_k_search(const util::BitVec& query,
                                                   const RefView& references,
                                                   std::size_t first,
@@ -173,28 +161,12 @@ void for_each_query_segment(std::span<const BatchQuery> queries,
 /// Batched exact kernel: searches a whole query block in one
 /// reference-major sweep. result[i] is bit-identical to
 /// top_k_search(*queries[i].hv, references, queries[i].first,
-/// queries[i].last, k). Detects a contiguous reference layout once per
-/// call (RefMatrix::from_span) and takes the cache-blocked SIMD sweep when
-/// it holds; otherwise the per-BitVec fallback with hoisted per-slot query
-/// pointers.
-[[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
-    std::span<const BatchQuery> queries,
-    std::span<const util::BitVec> references, std::size_t k);
-
-/// Batched exact kernel over a piecewise reference view: the segment
-/// sweep runs per extent and is additionally chunked
+/// queries[i].last, k). The segment sweep runs per extent and is chunked
 /// (kernels::sweep_chunk_rows) so a chunk of reference rows stays
 /// cache-resident while every active query of the block is scored against
-/// it. Bit-identical to the span overload; the kernel tier is resolved
-/// once per call.
+/// it; the kernel tier is resolved once per call.
 [[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
     std::span<const BatchQuery> queries, const RefView& references,
-    std::size_t k);
-
-/// Batched exact kernel over a contiguous reference matrix — the
-/// degenerate one-extent case of the piecewise kernel above.
-[[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
-    std::span<const BatchQuery> queries, const RefMatrix& references,
     std::size_t k);
 
 /// Opt-in ANN-style candidate prefilter ahead of the exact sweep. With
@@ -256,24 +228,21 @@ struct PrefilterCounters {
 /// the shortlist. Deterministic (sketch ties break by lower index) but
 /// approximate when pruning is active; bit-identical to top_k_search when
 /// cfg.enabled is false or the shortlist covers the window. `stream` keys
-/// the audit choice only — never the result. `view` may point at the
-/// caller's cached piecewise view (null → detect nothing, walk the span);
-/// the sketch pass and the shortlist sweep both visit rows in ascending
-/// global order, walking the view's extents with an amortized-O(1) cursor.
+/// the audit choice only — never the result. The sketch pass and the
+/// shortlist sweep both visit rows in ascending global order, walking the
+/// view's extents with an amortized-O(1) cursor.
 [[nodiscard]] std::vector<SearchHit> top_k_search_prefiltered(
-    const util::BitVec& query, std::span<const util::BitVec> references,
-    std::size_t first, std::size_t last, std::size_t k,
-    const PrefilterConfig& cfg, std::uint64_t stream,
-    PrefilterCounters* counters = nullptr, const RefView* view = nullptr);
+    const util::BitVec& query, const RefView& references, std::size_t first,
+    std::size_t last, std::size_t k, const PrefilterConfig& cfg,
+    std::uint64_t stream, PrefilterCounters* counters = nullptr);
 
 /// Batched prefiltered search: per-query pruning (candidate shortlists are
 /// scattered, so there is no shared reference-major segment sweep to
 /// amortize). result[i] is bit-identical to top_k_search_prefiltered on
 /// queries[i].
 [[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch_prefiltered(
-    std::span<const BatchQuery> queries,
-    std::span<const util::BitVec> references, std::size_t k,
-    const PrefilterConfig& cfg, PrefilterCounters* counters = nullptr,
-    const RefView* view = nullptr);
+    std::span<const BatchQuery> queries, const RefView& references,
+    std::size_t k, const PrefilterConfig& cfg,
+    PrefilterCounters* counters = nullptr);
 
 }  // namespace oms::hd

@@ -275,6 +275,12 @@ BuildStats IndexBuilder::append(const std::vector<ms::Spectrum>& spectra,
 
 BuildStats IndexBuilder::compact(const std::string& manifest_path) const {
   const auto t0 = std::chrono::steady_clock::now();
+  // SegmentedLibrary::open also takes a monolithic index, which has no
+  // segment list to rewrite.
+  if (!is_manifest_file(manifest_path)) {
+    throw std::runtime_error("IndexBuilder::compact: " + manifest_path +
+                             " is not a manifest");
+  }
   const SegmentedLibrary lib = SegmentedLibrary::open(manifest_path);
   validate_fingerprint(lib.fingerprint(), cfg_);
 

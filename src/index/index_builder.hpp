@@ -92,10 +92,11 @@ class IndexBuilder {
 
   /// Rewrites all of a segmented library's segments into a single fresh
   /// segment — zero encode calls, byte-identical to a one-shot build()
-  /// of the union (restoring the contiguous-RefMatrix SIMD fast path a
+  /// of the union (restoring the one-extent reference view a
   /// multi-segment library gives up) — publishes the one-segment
   /// manifest, then removes the superseded segment files. Search results
-  /// are bit-identical before and after.
+  /// are bit-identical before and after. Throws std::runtime_error when
+  /// `manifest_path` is not a manifest.
   BuildStats compact(const std::string& manifest_path) const;
 
  private:

@@ -15,12 +15,17 @@
 // (and callers passing force_in_memory) get the same container through an
 // owned in-memory image; both paths return bit-identical search results.
 //
-// Typical flow (see also index::IndexBuilder and examples/library_index):
+// The hypervectors sit contiguously, so RefView::from_span(hypervectors())
+// (hd/kernels.hpp) is one extent over the mapped block — the layout the SIMD
+// sweeps consume. Searches run over index::SegmentedLibrary, the one library
+// type, which opens a monolithic file as a one-segment library that aliases
+// this index (no copy). Typical flow (see also index::IndexBuilder and
+// examples/library_index):
 //
-//   auto idx = std::make_shared<oms::index::LibraryIndex>(
-//       oms::index::LibraryIndex::open("library.omsx"));
+//   auto lib = std::make_shared<const oms::index::SegmentedLibrary>(
+//       oms::index::SegmentedLibrary::open("library.omsx"));
 //   oms::core::Pipeline pipeline(cfg);
-//   pipeline.set_library(idx);          // zero encode calls; fingerprint
+//   pipeline.set_library(lib);          // zero encode calls; fingerprint
 //                                       // mismatches throw
 //   auto result = pipeline.run(queries);
 //
@@ -36,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "hd/kernels.hpp"
 #include "index/format.hpp"
 #include "ms/library.hpp"
 #include "util/bitvec.hpp"
@@ -119,15 +123,6 @@ class LibraryIndex {
   /// Raw view of one hypervector's mapped words.
   [[nodiscard]] util::ConstBitVec hypervector(std::size_t i) const noexcept {
     return {hv_words_ + i * meta_->words_per_hv, meta_->dim};
-  }
-
-  /// Contiguous reference-major view over the whole mapped word block —
-  /// the raw (pointer, stride) form the SIMD sweep kernels consume
-  /// (hd/kernels.hpp). Identical to what RefMatrix::from_span detects on
-  /// hypervectors(); exposed so the layout contract is explicit at the
-  /// artifact seam. Valid as long as this index lives.
-  [[nodiscard]] hd::RefMatrix ref_matrix() const noexcept {
-    return hd::RefMatrix{hv_words_, meta_->words_per_hv, size(), meta_->dim};
   }
 
   /// The mapped precursor-mass axis (sorted ascending); empty for

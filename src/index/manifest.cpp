@@ -151,6 +151,10 @@ bool is_manifest_file(const std::string& path) {
   return in && magic == kManifestMagic;
 }
 
+std::uint64_t library_generation(const std::string& path) {
+  return is_manifest_file(path) ? Manifest::load(path).combined_hash() : 0;
+}
+
 std::uint64_t section_table_hash(
     std::span<const SectionInfo> sections) noexcept {
   std::uint64_t x = 0x53454354424C3031ULL;  // "SECTBL01"

@@ -100,9 +100,15 @@ struct Manifest {
 };
 
 /// True when `path` exists and starts with the manifest magic — how
-/// callers taking "an index or a manifest" (serve::LibraryCache, the
+/// callers taking "an index or a manifest" (SegmentedLibrary::open, the
 /// library_index example) dispatch without a filename convention.
 [[nodiscard]] bool is_manifest_file(const std::string& path);
+
+/// Generation of the library at `path`, as SegmentedLibrary::generation()
+/// reports it: the manifest's combined_hash(), or 0 for a monolithic index
+/// (it never grows, so its path alone names it). serve::LibraryCache keys
+/// on this. Throws like Manifest::load on a torn manifest.
+[[nodiscard]] std::uint64_t library_generation(const std::string& path);
 
 /// Order-sensitive digest of a segment's parsed section table (id,
 /// offset, size, checksum per section) — cheap to recompute at open and

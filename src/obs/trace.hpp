@@ -12,8 +12,8 @@
 // preprocessing. Completed spans land in a bounded ring buffer (oldest
 // evicted first) for post-hoc inspection by tests and tools.
 //
-// Overhead contract (documented in `search_server --help` and relied on
-// by the bench acceptance gate):
+// Overhead contract (documented in `search_server --help` and measured by
+// perfbench's `obs.trace_overhead_frac` metric):
 //   * sampling off (sample_every == 0): every instrumentation site is a
 //     single `enabled()` branch — no clock reads, no locks;
 //   * sampling on: a query is traced iff `key % sample_every == 0`, and a

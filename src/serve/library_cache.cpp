@@ -79,48 +79,29 @@ void LibraryCache::touch(Entry& entry, const Key& key) {
 
 LibraryLease LibraryCache::lease(const std::string& path,
                                  const core::PipelineConfig& pcfg) {
-  const std::uint64_t fp_base =
-      index::fingerprint_hash(index::fingerprint_of(pcfg));
   const std::uint64_t bkey = backend_config_hash(pcfg);
-  const bool manifest = index::is_manifest_file(path);
-
-  Key key{fp_base, path};
-  if (manifest) {
-    // Key on the library *generation*: the manifest's combined hash
-    // changes on every append/compaction, so a grown library misses
-    // cleanly onto its new segment list and the stale generation ages
-    // out of the LRU.
-    key.fp_hash = util::hash_combine(
-        fp_base, index::Manifest::load(path).combined_hash());
-  }
+  Key key{index::fingerprint_hash(index::fingerprint_of(pcfg)),
+          index::library_generation(path), path};
 
   const std::lock_guard lock(mutex_);
   auto it = entries_.find(key);
-  std::shared_ptr<const index::LibraryIndex> opened;
-  std::shared_ptr<const index::SegmentedLibrary> opened_seg;
+  std::shared_ptr<const index::SegmentedLibrary> opened;
   if (it == entries_.end()) {
     // Miss: map and validate before anything is cached, so a drifting or
     // corrupt artifact can never poison the entry under this key.
-    if (manifest) {
-      opened_seg = std::make_shared<index::SegmentedLibrary>(
-          index::SegmentedLibrary::open(path, cfg_.open));
-      index::validate_fingerprint(opened_seg->fingerprint(), pcfg);
-      // Insert under the generation actually opened — the manifest may
-      // have been rewritten between the key peek and the open.
-      key.fp_hash = util::hash_combine(fp_base, opened_seg->combined_hash());
-      it = entries_.find(key);
-    } else {
-      opened = std::make_shared<index::LibraryIndex>(
-          index::LibraryIndex::open(path, cfg_.open));
-      index::validate_fingerprint(opened->fingerprint(), pcfg);
-    }
+    opened = std::make_shared<const index::SegmentedLibrary>(
+        index::SegmentedLibrary::open(path, cfg_.open));
+    index::validate_fingerprint(opened->fingerprint(), pcfg);
+    // Insert under the generation actually opened — the manifest may
+    // have been rewritten between the key peek and the open.
+    key.generation = opened->generation();
+    it = entries_.find(key);
   }
   if (it != entries_.end()) {
     ++stats_.hits;
     touch(it->second, key);
     LibraryLease out;
-    out.index = it->second.index;
-    out.segmented = it->second.segmented;
+    out.segmented = it->second.library;
     out.cache_hit = true;
     if (auto bit = it->second.backends.find(bkey);
         bit != it->second.backends.end()) {
@@ -134,8 +115,7 @@ LibraryLease LibraryCache::lease(const std::string& path,
 
   lru_.push_front(key);
   Entry entry;
-  entry.index = opened;
-  entry.segmented = opened_seg;
+  entry.library = opened;
   entry.lru = lru_.begin();
   entries_.emplace(key, std::move(entry));
   while (entries_.size() > cfg_.capacity) {
@@ -150,8 +130,7 @@ LibraryLease LibraryCache::lease(const std::string& path,
   stats_.resident = entries_.size();
 
   LibraryLease out;
-  out.index = std::move(opened);
-  out.segmented = std::move(opened_seg);
+  out.segmented = std::move(opened);
   return out;
 }
 
@@ -159,14 +138,11 @@ void LibraryCache::donate(const std::string& path,
                           const core::PipelineConfig& pcfg,
                           std::shared_ptr<core::SearchBackend> backend) {
   if (!backend || !backend->thread_safe()) return;
-  Key key{index::fingerprint_hash(index::fingerprint_of(pcfg)), path};
-  if (index::is_manifest_file(path)) {
-    try {
-      key.fp_hash = util::hash_combine(
-          key.fp_hash, index::Manifest::load(path).combined_hash());
-    } catch (const std::exception&) {
-      return;  // manifest torn or gone — nothing current to donate to
-    }
+  Key key{index::fingerprint_hash(index::fingerprint_of(pcfg)), 0, path};
+  try {
+    key.generation = index::library_generation(path);
+  } catch (const std::exception&) {
+    return;  // manifest torn or gone — nothing current to donate to
   }
   // A manifest rewritten since the lease yields the new generation's key
   // here, which misses the old generation's entry below — exactly right:

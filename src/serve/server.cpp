@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "index/manifest.hpp"
-
 namespace oms::serve {
 
 SearchServer::SearchServer(const SearchServerConfig& cfg)
@@ -29,10 +27,11 @@ std::shared_ptr<Session> SearchServer::open(const std::string& library_path,
     const core::PipelineConfig pcfg = cfg.pipeline;
     std::shared_ptr<Session> session(
         new Session(core_, library_path, std::move(cfg)));
-    // Hand every manifest-backed (growable, thus fragmentable) library to
-    // the Maintainer. After the session leased its generation: a
-    // compaction can never swap the artifact out from under an open().
-    if (index::is_manifest_file(library_path)) {
+    // Hand every manifest-backed (growable, thus fragmentable) library —
+    // generation 0 is a monolithic index — to the Maintainer. After the
+    // session leased its generation: a compaction can never swap the
+    // artifact out from under an open().
+    if (session->generation() != 0) {
       core_->maintainer.watch(library_path, pcfg);
     }
     return session;

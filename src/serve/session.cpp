@@ -34,15 +34,10 @@ Session::Session(std::shared_ptr<detail::ServerCore> core,
   LibraryLease lease = core_->cache.lease(library_path_, cfg_.pipeline);
   cache_hit_ = lease.cache_hit;
   backend_shared_ = lease.backend_hit;
-  index_ = lease.index;
-  segmented_ = lease.segmented;
+  library_ = lease.segmented;
 
   pipeline_ = std::make_unique<core::Pipeline>(cfg_.pipeline);
-  if (segmented_) {
-    pipeline_->set_library(segmented_, lease.backend);
-  } else {
-    pipeline_->set_library(index_, lease.backend);
-  }
+  pipeline_->set_library(library_, lease.backend);
   if (!lease.backend) {
     // First session on this (library, backend-config): donate the backend
     // the pipeline just built so later tenants share it. donate() ignores

@@ -6,10 +6,9 @@
 // which declares "no more arrivals", waits for the in-flight tail, and
 // returns the same PipelineResult a solo synchronous Pipeline::run over
 // the stream would have produced. With Rolling emission (the default
-// here), confident PSMs stream through SessionConfig::on_accept while the
-// stream is still open, and close() releases every remaining accepted PSM
-// — the explicit-lifecycle replacement for the old expected_queries
-// caller-promise.
+// here), close() bounds the stream by what was submitted and releases
+// every accepted PSM through SessionConfig::on_accept as the in-flight
+// tail resolves — no stream length is needed up front.
 //
 // Admission control: each session carries a bounded in-flight quota
 // (`max_in_flight` queries admitted but not yet resolved). When the quota
@@ -150,7 +149,7 @@ class Session {
   /// mapping stays alive even if the Maintainer compacts underneath);
   /// the tenant's next stream leases the current generation.
   [[nodiscard]] std::uint64_t generation() const noexcept {
-    return segmented_ ? segmented_->combined_hash() : 0;
+    return library_->generation();
   }
 
  private:
@@ -173,11 +172,9 @@ class Session {
   std::unique_ptr<core::Pipeline> pipeline_;
   std::unique_ptr<obs::Tracer> tracer_;  ///< Before engine_: outlives it.
   std::unique_ptr<core::QueryEngine> engine_;
-  /// Keep-alive: the leased mapping must outlive engine + pipeline even
-  /// if the cache evicts it mid-session (one of the two is non-null,
-  /// depending on whether the path named an index or a manifest).
-  std::shared_ptr<const index::LibraryIndex> index_;
-  std::shared_ptr<const index::SegmentedLibrary> segmented_;
+  /// Keep-alive: the leased library must outlive engine + pipeline even
+  /// if the cache evicts it mid-session.
+  std::shared_ptr<const index::SegmentedLibrary> library_;
 
   std::mutex quota_mutex_;
   std::condition_variable quota_cv_;

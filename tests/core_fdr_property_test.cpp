@@ -277,7 +277,6 @@ TEST(FdrProperty, RollingEngineDeliversExactlyTheAcceptedSet) {
   ecfg.block_size = 8;
   ecfg.stage_threads = 3;
   ecfg.emit_policy = EmitPolicy::Rolling;
-  ecfg.expected_queries = wl.queries.size();
   std::mutex mu;
   std::vector<Psm> delivered;
   ecfg.on_accept = [&](const Psm& p) {
@@ -287,6 +286,9 @@ TEST(FdrProperty, RollingEngineDeliversExactlyTheAcceptedSet) {
 
   QueryEngine engine(pipeline, ecfg);
   engine.submit_batch(wl.queries);
+  // Closing bounds the stream, so releases start while the tail is in
+  // flight on the stage workers.
+  engine.close_stream();
   const PipelineResult result = engine.drain();
 
   ASSERT_GT(result.accepted.size(), 0U);

@@ -151,7 +151,6 @@ void check_rolling_matches_at_drain(const std::string& backend,
   ecfg.stage_threads = threads;
   ecfg.queue_blocks = 3;
   ecfg.emit_policy = EmitPolicy::Rolling;
-  ecfg.expected_queries = wl.queries.size();
   std::mutex mu;
   std::vector<Psm> delivered;
   ecfg.on_accept = [&](const Psm& p) {
@@ -168,6 +167,8 @@ void check_rolling_matches_at_drain(const std::string& backend,
   engine.submit_batch(
       std::span<const ms::Spectrum>(wl.queries.data() + i, half - i));
   for (i = half; i < wl.queries.size(); ++i) engine.submit(wl.queries[i]);
+  // Closing bounds the stream, so confident hits release before drain.
+  engine.close_stream();
 
   const PipelineResult streamed_result = engine.drain();
   const std::string what = backend + " rolling B=" + std::to_string(block) +
@@ -227,7 +228,6 @@ TEST(QueryEngine, RollingMatchesAtDrainRramCircuit) {
   ecfg.block_size = 3;
   ecfg.stage_threads = 4;  // forced down to 1
   ecfg.emit_policy = EmitPolicy::Rolling;
-  ecfg.expected_queries = wl.queries.size();
   std::vector<Psm> delivered;  // single-threaded stages; no lock needed
   std::mutex mu;
   ecfg.on_accept = [&](const Psm& p) {
@@ -236,6 +236,7 @@ TEST(QueryEngine, RollingMatchesAtDrainRramCircuit) {
   };
   QueryEngine engine(streamed, ecfg);
   engine.submit_batch(wl.queries);
+  engine.close_stream();
   const PipelineResult streamed_result = engine.drain();
   expect_same_psms(sync, streamed_result, "rram-circuit rolling");
   sort_like_accepted(delivered);
@@ -243,17 +244,16 @@ TEST(QueryEngine, RollingMatchesAtDrainRramCircuit) {
                         "rram-circuit rolling");
 }
 
-TEST(QueryEngine, RollingWithoutExpectedQueriesFlushesEverythingAtDrain) {
-  // Unknown stream length: the bound can never retire the adversarial
-  // future, so nothing releases early — but the callback still sees the
-  // full accepted list via the drain flush.
+TEST(QueryEngine, RollingWithoutCloseFlushesEverythingAtDrain) {
+  // Stream never closed before drain: the bound can never retire the
+  // adversarial future, so nothing releases early — but the callback
+  // still sees the full accepted list via the drain flush.
   const ms::Workload& wl = shared_workload();
   Pipeline pipeline(small_config("ideal-hd"));
   pipeline.set_library(wl.references);
 
   QueryEngineConfig ecfg;
   ecfg.emit_policy = EmitPolicy::Rolling;
-  ecfg.expected_queries = 0;
   std::mutex mu;
   std::vector<Psm> delivered;
   ecfg.on_accept = [&](const Psm& p) {
@@ -265,16 +265,14 @@ TEST(QueryEngine, RollingWithoutExpectedQueriesFlushesEverythingAtDrain) {
   const PipelineResult result = engine.drain();
   EXPECT_EQ(engine.stats().early_emitted, 0U);
   sort_like_accepted(delivered);
-  expect_same_psm_lists(delivered, result.accepted, "no-expected rolling");
+  expect_same_psm_lists(delivered, result.accepted, "unclosed rolling");
 }
 
-TEST(QueryEngine, PromiseThenEarlyCloseReleasesEverything) {
-  // Precedence contract for the deprecated expected_queries promise vs
-  // close_stream(): a caller that promised far more queries than it
-  // submits, then closes, must NOT have PSMs withheld against arrivals
-  // that can never come — close tightens the bound to the submitted
-  // count, the promise is ignored, and every PSM the final filter
-  // accepts is released through on_accept before drain() is even called.
+TEST(QueryEngine, CloseReleasesEverythingBeforeDrain) {
+  // close_stream() bounds the stream by the submitted count, so every PSM
+  // the final filter accepts is released through on_accept before
+  // drain() is even called — on a stream that stops partway through the
+  // workload, with nothing declared up front.
   const ms::Workload& wl = shared_workload();
   const std::size_t submitted = wl.queries.size() / 2;
   const std::span<const ms::Spectrum> queries(wl.queries.data(), submitted);
@@ -291,7 +289,6 @@ TEST(QueryEngine, PromiseThenEarlyCloseReleasesEverything) {
   ecfg.block_size = 8;
   ecfg.stage_threads = 2;
   ecfg.emit_policy = EmitPolicy::Rolling;
-  ecfg.expected_queries = wl.queries.size() * 10;  // a promise kept badly
   std::mutex mu;
   std::vector<Psm> delivered;
   ecfg.on_accept = [&](const Psm& p) {
@@ -318,11 +315,11 @@ TEST(QueryEngine, PromiseThenEarlyCloseReleasesEverything) {
   }
 
   const PipelineResult result = engine.drain();
-  expect_same_psms(sync, result, "promise-then-close");
+  expect_same_psms(sync, result, "close-then-drain");
   const std::lock_guard<std::mutex> lock(mu);
   std::vector<Psm> sorted = delivered;
   sort_like_accepted(sorted);
-  expect_same_psm_lists(sorted, result.accepted, "promise-then-close");
+  expect_same_psm_lists(sorted, result.accepted, "close-then-drain");
   // Everything was an early release; the drain flush had nothing left.
   EXPECT_EQ(engine.stats().early_emitted, result.accepted.size());
 }

@@ -148,21 +148,23 @@ TEST(Kernels, HammingSweepMatchesPairKernelIncludingPaddedStride) {
     const std::size_t count = 37;
     auto block = random_words(stride * count, 0xC0FFEE + stride);
     const auto query = random_words(n, 0xD0D0);
-    const RefMatrix m{block.data(), stride, count, dim};
+    const RefExtent ext{block.data(), stride, count, 0};
 
     std::vector<std::uint32_t> expected(count);
     for (std::size_t i = 0; i < count; ++i) {
       expected[i] = static_cast<std::uint32_t>(
-          util::xor_popcount(query.data(), m.row(i), n));
+          util::xor_popcount(query.data(), block.data() + i * stride, n));
     }
     for (const Tier tier : runnable_tiers()) {
       std::vector<std::uint32_t> out(count, 0xFFFFFFFF);
-      kernels::hamming_sweep_tier(tier, query.data(), m, 0, count, out.data());
+      kernels::hamming_sweep_tier(tier, query.data(), ext, n, 0, count,
+                                  out.data());
       EXPECT_EQ(out, expected) << "stride=" << stride
                                << " tier=" << kernels::tier_name(tier);
       // Sub-range sweep writes only [first, last).
       std::vector<std::uint32_t> part(10, 0);
-      kernels::hamming_sweep_tier(tier, query.data(), m, 5, 15, part.data());
+      kernels::hamming_sweep_tier(tier, query.data(), ext, n, 5, 15,
+                                  part.data());
       for (std::size_t j = 0; j < 10; ++j) {
         EXPECT_EQ(part[j], expected[5 + j]);
       }
@@ -180,12 +182,15 @@ TEST(Kernels, FromSpanDetectsContiguousBlock) {
   for (std::size_t i = 0; i < count; ++i) {
     views.push_back(util::BitVec::view(block.data() + i * n, dim));
   }
-  const RefMatrix m = RefMatrix::from_span(views);
-  ASSERT_TRUE(m.valid());
-  EXPECT_EQ(m.words, block.data());
-  EXPECT_EQ(m.stride, n);
-  EXPECT_EQ(m.count, count);
-  EXPECT_EQ(m.dim, dim);
+  const RefView v = RefView::from_span(views);
+  ASSERT_TRUE(v.contiguous());
+  EXPECT_EQ(v.count(), count);
+  EXPECT_EQ(v.dim(), dim);
+  const RefExtent& e = v.extents().front();
+  EXPECT_EQ(e.words, block.data());
+  EXPECT_EQ(e.stride, n);
+  EXPECT_EQ(e.rows, count);
+  EXPECT_EQ(e.base, 0u);
 }
 
 TEST(Kernels, FromSpanDetectsPaddedStride) {
@@ -197,9 +202,9 @@ TEST(Kernels, FromSpanDetectsPaddedStride) {
   for (std::size_t i = 0; i < 8; ++i) {
     views.push_back(util::BitVec::view(block.data() + i * stride, dim));
   }
-  const RefMatrix m = RefMatrix::from_span(views);
-  ASSERT_TRUE(m.valid());
-  EXPECT_EQ(m.stride, stride);
+  const RefView v = RefView::from_span(views);
+  ASSERT_TRUE(v.contiguous());
+  EXPECT_EQ(v.extents().front().stride, stride);
 }
 
 TEST(Kernels, FromSpanRejectsIrregularLayouts) {
@@ -213,28 +218,28 @@ TEST(Kernels, FromSpanRejectsIrregularLayouts) {
       util::BitVec::view(block.data() + n, dim),
       util::BitVec::view(block.data() + 2 * n + 1, dim),
   };
-  EXPECT_FALSE(RefMatrix::from_span(irregular).valid());
+  EXPECT_GT(RefView::from_span(irregular).extent_count(), 1u);
 
-  // Mixed dimensions are never a matrix.
+  // Mixed dimensions have no view at all.
   std::vector<util::BitVec> mixed{
       util::BitVec::view(block.data(), dim),
       util::BitVec::view(block.data() + n, 128),
   };
-  EXPECT_FALSE(RefMatrix::from_span(mixed).valid());
+  EXPECT_FALSE(RefView::from_span(mixed).valid());
 
-  // Descending layout is rejected (stride must advance).
+  // Descending layout is not one run (stride must advance).
   std::vector<util::BitVec> descending{
       util::BitVec::view(block.data() + n, dim),
       util::BitVec::view(block.data(), dim),
   };
-  EXPECT_FALSE(RefMatrix::from_span(descending).valid());
+  EXPECT_GT(RefView::from_span(descending).extent_count(), 1u);
 
   // Empty span → invalid.
-  EXPECT_FALSE(RefMatrix::from_span({}).valid());
+  EXPECT_FALSE(RefView::from_span({}).valid());
 
   // Single-row span is trivially contiguous.
   std::vector<util::BitVec> single{util::BitVec::view(block.data(), dim)};
-  EXPECT_TRUE(RefMatrix::from_span(single).valid());
+  EXPECT_TRUE(RefView::from_span(single).contiguous());
 }
 
 TEST(Kernels, SearchBitIdenticalAcrossAllTiers) {
@@ -260,30 +265,35 @@ TEST(Kernels, SearchBitIdenticalAcrossAllTiers) {
     batch.push_back(BatchQuery{&query, i * 13, count - i * 17, i});
   }
 
+  const RefView view = RefView::from_span(refs);
+  ASSERT_TRUE(view.contiguous());
+
   kernels::set_active_tier(Tier::kScalar);
   const auto single_ref = top_k_search(query, refs, 0, count, 8);
-  const auto batch_ref = top_k_search_batch(batch, refs, 8);
+  const auto batch_ref = top_k_search_batch(batch, view, 8);
+  // The batch equals the per-query span oracle, slot by slot.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch_ref[i], top_k_search(query, refs, batch[i].first,
+                                         batch[i].last, 8))
+        << "slot " << i;
+  }
 
   for (const Tier tier : runnable_tiers()) {
     kernels::set_active_tier(tier);
     EXPECT_EQ(top_k_search(query, refs, 0, count, 8), single_ref)
         << kernels::tier_name(tier);
-    EXPECT_EQ(top_k_search_batch(batch, refs, 8), batch_ref)
+    EXPECT_EQ(top_k_search_batch(batch, view, 8), batch_ref)
         << kernels::tier_name(tier);
-    // Matrix overloads agree with the span path, tier by tier.
-    const RefMatrix m = RefMatrix::from_span(refs);
-    ASSERT_TRUE(m.valid());
-    EXPECT_EQ(top_k_search(query, m, 0, count, 8), single_ref)
-        << kernels::tier_name(tier);
-    EXPECT_EQ(top_k_search_batch(batch, m, 8), batch_ref)
+    // The view overload agrees with the span oracle, tier by tier.
+    EXPECT_EQ(top_k_search(query, view, 0, count, 8), single_ref)
         << kernels::tier_name(tier);
   }
 }
 
 TEST(Kernels, NonContiguousSpanStillMatchesScalarReference) {
   TierGuard guard;
-  // Owned per-BitVec storage: the fallback (indirect) sweep, still through
-  // the dispatched pair kernel.
+  // Owned per-BitVec storage: the span oracle walks it directly, and the
+  // piecewise view degenerates to (mostly) single-row extents.
   std::vector<util::BitVec> refs(120);
   for (std::size_t i = 0; i < refs.size(); ++i) {
     refs[i] = util::BitVec(777);
@@ -292,11 +302,16 @@ TEST(Kernels, NonContiguousSpanStillMatchesScalarReference) {
   util::BitVec query(777);
   query.randomize(12345);
 
+  const RefView view = RefView::from_span(refs);
+  ASSERT_TRUE(view.valid());
+
   kernels::set_active_tier(Tier::kScalar);
   const auto expected = top_k_search(query, refs, 0, refs.size(), 5);
   for (const Tier tier : runnable_tiers()) {
     kernels::set_active_tier(tier);
     EXPECT_EQ(top_k_search(query, refs, 0, refs.size(), 5), expected)
+        << kernels::tier_name(tier);
+    EXPECT_EQ(top_k_search(query, view, 0, refs.size(), 5), expected)
         << kernels::tier_name(tier);
   }
 }

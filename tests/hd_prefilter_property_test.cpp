@@ -46,6 +46,7 @@ std::vector<util::BitVec> make_queries(std::size_t count, std::uint64_t seed) {
 
 TEST(PrefilterProperty, DisabledIsBitIdenticalToExactWithFullScan) {
   const auto refs = make_refs(kRefs, 100);
+  const RefView rv = RefView::from_span(refs);
   const auto queries = make_queries(50, 200);
 
   PrefilterConfig cfg;  // enabled = false
@@ -54,7 +55,7 @@ TEST(PrefilterProperty, DisabledIsBitIdenticalToExactWithFullScan) {
     const std::size_t first = (i * 7) % 100;
     const std::size_t last = kRefs - (i * 3) % 50;
     const auto exact = top_k_search(queries[i], refs, first, last, kTopK);
-    const auto pre = top_k_search_prefiltered(queries[i], refs, first, last,
+    const auto pre = top_k_search_prefiltered(queries[i], rv, first, last,
                                               kTopK, cfg, /*stream=*/i,
                                               &counters);
     EXPECT_EQ(pre, exact) << "query " << i;
@@ -67,6 +68,7 @@ TEST(PrefilterProperty, DisabledIsBitIdenticalToExactWithFullScan) {
 
 TEST(PrefilterProperty, FullKeepFractionIsExact) {
   const auto refs = make_refs(kRefs, 300);
+  const RefView rv = RefView::from_span(refs);
   const auto queries = make_queries(20, 400);
 
   PrefilterConfig cfg;
@@ -76,7 +78,7 @@ TEST(PrefilterProperty, FullKeepFractionIsExact) {
   PrefilterCounters counters;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const auto exact = top_k_search(queries[i], refs, 0, kRefs, kTopK);
-    const auto pre = top_k_search_prefiltered(queries[i], refs, 0, kRefs,
+    const auto pre = top_k_search_prefiltered(queries[i], rv, 0, kRefs,
                                               kTopK, cfg, i, &counters);
     EXPECT_EQ(pre, exact) << "query " << i;
   }
@@ -85,6 +87,7 @@ TEST(PrefilterProperty, FullKeepFractionIsExact) {
 
 TEST(PrefilterProperty, TinyWindowsBypassPruning) {
   const auto refs = make_refs(kRefs, 500);
+  const RefView rv = RefView::from_span(refs);
   const auto queries = make_queries(10, 600);
 
   PrefilterConfig cfg;
@@ -95,7 +98,7 @@ TEST(PrefilterProperty, TinyWindowsBypassPruning) {
     const std::size_t first = i * 10;
     const std::size_t last = first + 40;  // < min_keep
     const auto exact = top_k_search(queries[i], refs, first, last, kTopK);
-    const auto pre = top_k_search_prefiltered(queries[i], refs, first, last,
+    const auto pre = top_k_search_prefiltered(queries[i], rv, first, last,
                                               kTopK, cfg, i);
     EXPECT_EQ(pre, exact) << "query " << i;
   }
@@ -103,6 +106,7 @@ TEST(PrefilterProperty, TinyWindowsBypassPruning) {
 
 TEST(PrefilterProperty, PruningIsDeterministicAndScansLess) {
   const auto refs = make_refs(kRefs, 700);
+  const RefView rv = RefView::from_span(refs);
   const auto queries = make_queries(30, 800);
 
   PrefilterConfig cfg;
@@ -115,9 +119,9 @@ TEST(PrefilterProperty, PruningIsDeterministicAndScansLess) {
   PrefilterCounters c2;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const auto a =
-        top_k_search_prefiltered(queries[i], refs, 0, kRefs, kTopK, cfg, i, &c1);
+        top_k_search_prefiltered(queries[i], rv, 0, kRefs, kTopK, cfg, i, &c1);
     const auto b =
-        top_k_search_prefiltered(queries[i], refs, 0, kRefs, kTopK, cfg, i, &c2);
+        top_k_search_prefiltered(queries[i], rv, 0, kRefs, kTopK, cfg, i, &c2);
     EXPECT_EQ(a, b) << "query " << i;  // same inputs → same shortlist → same hits
     ASSERT_FALSE(a.empty());
     EXPECT_LE(a.size(), kTopK);
@@ -141,6 +145,7 @@ TEST(PrefilterProperty, FullWordSketchHasPerfectAuditedRecall) {
   // index asc) top-k order — so pruning cannot lose a top-k hit and the
   // in-band audit must measure recall exactly 1.0.
   const auto refs = make_refs(kRefs, 900);
+  const RefView rv = RefView::from_span(refs);
   const auto queries = make_queries(25, 1000);
 
   PrefilterConfig cfg;
@@ -153,7 +158,7 @@ TEST(PrefilterProperty, FullWordSketchHasPerfectAuditedRecall) {
   PrefilterCounters counters;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const auto exact = top_k_search(queries[i], refs, 0, kRefs, kTopK);
-    const auto pre = top_k_search_prefiltered(queries[i], refs, 0, kRefs,
+    const auto pre = top_k_search_prefiltered(queries[i], rv, 0, kRefs,
                                               kTopK, cfg, i, &counters);
     EXPECT_EQ(pre, exact) << "query " << i;
   }
@@ -164,6 +169,7 @@ TEST(PrefilterProperty, FullWordSketchHasPerfectAuditedRecall) {
 
 TEST(PrefilterProperty, AuditRateNeverChangesResults) {
   const auto refs = make_refs(kRefs, 1100);
+  const RefView rv = RefView::from_span(refs);
   const auto queries = make_queries(30, 1200);
 
   PrefilterConfig off;
@@ -176,14 +182,15 @@ TEST(PrefilterProperty, AuditRateNeverChangesResults) {
 
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(
-        top_k_search_prefiltered(queries[i], refs, 0, kRefs, kTopK, off, i),
-        top_k_search_prefiltered(queries[i], refs, 0, kRefs, kTopK, on, i))
+        top_k_search_prefiltered(queries[i], rv, 0, kRefs, kTopK, off, i),
+        top_k_search_prefiltered(queries[i], rv, 0, kRefs, kTopK, on, i))
         << "query " << i;
   }
 }
 
-TEST(PrefilterProperty, BatchMatchesPerQueryAndMatrixMatchesSpan) {
+TEST(PrefilterProperty, BatchMatchesPerQueryAcrossLayouts) {
   const auto refs = make_refs(kRefs, 1300);
+  const RefView rv = RefView::from_span(refs);
   const auto queries = make_queries(40, 1400);
 
   PrefilterConfig cfg;
@@ -199,14 +206,14 @@ TEST(PrefilterProperty, BatchMatchesPerQueryAndMatrixMatchesSpan) {
   }
 
   PrefilterCounters batch_counters;
-  const auto batched = top_k_search_batch_prefiltered(batch, refs, kTopK, cfg,
+  const auto batched = top_k_search_batch_prefiltered(batch, rv, kTopK, cfg,
                                                       &batch_counters);
   ASSERT_EQ(batched.size(), batch.size());
 
   PrefilterCounters single_counters;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto single = top_k_search_prefiltered(
-        *batch[i].hv, refs, batch[i].first, batch[i].last, kTopK, cfg,
+        *batch[i].hv, rv, batch[i].first, batch[i].last, kTopK, cfg,
         batch[i].stream, &single_counters);
     EXPECT_EQ(batched[i], single) << "slot " << i;
   }
@@ -214,8 +221,9 @@ TEST(PrefilterProperty, BatchMatchesPerQueryAndMatrixMatchesSpan) {
   EXPECT_EQ(batch_counters.audited_queries, single_counters.audited_queries);
   EXPECT_EQ(batch_counters.audit_matched, single_counters.audit_matched);
 
-  // Same queries over the piecewise-view fast path: bit-identical hits,
-  // both as one contiguous extent and split mid-block into two.
+  // Same queries over other layouts of the same rows (the heap BitVecs
+  // above are scattered extents): bit-identical hits, both as one
+  // contiguous extent and split mid-block into two.
   std::vector<std::uint64_t> block(kRefs * (kDim / 64));
   for (std::size_t i = 0; i < kRefs; ++i) {
     const auto words = refs[i].words();
@@ -229,9 +237,9 @@ TEST(PrefilterProperty, BatchMatchesPerQueryAndMatrixMatchesSpan) {
   ASSERT_TRUE(view.valid());
   ASSERT_TRUE(view.contiguous());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(top_k_search_prefiltered(*batch[i].hv, views, batch[i].first,
+    EXPECT_EQ(top_k_search_prefiltered(*batch[i].hv, view, batch[i].first,
                                        batch[i].last, kTopK, cfg,
-                                       batch[i].stream, nullptr, &view),
+                                       batch[i].stream),
               batched[i])
         << "slot " << i;
   }
@@ -254,9 +262,9 @@ TEST(PrefilterProperty, BatchMatchesPerQueryAndMatrixMatchesSpan) {
   ASSERT_TRUE(split.valid());
   ASSERT_EQ(split.extent_count(), 2u);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(top_k_search_prefiltered(*batch[i].hv, split_views,
-                                       batch[i].first, batch[i].last, kTopK,
-                                       cfg, batch[i].stream, nullptr, &split),
+    EXPECT_EQ(top_k_search_prefiltered(*batch[i].hv, split, batch[i].first,
+                                       batch[i].last, kTopK, cfg,
+                                       batch[i].stream),
               batched[i])
         << "slot " << i;
   }
@@ -267,6 +275,7 @@ TEST(PrefilterProperty, SmallWindowsAutoDisablePruningByDefault) {
   // where the sketch pass costs more than the batched sweep saves — the
   // result must be exact and the bypass must be visible in the counters.
   const auto refs = make_refs(kRefs, 1900);
+  const RefView rv = RefView::from_span(refs);
   const auto queries = make_queries(20, 2000);
 
   PrefilterConfig cfg;
@@ -282,7 +291,7 @@ TEST(PrefilterProperty, SmallWindowsAutoDisablePruningByDefault) {
     const auto exact =
         top_k_search(queries[i], refs, first, first + kSmall, kTopK);
     const auto pre = top_k_search_prefiltered(
-        queries[i], refs, first, first + kSmall, kTopK, cfg, i, &counters);
+        queries[i], rv, first, first + kSmall, kTopK, cfg, i, &counters);
     EXPECT_EQ(pre, exact) << "query " << i;
   }
   EXPECT_EQ(counters.windows_bypassed, queries.size());
@@ -296,7 +305,7 @@ TEST(PrefilterProperty, SmallWindowsAutoDisablePruningByDefault) {
   PrefilterCounters pruned;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const std::size_t first = i * 5;
-    (void)top_k_search_prefiltered(queries[i], refs, first, first + kSmall,
+    (void)top_k_search_prefiltered(queries[i], rv, first, first + kSmall,
                                    kTopK, cfg, i, &pruned);
   }
   EXPECT_EQ(pruned.windows_pruned, queries.size());

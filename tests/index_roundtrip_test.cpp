@@ -121,17 +121,17 @@ TEST_P(IndexRoundTrip, LoadPathIsBitIdenticalWithZeroEncodes) {
           << "hypervector " << i;
     }
 
-    // The explicit ref_matrix() accessor and the layout auto-detection over
-    // the exposed views must agree: the word block is one contiguous
-    // reference-major matrix on both the mmap and in-memory paths.
-    const hd::RefMatrix direct = idx->ref_matrix();
-    const hd::RefMatrix detected = hd::RefMatrix::from_span(idx->hypervectors());
-    ASSERT_TRUE(direct.valid());
-    ASSERT_TRUE(detected.valid());
-    EXPECT_EQ(direct.words, detected.words);
-    EXPECT_EQ(direct.stride, detected.stride);
-    EXPECT_EQ(direct.count, detected.count);
-    EXPECT_EQ(direct.dim, detected.dim);
+    // The layout detection over the exposed views sees the word block as
+    // one contiguous reference-major extent, starting at the mapped block,
+    // on both the mmap and in-memory paths.
+    const hd::RefView detected = hd::RefView::from_span(idx->hypervectors());
+    ASSERT_TRUE(detected.contiguous());
+    const hd::RefExtent& whole = detected.extents().front();
+    EXPECT_EQ(whole.words, idx->hypervector(0).words().data());
+    EXPECT_EQ(whole.stride, idx->words_per_hv());
+    EXPECT_EQ(whole.rows, idx->size());
+    EXPECT_EQ(whole.base, 0u);
+    EXPECT_EQ(detected.dim(), idx->dim());
 
     const auto got = from_index.run(workload.queries);
     expect_identical(want, got);

@@ -11,7 +11,7 @@
 //     load path.
 //   * Compaction: rewrites all segments into one with zero encode calls,
 //     byte-identical to a one-shot artifact of the union; search results
-//     are unchanged and the contiguous RefMatrix fast path is restored.
+//     are unchanged and the one-extent reference view is restored.
 //   * Guard rails: append validates the fingerprint against the manifest
 //     and refuses injected_ber libraries (the error realization is
 //     batch-sequential, so incremental growth would change stored bytes).
@@ -339,7 +339,7 @@ TEST(IndexSegment, CompactionIsByteIdenticalToOneShotArtifact) {
   remove_segmented(man_path);
 }
 
-TEST(IndexSegment, RefMatrixFastPathLostOnSegmentsRestoredByCompaction) {
+TEST(IndexSegment, OneExtentViewLostOnSegmentsRestoredByCompaction) {
   const auto workload = small_workload(120, 0, 35);
   const auto cfg = test_config("ideal-hd");
   const index::IndexBuilder builder(cfg);
@@ -350,8 +350,8 @@ TEST(IndexSegment, RefMatrixFastPathLostOnSegmentsRestoredByCompaction) {
     const auto lib = index::SegmentedLibrary::open(man_path);
     ASSERT_EQ(lib.segment_count(), 2u);
     // Word blocks live in two disjoint mappings interleaved by mass: no
-    // single contiguous reference-major matrix exists...
-    EXPECT_FALSE(hd::RefMatrix::from_span(lib.hypervectors()).valid());
+    // single contiguous extent exists...
+    EXPECT_FALSE(hd::RefView::from_span(lib.hypervectors()).contiguous());
     // ...but the piecewise view still covers every row with block-sweep
     // extents — fragmentation costs extents, not the SIMD kernel.
     const hd::RefView& view = lib.ref_view();
@@ -359,20 +359,59 @@ TEST(IndexSegment, RefMatrixFastPathLostOnSegmentsRestoredByCompaction) {
     EXPECT_EQ(view.count(), lib.size());
     EXPECT_GT(view.extent_count(), 1u);
     EXPECT_FALSE(view.contiguous());
-    EXPECT_FALSE(view.matrix().valid());
   }
   (void)builder.compact(man_path);
   {
     const auto lib = index::SegmentedLibrary::open(man_path);
     ASSERT_EQ(lib.segment_count(), 1u);
-    EXPECT_TRUE(hd::RefMatrix::from_span(lib.hypervectors()).valid());
-    // One segment degenerates to the monolithic layout: a single extent,
-    // convertible back to the plain RefMatrix.
+    EXPECT_TRUE(hd::RefView::from_span(lib.hypervectors()).contiguous());
+    // One segment degenerates to the monolithic layout: a single extent
+    // over the segment's mapped word block.
     EXPECT_TRUE(lib.ref_view().contiguous());
     EXPECT_EQ(lib.ref_view().extent_count(), 1u);
-    EXPECT_TRUE(lib.ref_view().matrix().valid());
+    EXPECT_EQ(lib.ref_view().extents().front().words,
+              lib.segment(0).hypervectors().front().words().data());
   }
   remove_segmented(man_path);
+}
+
+// A monolithic OMSXIDX1 file is a one-segment library: open() tells it
+// from a manifest by magic, and the result aliases the index (entries,
+// hypervector views, mass axis) instead of copying it — and searches
+// bit-identically to adopting the index directly.
+TEST(IndexSegment, MonolithicIndexOpensAsOneSegmentAlias) {
+  const auto workload = small_workload(200, 40, 43);
+  const std::string idx_path = temp_path("seg_monolithic.omsx");
+  for (const char* backend : {"ideal-hd", "rram-statistical"}) {
+    const auto cfg = test_config(backend);
+    const index::IndexBuilder builder(cfg);
+    (void)builder.build(workload.references, idx_path);
+
+    const auto lib = std::make_shared<const index::SegmentedLibrary>(
+        index::SegmentedLibrary::open(idx_path));
+    ASSERT_EQ(lib->segment_count(), 1u);
+    EXPECT_EQ(lib->ref_view().extent_count(), 1u);
+    EXPECT_EQ(&lib->library(), &lib->segment(0).library());
+    EXPECT_EQ(lib->hypervectors().data(),
+              lib->segment(0).hypervectors().data());
+    EXPECT_EQ(lib->mass_axis().data(), lib->segment(0).mass_axis().data());
+    EXPECT_EQ(lib->size(), lib->segment(0).size());
+    EXPECT_EQ(lib->locate(7).segment, 0u);
+    EXPECT_EQ(lib->locate(7).local, 7u);
+    EXPECT_EQ(lib->generation(), 0u);  // never grows; keyed by path
+    // There is no segment list to rewrite.
+    EXPECT_THROW((void)builder.compact(idx_path), std::runtime_error);
+
+    core::Pipeline from_index(cfg);
+    from_index.set_library(std::make_shared<const index::LibraryIndex>(
+        index::LibraryIndex::open(idx_path)));
+    core::Pipeline from_library(cfg);
+    from_library.set_library(lib);
+    EXPECT_EQ(from_library.reference_encode_count(), 0u);
+    expect_identical(from_index.run(workload.queries),
+                     from_library.run(workload.queries));
+  }
+  std::remove(idx_path.c_str());
 }
 
 // Piecewise-sweep bit-identity: for every backend and every segment count
@@ -436,8 +475,9 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, PiecewiseSweep,
 
 TEST(IndexSegment, PiecewiseBatchedSweepMatchesMonolithicCopy) {
   // Kernel-level check, below the pipeline: batched search over a
-  // 5-segment library's piecewise view vs (a) the per-BitVec span
-  // fallback over the same rows and (b) a monolithic contiguous copy.
+  // 5-segment library's piecewise view vs (a) a one-extent view over a
+  // monolithic contiguous copy and (b) the per-query span oracle over the
+  // same rows.
   const auto workload = small_workload(220, 0, 41);
   const auto cfg = test_config("ideal-hd", 2048);
   const index::IndexBuilder builder(cfg);
@@ -454,8 +494,12 @@ TEST(IndexSegment, PiecewiseBatchedSweepMatchesMonolithicCopy) {
   for (std::size_t i = 0; i < view.count(); ++i) {
     std::memcpy(flat.data() + i * wc, view.row(i), wc * sizeof(std::uint64_t));
   }
-  const hd::RefMatrix mono{flat.data(), wc, view.count(), view.dim()};
-  ASSERT_TRUE(mono.valid());
+  std::vector<util::BitVec> flat_views;
+  for (std::size_t i = 0; i < view.count(); ++i) {
+    flat_views.push_back(util::BitVec::view(flat.data() + i * wc, view.dim()));
+  }
+  const hd::RefView mono = hd::RefView::from_span(flat_views);
+  ASSERT_TRUE(mono.contiguous());
 
   std::vector<util::BitVec> queries(16);
   std::vector<hd::BatchQuery> batch;
@@ -469,12 +513,13 @@ TEST(IndexSegment, PiecewiseBatchedSweepMatchesMonolithicCopy) {
   }
 
   const auto piecewise = hd::top_k_search_batch(batch, view, 6);
-  const auto per_vector =
-      hd::top_k_search_batch(batch, lib.hypervectors(), 6);
   const auto contiguous = hd::top_k_search_batch(batch, mono, 6);
   ASSERT_EQ(piecewise.size(), batch.size());
   for (std::size_t q = 0; q < batch.size(); ++q) {
-    EXPECT_EQ(piecewise[q], per_vector[q]) << "query " << q;
+    EXPECT_EQ(piecewise[q],
+              hd::top_k_search(queries[q], lib.hypervectors(), batch[q].first,
+                               batch[q].last, 6))
+        << "query " << q;
     EXPECT_EQ(piecewise[q], contiguous[q]) << "query " << q;
     // And the per-query piecewise overload agrees with the batch.
     EXPECT_EQ(piecewise[q],
@@ -547,7 +592,8 @@ TEST(IndexSegment, LibraryCacheKeysManifestsByGeneration) {
   serve::LibraryCache cache;
   auto first = cache.lease(man_path, cfg);
   ASSERT_TRUE(first.segmented != nullptr);
-  EXPECT_TRUE(first.index == nullptr);
+  EXPECT_EQ(first.segmented->generation(),
+            index::Manifest::load(man_path).combined_hash());
   EXPECT_FALSE(first.cache_hit);
   auto second = cache.lease(man_path, cfg);
   EXPECT_TRUE(second.cache_hit);

@@ -9,8 +9,8 @@
 //     LRU eviction that cannot pull a mapped artifact out from under an
 //     open session (refcount semantics), fingerprint-drift rejection.
 //   * Session close(): flushes exactly the accepted set through
-//     on_accept — every accepted PSM once, nothing else — with no
-//     expected_queries promise anywhere.
+//     on_accept — every accepted PSM once, nothing else — with no stream
+//     length declared up front.
 //   * Admission control: Reject policy sheds load once max_in_flight
 //     unresolved queries are held on a stalled substrate; the session
 //     still returns the exact solo result for the queries it admitted.
@@ -251,19 +251,19 @@ TEST(LibraryCache, HitMissDonationCounters) {
   serve::LibraryCache cache;
 
   auto first = cache.lease(art, cfg);
-  ASSERT_TRUE(first.index != nullptr);
+  ASSERT_TRUE(first.segmented != nullptr);
   EXPECT_FALSE(first.cache_hit);
   EXPECT_TRUE(first.backend == nullptr);
 
   // Donate a backend the way a session's pipeline would build it.
   core::Pipeline pipeline(cfg);
-  pipeline.set_library(first.index);
+  pipeline.set_library(first.segmented);
   cache.donate(art, cfg, pipeline.shared_backend());
 
   auto second = cache.lease(art, cfg);
   EXPECT_TRUE(second.cache_hit);
   EXPECT_TRUE(second.backend_hit);
-  EXPECT_EQ(second.index.get(), first.index.get());
+  EXPECT_EQ(second.segmented.get(), first.segmented.get());
   EXPECT_EQ(second.backend.get(), pipeline.shared_backend().get());
 
   // A different seed is a different fingerprint: distinct entry, and the
@@ -296,23 +296,23 @@ TEST(LibraryCache, EvictionDropsColdEntryButLeaseKeepsItAlive) {
   serve::LibraryCache cache(ccfg);
 
   auto lease_a = cache.lease(art_a, cfg);
-  std::weak_ptr<const index::LibraryIndex> watch = lease_a.index;
+  std::weak_ptr<const index::SegmentedLibrary> watch = lease_a.segmented;
   auto lease_b = cache.lease(art_b, cfg);  // capacity 1: evicts A
   EXPECT_EQ(cache.stats().evictions, 1U);
   EXPECT_EQ(cache.resident(), 1U);
 
   // The evicted mapping survives through the outstanding lease…
   EXPECT_FALSE(watch.expired());
-  EXPECT_EQ(lease_a.index->size(), 600U);  // targets + decoys
+  EXPECT_EQ(lease_a.segmented->size(), 600U);  // targets + decoys
   // …and re-leasing A is a fresh miss that evicts B.
   auto lease_a2 = cache.lease(art_a, cfg);
   EXPECT_FALSE(lease_a2.cache_hit);
   EXPECT_EQ(cache.stats().evictions, 2U);
   // The two generations of A are distinct mappings of identical bytes.
-  EXPECT_NE(lease_a2.index.get(), lease_a.index.get());
+  EXPECT_NE(lease_a2.segmented.get(), lease_a.segmented.get());
 
   // Dropping the last lease releases the evicted mapping.
-  lease_a.index.reset();
+  lease_a.segmented.reset();
   EXPECT_TRUE(watch.expired());
 }
 
@@ -365,7 +365,7 @@ TEST(LibraryCache, DonateAfterEvictionIsACleanNoOp) {
   // does; meanwhile B's lease evicts A's cache entry.
   auto lease_a = cache.lease(art_a, cfg);
   core::Pipeline pipeline(cfg);
-  pipeline.set_library(lease_a.index);
+  pipeline.set_library(lease_a.segmented);
   auto lease_b = cache.lease(art_b, cfg);
   EXPECT_EQ(cache.stats().evictions, 1U);
 
