@@ -6,8 +6,10 @@
 //
 // Besides the google-benchmark loops, a hand-rolled section measures the
 // contiguous-block Hamming sweep per (dimension × tier) and the ID-Level
-// encoder per tier (µs per 50-peak spectrum at D = 8192), verifies every
-// tier is bit-identical to the scalar reference while timing it, and
+// encoder per tier (µs per 50-peak spectrum at D = 8192, and the packed ID
+// bytes each peak reads), verifies every tier is bit-identical to the
+// scalar reference — for encode, a plain int32 evaluation of Eq. 1 over
+// the int8 oracle rows — while timing it, and
 // emits machine-readable BENCH_kernels.json (--kernels-out=...) so the
 // CI artifact trail has per-PR kernel numbers. Its "imc" rows time the
 // RRAM-modelled encode_keyed and search_many against their unpruned
@@ -227,11 +229,36 @@ struct EncodePoint {
   std::string tier;
   double us_per_spectrum = 0.0;
   double speedup_vs_scalar = 1.0;
-  bool identical = true;  ///< Tier hypervectors == scalar tier's.
+  std::size_t id_row_bytes_per_peak = 0;  ///< Packed ID bytes one peak reads.
+  bool identical = true;  ///< Tier hypervectors == the int32 reference.
 };
 
+/// Sign() of the plain int32 Eq. 1 sums over the int8 oracle rows
+/// (IdBank::generate_row), with the parity tie-break: what every tier of
+/// the packed-row kernel must reproduce.
+oms::util::BitVec reference_encode(const oms::hd::Encoder& encoder,
+                                   const std::vector<std::uint32_t>& bins,
+                                   const std::vector<float>& weights) {
+  const std::uint32_t dim = encoder.config().dim;
+  const std::uint32_t width = encoder.level_bank().chunk_width();
+  const std::vector<std::uint32_t> levels = encoder.quantize_levels(weights);
+  std::vector<std::int32_t> sums(dim, 0);
+  std::vector<std::int8_t> id(dim);
+  for (std::size_t p = 0; p < bins.size(); ++p) {
+    encoder.id_bank().generate_row(bins[p], id);
+    for (std::uint32_t d = 0; d < dim; ++d) {
+      sums[d] += id[d] * encoder.level_bank().chunk_sign(levels[p], d / width);
+    }
+  }
+  oms::util::BitVec hv(dim);
+  for (std::uint32_t d = 0; d < dim; ++d) {
+    hv.set(d, sums[d] > 0 || (sums[d] == 0 && (d & 1) != 0));
+  }
+  return hv;
+}
+
 /// Times Encoder::encode per tier over `spectra` (best of `reps` passes)
-/// and checks every hypervector against the scalar tier's.
+/// and checks every hypervector against the int32 reference.
 std::vector<EncodePoint> measure_encode(std::size_t reps) {
   constexpr std::size_t kSpectra = 64;
   constexpr std::size_t kPeaks = 50;
@@ -249,9 +276,12 @@ std::vector<EncodePoint> measure_encode(std::size_t reps) {
     }
     encoder.id_bank().ensure(bins[i]);
   }
+  std::vector<oms::util::BitVec> expected;
+  for (std::size_t i = 0; i < kSpectra; ++i) {
+    expected.push_back(reference_encode(encoder, bins[i], weights[i]));
+  }
 
   const Tier saved = kernels::active_tier();
-  std::vector<oms::util::BitVec> expected;
   std::vector<EncodePoint> points;
   for (const Tier tier : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
     if (tier > kernels::best_supported()) continue;
@@ -266,7 +296,6 @@ std::vector<EncodePoint> measure_encode(std::size_t reps) {
       best = std::min(best, now_s() - t0);
       benchmark::DoNotOptimize(hvs.data());
     }
-    if (tier == Tier::kScalar) expected = hvs;
     EncodePoint p;
     p.tier = std::string(kernels::tier_name(tier));
     p.us_per_spectrum = best * 1e6 / static_cast<double>(kSpectra);
@@ -274,6 +303,8 @@ std::vector<EncodePoint> measure_encode(std::size_t reps) {
                               ? 1.0
                               : points.front().us_per_spectrum /
                                     p.us_per_spectrum;
+    p.id_row_bytes_per_peak =
+        encoder.id_bank().row_words() * sizeof(std::uint64_t);
     p.identical = hvs == expected;
     points.push_back(std::move(p));
   }
@@ -491,9 +522,10 @@ int run_kernel_sweeps(const std::string& out_path) {
   const std::vector<EncodePoint> encode_points = measure_encode(reps);
   for (const EncodePoint& p : encode_points) {
     all_identical = all_identical && p.identical;
-    std::printf("  %-7s %9.2f us/spectrum  %5.2fx%s\n", p.tier.c_str(),
-                p.us_per_spectrum, p.speedup_vs_scalar,
-                p.identical ? "" : "  !! MISMATCH vs scalar");
+    std::printf("  %-7s %9.2f us/spectrum  %5.2fx  %zu B of ID row/peak%s\n",
+                p.tier.c_str(), p.us_per_spectrum, p.speedup_vs_scalar,
+                p.id_row_bytes_per_peak,
+                p.identical ? "" : "  !! MISMATCH vs int32 reference");
   }
 
   std::printf("\nRRAM-modelled paths, D=8192, best of %zu passes:\n", reps);
@@ -533,6 +565,7 @@ int run_kernel_sweeps(const std::string& out_path) {
     out << "    {\"dim\": 8192, \"peaks\": 50, \"tier\": \"" << p.tier
         << "\", \"us_per_spectrum\": " << p.us_per_spectrum
         << ", \"speedup_vs_scalar\": " << p.speedup_vs_scalar
+        << ", \"id_row_bytes_per_peak\": " << p.id_row_bytes_per_peak
         << ", \"identical\": " << (p.identical ? "true" : "false") << "}"
         << (i + 1 < encode_points.size() ? "," : "") << "\n";
   }

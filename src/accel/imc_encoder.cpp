@@ -192,15 +192,9 @@ util::BitVec ImcEncoder::encode_circuit(std::span<const std::uint32_t> bins,
   chip_cfg.array_count = ctiles;
   rram::MlcChip chip(chip_cfg, rng_.next());
 
-  std::vector<std::int8_t> scratch(ecfg.dim);
+  std::vector<std::int8_t> id(ecfg.dim);
   for (std::size_t r = 0; r < f; ++r) {
-    std::span<const std::int8_t> id;
-    if (encoder_.id_bank().materialized(bins[r])) {
-      id = encoder_.id_bank().row(bins[r]);
-    } else {
-      encoder_.id_bank().generate_row(bins[r], scratch);
-      id = scratch;
-    }
+    hd::expand_row(encoder_.id_bank().row(bins[r]), ecfg.id_precision, id);
     for (std::size_t d = 0; d < ecfg.dim; ++d) {
       chip.array(d / cols).program_weight(r, d % cols,
                                           static_cast<double>(id[d]) / maxmag);

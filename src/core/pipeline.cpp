@@ -62,15 +62,9 @@ std::vector<util::BitVec> Pipeline::encode_spectra(
   std::vector<util::BitVec> hvs;
   if (imc_encode) {
     ensure_imc_encoder();
-    // Materialize ID rows and calibrate sigmas up front, then encode in
-    // parallel with per-spectrum keyed noise.
-    std::vector<std::uint32_t> used;
-    for (const auto& bl : bin_lists) {
-      used.insert(used.end(), bl.begin(), bl.end());
-    }
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    encoder_.id_bank().ensure(used);
+    // Validate and calibrate sigmas up front, then encode in parallel with
+    // per-spectrum keyed noise.
+    encoder_.validate(bin_lists, weight_lists);
     imc_encoder_->precalibrate(bin_lists);
 
     hvs.resize(spectra.size());

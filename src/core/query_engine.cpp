@@ -458,17 +458,6 @@ struct QueryEngine::Impl {
     const std::size_t n = block.spectra.size();
     block.hvs.resize(n);
 
-    // Materialize the ID rows this block touches. ensure() is
-    // thread-safe, and rows another worker materialized are published by
-    // its internal lock.
-    std::vector<std::uint32_t> used;
-    for (const auto& s : block.spectra) {
-      used.insert(used.end(), s.bins.begin(), s.bins.end());
-    }
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    pipeline.encoder_.id_bank().ensure(used);
-
     if (imc_encode) {
       // Deterministic per (device, bucket, seed): block-wise calibration
       // fills the same sigma cache one whole-batch pass would.

@@ -38,14 +38,13 @@ void Encoder::run_kernel(std::span<const std::uint32_t> bins,
   // component by its level's sign words (chunk-constant runs, Fig. 5c). The
   // kernel sums one 64-component column block at a time across all peaks.
   const std::vector<std::uint32_t> lvls = quantize_levels(weights);
-  std::vector<const std::int8_t*> ids(bins.size());
+  std::vector<const std::uint64_t*> ids(bins.size());
   std::vector<const std::uint64_t*> signs(bins.size());
   for (std::size_t i = 0; i < bins.size(); ++i) {
     ids[i] = ids_.row(bins[i]).data();
     signs[i] = levels_.sign_words(lvls[i]).data();
   }
-  const kernels::EncodeOperands ops{ids, signs, cfg_.dim,
-                                    max_magnitude(cfg_.id_precision)};
+  const kernels::EncodeOperands ops{ids, signs, cfg_.dim, cfg_.id_precision};
   kernels::encode(ops, bits, acc);
 }
 
@@ -65,20 +64,25 @@ util::BitVec Encoder::encode(std::span<const std::uint32_t> bins,
   return hv;
 }
 
+void Encoder::validate(std::span<const std::vector<std::uint32_t>> bin_lists,
+                       std::span<const std::vector<float>> weight_lists) const {
+  if (bin_lists.size() != weight_lists.size()) {
+    throw std::invalid_argument("Encoder: batch size mismatch");
+  }
+  for (std::size_t i = 0; i < bin_lists.size(); ++i) {
+    if (bin_lists[i].size() != weight_lists[i].size()) {
+      throw std::invalid_argument("Encoder: bins/weights size mismatch");
+    }
+    for (const std::uint32_t bin : bin_lists[i]) {
+      if (bin >= cfg_.bins) (void)ids_.row(bin);  // throws, naming the bin
+    }
+  }
+}
+
 std::vector<util::BitVec> Encoder::encode_batch(
     std::span<const std::vector<std::uint32_t>> bin_lists,
-    std::span<const std::vector<float>> weight_lists) {
-  if (bin_lists.size() != weight_lists.size()) {
-    throw std::invalid_argument("Encoder::encode_batch: size mismatch");
-  }
-  // Materialize every ID row used anywhere before the parallel region; the
-  // bank is then read-only and safe to share.
-  std::vector<std::uint32_t> used;
-  for (const auto& bl : bin_lists) used.insert(used.end(), bl.begin(), bl.end());
-  std::sort(used.begin(), used.end());
-  used.erase(std::unique(used.begin(), used.end()), used.end());
-  ids_.ensure(used);
-
+    std::span<const std::vector<float>> weight_lists) const {
+  validate(bin_lists, weight_lists);
   std::vector<util::BitVec> out(bin_lists.size());
   util::ThreadPool::global().parallel_for(
       0, bin_lists.size(), [&](std::size_t lo, std::size_t hi) {

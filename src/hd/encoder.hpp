@@ -60,8 +60,9 @@ class Encoder {
   explicit Encoder(const EncoderConfig& cfg);
 
   [[nodiscard]] const EncoderConfig& config() const noexcept { return cfg_; }
+  /// The process-wide ID rows of this config's key (shared by every
+  /// encoder with the same seed, bins, dim and precision).
   [[nodiscard]] const IdBank& id_bank() const noexcept { return ids_; }
-  [[nodiscard]] IdBank& id_bank() noexcept { return ids_; }
   [[nodiscard]] const LevelBank& level_bank() const noexcept {
     return levels_;
   }
@@ -73,7 +74,9 @@ class Encoder {
 
   /// Accumulates Σ ID_i ⊗ LV_i into `acc` (size dim, zero-initialized by
   /// the caller). Exposed separately because the in-memory encoder needs
-  /// the pre-binarization MAC values to model analog errors.
+  /// the pre-binarization MAC values to model analog errors. Like encode()
+  /// and encode_batch(), needs no warm-up and is thread-safe; a bin >=
+  /// config().bins throws std::out_of_range naming the bin and the bound.
   void accumulate(std::span<const std::uint32_t> bins,
                   std::span<const float> weights,
                   std::span<std::int32_t> acc) const;
@@ -84,11 +87,18 @@ class Encoder {
   [[nodiscard]] util::BitVec encode(std::span<const std::uint32_t> bins,
                                     std::span<const float> weights) const;
 
+  /// Throws what encode() would on any spectrum of the batch —
+  /// std::invalid_argument on a size mismatch, std::out_of_range on a bin
+  /// >= config().bins — so batch callers can fail before starting parallel
+  /// work, whose workers must not throw.
+  void validate(std::span<const std::vector<std::uint32_t>> bin_lists,
+                std::span<const std::vector<float>> weight_lists) const;
+
   /// Batch encode with the global thread pool. `bin_lists`/`weight_lists`
   /// are parallel arrays of sparse vectors.
   [[nodiscard]] std::vector<util::BitVec> encode_batch(
       std::span<const std::vector<std::uint32_t>> bin_lists,
-      std::span<const std::vector<float>> weight_lists);
+      std::span<const std::vector<float>> weight_lists) const;
 
  private:
   /// One pass of the kernels::encode kernel over the spectrum's peaks:

@@ -1,15 +1,71 @@
 #include "hd/id_bank.hpp"
 
+#include <cstdlib>
+#include <map>
+#include <new>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "util/rng.hpp"
 
 namespace oms::hd {
 
+namespace {
+
+/// Golden-ratio stride between the counters of one row's hash words.
+constexpr std::uint64_t kWordStride = 0x9e3779b97f4a7c15ULL;
+
+/// Seed of one row's hash-word stream: independent per (seed, bin).
+std::uint64_t row_seed(std::uint64_t seed, std::uint32_t bin) noexcept {
+  return util::hash_combine(seed, bin, 0x4944ULL);
+}
+
+using Slot = std::atomic<const std::uint64_t*>;
+
+struct FreeRow {
+  void operator()(std::uint64_t* row) const noexcept { std::free(row); }
+};
+
+/// The process-wide stores, one slot array per key. Intentionally never
+/// destroyed: rows stay valid for encoders that outlive static teardown.
+struct Registry {
+  using Key = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t,
+                         IdPrecision>;  // seed, bins, dim, precision
+  std::mutex mutex;
+  std::map<Key, std::unique_ptr<Slot[]>> stores;
+};
+
+Registry& registry() {
+  static Registry* const r = new Registry;
+  return *r;
+}
+
+Slot* attach(std::uint64_t seed, std::uint32_t bins, std::uint32_t dim,
+             IdPrecision precision) {
+  Registry& r = registry();
+  const std::lock_guard<std::mutex> lock(r.mutex);
+  auto& slots = r.stores[{seed, bins, dim, precision}];
+  if (!slots) slots = std::make_unique<Slot[]>(bins);
+  return slots.get();
+}
+
+}  // namespace
+
+void expand_row(std::span<const std::uint64_t> packed, IdPrecision precision,
+                std::span<std::int8_t> out) {
+  const std::array<std::int8_t, 16> lut = nibble_values(precision);
+  for (std::size_t d = 0; d < out.size(); ++d) {
+    out[d] = lut[(packed[d / 16] >> (4 * (d % 16))) & 15];
+  }
+}
+
 IdBank::IdBank(std::uint32_t bins, std::uint32_t dim, IdPrecision precision,
                std::uint64_t seed)
     : bins_(bins), dim_(dim), precision_(precision), seed_(seed),
-      rows_(bins) {}
+      slots_(attach(seed, bins, dim, precision)) {}
 
 void IdBank::generate_row(std::uint32_t bin,
                           std::span<std::int8_t> out) const {
@@ -17,11 +73,11 @@ void IdBank::generate_row(std::uint32_t bin,
   // components (4 bits each: 1 sign bit + up to 2 magnitude bits). The
   // stream is independent per (seed, bin, word index).
   const int mags = magnitude_count(precision_);
-  const std::uint64_t row_seed = util::hash_combine(seed_, bin, 0x4944ULL);
+  const std::uint64_t rs = row_seed(seed_, bin);
   std::uint32_t produced = 0;
   std::uint64_t counter = 0;
   while (produced < dim_) {
-    std::uint64_t word = util::mix64(row_seed ^ (counter++ * 0x9e3779b97f4a7c15ULL));
+    std::uint64_t word = util::mix64(rs ^ (counter++ * kWordStride));
     for (int k = 0; k < 16 && produced < dim_; ++k, word >>= 4) {
       const int sign = (word & 1) ? 1 : -1;
       // Odd magnitudes 1, 3, ..., 2^p - 1, uniform.
@@ -32,24 +88,39 @@ void IdBank::generate_row(std::uint32_t bin,
   }
 }
 
-void IdBank::ensure(std::span<const std::uint32_t> bins) {
-  const std::lock_guard<std::mutex> lock(ensure_mutex_);
-  for (const std::uint32_t bin : bins) {
-    if (bin >= bins_) {
-      throw std::out_of_range("IdBank::ensure: bin out of range");
-    }
-    if (rows_[bin]) continue;
-    auto row = std::make_unique<std::int8_t[]>(dim_);
-    generate_row(bin, {row.get(), dim_});
-    rows_[bin] = std::move(row);
+const std::uint64_t* IdBank::publish(std::uint32_t bin) const {
+  // Cache-line aligned, so a column block's 32 packed bytes never
+  // straddle two lines.
+  const std::size_t words = row_words();
+  const std::size_t bytes = (words * sizeof(std::uint64_t) + 63) / 64 * 64;
+  std::unique_ptr<std::uint64_t[], FreeRow> fresh(
+      static_cast<std::uint64_t*>(std::aligned_alloc(64, bytes)));
+  if (!fresh) throw std::bad_alloc();
+  const std::uint64_t rs = row_seed(seed_, bin);
+  for (std::size_t c = 0; c < words; ++c) {
+    fresh[c] = util::mix64(rs ^ (c * kWordStride));
   }
+  const std::uint64_t* expected = nullptr;
+  if (slots_[bin].compare_exchange_strong(expected, fresh.get(),
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+    return fresh.release();
+  }
+  return expected;  // another thread published first; ours is freed
 }
 
-std::span<const std::int8_t> IdBank::row(std::uint32_t bin) const {
-  if (bin >= rows_.size() || !rows_[bin]) {
-    throw std::logic_error("IdBank::row: bin not materialized");
+std::span<const std::uint64_t> IdBank::row(std::uint32_t bin) const {
+  if (bin >= bins_) {
+    throw std::out_of_range("IdBank: bin " + std::to_string(bin) +
+                            " out of range (bins = " + std::to_string(bins_) +
+                            ")");
   }
-  return {rows_[bin].get(), dim_};
+  const std::uint64_t* r = slots_[bin].load(std::memory_order_acquire);
+  return {r != nullptr ? r : publish(bin), row_words()};
+}
+
+void IdBank::ensure(std::span<const std::uint32_t> bins) const {
+  for (const std::uint32_t bin : bins) (void)row(bin);
 }
 
 }  // namespace oms::hd

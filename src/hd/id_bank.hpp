@@ -9,15 +9,26 @@
 // affine rescale, which Sign() in Eq. 1 is invariant to.)
 //
 // Rows are generated deterministically from (seed, bin) with a counter-based
-// hash, so the bank never needs to persist 28k × 8192 values: rows are
-// materialized lazily into a cache before parallel encoding begins.
+// hash: every 64-bit hash word yields 16 components, one 4-bit nibble each
+// (bit 0 the sign, bits 1-2 the magnitude index; nibble_values() decodes
+// them). The bank stores a row as those raw hash words — dim/2 bytes at any
+// precision — and the encode kernels expand nibbles to int8 in registers.
+//
+// Like the paper's encoder, which writes the ID rows into MLC cells once
+// and reuses them for every spectrum, one packed store per key (seed, bins,
+// dim, precision) is shared by every IdBank — hence every hd::Encoder — in
+// the process. Rows are published lazily and lock-free: a row's first
+// reader generates it and installs it with one compare-and-swap (a racing
+// loser frees its copy), so row() is valid for any in-range bin with no
+// warm-up. A store lives until the process exits and holds at most
+// bins × dim/2 bytes of rows plus one pointer per bin: about 109 MiB at the
+// paper shape (27,981 bins, D = 8192), and only the bins actually touched.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <vector>
 
 namespace oms::hd {
 
@@ -34,44 +45,69 @@ enum class IdPrecision : std::uint8_t { k1Bit = 1, k2Bit = 2, k3Bit = 3 };
   return 1 << (static_cast<int>(p) - 1);
 }
 
+/// Component value of each 4-bit nibble of a packed row: bit 0 is the sign
+/// (set → positive), bits 1-2 pick one of the odd magnitudes 1, 3, ...,
+/// 2^p - 1 uniformly, bit 3 is unused.
+[[nodiscard]] constexpr std::array<std::int8_t, 16> nibble_values(
+    IdPrecision p) noexcept {
+  std::array<std::int8_t, 16> lut{};
+  const int mags = magnitude_count(p);
+  for (int n = 0; n < 16; ++n) {
+    const int sign = (n & 1) != 0 ? 1 : -1;
+    const int mag = 2 * (((n >> 1) & 3) % mags) + 1;
+    lut[static_cast<std::size_t>(n)] = static_cast<std::int8_t>(sign * mag);
+  }
+  return lut;
+}
+
+/// Expands a packed row (component d = nibble d % 16 of word d / 16) into
+/// out.size() int8 components.
+void expand_row(std::span<const std::uint64_t> packed, IdPrecision precision,
+                std::span<std::int8_t> out);
+
 class IdBank {
  public:
   /// `bins` is the number of distinct m/z bins (rows); `dim` the
-  /// hypervector dimension D.
+  /// hypervector dimension D. Attaches to the process-wide store of this
+  /// key, creating it on first use.
   IdBank(std::uint32_t bins, std::uint32_t dim, IdPrecision precision,
          std::uint64_t seed);
 
   [[nodiscard]] std::uint32_t dim() const noexcept { return dim_; }
   [[nodiscard]] std::uint32_t bin_count() const noexcept { return bins_; }
   [[nodiscard]] IdPrecision precision() const noexcept { return precision_; }
-
-  /// Materializes the rows for every bin in `bins` (deduplicated).
-  /// Thread-safe and idempotent: concurrent streaming encoders may ensure
-  /// overlapping bin sets; a thread may read row() for any bin it passed
-  /// through its own ensure() call (the internal lock publishes rows
-  /// materialized by other threads).
-  void ensure(std::span<const std::uint32_t> bins);
-
-  /// Read-only view of a materialized row (size dim()); components are
-  /// nonzero signed int8 values with |v| ≤ max_magnitude(precision).
-  [[nodiscard]] std::span<const std::int8_t> row(std::uint32_t bin) const;
-
-  /// True if the row has been materialized.
-  [[nodiscard]] bool materialized(std::uint32_t bin) const noexcept {
-    return bin < rows_.size() && rows_[bin] != nullptr;
+  /// 64-bit words per packed row: one per 16 components.
+  [[nodiscard]] std::size_t row_words() const noexcept {
+    return (static_cast<std::size_t>(dim_) + 15) / 16;
   }
 
-  /// Generates one row into `out` (size dim()) without caching. This is the
-  /// same deterministic function ensure()/row() use.
+  /// Warm-up hint: publishes the rows of every bin in `bins` now rather
+  /// than on first touch. Never required for correctness. Throws
+  /// std::out_of_range on a bin >= bin_count().
+  void ensure(std::span<const std::uint32_t> bins) const;
+
+  /// The packed row of `bin` (row_words() words), generated and published
+  /// on first touch; the pointer stays valid, and is the same for every
+  /// IdBank of this key, until the process exits. Thread-safe. Throws
+  /// std::out_of_range, naming the bin and the bound, on a bin >=
+  /// bin_count().
+  [[nodiscard]] std::span<const std::uint64_t> row(std::uint32_t bin) const;
+
+  /// Generates one row into `out` (size dim()) as signed int8 components,
+  /// nonzero with |v| <= max_magnitude(precision), without touching the
+  /// store: the int8 oracle that row() expanded by nibble_values() equals.
   void generate_row(std::uint32_t bin, std::span<std::int8_t> out) const;
 
  private:
+  /// Generates row `bin` and installs it unless another thread won.
+  [[nodiscard]] const std::uint64_t* publish(std::uint32_t bin) const;
+
   std::uint32_t bins_;
   std::uint32_t dim_;
   IdPrecision precision_;
   std::uint64_t seed_;
-  std::mutex ensure_mutex_;  ///< Serializes row materialization.
-  std::vector<std::unique_ptr<std::int8_t[]>> rows_;
+  /// The key's row slots (bins_ of them) in the process-wide store.
+  std::atomic<const std::uint64_t*>* slots_;
 };
 
 }  // namespace oms::hd

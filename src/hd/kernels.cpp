@@ -79,8 +79,9 @@ std::size_t xor_popcount_scalar(const std::uint64_t* a, const std::uint64_t* b,
 //
 // Every tier walks the hypervector one 64-component column block (one
 // output word) at a time and keeps that block's partial sums in registers
-// (the scalar tier: in small L1-resident arrays) while each peak's ID
-// segment streams through: int8 lanes within a run of peaks, int16 lanes
+// (the scalar tier: in small L1-resident arrays) while each peak's packed
+// ID segment — 4 words, 32 bytes — streams through, expanded nibble by
+// nibble to int8 lanes: int8 lanes within a run of peaks, int16 lanes
 // across runs, int32 only past int16 capacity.
 
 /// Peak counts whose ±ID components sum exactly at a lane width: a run of
@@ -90,15 +91,34 @@ struct RunLimits {
   std::size_t int16_peaks;
 };
 
-RunLimits run_limits(int max_magnitude) noexcept {
-  const auto m = static_cast<std::size_t>(std::max(1, max_magnitude));
+RunLimits run_limits(IdPrecision precision) noexcept {
+  const auto m = static_cast<std::size_t>(max_magnitude(precision));
   return {127 / m, 32767 / m};
 }
 
-/// Column blocks ahead that the encode loops prefetch each peak's ID row:
-/// the rows (8 KiB each at D = 8192) lie scattered across the bank, more
-/// streams than the hardware prefetcher follows at once.
+/// Packed ID words per 64-component column block.
+constexpr std::size_t kBlockIdWords = 64 / 16;
+
+/// Column blocks ahead that the encode loops prefetch each peak's ID row
+/// (256 bytes, four cache lines): the packed rows (4 KiB each at D = 8192)
+/// lie scattered across the bank, more streams than the hardware
+/// prefetcher follows at once.
 constexpr std::size_t kPrefetchBlocks = 8;
+
+/// The 16-entry nibble table, repeated once per 128-bit lane for vpshufb;
+/// `negated` stores -value (= the value of the nibble with bit 0 flipped).
+struct NibbleTable {
+  alignas(64) std::array<std::int8_t, 64> bytes;
+};
+
+NibbleTable nibble_table(IdPrecision precision, bool negated) noexcept {
+  const std::array<std::int8_t, 16> lut = nibble_values(precision);
+  NibbleTable t{};
+  for (std::size_t i = 0; i < t.bytes.size(); ++i) {
+    t.bytes[i] = lut[(i % 16) ^ (negated ? 1 : 0)];
+  }
+  return t;
+}
 
 /// Odd components of a block. Sign()'s tie-break sets them on a zero sum;
 /// blocks start at multiples of 64, so block-local parity is global parity.
@@ -121,24 +141,52 @@ void finish_block(const std::int32_t* sums, std::uint64_t* bits,
   }
 }
 
-/// Byte j of entry b is 0xFF iff bit j of b is clear: the negate mask of
-/// eight components from their eight LV sign bits.
-constexpr std::array<std::uint64_t, 256> make_negate_masks() noexcept {
-  std::array<std::uint64_t, 256> masks{};
+/// Negate masks of eight components 8k..8k+7 from their eight LV sign bits
+/// b, split by parity: even[j] is 0xFF iff bit 2j of b is clear (component
+/// 8k+2j is -1), odd[j] iff bit 2j+1 is.
+struct NegateMasks {
+  std::array<std::uint8_t, 4> even;
+  std::array<std::uint8_t, 4> odd;
+};
+
+constexpr std::array<NegateMasks, 256> make_negate_masks() noexcept {
+  std::array<NegateMasks, 256> masks{};
   for (std::size_t b = 0; b < 256; ++b) {
-    for (int j = 0; j < 8; ++j) {
-      if (((b >> j) & 1U) == 0) masks[b] |= 0xFFULL << (8 * j);
+    for (std::size_t j = 0; j < 4; ++j) {
+      masks[b].even[j] = ((b >> (2 * j)) & 1U) == 0 ? 0xFF : 0;
+      masks[b].odd[j] = ((b >> (2 * j + 1)) & 1U) == 0 ? 0xFF : 0;
     }
   }
   return masks;
 }
 
-constexpr std::array<std::uint64_t, 256> kNegateMasks = make_negate_masks();
+constexpr std::array<NegateMasks, 256> kNegateMasks = make_negate_masks();
 
+/// Adds the signed ID components of one parity class — nibbles `nib`,
+/// negate masks `neg` — into `low`. nibble_values() in closed form, so the
+/// loop vectorizes: magnitude (n & mag_bits) + 1, the product negative
+/// where exactly one of the ID sign (bit 0 clear) and the LV sign (neg
+/// all-ones) is; (m ^ f) - f negates m exactly where f is all-ones.
+void add_signed_scalar(const std::uint8_t* nib, const std::uint8_t* neg,
+                       std::uint8_t mag_bits, std::int8_t* low) noexcept {
+  for (int b = 0; b < 32; ++b) {
+    const auto flip = static_cast<std::int8_t>(
+        neg[b] ^ static_cast<std::uint8_t>((nib[b] & 1) - 1));
+    const int mag = (nib[b] & mag_bits) + 1;
+    low[b] = static_cast<std::int8_t>(low[b] + ((mag ^ flip) - flip));
+  }
+}
+
+// The scalar tier splits a block's 32 packed bytes into even components
+// (low nibbles: byte b is component 2b) and odd ones (high nibbles), sums
+// each class in its own int8 array, and interleaves them into component
+// order once per run.
 void encode_scalar(const EncodeOperands& ops, std::uint64_t* bits,
                    std::int32_t* acc) noexcept {
   const std::size_t n = ops.ids.size();
-  const RunLimits lim = run_limits(ops.max_magnitude);
+  const RunLimits lim = run_limits(ops.precision);
+  const auto mag_bits =
+      static_cast<std::uint8_t>(max_magnitude(ops.precision) - 1);
   const std::size_t words = ops.dim / 64;
   for (std::size_t w = 0; w < words; ++w) {
     const std::size_t col = w * 64;
@@ -152,25 +200,41 @@ void encode_scalar(const EncodeOperands& ops, std::uint64_t* bits,
         std::fill_n(mid, 64, std::int16_t{0});
         in_mid = 0;
       }
-      std::int8_t low[64] = {};
+      std::int8_t low_even[32] = {};
+      std::int8_t low_odd[32] = {};
       for (const std::size_t end = p + run; p < end; ++p) {
-        const std::int8_t* id = ops.ids[p] + col;
+        const std::uint64_t* packed = ops.ids[p] + kBlockIdWords * w;
         const std::uint64_t sign = ops.signs[p][w];
         if (w + kPrefetchBlocks < words) {
-          __builtin_prefetch(id + 64 * kPrefetchBlocks);
+          __builtin_prefetch(packed + kBlockIdWords * kPrefetchBlocks);
         }
-        std::int8_t neg[64];
+        std::uint8_t bytes[32];
+        if constexpr (std::endian::native == std::endian::little) {
+          std::memcpy(bytes, packed, sizeof(bytes));
+        } else {
+          for (std::size_t b = 0; b < 32; ++b) {
+            bytes[b] = static_cast<std::uint8_t>(packed[b / 8] >> (8 * (b % 8)));
+          }
+        }
+        std::uint8_t even[32];
+        std::uint8_t odd[32];
+        for (int b = 0; b < 32; ++b) {
+          even[b] = bytes[b] & 15;
+          odd[b] = bytes[b] >> 4;
+        }
+        std::uint8_t neg_even[32];
+        std::uint8_t neg_odd[32];
         for (int k = 0; k < 8; ++k) {
-          std::memcpy(neg + 8 * k, &kNegateMasks[(sign >> (8 * k)) & 0xFF], 8);
+          const NegateMasks& m = kNegateMasks[(sign >> (8 * k)) & 0xFF];
+          std::memcpy(neg_even + 4 * k, m.even.data(), 4);
+          std::memcpy(neg_odd + 4 * k, m.odd.data(), 4);
         }
-        // (v ^ neg) - neg negates v exactly where neg is all-ones.
-        for (int j = 0; j < 64; ++j) {
-          const int signed_id = (id[j] ^ neg[j]) - neg[j];
-          low[j] = static_cast<std::int8_t>(low[j] + signed_id);
-        }
+        add_signed_scalar(even, neg_even, mag_bits, low_even);
+        add_signed_scalar(odd, neg_odd, mag_bits, low_odd);
       }
-      for (int j = 0; j < 64; ++j) {
-        mid[j] = static_cast<std::int16_t>(mid[j] + low[j]);
+      for (int b = 0; b < 32; ++b) {
+        mid[2 * b] = static_cast<std::int16_t>(mid[2 * b] + low_even[b]);
+        mid[2 * b + 1] = static_cast<std::int16_t>(mid[2 * b + 1] + low_odd[b]);
       }
       in_mid += run;
     }
@@ -265,18 +329,48 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void hamming_sweep_avx512(
   }
 }
 
-// AVX2 encode: a 64-component block is two 32-component int8 halves; each
-// half's 32 LV sign bits expand to a byte negate mask with one shuffle.
-__attribute__((target("avx2"), always_inline)) inline __m256i
-negate_mask_avx2(std::uint32_t sign) noexcept {
+// AVX2 encode: a block's 32 packed bytes load as one vector and split into
+// an even-component vector (low nibbles: byte b is component 2b) and an
+// odd-component one (high nibbles: component 2b+1). The LV sign folds into
+// the table index: flipping a nibble's sign bit (bit 0) negates its value,
+// so one vpshufb through the negated table yields the signed product. The
+// sums keep this even/odd order through the peak loop and return to
+// component order once per block.
+
+/// Per byte b: 1 iff LV component 2b (even) / 2b+1 (odd) is +1. Sign byte
+/// b/4 holds both, at bits 2(b%4) and 2(b%4)+1.
+struct LvFlips {
+  __m256i even;
+  __m256i odd;
+};
+
+__attribute__((target("avx2"), always_inline)) inline LvFlips lv_flips_avx2(
+    const std::uint64_t* sign) noexcept {
   const __m256i spread = _mm256_setr_epi8(
-      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,  //
-      2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
-  const __m256i bit = _mm256_set1_epi64x(0x8040201008040201LL);
-  const __m256i bytes =
-      _mm256_shuffle_epi8(_mm256_set1_epi32(static_cast<int>(sign)), spread);
-  return _mm256_cmpeq_epi8(_mm256_and_si256(bytes, bit),
-                           _mm256_setzero_si256());
+      0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3,  //
+      4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7);
+  const __m256i bytes = _mm256_shuffle_epi8(
+      _mm256_set1_epi64x(static_cast<long long>(*sign)), spread);
+  const __m256i one = _mm256_set1_epi8(1);
+  return {_mm256_min_epu8(
+              _mm256_and_si256(bytes, _mm256_set1_epi32(0x40100401)), one),
+          _mm256_min_epu8(
+              _mm256_and_si256(bytes, _mm256_set1_epi32(
+                                          static_cast<int>(0x80200802U))),
+              one)};
+}
+
+/// Component-order int16 vectors (components 16k..16k+15 in out[k]) from
+/// the even/odd sums mid = {even 0-30, even 32-62, odd 1-31, odd 33-63}.
+__attribute__((target("avx2"), always_inline)) inline void
+component_order_avx2(const __m256i* mid, __m256i* out) noexcept {
+  for (int h = 0; h < 2; ++h) {
+    // Per 128-bit lane: components 32h + {0..7 | 16..23} and {8..15 | 24..31}.
+    const __m256i lo = _mm256_unpacklo_epi16(mid[h], mid[2 + h]);
+    const __m256i hi = _mm256_unpackhi_epi16(mid[h], mid[2 + h]);
+    out[2 * h] = _mm256_permute2x128_si256(lo, hi, 0x20);
+    out[2 * h + 1] = _mm256_permute2x128_si256(lo, hi, 0x31);
+  }
 }
 
 /// Sign() bits of 32 int16 sums held as two vectors in component order.
@@ -309,41 +403,49 @@ __attribute__((target("avx2"))) void encode_avx2(const EncodeOperands& ops,
                                                  std::uint64_t* bits,
                                                  std::int32_t* acc) noexcept {
   const std::size_t n = ops.ids.size();
-  const RunLimits lim = run_limits(ops.max_magnitude);
+  const RunLimits lim = run_limits(ops.precision);
+  const NibbleTable nt = nibble_table(ops.precision, /*negated=*/true);
+  const __m256i table =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(nt.bytes.data()));
+  const __m256i nibble = _mm256_set1_epi8(0x0F);
   const __m256i zero = _mm256_setzero_si256();
   const std::size_t words = ops.dim / 64;
   for (std::size_t w = 0; w < words; ++w) {
     const std::size_t col = w * 64;
-    __m256i mid[4] = {};  // int16, 16 components each
+    __m256i mid[4] = {};  // int16 even/odd sums, 16 components each
+    __m256i ordered[4];
     std::int32_t sums[64] = {};
     bool spilled = false;
     std::size_t in_mid = 0;
     for (std::size_t p = 0; p < n;) {
       const std::size_t run = std::min(n - p, lim.int8_run);
       if (in_mid + run > lim.int16_peaks) {
+        component_order_avx2(mid, ordered);
         for (int k = 0; k < 4; ++k) {
-          spill_avx2(mid[k], sums + 16 * k);
+          spill_avx2(ordered[k], sums + 16 * k);
           mid[k] = zero;
         }
         spilled = true;
         in_mid = 0;
       }
-      __m256i low[2] = {};
+      __m256i even = zero;
+      __m256i odd = zero;
       for (const std::size_t end = p + run; p < end; ++p) {
-        const std::int8_t* id = ops.ids[p] + col;
-        const std::uint64_t sign = ops.signs[p][w];
+        const std::uint64_t* packed = ops.ids[p] + kBlockIdWords * w;
         if (w + kPrefetchBlocks < words) {
-          __builtin_prefetch(id + 64 * kPrefetchBlocks);
+          __builtin_prefetch(packed + kBlockIdWords * kPrefetchBlocks);
         }
-        for (int h = 0; h < 2; ++h) {
-          const __m256i v = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(id + 32 * h));
-          const __m256i neg =
-              negate_mask_avx2(static_cast<std::uint32_t>(sign >> (32 * h)));
-          low[h] = _mm256_add_epi8(
-              low[h], _mm256_sub_epi8(_mm256_xor_si256(v, neg), neg));
-        }
+        const __m256i x =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(packed));
+        const LvFlips flips = lv_flips_avx2(ops.signs[p] + w);
+        const __m256i lo = _mm256_and_si256(x, nibble);
+        const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(x, 4), nibble);
+        even = _mm256_add_epi8(
+            even, _mm256_shuffle_epi8(table, _mm256_xor_si256(lo, flips.even)));
+        odd = _mm256_add_epi8(
+            odd, _mm256_shuffle_epi8(table, _mm256_xor_si256(hi, flips.odd)));
       }
+      const __m256i low[2] = {even, odd};
       for (int h = 0; h < 2; ++h) {
         mid[2 * h] = _mm256_add_epi16(
             mid[2 * h], _mm256_cvtepi8_epi16(_mm256_castsi256_si128(low[h])));
@@ -353,13 +455,15 @@ __attribute__((target("avx2"))) void encode_avx2(const EncodeOperands& ops,
       }
       in_mid += run;
     }
+    component_order_avx2(mid, ordered);
     if (!spilled && acc == nullptr) {
-      bits[w] = sign_bits_avx2(mid[0], mid[1]) |
-                static_cast<std::uint64_t>(sign_bits_avx2(mid[2], mid[3]))
+      bits[w] = sign_bits_avx2(ordered[0], ordered[1]) |
+                static_cast<std::uint64_t>(
+                    sign_bits_avx2(ordered[2], ordered[3]))
                     << 32;
       continue;
     }
-    for (int k = 0; k < 4; ++k) spill_avx2(mid[k], sums + 16 * k);
+    for (int k = 0; k < 4; ++k) spill_avx2(ordered[k], sums + 16 * k);
     finish_block(sums, bits != nullptr ? bits + w : nullptr,
                  acc != nullptr ? acc + col : nullptr);
   }
@@ -402,10 +506,20 @@ spill_avx512(__m512i v, std::int32_t* sums) noexcept {
                       _mm512_add_epi32(_mm512_loadu_si512(sums + 16), hi));
 }
 
+/// 64 int8 components from 32 packed bytes (as expand_avx2, one zmm).
+__attribute__((target("avx512f,avx512bw"), always_inline)) inline __m512i
+expand_avx512(const std::uint64_t* packed, __m512i table) noexcept {
+  const __m512i x = _mm512_cvtepu8_epi16(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(packed)));
+  const __m512i nibbles = _mm512_and_si512(
+      _mm512_or_si512(x, _mm512_slli_epi16(x, 4)), _mm512_set1_epi16(0x0F0F));
+  return _mm512_shuffle_epi8(table, nibbles);
+}
+
 template <int NB>
 __attribute__((target("avx512f,avx512bw"), always_inline)) inline void
 encode_tile_avx512(const EncodeOperands& ops, const RunLimits& lim,
-                   std::size_t w0, std::uint64_t* bits,
+                   __m512i table, std::size_t w0, std::uint64_t* bits,
                    std::int32_t* acc) noexcept {
   const std::size_t n = ops.ids.size();
   const std::size_t words = ops.dim / 64;
@@ -427,15 +541,16 @@ encode_tile_avx512(const EncodeOperands& ops, const RunLimits& lim,
     }
     __m512i low[NB] = {};
     for (const std::size_t end = p + run; p < end; ++p) {
-      const std::int8_t* id = ops.ids[p] + col0;
+      const std::uint64_t* packed = ops.ids[p] + kBlockIdWords * w0;
       const std::uint64_t* sign = ops.signs[p] + w0;
       if (w0 + kPrefetchBlocks + NB <= words) {
-        for (int b = 0; b < NB; ++b) {
-          __builtin_prefetch(id + 64 * (kPrefetchBlocks + b));
+        // One prefetch per 64-byte line: two blocks of packed components.
+        for (int b = 0; b < NB; b += 2) {
+          __builtin_prefetch(packed + kBlockIdWords * (kPrefetchBlocks + b));
         }
       }
       for (int b = 0; b < NB; ++b) {
-        const __m512i v = _mm512_loadu_si512(id + 64 * b);
+        const __m512i v = expand_avx512(packed + kBlockIdWords * b, table);
         const __mmask64 neg = _cvtu64_mask64(~sign[b]);
         low[b] = _mm512_add_epi8(low[b], _mm512_mask_sub_epi8(v, neg, zero, v));
       }
@@ -467,13 +582,15 @@ __attribute__((target("avx512f,avx512bw"))) void encode_avx512(
     const EncodeOperands& ops, std::uint64_t* bits,
     std::int32_t* acc) noexcept {
   constexpr int kTile = 4;
-  const RunLimits lim = run_limits(ops.max_magnitude);
+  const RunLimits lim = run_limits(ops.precision);
+  const NibbleTable nt = nibble_table(ops.precision, /*negated=*/false);
+  const __m512i table = _mm512_load_si512(nt.bytes.data());
   const std::size_t words = ops.dim / 64;
   std::size_t w = 0;
   for (; w + kTile <= words; w += kTile) {
-    encode_tile_avx512<kTile>(ops, lim, w, bits, acc);
+    encode_tile_avx512<kTile>(ops, lim, table, w, bits, acc);
   }
-  for (; w < words; ++w) encode_tile_avx512<1>(ops, lim, w, bits, acc);
+  for (; w < words; ++w) encode_tile_avx512<1>(ops, lim, table, w, bits, acc);
 }
 
 #endif  // OMSHD_X86_SIMD

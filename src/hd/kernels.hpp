@@ -41,6 +41,7 @@
 #include <string_view>
 #include <vector>
 
+#include "hd/id_bank.hpp"
 #include "util/bitvec.hpp"
 
 namespace oms::hd {
@@ -169,23 +170,27 @@ void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
 [[nodiscard]] std::size_t sweep_chunk_rows(std::size_t row_words) noexcept;
 
 /// Operands of one spectrum's ID-Level MAC (paper Eq. 1 with chunked
-/// levels, §4.2): for peak p, `ids[p]` is its ID row — `dim` signed int8
-/// components with |v| <= max_magnitude — and `signs[p]` its level's sign
-/// words — dim/64 words, bit d set iff LV component d is +1. So each peak
-/// adds or subtracts its ID row component-wise (Fig. 5c).
+/// levels, §4.2): for peak p, `ids[p]` is its packed ID row — dim/16 words,
+/// component d the 4-bit nibble d % 16 of word d / 16 (IdBank::row, dim/2
+/// bytes: 4 KiB at D = 8192), decoded by nibble_values(precision) into a
+/// signed int8 with |v| <= max_magnitude(precision) — and `signs[p]` its
+/// level's sign words — dim/64 words, bit d set iff LV component d is +1.
+/// So each peak adds or subtracts its ID row component-wise (Fig. 5c).
 struct EncodeOperands {
-  std::span<const std::int8_t* const> ids;
+  std::span<const std::uint64_t* const> ids;
   std::span<const std::uint64_t* const> signs;
-  std::size_t dim = 0;    ///< Multiple of 64.
-  int max_magnitude = 1;  ///< Bound on |ID component| (1, 3 or 7).
+  std::size_t dim = 0;  ///< Multiple of 64.
+  IdPrecision precision = IdPrecision::k1Bit;
 };
 
 /// The ID-Level encoder kernel. For every component d it forms the exact
-/// sum acc_d = Σ_p ±ids[p][d] (sign from signs[p] bit d), one 64-component
-/// column block at a time: runs of up to 127/max_magnitude peaks add in
-/// int8 lanes, each run widens into int16 (exact up to 32767/max_magnitude
-/// peaks), and int16 spills into int32 beyond that, so any peak count is
-/// exact. Outputs (either may be null):
+/// sum acc_d = Σ_p ±id_p[d] (id_p[d] the decoded nibble, sign from signs[p]
+/// bit d), one 64-component column block at a time; every tier expands
+/// the block's 32 packed bytes per peak to int8 lanes in registers (a
+/// 16-entry table lookup — vpshufb on the SIMD tiers). Runs of up to
+/// 127/max_magnitude peaks add in int8 lanes, each run widens into int16
+/// (exact up to 32767/max_magnitude peaks), and int16 spills into int32
+/// beyond that, so any peak count is exact. Outputs (either may be null):
 ///   bits  dim/64 words, bit d = acc_d > 0 || (acc_d == 0 && d odd) — Sign()
 ///         with the deterministic parity tie-break;
 ///   acc   dim int32 values, acc[d] += acc_d (the pre-binarization MACs the

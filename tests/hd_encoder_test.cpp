@@ -174,10 +174,15 @@ TEST(Encoder, AccumulateMatchesManualComputation) {
   enc.accumulate(bins, weights, acc);
 
   const auto levels = enc.quantize_levels(weights);
+  std::vector<std::vector<std::int8_t>> rows(bins.size(),
+                                             std::vector<std::int8_t>(cfg.dim));
+  for (std::size_t p = 0; p < bins.size(); ++p) {
+    enc.id_bank().generate_row(bins[p], rows[p]);
+  }
   for (std::size_t d = 0; d < cfg.dim; ++d) {
     std::int32_t expected = 0;
     for (std::size_t p = 0; p < bins.size(); ++p) {
-      const int id = enc.id_bank().row(bins[p])[d];
+      const int id = rows[p][d];
       const int lv = enc.level_bank().chunk_sign(
           levels[p], static_cast<std::uint32_t>(d) / enc.level_bank().chunk_width());
       expected += id * lv;
@@ -245,8 +250,9 @@ std::vector<std::int32_t> reference_sums(const Encoder& enc,
   const std::uint32_t width = enc.level_bank().chunk_width();
   const auto levels = enc.quantize_levels(weights);
   std::vector<std::int32_t> sums(dim, 0);
+  std::vector<std::int8_t> id(dim);
   for (std::size_t p = 0; p < bins.size(); ++p) {
-    const auto id = enc.id_bank().row(bins[p]);
+    enc.id_bank().generate_row(bins[p], id);
     for (std::uint32_t d = 0; d < dim; ++d) {
       sums[d] += id[d] * enc.level_bank().chunk_sign(levels[p], d / width);
     }
@@ -260,6 +266,54 @@ util::BitVec reference_bits(const std::vector<std::int32_t>& sums) {
     hv.set(d, sums[d] > 0 || (sums[d] == 0 && (d & 1) != 0));
   }
   return hv;
+}
+
+TEST(Encoder, ColdEncodeEqualsWarmedEncode) {
+  // A seed no other test in this binary uses, so the process-wide rows of
+  // this key are unpublished when the first encoder touches them.
+  EncoderConfig cfg = small_config();
+  cfg.seed = 0xC01DBA4CULL;
+  std::vector<std::uint32_t> bins;
+  std::vector<float> weights;
+  make_sparse(91, 45, bins, weights);
+
+  const Encoder cold(cfg);
+  const util::BitVec cold_hv = cold.encode(bins, weights);
+  std::vector<std::int32_t> cold_acc(cfg.dim, 0);
+  Encoder(cfg).accumulate(bins, weights, cold_acc);
+
+  const Encoder warm(cfg);
+  warm.id_bank().ensure(bins);
+  const std::vector<std::int32_t> want = reference_sums(warm, bins, weights);
+  EXPECT_EQ(cold_hv, reference_bits(want));
+  EXPECT_EQ(cold_acc, want);
+  EXPECT_EQ(warm.encode(bins, weights), cold_hv);
+  const std::vector<std::vector<std::uint32_t>> bin_lists = {bins};
+  const std::vector<std::vector<float>> weight_lists = {weights};
+  EXPECT_EQ(warm.encode_batch(bin_lists, weight_lists).front(), cold_hv);
+}
+
+TEST(Encoder, OutOfRangeBinThrowsNamingBinAndBound) {
+  const EncoderConfig cfg = small_config();  // bins = 20000
+  const Encoder enc(cfg);
+  const std::vector<std::uint32_t> bins = {5, 20000};
+  const std::vector<float> weights = {1.0F, 0.5F};
+  const auto expect_named = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "bin 20000 of a 20000-bin encoder did not throw";
+    } catch (const std::out_of_range& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("bin 20000"), std::string::npos) << what;
+      EXPECT_NE(what.find("bins = 20000"), std::string::npos) << what;
+    }
+  };
+  expect_named([&] { (void)enc.encode(bins, weights); });
+  std::vector<std::int32_t> acc(cfg.dim, 0);
+  expect_named([&] { enc.accumulate(bins, weights, acc); });
+  const std::vector<std::vector<std::uint32_t>> bin_lists = {{1, 2}, bins};
+  const std::vector<std::vector<float>> weight_lists = {{1.0F, 1.0F}, weights};
+  expect_named([&] { (void)enc.encode_batch(bin_lists, weight_lists); });
 }
 
 struct TierCase {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace oms::hd {
@@ -81,25 +85,86 @@ TEST(IdBank, DifferentSeedsDiffer) {
   EXPECT_NE(ra, rb);
 }
 
-TEST(IdBank, EnsureMaterializesAndRowReturnsSameData) {
-  IdBank bank(100, 256, IdPrecision::k3Bit, 9);
-  EXPECT_FALSE(bank.materialized(7));
-  EXPECT_THROW((void)bank.row(7), std::logic_error);
-  const std::vector<std::uint32_t> bins = {7, 3, 7};
-  bank.ensure(bins);
-  EXPECT_TRUE(bank.materialized(7));
-  EXPECT_TRUE(bank.materialized(3));
-  EXPECT_FALSE(bank.materialized(0));
-  std::vector<std::int8_t> fresh(256);
-  bank.generate_row(7, fresh);
-  const auto row = bank.row(7);
-  for (std::size_t i = 0; i < row.size(); ++i) EXPECT_EQ(row[i], fresh[i]);
+TEST(IdBank, PackedRowExpandsToGeneratedRow) {
+  // The shared store's packed row, expanded through the nibble table, is
+  // the int8 oracle — at every precision, for one-word-block, paper-like
+  // and large dims. No ensure(): row() publishes on first touch.
+  for (const auto p :
+       {IdPrecision::k1Bit, IdPrecision::k2Bit, IdPrecision::k3Bit}) {
+    for (const std::uint32_t dim : {64U, 2048U, 65536U}) {
+      IdBank bank(100, dim, p, 9);
+      for (const std::uint32_t bin : {0U, 7U, 99U}) {
+        const auto packed = bank.row(bin);
+        ASSERT_EQ(packed.size(), dim / 16U);
+        std::vector<std::int8_t> expanded(dim);
+        expand_row(packed, p, expanded);
+        std::vector<std::int8_t> fresh(dim);
+        bank.generate_row(bin, fresh);
+        ASSERT_EQ(expanded, fresh) << "precision " << static_cast<int>(p)
+                                   << " dim " << dim << " bin " << bin;
+      }
+    }
+  }
+}
+
+TEST(IdBank, SameKeySharesRowsAcrossBanks) {
+  IdBank a(50, 1024, IdPrecision::k2Bit, 77);
+  const std::vector<std::uint32_t> bins = {3, 11};
+  a.ensure(bins);  // warm-up hint; b below sees the published rows
+  IdBank b(50, 1024, IdPrecision::k2Bit, 77);
+  EXPECT_EQ(a.row(3).data(), b.row(3).data());
+  EXPECT_EQ(a.row(11).data(), b.row(11).data());
+  EXPECT_EQ(a.row(20).data(), b.row(20).data());  // cold in both
+  EXPECT_NE(a.row(3).data(), a.row(11).data());
+}
+
+TEST(IdBank, ChangedSeedDimOrPrecisionGivesDistinctBank) {
+  const IdBank base(50, 1024, IdPrecision::k2Bit, 77);
+  const IdBank seed(50, 1024, IdPrecision::k2Bit, 78);
+  const IdBank dim(50, 2048, IdPrecision::k2Bit, 77);
+  const IdBank precision(50, 1024, IdPrecision::k3Bit, 77);
+  for (const IdBank* other : {&seed, &dim, &precision}) {
+    EXPECT_NE(base.row(5).data(), other->row(5).data());
+  }
+  // Packed words depend on (seed, bin) only: another seed changes them,
+  // another precision decodes the same words differently.
+  EXPECT_FALSE(std::equal(base.row(5).begin(), base.row(5).end(),
+                          seed.row(5).begin()));
+  EXPECT_TRUE(std::equal(base.row(5).begin(), base.row(5).end(),
+                         precision.row(5).begin()));
 }
 
 TEST(IdBank, EnsureRejectsOutOfRangeBin) {
   IdBank bank(10, 256, IdPrecision::k1Bit, 9);
   const std::vector<std::uint32_t> bins = {10};
   EXPECT_THROW(bank.ensure(bins), std::out_of_range);
+}
+
+TEST(IdBank, RowRejectsOutOfRangeBinNamingIt) {
+  IdBank bank(10, 256, IdPrecision::k1Bit, 9);
+  try {
+    (void)bank.row(12);
+    FAIL() << "row(12) of a 10-bin bank did not throw";
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("12"), std::string::npos) << what;
+    EXPECT_NE(what.find("10"), std::string::npos) << what;
+  }
+}
+
+TEST(NibbleValues, DecodeGeneratorNibbles) {
+  // Bit 0 is the sign, bits 1-2 the magnitude index (mod the count).
+  const auto three = nibble_values(IdPrecision::k3Bit);
+  EXPECT_EQ(three[0b0000], -1);
+  EXPECT_EQ(three[0b0001], 1);
+  EXPECT_EQ(three[0b0111], 7);
+  EXPECT_EQ(three[0b1110], -7);  // bit 3 ignored
+  const auto two = nibble_values(IdPrecision::k2Bit);
+  EXPECT_EQ(two[0b0101], 1);  // index 2 % 2 = 0
+  EXPECT_EQ(two[0b0011], 3);
+  for (const std::int8_t v : nibble_values(IdPrecision::k1Bit)) {
+    EXPECT_EQ(std::abs(v), 1);
+  }
 }
 
 }  // namespace
