@@ -80,9 +80,9 @@ std::size_t xor_popcount_scalar(const std::uint64_t* a, const std::uint64_t* b,
 // Every tier walks the hypervector one 64-component column block (one
 // output word) at a time and keeps that block's partial sums in registers
 // (the scalar tier: in small L1-resident arrays) while each peak's packed
-// ID segment — 4 words, 32 bytes — streams through, expanded nibble by
-// nibble to int8 lanes: int8 lanes within a run of peaks, int16 lanes
-// across runs, int32 only past int16 capacity.
+// ID segment — 4 words, 32 bytes — streams through and expands to int8
+// components: int8 lanes within a run of peaks, int16 lanes across runs,
+// int32 only past int16 capacity.
 
 /// Peak counts whose ±ID components sum exactly at a lane width: a run of
 /// `int8_run` peaks fits int8 lanes, `int16_peaks` peaks fit int16 lanes.
@@ -104,21 +104,6 @@ constexpr std::size_t kBlockIdWords = 64 / 16;
 /// lie scattered across the bank, more streams than the hardware
 /// prefetcher follows at once.
 constexpr std::size_t kPrefetchBlocks = 8;
-
-/// The 16-entry nibble table, repeated once per 128-bit lane for vpshufb;
-/// `negated` stores -value (= the value of the nibble with bit 0 flipped).
-struct NibbleTable {
-  alignas(64) std::array<std::int8_t, 64> bytes;
-};
-
-NibbleTable nibble_table(IdPrecision precision, bool negated) noexcept {
-  const std::array<std::int8_t, 16> lut = nibble_values(precision);
-  NibbleTable t{};
-  for (std::size_t i = 0; i < t.bytes.size(); ++i) {
-    t.bytes[i] = lut[(i % 16) ^ (negated ? 1 : 0)];
-  }
-  return t;
-}
 
 /// Odd components of a block. Sign()'s tie-break sets them on a zero sum;
 /// blocks start at multiples of 64, so block-local parity is global parity.
@@ -329,6 +314,21 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void hamming_sweep_avx512(
   }
 }
 
+/// The 16-entry nibble table, repeated once per 128-bit lane for vpshufb;
+/// `negated` stores -value (= the value of the nibble with bit 0 flipped).
+struct NibbleTable {
+  alignas(64) std::array<std::int8_t, 64> bytes;
+};
+
+NibbleTable nibble_table(IdPrecision precision, bool negated) noexcept {
+  const std::array<std::int8_t, 16> lut = nibble_values(precision);
+  NibbleTable t{};
+  for (std::size_t i = 0; i < t.bytes.size(); ++i) {
+    t.bytes[i] = lut[(i % 16) ^ (negated ? 1 : 0)];
+  }
+  return t;
+}
+
 // AVX2 encode: a block's 32 packed bytes load as one vector and split into
 // an even-component vector (low nibbles: byte b is component 2b) and an
 // odd-component one (high nibbles: component 2b+1). The LV sign folds into
@@ -506,7 +506,10 @@ spill_avx512(__m512i v, std::int32_t* sums) noexcept {
                       _mm512_add_epi32(_mm512_loadu_si512(sums + 16), hi));
 }
 
-/// 64 int8 components from 32 packed bytes (as expand_avx2, one zmm).
+/// 64 int8 components, in order, from 32 packed bytes: each byte widens to
+/// a 16-bit lane holding its low nibble (component 2b) in the low byte and
+/// its high nibble (component 2b+1) in the high byte, and the nibble table
+/// maps both.
 __attribute__((target("avx512f,avx512bw"), always_inline)) inline __m512i
 expand_avx512(const std::uint64_t* packed, __m512i table) noexcept {
   const __m512i x = _mm512_cvtepu8_epi16(

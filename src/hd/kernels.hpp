@@ -8,7 +8,8 @@
 //            compiled when OMSHD_DISABLE_SIMD is defined or the target is
 //            not x86-64;
 //   kAvx2    256-bit XOR + nibble-LUT (vpshufb) popcount, accumulated with
-//            vpsadbw, and 32-component int8 encode blocks — no special
+//            vpsadbw, and even/odd 32-component int8 encode halves whose
+//            ID nibbles decode, LV sign folded in, by vpshufb — no special
 //            compile flags needed, the functions carry target("avx2")
 //            attributes and are entered only after a CPUID check;
 //   kAvx512  512-bit XOR + native vpopcntq (AVX-512-VPOPCNTDQ) and
