@@ -1,10 +1,11 @@
 #include "hd/id_bank.hpp"
 
+#include <atomic>
 #include <cstdlib>
 #include <map>
-#include <new>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -18,38 +19,55 @@ namespace {
 /// Golden-ratio stride between the counters of one row's hash words.
 constexpr std::uint64_t kWordStride = 0x9e3779b97f4a7c15ULL;
 
+/// Padding after every row slot: one cache line, so the same column block
+/// of different rows does not map to one L1 set (a 4 KiB row stride would).
+constexpr std::size_t kSlotPadWords = 8;
+
 /// Seed of one row's hash-word stream: independent per (seed, bin).
 std::uint64_t row_seed(std::uint64_t seed, std::uint32_t bin) noexcept {
   return util::hash_combine(seed, bin, 0x4944ULL);
 }
 
-using Slot = std::atomic<const std::uint64_t*>;
+enum RowState : std::uint8_t { kEmpty = 0, kWriting = 1, kReady = 2 };
 
-struct FreeRow {
-  void operator()(std::uint64_t* row) const noexcept { std::free(row); }
+struct FreeRegion {
+  void operator()(std::uint64_t* p) const noexcept { std::free(p); }
 };
 
-/// The process-wide stores, one slot array per key. Intentionally never
-/// destroyed: rows stay valid for encoders that outlive static teardown.
+}  // namespace
+
+class IdStore {
+ public:
+  IdStore(std::uint32_t bins, std::size_t row_words)
+      : stride(row_words + kSlotPadWords),
+        state(std::make_unique<std::atomic<std::uint8_t>[]>(bins)) {
+    // Page-aligned and never written before a row is: large regions come
+    // straight from the OS, resident page by page as rows are published.
+    const std::size_t bytes = std::size_t{bins} * stride * sizeof(std::uint64_t);
+    rows.reset(static_cast<std::uint64_t*>(
+        std::aligned_alloc(4096, (bytes + 4095) / 4096 * 4096)));
+    if (!rows && bytes != 0) throw std::bad_alloc();
+  }
+
+  std::size_t stride;  ///< Words between consecutive row slots.
+  std::unique_ptr<std::atomic<std::uint8_t>[]> state;  ///< RowState per bin.
+  std::unique_ptr<std::uint64_t[], FreeRegion> rows;
+};
+
+namespace {
+
+/// The process-wide stores, one per key. Intentionally never destroyed:
+/// rows stay valid for encoders that outlive static teardown.
 struct Registry {
   using Key = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t,
                          IdPrecision>;  // seed, bins, dim, precision
   std::mutex mutex;
-  std::map<Key, std::unique_ptr<Slot[]>> stores;
+  std::map<Key, std::unique_ptr<IdStore>> stores;
 };
 
 Registry& registry() {
   static Registry* const r = new Registry;
   return *r;
-}
-
-Slot* attach(std::uint64_t seed, std::uint32_t bins, std::uint32_t dim,
-             IdPrecision precision) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  auto& slots = r.stores[{seed, bins, dim, precision}];
-  if (!slots) slots = std::make_unique<Slot[]>(bins);
-  return slots.get();
 }
 
 }  // namespace
@@ -64,8 +82,13 @@ void expand_row(std::span<const std::uint64_t> packed, IdPrecision precision,
 
 IdBank::IdBank(std::uint32_t bins, std::uint32_t dim, IdPrecision precision,
                std::uint64_t seed)
-    : bins_(bins), dim_(dim), precision_(precision), seed_(seed),
-      slots_(attach(seed, bins, dim, precision)) {}
+    : bins_(bins), dim_(dim), precision_(precision), seed_(seed) {
+  Registry& r = registry();
+  const std::lock_guard<std::mutex> lock(r.mutex);
+  auto& store = r.stores[{seed, bins, dim, precision}];
+  if (!store) store = std::make_unique<IdStore>(bins, row_words());
+  store_ = store.get();
+}
 
 void IdBank::generate_row(std::uint32_t bin,
                           std::span<std::int8_t> out) const {
@@ -88,35 +111,32 @@ void IdBank::generate_row(std::uint32_t bin,
   }
 }
 
-const std::uint64_t* IdBank::publish(std::uint32_t bin) const {
-  // Cache-line aligned, so a column block's 32 packed bytes never
-  // straddle two lines.
-  const std::size_t words = row_words();
-  const std::size_t bytes = (words * sizeof(std::uint64_t) + 63) / 64 * 64;
-  std::unique_ptr<std::uint64_t[], FreeRow> fresh(
-      static_cast<std::uint64_t*>(std::aligned_alloc(64, bytes)));
-  if (!fresh) throw std::bad_alloc();
-  const std::uint64_t rs = row_seed(seed_, bin);
-  for (std::size_t c = 0; c < words; ++c) {
-    fresh[c] = util::mix64(rs ^ (c * kWordStride));
-  }
-  const std::uint64_t* expected = nullptr;
-  if (slots_[bin].compare_exchange_strong(expected, fresh.get(),
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-    return fresh.release();
-  }
-  return expected;  // another thread published first; ours is freed
-}
-
 std::span<const std::uint64_t> IdBank::row(std::uint32_t bin) const {
   if (bin >= bins_) {
     throw std::out_of_range("IdBank: bin " + std::to_string(bin) +
                             " out of range (bins = " + std::to_string(bins_) +
                             ")");
   }
-  const std::uint64_t* r = slots_[bin].load(std::memory_order_acquire);
-  return {r != nullptr ? r : publish(bin), row_words()};
+  std::uint64_t* const slot = store_->rows.get() + bin * store_->stride;
+  std::atomic<std::uint8_t>& state = store_->state[bin];
+  std::uint8_t seen = state.load(std::memory_order_acquire);
+  if (seen != kReady) {
+    if (seen == kEmpty && state.compare_exchange_strong(
+                              seen, kWriting, std::memory_order_acquire)) {
+      const std::uint64_t rs = row_seed(seed_, bin);
+      for (std::size_t c = 0; c < row_words(); ++c) {
+        slot[c] = util::mix64(rs ^ (c * kWordStride));
+      }
+      state.store(kReady, std::memory_order_release);
+      state.notify_all();
+    } else {
+      // Another thread claimed the slot: wait for its one row.
+      while ((seen = state.load(std::memory_order_acquire)) != kReady) {
+        state.wait(seen, std::memory_order_acquire);
+      }
+    }
+  }
+  return {slot, row_words()};
 }
 
 void IdBank::ensure(std::span<const std::uint32_t> bins) const {

@@ -17,16 +17,19 @@
 // Like the paper's encoder, which writes the ID rows into MLC cells once
 // and reuses them for every spectrum, one packed store per key (seed, bins,
 // dim, precision) is shared by every IdBank — hence every hd::Encoder — in
-// the process. Rows are published lazily and lock-free: a row's first
-// reader generates it and installs it with one compare-and-swap (a racing
-// loser frees its copy), so row() is valid for any in-range bin with no
-// warm-up. A store lives until the process exits and holds at most
-// bins × dim/2 bytes of rows plus one pointer per bin: about 109 MiB at the
-// paper shape (27,981 bins, D = 8192), and only the bins actually touched.
+// the process. A store is one region reserved up front with a fixed slot
+// per bin, so its pages become resident only as rows are written, plus one
+// state byte per bin. Rows are published lazily and without locks: a row's
+// first reader claims its slot with one compare-and-swap, generates the row
+// in place and marks it ready; a reader that finds the slot mid-write waits
+// for that one row, and readers of ready rows never wait. So row() is
+// valid for any in-range bin with no warm-up. A store lives until the
+// process exits and holds at most bins × (dim/2 + 64) bytes — about 111 MiB
+// at the paper shape (27,981 bins, D = 8192), resident only for the bins
+// actually touched.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <span>
 
@@ -65,6 +68,8 @@ enum class IdPrecision : std::uint8_t { k1Bit = 1, k2Bit = 2, k3Bit = 3 };
 void expand_row(std::span<const std::uint64_t> packed, IdPrecision precision,
                 std::span<std::int8_t> out);
 
+class IdStore;  // One key's process-wide rows (id_bank.cpp).
+
 class IdBank {
  public:
   /// `bins` is the number of distinct m/z bins (rows); `dim` the
@@ -88,7 +93,8 @@ class IdBank {
 
   /// The packed row of `bin` (row_words() words), generated and published
   /// on first touch; the pointer stays valid, and is the same for every
-  /// IdBank of this key, until the process exits. Thread-safe. Throws
+  /// IdBank of this key, until the process exits. Thread-safe: blocks only
+  /// while another thread is writing this same row. Throws
   /// std::out_of_range, naming the bin and the bound, on a bin >=
   /// bin_count().
   [[nodiscard]] std::span<const std::uint64_t> row(std::uint32_t bin) const;
@@ -99,15 +105,11 @@ class IdBank {
   void generate_row(std::uint32_t bin, std::span<std::int8_t> out) const;
 
  private:
-  /// Generates row `bin` and installs it unless another thread won.
-  [[nodiscard]] const std::uint64_t* publish(std::uint32_t bin) const;
-
   std::uint32_t bins_;
   std::uint32_t dim_;
   IdPrecision precision_;
   std::uint64_t seed_;
-  /// The key's row slots (bins_ of them) in the process-wide store.
-  std::atomic<const std::uint64_t*>* slots_;
+  IdStore* store_;  ///< This key's process-wide store; never freed.
 };
 
 }  // namespace oms::hd

@@ -1,8 +1,8 @@
 // Concurrent first touches of the process-wide ID store: threads with
-// their own fresh encoders on one key race to publish overlapping rows.
-// Every thread must see the same published row pointers and encode the
-// same hypervectors; run under ThreadSanitizer (label `tsan`), this also
-// checks that publication is race-free.
+// their own fresh encoders (or banks) on one key race to publish
+// overlapping rows. Every thread must see the same published row pointers
+// and encode the same hypervectors; run under ThreadSanitizer (label
+// `tsan`), this also checks that publication is race-free.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -79,6 +79,37 @@ TEST(IdBankConcurrency, FirstTouchThroughEncodePublishesOneRowPerBin) {
       bank.generate_row(b, fresh);
       ASSERT_EQ(expanded, fresh) << "bin " << b;
     }
+  }
+}
+
+TEST(IdBankConcurrency, RowsTouchedInLockstepWaitForOneWriter) {
+  // All threads first-touch the same rows in the same order, so most
+  // touches find the row claimed by another thread mid-write and wait.
+  constexpr std::uint32_t kDim = 4096;
+  constexpr std::uint64_t kSeed = 0xB0B0B0ULL;
+  std::vector<std::vector<const std::uint64_t*>> rows(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const IdBank bank(kBins, kDim, IdPrecision::k3Bit, kSeed);
+      start.arrive_and_wait();
+      for (std::uint32_t b = 0; b < kBins; ++b) {
+        rows[t].push_back(bank.row(b).data());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(rows[t], rows[0]) << "thread " << t;
+  }
+  const IdBank bank(kBins, kDim, IdPrecision::k3Bit, kSeed);
+  std::vector<std::int8_t> expanded(kDim);
+  std::vector<std::int8_t> fresh(kDim);
+  for (std::uint32_t b = 0; b < kBins; b += 37) {
+    expand_row(bank.row(b), IdPrecision::k3Bit, expanded);
+    bank.generate_row(b, fresh);
+    ASSERT_EQ(expanded, fresh) << "bin " << b;
   }
 }
 
