@@ -36,8 +36,7 @@ struct FreeRegion {
 
 }  // namespace
 
-class IdStore {
- public:
+struct IdStore {
   IdStore(std::uint32_t bins, std::size_t row_words)
       : stride(row_words + kSlotPadWords),
         state(std::make_unique<std::atomic<std::uint8_t>[]>(bins)) {

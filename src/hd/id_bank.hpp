@@ -68,7 +68,7 @@ enum class IdPrecision : std::uint8_t { k1Bit = 1, k2Bit = 2, k3Bit = 3 };
 void expand_row(std::span<const std::uint64_t> packed, IdPrecision precision,
                 std::span<std::int8_t> out);
 
-class IdStore;  // One key's process-wide rows (id_bank.cpp).
+struct IdStore;  // One key's process-wide rows (id_bank.cpp).
 
 class IdBank {
  public:

@@ -193,6 +193,8 @@ void encode_scalar(const EncodeOperands& ops, std::uint64_t* bits,
         if (w + kPrefetchBlocks < words) {
           __builtin_prefetch(packed + kBlockIdWords * kPrefetchBlocks);
         }
+        // Byte b of the block (bits 8(b%8).. of word b/8); a plain copy on
+        // little-endian hosts, which keeps the loops below vectorized.
         std::uint8_t bytes[32];
         if constexpr (std::endian::native == std::endian::little) {
           std::memcpy(bytes, packed, sizeof(bytes));
