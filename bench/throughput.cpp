@@ -14,14 +14,6 @@
 //                   [--out=BENCH_throughput.json]
 //                   [--sharded-out=BENCH_sharded.json]
 //
-// An extra set of "ideal-hd" rows benches the opt-in ANN candidate
-// prefilter (BackendOptions::prefilter) at several keep fractions: wall
-// clock is timed with auditing off, then a second audited pass fills the
-// scanned-fraction and measured-recall stats, and the bench additionally
-// computes true top-1 recall against the exact hits. Every JSON row
-// carries kernel tier, scanned_fraction, and prefilter_recall (1.0 for
-// exact rows).
-//
 // Besides the batched-vs-fanout table this bench measures intra-block
 // shard parallelism (sequential vs concurrent shard tasks inside each
 // sharded query block) and emits BENCH_sharded.json, including the
@@ -97,14 +89,11 @@ std::vector<std::vector<oms::hd::SearchHit>> fanout(
 
 struct Measurement {
   std::string backend;
-  std::string mode;  // "fanout" | "batched" | "prefilter@<keep>"
+  std::string mode;  // "fanout" | "batched"
   std::size_t references = 0;
   std::size_t queries = 0;
   double seconds = 0.0;
   double queries_per_sec = 0.0;
-  /// Fraction of queries whose best hit matches the exact search's best
-  /// hit, measured bench-side. 1.0 for exact configurations.
-  double top1_recall = 1.0;
   BackendStats stats;
 };
 
@@ -149,9 +138,7 @@ void write_json(const std::string& path,
         << ", \"queries_per_block\": " << s.queries_per_block()
         << ", \"kernel\": \"" << s.kernel << "\""
         << ", \"contiguous_refs\": " << (s.contiguous_refs ? "true" : "false")
-        << ", \"scanned_fraction\": " << s.scanned_fraction()
-        << ", \"prefilter_recall\": " << s.prefilter_recall()
-        << ", \"top1_recall\": " << m.top1_recall << "}"
+        << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -253,72 +240,6 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n%s\n", table.str().c_str());
-
-  // --- ANN candidate prefilter ("ideal-hd") -------------------------------
-  // Scan *less* instead of just scanning faster: sketch-rank each query's
-  // precursor window and exactly sweep only the best keep fraction. Timed
-  // with auditing off (the production configuration); a second audited
-  // backend then fills the measured-recall stats, and true top-1 recall is
-  // computed bench-side against the exact hits.
-  {
-    auto exact_backend = oms::core::make_backend("ideal-hd", refs, opts);
-    const auto exact_hits = exact_backend->search_batch(batch, k);
-
-    oms::util::Table ptable({"keep", "queries/sec", "scanned frac",
-                             "audited recall", "top-1 recall"});
-    for (const double keep : {0.25, 0.125, 0.0625}) {
-      BackendOptions popts = opts;
-      popts.prefilter.enabled = true;
-      popts.prefilter.keep_fraction = keep;
-      popts.prefilter.min_keep = 64;
-
-      auto backend = oms::core::make_backend("ideal-hd", refs, popts);
-      std::vector<std::vector<oms::hd::SearchHit>> hits;
-      const double secs = best_of(
-          reg, "bench.prefilter@" + oms::util::Table::fmt(keep, 4) + "_seconds",
-          reps, [&] { hits = backend->search_batch(batch, k); }, [] {});
-
-      // Audited pass: one extra run whose stats carry the in-band recall
-      // measurement (kept out of the timed configuration).
-      BackendOptions aopts = popts;
-      aopts.prefilter.audit_fraction = 1.0;
-      auto audited = oms::core::make_backend("ideal-hd", refs, aopts);
-      (void)audited->search_batch(batch, k);
-
-      Measurement m;
-      m.backend = "ideal-hd";
-      m.mode = "prefilter@" + oms::util::Table::fmt(keep, 4);
-      m.references = n_refs;
-      m.queries = batch.size();
-      m.seconds = secs;
-      m.queries_per_sec = static_cast<double>(batch.size()) / secs;
-      m.stats = audited->stats();
-      std::size_t top1 = 0;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!exact_hits[i].empty() && !hits[i].empty() &&
-            hits[i][0].reference_index == exact_hits[i][0].reference_index) {
-          ++top1;
-        }
-      }
-      m.top1_recall = static_cast<double>(top1) /
-                      static_cast<double>(std::max<std::size_t>(1, batch.size()));
-      results.push_back(m);
-
-      ptable.add_row({oms::util::Table::fmt(keep, 4),
-                      oms::util::Table::fmt(m.queries_per_sec, 1),
-                      oms::util::Table::fmt(m.stats.scanned_fraction(), 3),
-                      oms::util::Table::fmt(m.stats.prefilter_recall(), 3),
-                      oms::util::Table::fmt(m.top1_recall, 3)});
-    }
-    const BackendStats es = exact_backend->stats();
-    std::printf("ANN prefilter (ideal-hd, kernel=%s, contiguous=%s, "
-                "exact baseline %.1f q/s):\n%s\n",
-                es.kernel.c_str(), es.contiguous_refs ? "yes" : "no",
-                results.size() >= 4
-                    ? results[1].queries_per_sec  // ideal-hd batched row
-                    : 0.0,
-                ptable.str().c_str());
-  }
 
   write_json(out_path, results, dim, k);
   std::printf("wrote %s\n", out_path.c_str());
@@ -436,11 +357,6 @@ int main(int argc, char** argv) {
       "rram-circuit has no batched path (stateful analog arrays) and is\n"
       "run at reduced scale. In the intra-block table, parallel-shards\n"
       "beats sequential-shards on wall clock with identical counters —\n"
-      "the merge reads the same per-shard buffers either way.\n"
-      "The prefilter rows trade recall for scanned fraction; at small\n"
-      "reference counts the per-query sketch pass can cost more than the\n"
-      "batched SIMD exact sweep saves — its regime is wide open-search\n"
-      "windows over large libraries, where scanned fraction bounds the\n"
-      "exact-sweep traffic.\n");
+      "the merge reads the same per-shard buffers either way.\n");
   return 0;
 }

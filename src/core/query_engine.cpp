@@ -660,8 +660,6 @@ struct QueryEngine::Impl {
           be_shard_entries(r.gauge("backend.shard_entries")),
           be_query_blocks(r.gauge("backend.query_blocks")),
           be_batched_queries(r.gauge("backend.batched_queries")),
-          be_scanned_fraction(r.gauge("backend.scanned_fraction")),
-          be_prefilter_recall(r.gauge("backend.prefilter_recall")),
           be_name(r.info("backend.name")),
           be_kernel(r.info("backend.kernel")) {}
     obs::Counter& submitted;
@@ -687,8 +685,6 @@ struct QueryEngine::Impl {
     obs::Gauge& be_shard_entries;
     obs::Gauge& be_query_blocks;
     obs::Gauge& be_batched_queries;
-    obs::Gauge& be_scanned_fraction;
-    obs::Gauge& be_prefilter_recall;
     obs::Info& be_name;
     obs::Info& be_kernel;
   };
@@ -721,8 +717,6 @@ struct QueryEngine::Impl {
     obs->be_shard_entries.set(static_cast<double>(s.shard_entries));
     obs->be_query_blocks.set(static_cast<double>(s.query_blocks));
     obs->be_batched_queries.set(static_cast<double>(s.batched_queries));
-    obs->be_scanned_fraction.set(s.scanned_fraction());
-    obs->be_prefilter_recall.set(s.prefilter_recall());
   }
 
   /// Admission-entry time by searched index, for the Rolling-path

@@ -25,13 +25,6 @@ BackendStats& BackendStats::operator+=(const BackendStats& other) {
   shard_entries += other.shard_entries;
   query_blocks += other.query_blocks;
   batched_queries += other.batched_queries;
-  prefilter_candidates += other.prefilter_candidates;
-  prefilter_scanned += other.prefilter_scanned;
-  prefilter_windows_pruned += other.prefilter_windows_pruned;
-  prefilter_windows_bypassed += other.prefilter_windows_bypassed;
-  prefilter_audited_queries += other.prefilter_audited_queries;
-  prefilter_audit_matched += other.prefilter_audit_matched;
-  prefilter_audit_expected += other.prefilter_audit_expected;
   return *this;
 }
 
@@ -44,19 +37,6 @@ BackendStats BackendStats::since(const BackendStats& before) const {
   d.shard_entries = delta(shard_entries, before.shard_entries);
   d.query_blocks = delta(query_blocks, before.query_blocks);
   d.batched_queries = delta(batched_queries, before.batched_queries);
-  d.prefilter_candidates =
-      delta(prefilter_candidates, before.prefilter_candidates);
-  d.prefilter_scanned = delta(prefilter_scanned, before.prefilter_scanned);
-  d.prefilter_windows_pruned =
-      delta(prefilter_windows_pruned, before.prefilter_windows_pruned);
-  d.prefilter_windows_bypassed =
-      delta(prefilter_windows_bypassed, before.prefilter_windows_bypassed);
-  d.prefilter_audited_queries =
-      delta(prefilter_audited_queries, before.prefilter_audited_queries);
-  d.prefilter_audit_matched =
-      delta(prefilter_audit_matched, before.prefilter_audit_matched);
-  d.prefilter_audit_expected =
-      delta(prefilter_audit_expected, before.prefilter_audit_expected);
   return d;
 }
 
@@ -125,52 +105,18 @@ struct BlockCounters {
   }
 };
 
-/// Atomic aggregation of the per-call hd::PrefilterCounters the prefiltered
-/// search paths report (concurrent blocks accumulate without locking).
-struct PrefilterAtomicCounters {
-  std::atomic<std::uint64_t> candidates{0};
-  std::atomic<std::uint64_t> scanned{0};
-  std::atomic<std::uint64_t> pruned{0};
-  std::atomic<std::uint64_t> bypassed{0};
-  std::atomic<std::uint64_t> audited{0};
-  std::atomic<std::uint64_t> matched{0};
-  std::atomic<std::uint64_t> expected{0};
-
-  void add(const hd::PrefilterCounters& c) {
-    candidates.fetch_add(c.window_candidates, std::memory_order_relaxed);
-    scanned.fetch_add(c.scanned, std::memory_order_relaxed);
-    pruned.fetch_add(c.windows_pruned, std::memory_order_relaxed);
-    bypassed.fetch_add(c.windows_bypassed, std::memory_order_relaxed);
-    audited.fetch_add(c.audited_queries, std::memory_order_relaxed);
-    matched.fetch_add(c.audit_matched, std::memory_order_relaxed);
-    expected.fetch_add(c.audit_expected, std::memory_order_relaxed);
-  }
-
-  void fill(BackendStats& s) const {
-    s.prefilter_candidates = candidates.load(std::memory_order_relaxed);
-    s.prefilter_scanned = scanned.load(std::memory_order_relaxed);
-    s.prefilter_windows_pruned = pruned.load(std::memory_order_relaxed);
-    s.prefilter_windows_bypassed = bypassed.load(std::memory_order_relaxed);
-    s.prefilter_audited_queries = audited.load(std::memory_order_relaxed);
-    s.prefilter_audit_matched = matched.load(std::memory_order_relaxed);
-    s.prefilter_audit_expected = expected.load(std::memory_order_relaxed);
-  }
-};
-
 /// Exact digital Hamming search — hd::top_k_search behind the seam. At
 /// construction the references are coalesced into a piecewise hd::RefView
 /// (one extent for the mmap'd monolithic LibraryIndex layout, a few per
 /// segmented library, one per row for scattered heap BitVecs); every
-/// sweep — per-query, batched, prefiltered — runs over that view with
-/// global indices. The optional candidate prefilter (opts.prefilter)
-/// prunes windows first.
+/// sweep — per-query and batched — runs over that view with global
+/// indices and scores every candidate of the window.
 class IdealHdBackend final : public SearchBackend {
  public:
   IdealHdBackend(std::span<const util::BitVec> references,
-                 std::size_t query_block, const hd::PrefilterConfig& prefilter)
+                 std::size_t query_block)
       : view_(hd::RefView::from_span(references)),
-        query_block_(query_block),
-        prefilter_(prefilter) {}
+        query_block_(query_block) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "ideal-hd";
@@ -178,14 +124,7 @@ class IdealHdBackend final : public SearchBackend {
 
   [[nodiscard]] std::vector<hd::SearchHit> top_k(
       const util::BitVec& query, std::size_t first, std::size_t last,
-      std::size_t k, std::uint64_t stream) override {
-    if (prefilter_.enabled) {
-      hd::PrefilterCounters local;
-      auto hits = hd::top_k_search_prefiltered(query, view_, first, last, k,
-                                               prefilter_, stream, &local);
-      prefilter_counters_.add(local);
-      return hits;
-    }
+      std::size_t k, std::uint64_t /*stream*/) override {
     return hd::top_k_search(query, view_, first, last, k);
   }
 
@@ -193,13 +132,6 @@ class IdealHdBackend final : public SearchBackend {
       std::span<const Query> queries, std::size_t k) override {
     auto out = run_blocked(queries, query_block_,
                            [&](std::span<const Query> sub) {
-                             if (prefilter_.enabled) {
-                               hd::PrefilterCounters local;
-                               auto hits = hd::top_k_search_batch_prefiltered(
-                                   sub, view_, k, prefilter_, &local);
-                               prefilter_counters_.add(local);
-                               return hits;
-                             }
                              return hd::top_k_search_batch(sub, view_, k);
                            });
     counters_.count(queries.size(), query_block_);
@@ -214,16 +146,13 @@ class IdealHdBackend final : public SearchBackend {
     s.contiguous_refs = view_.contiguous();
     s.extent_count = view_.extent_count();
     counters_.fill(s);
-    prefilter_counters_.fill(s);
     return s;
   }
 
  private:
   hd::RefView view_;  ///< Piecewise layout of the references.
   std::size_t query_block_;
-  hd::PrefilterConfig prefilter_;
   BlockCounters counters_;
-  PrefilterAtomicCounters prefilter_counters_;
 };
 
 /// One in-memory-compute engine (statistical or circuit fidelity).
@@ -352,7 +281,7 @@ BackendRegistry::BackendRegistry() {
   factories_["ideal-hd"] = {[](std::span<const util::BitVec> refs,
                                const BackendOptions& opts) {
                               return std::make_unique<IdealHdBackend>(
-                                  refs, opts.query_block, opts.prefilter);
+                                  refs, opts.query_block);
                             },
                             /*imc_encoding=*/nullptr};
   factories_["rram-statistical"] = {

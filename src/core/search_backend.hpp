@@ -19,9 +19,8 @@
 //                       latest snapshot into `backend.*` gauges of an
 //                       obs::MetricsRegistry after every searched block
 //                       (obs/metrics.hpp), which is how a live server's
-//                       STATS verb sees phases/shard-entries/scanned
-//                       fraction without any backend code knowing about
-//                       metrics.
+//                       STATS verb sees phases/shard-entries/query blocks
+//                       without any backend code knowing about metrics.
 //   * SearchBackend   — the interface: `top_k` for one query, `search_batch`
 //                       for many (default fans out over the global thread
 //                       pool; backends may override with a genuinely batched
@@ -54,15 +53,13 @@
 // piecewise hd::RefView seam: at construction the span is coalesced into
 // maximal contiguous extents (RefView::from_span — a mapped monolithic
 // block is one extent, a segmented library one extent per run of
-// same-segment rows), and every sweep — per-query, batched, prefiltered —
-// runs per extent with global reference indices.
-// BackendStats::kernel / contiguous_refs / extent_count report which
-// layout a run swept. The optional ANN candidate prefilter
-// (BackendOptions::prefilter) prunes each precursor window before the
-// exact sweep; see hd/search.hpp. In the serve layer, serve::Maintainer
-// (serve/maintainer.hpp) watches segmented manifests and compacts them in
-// the background, so fragmented views trend back to one extent without
-// any request-path work.
+// same-segment rows), and every sweep — per-query and batched — runs per
+// extent with global reference indices, scoring every candidate of the
+// precursor window exactly. BackendStats::kernel / contiguous_refs /
+// extent_count report which layout a run swept. In the serve layer,
+// serve::Maintainer (serve/maintainer.hpp) watches segmented manifests and
+// compacts them in the background, so fragmented views trend back to one
+// extent without any request-path work.
 //
 // Multi-tenant serving seam (src/serve/): backends reporting
 // thread_safe() == true may be *shared* across concurrent sessions —
@@ -155,23 +152,6 @@ struct BackendStats {
   /// >1 = segmented/fragmented but still block-swept, 0 = no references
   /// (or a substrate that never builds a view).
   std::size_t extent_count = 0;
-  /// ANN candidate-prefilter accounting ("ideal-hd" with
-  /// BackendOptions::prefilter enabled; all zero otherwise). Candidates
-  /// are window entries seen by the prefilter stage; scanned are the ones
-  /// exactly swept after pruning; the audit_* counters come from the
-  /// deterministic in-band recall audit (hd::PrefilterConfig).
-  std::uint64_t prefilter_candidates = 0;
-  std::uint64_t prefilter_scanned = 0;
-  /// Auto-disable visibility: windows the sketch pass actually pruned vs
-  /// windows swept exactly despite the prefilter being enabled (under
-  /// PrefilterConfig::min_window, or shortlist >= window). Bypassed
-  /// windows count their candidates as scanned, keeping
-  /// scanned_fraction() honest when small windows dominate.
-  std::uint64_t prefilter_windows_pruned = 0;
-  std::uint64_t prefilter_windows_bypassed = 0;
-  std::uint64_t prefilter_audited_queries = 0;
-  std::uint64_t prefilter_audit_matched = 0;
-  std::uint64_t prefilter_audit_expected = 0;
 
   /// Mean queries amortized per batched block (0 before any batched call).
   [[nodiscard]] double queries_per_block() const noexcept {
@@ -180,29 +160,10 @@ struct BackendStats {
                                    static_cast<double>(query_blocks);
   }
 
-  /// Fraction of window candidates exactly swept: 1.0 with the prefilter
-  /// off (every candidate is scanned), < 1.0 when pruning is active.
-  [[nodiscard]] double scanned_fraction() const noexcept {
-    return prefilter_candidates == 0
-               ? 1.0
-               : static_cast<double>(prefilter_scanned) /
-                     static_cast<double>(prefilter_candidates);
-  }
-
-  /// Audited recall of the prefiltered top-k vs the exact top-k: exactly
-  /// 1.0 when pruning is off (the sweeps are exact by construction), and
-  /// the measured ratio once audit samples exist.
-  [[nodiscard]] double prefilter_recall() const noexcept {
-    return prefilter_audit_expected == 0
-               ? 1.0
-               : static_cast<double>(prefilter_audit_matched) /
-                     static_cast<double>(prefilter_audit_expected);
-  }
-
   /// Accumulates `other`'s exact counters into this (phases, shard
-  /// entries, blocks, batched queries, prefilter_*). Identity fields —
-  /// backend name, references, shards, sigma, gain, kernel,
-  /// contiguous_refs — are adopted from `other` when this snapshot is
+  /// entries, blocks, batched queries). Identity fields — backend name,
+  /// references, shards, sigma, gain, kernel, contiguous_refs,
+  /// extent_count — are adopted from `other` when this snapshot is
   /// still default-constructed, and kept otherwise. Because the counters
   /// are exact and scheduling-independent, stage-serial per-window deltas
   /// (see since()) compose back to the synchronous run's totals — the
@@ -223,7 +184,9 @@ struct BackendStats {
 
 /// Options consumed by the built-in backend factories. Unknown/irrelevant
 /// fields are ignored by backends that do not need them, so one options
-/// struct can configure any registered name.
+/// struct can configure any registered name. A field that changes results
+/// must also be hashed by serve::backend_config_hash, or sessions differing
+/// only in it would share one cached backend.
 struct BackendOptions {
   rram::ArrayConfig array{};           ///< Device model (rram-*, sharded).
   std::size_t activated_pairs = 64;    ///< Differential pairs per phase.
@@ -252,12 +215,6 @@ struct BackendOptions {
   /// util::ThreadPool::global(). Tests inject small pools to pin the
   /// worker count.
   util::ThreadPool* shard_pool = nullptr;
-  /// "ideal-hd" only: opt-in ANN-style candidate prefilter ahead of the
-  /// exact sweep (hd::PrefilterConfig; disabled by default). Approximate
-  /// when enabled — the scanned fraction and audited recall surface in
-  /// BackendStats — so the exactness-dependent equivalence suites must
-  /// leave it off.
-  hd::PrefilterConfig prefilter{};
 };
 
 /// Abstract search backend over an externally owned reference set (the

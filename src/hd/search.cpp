@@ -1,9 +1,6 @@
 #include "hd/search.hpp"
 
 #include <algorithm>
-#include <utility>
-
-#include "util/rng.hpp"
 
 namespace oms::hd {
 
@@ -182,144 +179,6 @@ SearchHit best_match(const util::BitVec& query,
     return SearchHit{};  // invalid: no candidate in range
   }
   return hits.front();
-}
-
-namespace {
-
-/// Row access over a piecewise view for the prefilter passes. Both (the
-/// sketch scan and the shortlist sweep) visit rows in ascending global
-/// order, so the extent cursor advances amortized O(1) instead of
-/// binary-searching per row.
-struct RowSource {
-  const RefView& view;
-  std::size_t cursor = 0;  ///< Extent hint for ascending access.
-
-  [[nodiscard]] const std::uint64_t* row(std::size_t i) noexcept {
-    const std::span<const RefExtent> extents = view.extents();
-    if (i < extents[cursor].base) cursor = view.extent_index(i);
-    while (i >= extents[cursor].base + extents[cursor].rows) ++cursor;
-    const RefExtent& e = extents[cursor];
-    return e.words + (i - e.base) * e.stride;
-  }
-};
-
-/// Deterministic audit pick: keyed on the query's stream id only, so
-/// results and counters are independent of scheduling and block shape.
-bool audit_this_query(const PrefilterConfig& cfg,
-                      std::uint64_t stream) noexcept {
-  if (cfg.audit_fraction <= 0.0) return false;
-  if (cfg.audit_fraction >= 1.0) return true;
-  constexpr std::uint64_t kScale = 1u << 20;
-  const std::uint64_t level =
-      util::hash_combine(0xA0D17'F117E5ULL, stream) % kScale;
-  return static_cast<double>(level) <
-         cfg.audit_fraction * static_cast<double>(kScale);
-}
-
-}  // namespace
-
-std::vector<SearchHit> top_k_search_prefiltered(
-    const util::BitVec& query, const RefView& references, std::size_t first,
-    std::size_t last, std::size_t k, const PrefilterConfig& cfg,
-    std::uint64_t stream, PrefilterCounters* counters) {
-  last = std::min(last, references.count());
-  first = std::min(first, last);
-  if (k == 0 || first >= last) return {};
-
-  RowSource rows{references};
-  const std::size_t window = last - first;
-  const std::size_t keep_target = std::max<std::size_t>(
-      cfg.min_keep,
-      static_cast<std::size_t>(cfg.keep_fraction * static_cast<double>(window)));
-
-  if (!cfg.enabled || window < cfg.min_window || keep_target >= window) {
-    // Pruning off, the window too small to be worth a sketch pass, or
-    // nothing to prune: the exact sweep, with the full window accounted
-    // as scanned — recall is 1.0 by construction.
-    if (counters != nullptr) {
-      counters->window_candidates += window;
-      counters->scanned += window;
-      counters->windows_bypassed += 1;
-    }
-    return top_k_search(query, references, first, last, k);
-  }
-
-  // Sketch pass: sampled-word Hamming over `sketch_words` evenly spaced
-  // words of each candidate. Distinct indices because sketch_words <=
-  // word_count; strictly increasing so the tie-break below is on the full
-  // (sketch score, candidate index) key.
-  const std::size_t nwords = query.word_count();
-  const std::size_t n_sample =
-      std::clamp<std::size_t>(cfg.sketch_words, 1, nwords);
-  std::vector<std::uint32_t> sample(n_sample);
-  for (std::size_t s = 0; s < n_sample; ++s) {
-    sample[s] = static_cast<std::uint32_t>((s * nwords) / n_sample);
-  }
-
-  const std::uint64_t* qwords = query.words().data();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> scored(window);
-  for (std::size_t i = first; i < last; ++i) {
-    const std::uint64_t* rwords = rows.row(i);
-    std::uint32_t sketch = 0;
-    for (const std::uint32_t w : sample) {
-      sketch += static_cast<std::uint32_t>(
-          std::popcount(qwords[w] ^ rwords[w]));
-    }
-    scored[i - first] = {sketch, static_cast<std::uint32_t>(i - first)};
-  }
-
-  // Shortlist the keep_target sketch-nearest candidates; ties broken by
-  // lower index so the shortlist (hence the result) is deterministic.
-  std::nth_element(scored.begin(), scored.begin() + keep_target, scored.end());
-  scored.resize(keep_target);
-  std::sort(scored.begin(), scored.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
-
-  // Exact sweep over the shortlist, ascending candidate index (the
-  // insert_top_k tie-break contract).
-  std::vector<SearchHit> hits;
-  const std::size_t dim = query.size();
-  for (const auto& [sketch, offset] : scored) {
-    const std::size_t i = first + offset;
-    const std::size_t ham = kernels::xor_popcount(qwords, rows.row(i), nwords);
-    insert_top_k(hits, make_hit(i, ham, dim), k);
-  }
-
-  if (counters != nullptr) {
-    counters->window_candidates += window;
-    counters->scanned += keep_target;
-    counters->windows_pruned += 1;
-    if (audit_this_query(cfg, stream)) {
-      // In-band recall measurement: sweep the full window exactly and
-      // count how much of the true top-k the shortlist preserved. The
-      // audited query still returns the prefiltered hits, so turning
-      // auditing on can never change a PSM.
-      const auto exact = top_k_search(query, references, first, last, k);
-      counters->audited_queries += 1;
-      counters->audit_expected += exact.size();
-      for (const SearchHit& e : exact) {
-        for (const SearchHit& h : hits) {
-          if (h.reference_index == e.reference_index) {
-            counters->audit_matched += 1;
-            break;
-          }
-        }
-      }
-    }
-  }
-  return hits;
-}
-
-std::vector<std::vector<SearchHit>> top_k_search_batch_prefiltered(
-    std::span<const BatchQuery> queries, const RefView& references,
-    std::size_t k, const PrefilterConfig& cfg, PrefilterCounters* counters) {
-  std::vector<std::vector<SearchHit>> out(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const BatchQuery& q = queries[i];
-    out[i] = top_k_search_prefiltered(*q.hv, references, q.first, q.last, k,
-                                      cfg, q.stream, counters);
-  }
-  return out;
 }
 
 }  // namespace oms::hd

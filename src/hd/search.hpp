@@ -22,14 +22,6 @@
 // in-process encodings (RefView::from_span) all go through the same
 // kernel. The span top_k_search and best_match are the scalar reference:
 // a plain per-BitVec loop the test suites compare every sweep against.
-//
-// ANN candidate prefilter (opt-in, off by default): before the exact sweep
-// of a precursor window, a cheap sampled-word Hamming sketch ranks the
-// window's candidates and only the best keep_fraction are exactly scored —
-// scan *less* instead of just scanning faster. Approximate by design, so
-// it never runs unless explicitly enabled (PrefilterConfig / the backend's
-// BackendOptions::prefilter); PrefilterCounters reports the scanned
-// fraction and a deterministic audit measures recall in-band.
 #pragma once
 
 #include <algorithm>
@@ -168,81 +160,5 @@ void for_each_query_segment(std::span<const BatchQuery> queries,
 [[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
     std::span<const BatchQuery> queries, const RefView& references,
     std::size_t k);
-
-/// Opt-in ANN-style candidate prefilter ahead of the exact sweep. With
-/// `enabled` false (the default) the prefiltered entry points are exactly
-/// the exact search — recall 1.0 by construction.
-struct PrefilterConfig {
-  bool enabled = false;
-  /// Fraction of each window's candidates shortlisted for the exact sweep
-  /// (>= 1.0 keeps everything, making the search exact again).
-  double keep_fraction = 0.125;
-  /// Windows at or below this candidate count are always swept exactly —
-  /// pruning tiny windows saves nothing and risks the top-k itself.
-  std::size_t min_keep = 64;
-  /// Windows with fewer candidates than this are swept exactly even when
-  /// the prefilter is enabled: the per-query sketch pass costs more than
-  /// the batched SIMD sweep saves on small windows, so pruning them is a
-  /// slowdown AND a recall risk. 512 is coherent with the defaults above
-  /// (min_keep 64 = 0.125 × 512 — below it the shortlist could not shrink
-  /// anyway). Bypassed windows are reported via
-  /// PrefilterCounters::windows_bypassed so scanned fractions stay honest.
-  std::size_t min_window = 512;
-  /// Words of each hypervector sampled (evenly spaced) into the sketch
-  /// score. 16 words = 1024 bits: a 1/8 sketch at the paper's D = 8k.
-  std::size_t sketch_words = 16;
-  /// Fraction of queries (chosen deterministically by stream key) whose
-  /// window is *also* swept exactly to measure recall in-band. Audited
-  /// queries still return the prefiltered result, so results never depend
-  /// on the audit rate; only the counters do.
-  double audit_fraction = 0.0;
-};
-
-/// Work and recall accounting for the prefiltered paths. Plain counters —
-/// callers running concurrently aggregate per-call instances.
-struct PrefilterCounters {
-  std::uint64_t window_candidates = 0;  ///< Candidates inside all windows.
-  std::uint64_t scanned = 0;            ///< Exactly swept after pruning.
-  /// Non-empty windows where the sketch pass ran and pruned candidates.
-  std::uint64_t windows_pruned = 0;
-  /// Non-empty windows swept exactly instead: prefilter disabled, window
-  /// under min_window, or shortlist no smaller than the window. Their
-  /// candidates count as scanned, so scanned fractions stay honest.
-  std::uint64_t windows_bypassed = 0;
-  std::uint64_t audited_queries = 0;
-  std::uint64_t audit_matched = 0;   ///< |prefiltered top-k ∩ exact top-k|.
-  std::uint64_t audit_expected = 0;  ///< Σ |exact top-k| over audits.
-
-  void accumulate(const PrefilterCounters& other) noexcept {
-    window_candidates += other.window_candidates;
-    scanned += other.scanned;
-    windows_pruned += other.windows_pruned;
-    windows_bypassed += other.windows_bypassed;
-    audited_queries += other.audited_queries;
-    audit_matched += other.audit_matched;
-    audit_expected += other.audit_expected;
-  }
-};
-
-/// Prefiltered single-query search: sketch-rank the window, exactly sweep
-/// the shortlist. Deterministic (sketch ties break by lower index) but
-/// approximate when pruning is active; bit-identical to top_k_search when
-/// cfg.enabled is false or the shortlist covers the window. `stream` keys
-/// the audit choice only — never the result. The sketch pass and the
-/// shortlist sweep both visit rows in ascending global order, walking the
-/// view's extents with an amortized-O(1) cursor.
-[[nodiscard]] std::vector<SearchHit> top_k_search_prefiltered(
-    const util::BitVec& query, const RefView& references, std::size_t first,
-    std::size_t last, std::size_t k, const PrefilterConfig& cfg,
-    std::uint64_t stream, PrefilterCounters* counters = nullptr);
-
-/// Batched prefiltered search: per-query pruning (candidate shortlists are
-/// scattered, so there is no shared reference-major segment sweep to
-/// amortize). result[i] is bit-identical to top_k_search_prefiltered on
-/// queries[i].
-[[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch_prefiltered(
-    std::span<const BatchQuery> queries, const RefView& references,
-    std::size_t k, const PrefilterConfig& cfg,
-    PrefilterCounters* counters = nullptr);
 
 }  // namespace oms::hd

@@ -327,8 +327,7 @@ TEST(BackendStatsComposition, MergeAccumulatesCountersAndAdoptsIdentity) {
   a.batched_queries = 7;
   a.kernel = "avx2";
   a.contiguous_refs = true;
-  a.prefilter_candidates = 20;
-  a.prefilter_scanned = 5;
+  a.extent_count = 3;
 
   BackendStats merged;
   merged += a;
@@ -341,10 +340,9 @@ TEST(BackendStatsComposition, MergeAccumulatesCountersAndAdoptsIdentity) {
   EXPECT_EQ(merged.shard_entries, 6U);
   EXPECT_EQ(merged.query_blocks, 4U);
   EXPECT_EQ(merged.batched_queries, 14U);
-  EXPECT_EQ(merged.prefilter_candidates, 40U);
-  EXPECT_EQ(merged.prefilter_scanned, 10U);
   EXPECT_EQ(merged.kernel, "avx2");
   EXPECT_TRUE(merged.contiguous_refs);
+  EXPECT_EQ(merged.extent_count, 3U);
   EXPECT_DOUBLE_EQ(merged.phase_sigma, 0.5);
   EXPECT_DOUBLE_EQ(merged.gain, 0.9);
 
@@ -372,16 +370,10 @@ TEST(BackendStatsComposition, SinceClampsCountersAndKeepsIdentity) {
 /// The composition law the engine's obs scrape relies on: a streaming
 /// consumer that snapshots stats at chunk boundaries and merges the
 /// since() deltas must arrive at exactly the counters of one synchronous
-/// run over the whole batch — for every registered backend, prefilter
-/// accounting included.
+/// run over the whole batch — for every registered backend.
 TEST(BackendStatsComposition, ChunkedDeltasMergeToSynchronousCounters) {
   BackendOptions sharded_opts = small_options();
   sharded_opts.max_refs_per_shard = 64;
-  BackendOptions prefilter_opts = small_options();
-  prefilter_opts.prefilter.enabled = true;
-  prefilter_opts.prefilter.keep_fraction = 0.25;
-  prefilter_opts.prefilter.min_keep = 8;
-  prefilter_opts.prefilter.audit_fraction = 1.0;
 
   struct Case {
     const char* name;
@@ -393,7 +385,6 @@ TEST(BackendStatsComposition, ChunkedDeltasMergeToSynchronousCounters) {
   };
   Case cases[] = {
       {"ideal-hd", small_options(), 256, 512, 48, 16},
-      {"ideal-hd", prefilter_opts, 256, 512, 48, 16},
       {"rram-statistical", small_options(), 256, 512, 48, 16},
       {"sharded", sharded_opts, 256, 512, 48, 16},
       // The circuit model walks every analog phase: keep it tiny.
@@ -409,8 +400,7 @@ TEST(BackendStatsComposition, ChunkedDeltasMergeToSynchronousCounters) {
       query_hvs[i].randomize(5000 + i);
       batch[i] = Query{&query_hvs[i], i % 5, c.n_refs - (i % 3), i};
     }
-    const std::string what =
-        std::string(c.name) + (c.opts.prefilter.enabled ? "+prefilter" : "");
+    const std::string what = c.name;
 
     // Both sides window from their post-construction baseline so any
     // calibration work at construction cancels out of the comparison.
@@ -437,19 +427,6 @@ TEST(BackendStatsComposition, ChunkedDeltasMergeToSynchronousCounters) {
     EXPECT_EQ(merged.shard_entries, sync.shard_entries) << what;
     EXPECT_EQ(merged.query_blocks, sync.query_blocks) << what;
     EXPECT_EQ(merged.batched_queries, sync.batched_queries) << what;
-    EXPECT_EQ(merged.prefilter_candidates, sync.prefilter_candidates) << what;
-    EXPECT_EQ(merged.prefilter_scanned, sync.prefilter_scanned) << what;
-    EXPECT_EQ(merged.prefilter_windows_pruned, sync.prefilter_windows_pruned)
-        << what;
-    EXPECT_EQ(merged.prefilter_windows_bypassed,
-              sync.prefilter_windows_bypassed)
-        << what;
-    EXPECT_EQ(merged.prefilter_audited_queries, sync.prefilter_audited_queries)
-        << what;
-    EXPECT_EQ(merged.prefilter_audit_matched, sync.prefilter_audit_matched)
-        << what;
-    EXPECT_EQ(merged.prefilter_audit_expected, sync.prefilter_audit_expected)
-        << what;
     EXPECT_EQ(merged.backend, sync.backend) << what;
     EXPECT_EQ(merged.references, sync.references) << what;
     EXPECT_EQ(merged.shards, sync.shards) << what;

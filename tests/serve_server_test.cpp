@@ -28,6 +28,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -345,6 +346,66 @@ TEST(LibraryCache, FingerprintHashIsValueBasedAcrossCodePaths) {
   other.injected_ber = 0.001;
   EXPECT_NE(serve::fingerprint_hash(other),
             serve::fingerprint_hash(from_cfg));
+}
+
+// Sessions that differ in any field shaping search results must never
+// share a donated backend: perturbing each one alone must move the key.
+TEST(LibraryCache, BackendConfigHashKeysEveryResultShapingField) {
+  const core::PipelineConfig base = serve_config("ideal-hd");
+  const std::uint64_t h0 = serve::backend_config_hash(base);
+
+  // Fields that cannot shape a backend keep the key: the empty name
+  // resolves to "ideal-hd", the pipeline replaces BackendOptions::seed
+  // with PipelineConfig::seed, and the sharded factory replaces
+  // chip.array with BackendOptions::array.
+  core::PipelineConfig same = base;
+  same.backend_name.clear();
+  same.backend_options.seed += 1;
+  same.backend_options.chip.array.rows *= 2;
+  EXPECT_EQ(serve::backend_config_hash(same), h0);
+
+  // Every other field, except the test-only shard_pool pointer.
+#define PERTURB(stmt) {#stmt, [](core::PipelineConfig& c) { stmt; }}
+  const std::pair<const char*, void (*)(core::PipelineConfig&)> fields[] = {
+      PERTURB(c.backend_name = "sharded"),
+      PERTURB(c.seed += 1),
+      PERTURB(c.backend_options.activated_pairs += 1),
+      PERTURB(c.backend_options.calibration_samples += 1),
+      PERTURB(c.backend_options.sharded_fidelity = accel::Fidelity::kIdeal),
+      PERTURB(c.backend_options.chip.array_count += 1),
+      PERTURB(c.backend_options.max_refs_per_shard += 1),
+      PERTURB(c.backend_options.query_block += 1),
+      PERTURB(c.backend_options.parallel_shards =
+                  !c.backend_options.parallel_shards),
+      PERTURB(c.backend_options.array.rows += 2),
+      PERTURB(c.backend_options.array.cols += 2),
+      PERTURB(c.backend_options.array.adc_bits += 1),
+      PERTURB(c.backend_options.array.v_pulse += 0.1),
+      PERTURB(c.backend_options.array.ir_alpha += 0.01),
+      PERTURB(c.backend_options.array.sense_sigma += 0.001),
+      PERTURB(c.backend_options.array.wire_sigma += 0.001),
+      PERTURB(c.backend_options.array.read_time_s += 1.0),
+      PERTURB(c.backend_options.array.read_disturb_us += 0.1),
+      PERTURB(c.backend_options.array.cell.levels = 4),
+      PERTURB(c.backend_options.array.cell.g_min_us += 0.5),
+      PERTURB(c.backend_options.array.cell.g_max_us += 0.5),
+      PERTURB(c.backend_options.array.cell.sigma_program_us += 0.1),
+      PERTURB(c.backend_options.array.cell.relax_sigma_us += 0.01),
+      PERTURB(c.backend_options.array.cell.relax_tau_s += 1.0),
+      PERTURB(c.backend_options.array.cell.drift_frac += 0.001),
+      PERTURB(c.backend_options.array.cell.mid_state_factor += 0.5),
+      PERTURB(c.backend_options.array.cell.tail_prob_per_ln += 0.001),
+      PERTURB(c.backend_options.array.cell.tail_sigma_us += 0.5),
+      PERTURB(c.backend_options.array.cell.common_mode_fraction -= 0.05),
+      PERTURB(c.backend_options.array.cell.write_verify_iterations += 1),
+      PERTURB(c.backend_options.array.cell.verify_tolerance_us += 0.1),
+  };
+#undef PERTURB
+  for (const auto& [field, perturb] : fields) {
+    core::PipelineConfig cfg = base;
+    perturb(cfg);
+    EXPECT_NE(serve::backend_config_hash(cfg), h0) << field;
+  }
 }
 
 TEST(LibraryCache, DonateAfterEvictionIsACleanNoOp) {
