@@ -5,7 +5,9 @@
 // performance model (bench/fig12_energy) abstracts.
 //
 // Besides the google-benchmark loops, a hand-rolled section measures the
-// contiguous-block Hamming sweep per (dimension × tier) and the ID-Level
+// contiguous-block Hamming sweep per (dimension × tier), the multi-query
+// group sweep per (tier × group size: ns per query-reference pair over
+// L2-resident chunks, the "sweep_group" rows) and the ID-Level
 // encoder per tier (µs per 50-peak spectrum at D = 8192, and the packed ID
 // bytes each peak reads), verifies every tier is bit-identical to the
 // scalar reference — for encode, a plain int32 evaluation of Eq. 1 over
@@ -207,8 +209,8 @@ KernelPoint measure_sweep(std::size_t dim, Tier tier, const RefExtent& block,
   double best = 1e300;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const double t0 = now_s();
-    kernels::hamming_sweep_tier(tier, qwords, block, wc, 0, block.rows,
-                                dist.data());
+    kernels::hamming_sweep_tier(tier, {&qwords, 1}, block, wc, 0, block.rows,
+                                dist.data(), block.rows);
     const double t1 = now_s();
     benchmark::DoNotOptimize(dist.data());
     best = std::min(best, t1 - t0);
@@ -223,6 +225,79 @@ KernelPoint measure_sweep(std::size_t dim, Tier tier, const RefExtent& block,
                        static_cast<double>(wc) * 8.0;
   p.gib_per_s = bytes / best / (1024.0 * 1024.0 * 1024.0);
   return p;
+}
+
+struct GroupPoint {
+  std::string tier;
+  std::size_t group = 1;       ///< Queries per sweep call.
+  double ns_per_pair = 0.0;    ///< Per (query, reference) distance.
+  double speedup_vs_single = 1.0;  ///< Against group 1 on the same tier.
+  bool identical = true;  ///< Distances == scalar single-query counts.
+};
+
+/// The batched-search access pattern at D = 8192: kQueries queries swept
+/// chunk by chunk (kernels::sweep_chunk_rows, L2-resident) over one
+/// contiguous block, `group` queries per hamming_sweep_tier call, every
+/// distance written straight into a queries x rows matrix (out_stride =
+/// rows, wider than any chunk). Best of `reps` passes per tier and group
+/// size; every distance is checked against the scalar pair kernel.
+std::vector<GroupPoint> measure_sweep_groups(std::size_t reps) {
+  constexpr std::size_t kDim = 8192;
+  constexpr std::size_t kWords = kDim / 64;
+  constexpr std::size_t kRows = 2048;
+  constexpr std::size_t kQueries = 48;  // whole groups of 1, 2, 3 and 4
+  oms::util::SplitMix64 sm(0x6E0C4);
+  std::vector<std::uint64_t> block(kRows * kWords);
+  for (auto& w : block) w = sm.next();
+  std::vector<std::uint64_t> qwords(kQueries * kWords);
+  for (auto& w : qwords) w = sm.next();
+  const RefExtent extent{block.data(), kWords, kRows, 0};
+  std::vector<const std::uint64_t*> queries;
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    queries.push_back(qwords.data() + q * kWords);
+  }
+  std::vector<std::uint32_t> expected(kQueries * kRows);
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    for (std::size_t i = 0; i < kRows; ++i) {
+      expected[q * kRows + i] =
+          static_cast<std::uint32_t>(kernels::xor_popcount_tier(
+              Tier::kScalar, queries[q], block.data() + i * kWords, kWords));
+    }
+  }
+
+  const std::size_t chunk = kernels::sweep_chunk_rows(kWords);
+  std::vector<GroupPoint> points;
+  for (const Tier tier : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
+    if (tier > kernels::best_supported()) continue;
+    double single_ns = 0.0;
+    for (std::size_t group = 1; group <= kernels::kSweepGroup; ++group) {
+      std::vector<std::uint32_t> dist(kQueries * kRows, 0xFFFFFFFFU);
+      double best = 1e300;
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        const double t0 = now_s();
+        for (std::size_t c0 = 0; c0 < kRows; c0 += chunk) {
+          const std::size_t c1 = std::min(kRows, c0 + chunk);
+          for (std::size_t q0 = 0; q0 < kQueries; q0 += group) {
+            kernels::hamming_sweep_tier(
+                tier, {queries.data() + q0, std::min(group, kQueries - q0)},
+                extent, kWords, c0, c1, dist.data() + q0 * kRows + c0, kRows);
+          }
+        }
+        best = std::min(best, now_s() - t0);
+        benchmark::DoNotOptimize(dist.data());
+        benchmark::ClobberMemory();
+      }
+      GroupPoint p;
+      p.tier = std::string(kernels::tier_name(tier));
+      p.group = group;
+      p.ns_per_pair = best * 1e9 / static_cast<double>(kQueries * kRows);
+      if (group == 1) single_ns = p.ns_per_pair;
+      p.speedup_vs_single = single_ns / p.ns_per_pair;
+      p.identical = dist == expected;
+      points.push_back(std::move(p));
+    }
+  }
+  return points;
 }
 
 struct EncodePoint {
@@ -498,8 +573,9 @@ int run_kernel_sweeps(const std::string& out_path) {
 
     // Scalar counts are the shared reference for timing *and* identity.
     std::vector<std::uint32_t> expected(s.rows);
-    kernels::hamming_sweep_tier(Tier::kScalar, qwords.data(), extent, wc, 0,
-                                s.rows, expected.data());
+    const std::uint64_t* query = qwords.data();
+    kernels::hamming_sweep_tier(Tier::kScalar, {&query, 1}, extent, wc, 0,
+                                s.rows, expected.data(), s.rows);
 
     double scalar_ns = 0.0;
     for (const Tier tier : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
@@ -515,6 +591,17 @@ int run_kernel_sweeps(const std::string& out_path) {
                   p.identical ? "" : "  !! MISMATCH vs scalar");
       points.push_back(std::move(p));
     }
+  }
+
+  std::printf("\nMulti-query sweep, D=8192, L2-resident chunks, best of %zu "
+              "passes:\n",
+              reps);
+  const std::vector<GroupPoint> group_points = measure_sweep_groups(reps);
+  for (const GroupPoint& p : group_points) {
+    all_identical = all_identical && p.identical;
+    std::printf("  %-7s group %zu %9.2f ns/pair  %5.2fx vs group 1%s\n",
+                p.tier.c_str(), p.group, p.ns_per_pair, p.speedup_vs_single,
+                p.identical ? "" : "  !! MISMATCH vs scalar");
   }
 
   std::printf("\nID-Level encode, D=8192, 50 peaks, best of %zu passes:\n",
@@ -558,6 +645,16 @@ int run_kernel_sweeps(const std::string& out_path) {
         << ", \"speedup_vs_scalar\": " << p.speedup_vs_scalar
         << ", \"identical\": " << (p.identical ? "true" : "false") << "}"
         << (i + 1 < points.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"sweep_group\": [\n";
+  for (std::size_t i = 0; i < group_points.size(); ++i) {
+    const GroupPoint& p = group_points[i];
+    out << "    {\"dim\": 8192, \"tier\": \"" << p.tier
+        << "\", \"group\": " << p.group
+        << ", \"ns_per_pair\": " << p.ns_per_pair
+        << ", \"speedup_vs_single\": " << p.speedup_vs_single
+        << ", \"identical\": " << (p.identical ? "true" : "false") << "}"
+        << (i + 1 < group_points.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"encode\": [\n";
   for (std::size_t i = 0; i < encode_points.size(); ++i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/rng.hpp"
@@ -165,7 +166,18 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
         "keyed search is not available in circuit fidelity");
   }
   std::vector<std::vector<hd::SearchHit>> out(queries.size());
-  if (k == 0 || queries.empty() || !view_.valid()) return out;
+  if (queries.empty() || !view_.valid()) return out;
+  for (const hd::BatchQuery& q : queries) {
+    // The sweep reads word_count() words of every query and scales its dot
+    // by the query's own size: a query of another dimension is refused.
+    if (q.hv->size() != view_.dim()) {
+      throw std::invalid_argument(
+          "ImcSearchEngine::search_many: query dimension " +
+          std::to_string(q.hv->size()) + " differs from the library dimension " +
+          std::to_string(view_.dim()));
+    }
+  }
+  if (k == 0) return out;
 
   std::vector<hd::BatchQuery> clipped(queries.begin(), queries.end());
   for (hd::BatchQuery& q : clipped) {
@@ -198,10 +210,38 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
                 util::kCounterNormalMax * phase_sigma_ * sqrt_phases};
   }
 
+  // Scores one query's distances dist[0..n) to the candidates at global
+  // indices base, base + 1, ... into its hits.
+  const auto score = [&](const Slot& q, const std::uint32_t* dist,
+                         std::size_t n, std::size_t base,
+                         std::vector<hd::SearchHit>& hits) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t i = base + j;
+      const double exact = q.dim - 2.0 * dist[j];
+      double d = exact;
+      if (noisy) {
+        // Exact pruning: d <= gain * exact + margin =: u and
+        // llround(d) <= d + 0.5, so once the list is full a candidate with
+        // u + 1 <= the k-th best dot rounds to less than that dot, and
+        // insert_top_k (dot desc, index asc) would reject it under any
+        // draw. Skip the draw.
+        if (hits.size() == k && gain_ * exact + q.margin + 1.0 <=
+                                    static_cast<double>(hits.back().dot)) {
+          continue;
+        }
+        const double z = util::counter_normal(q.key, i + cfg_.index_offset);
+        d = gain_ * exact + z * phase_sigma_ * q.sqrt_phases;
+      }
+      const auto dot_int = static_cast<std::int64_t>(std::llround(d));
+      hd::insert_top_k(hits, hd::SearchHit{i, dot_int, (d / q.dim + 1.0) / 2.0},
+                       k);
+    }
+  };
+
+  constexpr std::size_t kGroup = hd::kernels::kSweepGroup;
   const hd::kernels::Tier tier = hd::kernels::active_tier();
   const std::size_t wc = view_.word_count();
-  const std::size_t chunk = hd::kernels::sweep_chunk_rows(wc);
-  std::vector<std::uint32_t> dist(chunk);
+  std::vector<std::uint32_t> dist;
   std::uint64_t phases = 0;
   hd::for_each_query_segment(
       clipped, [&](std::size_t lo, std::size_t hi,
@@ -214,43 +254,29 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
           phases += phases_per_query(*clipped[active.front()].hv) * (hi - lo);
         }
         // Per extent, chunked so a run of reference rows stays
-        // cache-resident while every active query is scored against it;
-        // candidates still ascend per query (the insert_top_k tie-break
-        // contract).
+        // cache-resident while every active query is scored against it,
+        // kSweepGroup queries per register-tiled sweep; candidates still
+        // ascend per query (the insert_top_k tie-break contract).
         view_.for_each_extent(lo, hi, [&](const hd::RefExtent& ext,
                                           std::size_t lfirst,
                                           std::size_t llast) {
+          const std::size_t chunk = hd::kernels::sweep_chunk_rows(ext.stride);
+          const std::size_t rows = std::min(chunk, llast - lfirst);
+          if (dist.size() < kGroup * rows) dist.resize(kGroup * rows);
           for (std::size_t c0 = lfirst; c0 < llast; c0 += chunk) {
             const std::size_t c1 = std::min(llast, c0 + chunk);
-            for (const std::size_t s : active) {
-              const Slot& q = slots[s];
-              std::vector<hd::SearchHit>& hits = out[s];
-              hd::kernels::hamming_sweep_tier(tier, q.words, ext, wc, c0, c1,
-                                              dist.data());
-              for (std::size_t j = 0; j < c1 - c0; ++j) {
-                const std::size_t i = ext.base + c0 + j;
-                const double exact = q.dim - 2.0 * dist[j];
-                double d = exact;
-                if (noisy) {
-                  // Exact pruning: d <= gain * exact + margin =: u and
-                  // llround(d) <= d + 0.5, so once the list is full a
-                  // candidate with u + 1 <= the k-th best dot rounds to
-                  // less than that dot, and insert_top_k (dot desc, index
-                  // asc) would reject it under any draw. Skip the draw.
-                  if (hits.size() == k &&
-                      gain_ * exact + q.margin + 1.0 <=
-                          static_cast<double>(hits.back().dot)) {
-                    continue;
-                  }
-                  const double z =
-                      util::counter_normal(q.key, i + cfg_.index_offset);
-                  d = gain_ * exact + z * phase_sigma_ * q.sqrt_phases;
-                }
-                const auto dot_int =
-                    static_cast<std::int64_t>(std::llround(d));
-                hd::insert_top_k(
-                    hits, hd::SearchHit{i, dot_int, (d / q.dim + 1.0) / 2.0},
-                    k);
+            for (std::size_t g0 = 0; g0 < active.size(); g0 += kGroup) {
+              const std::size_t n = std::min(kGroup, active.size() - g0);
+              const std::uint64_t* group[kGroup];
+              for (std::size_t g = 0; g < n; ++g) {
+                group[g] = slots[active[g0 + g]].words;
+              }
+              hd::kernels::hamming_sweep_tier(tier, {group, n}, ext, wc, c0,
+                                              c1, dist.data(), rows);
+              for (std::size_t g = 0; g < n; ++g) {
+                const std::size_t s = active[g0 + g];
+                score(slots[s], dist.data() + g * rows, c1 - c0,
+                      ext.base + c0, out[s]);
               }
             }
           }

@@ -103,11 +103,14 @@ class ImcSearchEngine {
   /// — keyed noise depends on (seed, stream, global reference index), not
   /// on block composition.
   ///
-  /// Exact dots come from the dispatched XOR-popcount sweep. Once a
+  /// Exact dots come from the dispatched register-tiled XOR-popcount
+  /// sweep, hd::kernels::kSweepGroup active queries per row load. Once a
   /// query's list holds k hits, a candidate whose score cannot reach the
   /// k-th best under any draw (|z| <= util::kCounterNormalMax) skips its
   /// noise draw; the hits are those of scoring every candidate with
-  /// dot_keyed, and phases_executed still counts every candidate.
+  /// dot_keyed, and phases_executed still counts every candidate. Throws
+  /// std::invalid_argument, naming both, when a query's dimension is not
+  /// the references'.
   [[nodiscard]] std::vector<std::vector<hd::SearchHit>> search_many(
       std::span<const hd::BatchQuery> queries, std::size_t k) const;
 

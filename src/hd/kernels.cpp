@@ -75,6 +75,31 @@ std::size_t xor_popcount_scalar(const std::uint64_t* a, const std::uint64_t* b,
   return util::xor_popcount(a, b, n);
 }
 
+// --- Multi-query Hamming sweep -------------------------------------------
+//
+// Every tier scores a group of NQ <= kSweepGroup queries per reference
+// load. The SIMD tiers hold an NQ x NR tile of popcount accumulators in
+// registers — NR rows of the extent at once — so each vector of a row is
+// loaded once for NQ queries and each query vector once for NR rows; rows
+// past the last full tile go through the NQ x 1 tile. Each SIMD tier's
+// entry point switches on the group size once per call, so the tiles are
+// fully unrolled for NQ = 1..4.
+
+/// The scalar tier scores the group row by row: each row (a few KiB at
+/// most) stays L1-resident while every query of the group reads it.
+void hamming_sweep_scalar(const std::uint64_t* const* queries, std::size_t n,
+                          const RefExtent& ext, std::size_t wc,
+                          std::size_t first, std::size_t last,
+                          std::uint32_t* out, std::size_t out_stride) noexcept {
+  for (std::size_t i = first; i < last; ++i) {
+    const std::uint64_t* row = ext.words + i * ext.stride;
+    for (std::size_t g = 0; g < n; ++g) {
+      out[g * out_stride + (i - first)] =
+          static_cast<std::uint32_t>(xor_popcount_scalar(queries[g], row, wc));
+    }
+  }
+}
+
 // --- ID-Level encoder ----------------------------------------------------
 //
 // Every tier walks the hypervector one 64-component column block (one
@@ -237,9 +262,8 @@ void encode_scalar(const EncodeOperands& ops, std::uint64_t* bits,
 // split bytes into nibbles, look up per-nibble popcounts, and fold the byte
 // sums into four 64-bit lanes with vpsadbw every iteration (so byte
 // counters can never saturate).
-__attribute__((target("avx2"), always_inline)) inline std::size_t
-xor_popcount_avx2_impl(const std::uint64_t* a, const std::uint64_t* b,
-                       std::size_t n) noexcept {
+__attribute__((target("avx2"))) std::size_t xor_popcount_avx2(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) noexcept {
   const __m256i lut = _mm256_setr_epi8(
       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,  //
       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
@@ -266,24 +290,105 @@ xor_popcount_avx2_impl(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
-__attribute__((target("avx2"))) std::size_t xor_popcount_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) noexcept {
-  return xor_popcount_avx2_impl(a, b, n);
-}
-
-__attribute__((target("avx2"))) void hamming_sweep_avx2(
-    const std::uint64_t* query, const RefExtent& ext, std::size_t wc,
-    std::size_t first, std::size_t last, std::uint32_t* out) noexcept {
-  for (std::size_t i = first; i < last; ++i) {
-    out[i - first] = static_cast<std::uint32_t>(
-        xor_popcount_avx2_impl(query, ext.words + i * ext.stride, wc));
+/// One NQ x NR tile of the AVX2 sweep: out[g * out_stride + r] = distance
+/// of queries[g] to the row at rows + r * stride. Byte counts fold into
+/// 64-bit lanes (vpsadbw) every vector, as in xor_popcount_avx2; the
+/// sub-vector word tail goes through std::popcount.
+template <std::size_t NQ, std::size_t NR>
+__attribute__((target("avx2"), always_inline)) inline void sweep_tile_avx2(
+    const std::uint64_t* const* queries, const std::uint64_t* rows,
+    std::size_t stride, std::size_t wc, std::uint32_t* out,
+    std::size_t out_stride) noexcept {
+  const __m256i lut = _mm256_setr_epi8(
+      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,  //
+      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i low_mask = _mm256_set1_epi8(0x0f);
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i acc[NQ][NR];
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < NQ; ++g) {
+#pragma GCC unroll 2
+    for (std::size_t r = 0; r < NR; ++r) acc[g][r] = zero;
+  }
+  std::size_t w = 0;
+  for (; w + 4 <= wc; w += 4) {
+    __m256i row[NR];
+#pragma GCC unroll 2
+    for (std::size_t r = 0; r < NR; ++r) {
+      row[r] = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(rows + r * stride + w));
+    }
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < NQ; ++g) {
+      const __m256i q =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(queries[g] + w));
+#pragma GCC unroll 2
+      for (std::size_t r = 0; r < NR; ++r) {
+        const __m256i x = _mm256_xor_si256(q, row[r]);
+        const __m256i lo = _mm256_and_si256(x, low_mask);
+        const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(x, 4), low_mask);
+        const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
+                                            _mm256_shuffle_epi8(lut, hi));
+        acc[g][r] = _mm256_add_epi64(acc[g][r], _mm256_sad_epu8(cnt, zero));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < NQ; ++g) {
+#pragma GCC unroll 2
+    for (std::size_t r = 0; r < NR; ++r) {
+      alignas(32) std::uint64_t lanes[4];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc[g][r]);
+      std::uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+      for (std::size_t t = w; t < wc; ++t) {
+        total += static_cast<std::uint64_t>(
+            std::popcount(queries[g][t] ^ rows[r * stride + t]));
+      }
+      out[g * out_stride + r] = static_cast<std::uint32_t>(total);
+    }
   }
 }
 
-__attribute__((target("avx512f,avx512vpopcntdq"), always_inline)) inline std::
-    size_t
-    xor_popcount_avx512_impl(const std::uint64_t* a, const std::uint64_t* b,
-                             std::size_t n) noexcept {
+template <std::size_t NQ>
+__attribute__((target("avx2"), always_inline)) inline void sweep_group_avx2(
+    const std::uint64_t* const* queries, const RefExtent& ext, std::size_t wc,
+    std::size_t first, std::size_t last, std::uint32_t* out,
+    std::size_t out_stride) noexcept {
+  constexpr std::size_t kRows = 2;
+  std::size_t i = first;
+  for (; i + kRows <= last; i += kRows) {
+    sweep_tile_avx2<NQ, kRows>(queries, ext.words + i * ext.stride,
+                               ext.stride, wc, out + (i - first), out_stride);
+  }
+  for (; i < last; ++i) {
+    sweep_tile_avx2<NQ, 1>(queries, ext.words + i * ext.stride, ext.stride,
+                           wc, out + (i - first), out_stride);
+  }
+}
+
+__attribute__((target("avx2"))) void hamming_sweep_avx2(
+    const std::uint64_t* const* queries, std::size_t n, const RefExtent& ext,
+    std::size_t wc, std::size_t first, std::size_t last, std::uint32_t* out,
+    std::size_t out_stride) noexcept {
+  switch (n) {
+    case 1:
+      return sweep_group_avx2<1>(queries, ext, wc, first, last, out,
+                                 out_stride);
+    case 2:
+      return sweep_group_avx2<2>(queries, ext, wc, first, last, out,
+                                 out_stride);
+    case 3:
+      return sweep_group_avx2<3>(queries, ext, wc, first, last, out,
+                                 out_stride);
+    default:
+      return sweep_group_avx2<4>(queries, ext, wc, first, last, out,
+                                 out_stride);
+  }
+}
+
+__attribute__((target("avx512f,avx512vpopcntdq"))) std::size_t
+xor_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b,
+                    std::size_t n) noexcept {
   __m512i acc = _mm512_setzero_si512();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -301,18 +406,154 @@ __attribute__((target("avx512f,avx512vpopcntdq"), always_inline)) inline std::
   return total;
 }
 
-__attribute__((target("avx512f,avx512vpopcntdq"))) std::size_t
-xor_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                    std::size_t n) noexcept {
-  return xor_popcount_avx512_impl(a, b, n);
+/// Lower / upper 256 bits of v. The all-ones maskz forms sidestep the
+/// GCC 12 -Wmaybe-uninitialized false positive of the unmasked intrinsics
+/// (the cast included).
+__attribute__((target("avx512f"), always_inline)) inline __m256i lower_half(
+    __m512i v) noexcept {
+  return _mm512_maskz_extracti64x4_epi64(0xFF, v, 0);
 }
 
-__attribute__((target("avx512f,avx512vpopcntdq"))) void hamming_sweep_avx512(
-    const std::uint64_t* query, const RefExtent& ext, std::size_t wc,
-    std::size_t first, std::size_t last, std::uint32_t* out) noexcept {
-  for (std::size_t i = first; i < last; ++i) {
-    out[i - first] = static_cast<std::uint32_t>(
-        xor_popcount_avx512_impl(query, ext.words + i * ext.stride, wc));
+__attribute__((target("avx512f"), always_inline)) inline __m256i upper_half(
+    __m512i v) noexcept {
+  return _mm512_maskz_extracti64x4_epi64(0xFF, v, 1);
+}
+
+/// The lane sums of a, b, c and d as four uint32 (a distance is at most
+/// 64 x word_count): a transposing reduction, cheaper than four separate
+/// horizontal sums. All-ones maskz forms for the same GCC 12 reason as
+/// lower_half.
+__attribute__((target("avx512f"), always_inline)) inline __m128i
+lane_sums4_avx512(__m512i a, __m512i b, __m512i c, __m512i d) noexcept {
+  // Per 128-bit lane k: ab = (a_k, b_k), cd = (c_k, d_k) pair sums.
+  const __m512i ab = _mm512_add_epi64(_mm512_maskz_unpacklo_epi64(0xFF, a, b),
+                                      _mm512_maskz_unpackhi_epi64(0xFF, a, b));
+  const __m512i cd = _mm512_add_epi64(_mm512_maskz_unpacklo_epi64(0xFF, c, d),
+                                      _mm512_maskz_unpackhi_epi64(0xFF, c, d));
+  // (a, b, a, b, c, d, c, d) over lane pairs {0, 2} + {1, 3}.
+  const __m512i s = _mm512_add_epi64(
+      _mm512_maskz_shuffle_i64x2(0xFF, ab, cd, _MM_SHUFFLE(2, 0, 2, 0)),
+      _mm512_maskz_shuffle_i64x2(0xFF, ab, cd, _MM_SHUFFLE(3, 1, 3, 1)));
+  const __m512i t =
+      _mm512_maskz_shuffle_i64x2(0xFF, s, s, _MM_SHUFFLE(3, 1, 2, 0));
+  const __m256i sums = _mm256_add_epi64(lower_half(t), upper_half(t));
+  // The low 32 bits of each 64-bit sum.
+  return _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+      sums, _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)));
+}
+
+/// Eight words at p, or only the `tail` words of them when kTail.
+template <bool kTail>
+__attribute__((target("avx512f"), always_inline)) inline __m512i load_words(
+    const std::uint64_t* p, __mmask8 tail) noexcept {
+  if constexpr (kTail) {
+    return _mm512_maskz_loadu_epi64(tail, p);
+  } else {
+    return _mm512_loadu_si512(p);
+  }
+}
+
+/// Accumulates one 8-word block (masked to the word tail when kTail) of
+/// the NQ x NR tile.
+template <std::size_t NQ, std::size_t NR, bool kTail>
+__attribute__((target("avx512f,avx512vpopcntdq"), always_inline)) inline void
+sweep_block_avx512(__m512i (&acc)[NQ][NR], const std::uint64_t* const* queries,
+                   const std::uint64_t* rows, std::size_t stride,
+                   std::size_t w, __mmask8 tail) noexcept {
+  __m512i row[NR];
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < NR; ++r) {
+    row[r] = load_words<kTail>(rows + r * stride + w, tail);
+  }
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < NQ; ++g) {
+    const __m512i q = load_words<kTail>(queries[g] + w, tail);
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < NR; ++r) {
+      acc[g][r] = _mm512_add_epi64(
+          acc[g][r], _mm512_popcnt_epi64(_mm512_xor_si512(q, row[r])));
+    }
+  }
+}
+
+/// One NQ x NR tile of the AVX-512 sweep (NR is 4 or 1): out[g * out_stride
+/// + r] = distance of queries[g] to the row at rows + r * stride.
+template <std::size_t NQ, std::size_t NR>
+__attribute__((target("avx512f,avx512vpopcntdq"),
+               always_inline)) inline void
+sweep_tile_avx512(const std::uint64_t* const* queries,
+                  const std::uint64_t* rows, std::size_t stride,
+                  std::size_t wc, std::uint32_t* out,
+                  std::size_t out_stride) noexcept {
+  __m512i acc[NQ][NR];
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < NQ; ++g) {
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < NR; ++r) acc[g][r] = _mm512_setzero_si512();
+  }
+  std::size_t w = 0;
+  for (; w + 8 <= wc; w += 8) {
+    sweep_block_avx512<NQ, NR, false>(acc, queries, rows, stride, w, 0);
+  }
+  if (w < wc) {
+    const auto tail = static_cast<__mmask8>((1U << (wc - w)) - 1);
+    sweep_block_avx512<NQ, NR, true>(acc, queries, rows, stride, w, tail);
+  }
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < NQ; ++g) {
+    if constexpr (NR == 4) {
+      _mm_storeu_si128(
+          reinterpret_cast<__m128i*>(out + g * out_stride),
+          lane_sums4_avx512(acc[g][0], acc[g][1], acc[g][2], acc[g][3]));
+    } else {
+      // Manual lane sum: _mm512_reduce_add_epi64 trips a GCC 12
+      // -Wmaybe-uninitialized false positive via _mm256_undefined_si256.
+      alignas(64) std::uint64_t lanes[8];
+      _mm512_store_si512(lanes, acc[g][0]);
+      out[g * out_stride] = static_cast<std::uint32_t>(
+          lanes[0] + lanes[1] + lanes[2] + lanes[3] + lanes[4] + lanes[5] +
+          lanes[6] + lanes[7]);
+    }
+  }
+}
+
+template <std::size_t NQ>
+__attribute__((target("avx512f,avx512vpopcntdq"),
+               always_inline)) inline void
+sweep_group_avx512(const std::uint64_t* const* queries, const RefExtent& ext,
+                   std::size_t wc, std::size_t first, std::size_t last,
+                   std::uint32_t* out, std::size_t out_stride) noexcept {
+  constexpr std::size_t kRows = 4;
+  std::size_t i = first;
+  for (; i + kRows <= last; i += kRows) {
+    sweep_tile_avx512<NQ, kRows>(queries, ext.words + i * ext.stride,
+                                 ext.stride, wc, out + (i - first),
+                                 out_stride);
+  }
+  for (; i < last; ++i) {
+    sweep_tile_avx512<NQ, 1>(queries, ext.words + i * ext.stride, ext.stride,
+                             wc, out + (i - first), out_stride);
+  }
+}
+
+__attribute__((target("avx512f,avx512vpopcntdq"))) void
+hamming_sweep_avx512(const std::uint64_t* const* queries, std::size_t n,
+                     const RefExtent& ext, std::size_t wc, std::size_t first,
+                     std::size_t last, std::uint32_t* out,
+                     std::size_t out_stride) noexcept {
+  switch (n) {
+    case 1:
+      return sweep_group_avx512<1>(queries, ext, wc, first, last, out,
+                                   out_stride);
+    case 2:
+      return sweep_group_avx512<2>(queries, ext, wc, first, last, out,
+                                   out_stride);
+    case 3:
+      return sweep_group_avx512<3>(queries, ext, wc, first, last, out,
+                                   out_stride);
+    default:
+      return sweep_group_avx512<4>(queries, ext, wc, first, last, out,
+                                   out_stride);
   }
 }
 
@@ -474,19 +715,6 @@ __attribute__((target("avx2"))) void encode_avx2(const EncodeOperands& ops,
 // AVX-512 encode: one zmm of int8 lanes per 64-component block, the LV
 // sign word used directly as the negate mask; tiles of NB blocks keep NB
 // independent accumulator chains in flight.
-
-/// Lower / upper 256 bits of v. The all-ones maskz forms sidestep the
-/// GCC 12 -Wmaybe-uninitialized false positive of the unmasked intrinsics
-/// (the cast included).
-__attribute__((target("avx512f"), always_inline)) inline __m256i lower_half(
-    __m512i v) noexcept {
-  return _mm512_maskz_extracti64x4_epi64(0xFF, v, 0);
-}
-
-__attribute__((target("avx512f"), always_inline)) inline __m256i upper_half(
-    __m512i v) noexcept {
-  return _mm512_maskz_extracti64x4_epi64(0xFF, v, 1);
-}
 
 /// Sign() bits of 32 int16 sums.
 __attribute__((target("avx512f,avx512bw"), always_inline)) inline std::uint32_t
@@ -686,27 +914,33 @@ std::size_t xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
   return xor_popcount_tier(active_tier(), a, b, n);
 }
 
-void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
+void hamming_sweep_tier(Tier tier,
+                        std::span<const std::uint64_t* const> queries,
                         const RefExtent& ext, std::size_t word_count,
                         std::size_t lfirst, std::size_t llast,
-                        std::uint32_t* out) noexcept {
+                        std::uint32_t* out, std::size_t out_stride) noexcept {
+  for (std::size_t g0 = 0; g0 < queries.size(); g0 += kSweepGroup) {
+    const std::uint64_t* const* group = queries.data() + g0;
+    const std::size_t n = std::min(kSweepGroup, queries.size() - g0);
+    std::uint32_t* group_out = out + g0 * out_stride;
 #ifdef OMSHD_X86_SIMD
-  switch (tier) {
-    case Tier::kAvx512:
-      hamming_sweep_avx512(query, ext, word_count, lfirst, llast, out);
-      return;
-    case Tier::kAvx2:
-      hamming_sweep_avx2(query, ext, word_count, lfirst, llast, out);
-      return;
-    case Tier::kScalar:
-      break;
-  }
+    switch (tier) {
+      case Tier::kAvx512:
+        hamming_sweep_avx512(group, n, ext, word_count, lfirst, llast,
+                             group_out, out_stride);
+        continue;
+      case Tier::kAvx2:
+        hamming_sweep_avx2(group, n, ext, word_count, lfirst, llast,
+                           group_out, out_stride);
+        continue;
+      case Tier::kScalar:
+        break;
+    }
 #else
-  (void)tier;
+    (void)tier;
 #endif
-  for (std::size_t i = lfirst; i < llast; ++i) {
-    out[i - lfirst] = static_cast<std::uint32_t>(
-        xor_popcount_scalar(query, ext.words + i * ext.stride, word_count));
+    hamming_sweep_scalar(group, n, ext, word_count, lfirst, llast, group_out,
+                         out_stride);
   }
 }
 

@@ -3,17 +3,20 @@
 // outputs (Hamming counts, encoded hypervectors, accumulator sums), so
 // swapping tiers can never move a search result:
 //
-//   kScalar  portable std::popcount loop (util::xor_popcount) and a
-//            column-blocked int8/int16/int32 encode loop; the only tier
+//   kScalar  portable std::popcount loop (util::xor_popcount; the sweep
+//            scores a query group row by row) and a column-blocked
+//            int8/int16/int32 encode loop; the only tier
 //            compiled when OMSHD_DISABLE_SIMD is defined or the target is
 //            not x86-64;
 //   kAvx2    256-bit XOR + nibble-LUT (vpshufb) popcount, accumulated with
-//            vpsadbw, and even/odd 32-component int8 encode halves whose
-//            ID nibbles decode, LV sign folded in, by vpshufb — no special
-//            compile flags needed, the functions carry target("avx2")
-//            attributes and are entered only after a CPUID check;
-//   kAvx512  512-bit XOR + native vpopcntq (AVX-512-VPOPCNTDQ) and
-//            64-component masked int8 encode blocks (AVX-512BW).
+//            vpsadbw, swept as query-group x 2-row register tiles, and
+//            even/odd 32-component int8 encode halves whose ID nibbles
+//            decode, LV sign folded in, by vpshufb — no special compile
+//            flags needed, the functions carry target("avx2") attributes
+//            and are entered only after a CPUID check;
+//   kAvx512  512-bit XOR + native vpopcntq (AVX-512-VPOPCNTDQ) swept as
+//            query-group x 4-row register tiles with masked word tails,
+//            and 64-component masked int8 encode blocks (AVX-512BW).
 //
 // The dispatched entry points (xor_popcount, encode) read the active tier
 // once per call; the sweep primitive (hamming_sweep_tier) takes the tier
@@ -152,18 +155,34 @@ Tier set_active_tier(Tier tier) noexcept;
                                             const std::uint64_t* b,
                                             std::size_t n) noexcept;
 
-/// Hamming distances of one query against the rows [lfirst, llast) of one
-/// extent (local indices): out[j] = popcount(query ^ row(lfirst + j)) over
-/// `word_count` words, row r at ext.words + r * ext.stride. The
-/// reference-major inner loop of every sweep; rows stream sequentially so
-/// the hardware prefetcher sees one linear walk over the mapped block.
-/// `tier` (<= best_supported()) is resolved once by the caller, which also
-/// walks the extents (RefView::for_each_extent), so batched callers make
-/// one call per (chunk, query) with no dispatch or extent lookup inside.
-void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
+/// Queries one hamming_sweep_tier call scores per reference-row load, on
+/// every tier: batched callers walk a segment's active queries in groups
+/// of this size (the last group may be smaller).
+inline constexpr std::size_t kSweepGroup = 4;
+
+/// Hamming distances of a group of queries against the rows
+/// [lfirst, llast) of one extent (local indices):
+///
+///   out[g * out_stride + j] = popcount(queries[g] ^ row(lfirst + j))
+///
+/// over `word_count` words, row r at ext.words + r * ext.stride, for every
+/// g < queries.size() and j < llast - lfirst (<= out_stride). The
+/// reference-major inner loop of every sweep, register-tiled: each 64-byte
+/// block of a reference row is loaded once and XOR-popcounted against
+/// every query of the group (AVX-512 scores group x 4-row tiles, AVX2
+/// group x 2-row tiles), and rows stream sequentially so the hardware
+/// prefetcher sees one linear walk over the mapped block. A group holds
+/// 1..kSweepGroup queries (a longer span is scored kSweepGroup at a time);
+/// a group of one is the plain single-query sweep. Query pointers need
+/// only 8-byte alignment. `tier` (<= best_supported()) is resolved once by
+/// the caller, which also walks the extents (RefView::for_each_extent), so
+/// batched callers make one call per (chunk, query group) with no dispatch
+/// or extent lookup inside.
+void hamming_sweep_tier(Tier tier,
+                        std::span<const std::uint64_t* const> queries,
                         const RefExtent& ext, std::size_t word_count,
                         std::size_t lfirst, std::size_t llast,
-                        std::uint32_t* out) noexcept;
+                        std::uint32_t* out, std::size_t out_stride) noexcept;
 
 /// Rows per cache block for a batched sweep: sized so one chunk of
 /// reference rows (~chunk * row_words * 8 bytes) stays L2-resident while

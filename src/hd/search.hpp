@@ -16,7 +16,11 @@
 // in hd/kernels.hpp — runtime-dispatched scalar / AVX2 / AVX-512-VPOPCNTDQ
 // tiers, all bit-identical, plus the piecewise RefView (an ordered list of
 // contiguous extents with global indices), the one reference layout every
-// sweep here takes. Sweeps are cache-blocked per extent, so a mapped
+// sweep here takes. Every sweep goes through the one register-tiled group
+// primitive, kernels::hamming_sweep_tier: the batched kernel feeds it the
+// active queries kernels::kSweepGroup at a time, so each reference row
+// load scores a whole group, and the per-query kernel passes a group of
+// one. Sweeps are cache-blocked per extent, so a mapped
 // monolithic index::LibraryIndex (one extent), a multi-segment
 // index::SegmentedLibrary (one extent per run of same-segment rows) and
 // in-process encodings (RefView::from_span) all go through the same
@@ -67,7 +71,8 @@ struct SearchHit {
 /// SIMD sweep runs per extent with global reference indices, visiting
 /// candidates in ascending global order. Callers holding a library build
 /// the view once (RefView::from_span, or the library's ref_view()) and
-/// reuse it per query.
+/// reuse it per query. Throws std::invalid_argument, naming both, when the
+/// query's dimension is not the view's.
 [[nodiscard]] std::vector<SearchHit> top_k_search(const util::BitVec& query,
                                                   const RefView& references,
                                                   std::size_t first,
@@ -156,7 +161,9 @@ void for_each_query_segment(std::span<const BatchQuery> queries,
 /// queries[i].last, k). The segment sweep runs per extent and is chunked
 /// (kernels::sweep_chunk_rows) so a chunk of reference rows stays
 /// cache-resident while every active query of the block is scored against
-/// it; the kernel tier is resolved once per call.
+/// it, kernels::kSweepGroup queries per register-tiled sweep call; the
+/// kernel tier is resolved once per call. Throws std::invalid_argument
+/// when any query's dimension is not the view's, before sweeping.
 [[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
     std::span<const BatchQuery> queries, const RefView& references,
     std::size_t k);

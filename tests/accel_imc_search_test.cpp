@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -130,6 +131,32 @@ TEST(ImcSearch, RejectsMixedDimensions) {
   refs.emplace_back(256);
   EXPECT_THROW(ImcSearchEngine(refs, config_with(Fidelity::kIdeal)),
                std::invalid_argument);
+}
+
+TEST(ImcSearch, RejectsQueryOfAnotherDimension) {
+  // search_many reads the library's word count from every query: a
+  // shorter query would be read past its end, a longer one scored on a
+  // prefix. Both throw, naming the two dimensions, on every keyed path.
+  const auto refs = random_refs(24, 1024, 10);
+  for (const Fidelity f : {Fidelity::kIdeal, Fidelity::kStatistical}) {
+    const ImcSearchEngine engine(refs, config_with(f));
+    for (const std::size_t dim : {960u, 1088u}) {
+      util::BitVec query(dim);
+      query.randomize(910 + dim);
+      const std::vector<hd::BatchQuery> batch{{&refs[0], 0, refs.size(), 0},
+                                              {&query, 0, refs.size(), 1}};
+      try {
+        (void)engine.search_many(batch, 3);
+        ADD_FAILURE() << "search_many accepted dim " << dim;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::to_string(dim)), std::string::npos) << what;
+        EXPECT_NE(what.find("1024"), std::string::npos) << what;
+      }
+      EXPECT_THROW((void)engine.top_k_keyed(query, 0, refs.size(), 3, 1),
+                   std::invalid_argument);
+    }
+  }
 }
 
 TEST(ImcSearch, RejectsBadActivationSplit) {

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "hd/search.hpp"
@@ -155,18 +156,130 @@ TEST(Kernels, HammingSweepMatchesPairKernelIncludingPaddedStride) {
       expected[i] = static_cast<std::uint32_t>(
           util::xor_popcount(query.data(), block.data() + i * stride, n));
     }
+    const std::uint64_t* q = query.data();
     for (const Tier tier : runnable_tiers()) {
       std::vector<std::uint32_t> out(count, 0xFFFFFFFF);
-      kernels::hamming_sweep_tier(tier, query.data(), ext, n, 0, count,
-                                  out.data());
+      kernels::hamming_sweep_tier(tier, {&q, 1}, ext, n, 0, count, out.data(),
+                                  count);
       EXPECT_EQ(out, expected) << "stride=" << stride
                                << " tier=" << kernels::tier_name(tier);
       // Sub-range sweep writes only [first, last).
       std::vector<std::uint32_t> part(10, 0);
-      kernels::hamming_sweep_tier(tier, query.data(), ext, n, 5, 15,
-                                  part.data());
+      kernels::hamming_sweep_tier(tier, {&q, 1}, ext, n, 5, 15, part.data(),
+                                  10);
       for (std::size_t j = 0; j < 10; ++j) {
         EXPECT_EQ(part[j], expected[5 + j]);
+      }
+    }
+  }
+}
+
+TEST(Kernels, GroupSweepMatchesScalarSingleQuery) {
+  // Every group size on every tier against the scalar single-query pair
+  // kernel: word counts that are and are not multiples of the AVX2 (4) and
+  // AVX-512 (8) vector widths, padded strides, query and row pointers off
+  // 64-byte alignment, 1-3 row extents next to one spanning several tiles,
+  // sub-ranges, and an out_stride wider than the rows swept (the padding
+  // between output rows must stay untouched).
+  constexpr std::uint32_t kSentinel = 0xFFFFFFFF;
+  for (const std::size_t dim : {64u, 192u, 8192u, 8256u}) {
+    const std::size_t n = wc(dim);
+    const auto qbuf = random_words(1 + kernels::kSweepGroup * (n + 1),
+                                   0x9A0 + dim);
+    std::vector<const std::uint64_t*> queries;
+    for (std::size_t g = 0; g < kernels::kSweepGroup; ++g) {
+      queries.push_back(qbuf.data() + 1 + g * (n + 1));
+    }
+    for (const std::size_t stride : {n, n + 3}) {
+      for (const std::size_t count : {1u, 2u, 3u, 37u}) {
+        const auto block = random_words(1 + stride * count, 0xB1 + stride);
+        const RefExtent ext{block.data() + 1, stride, count, 0};
+        for (const auto [first, last] :
+             {std::pair<std::size_t, std::size_t>{0, count},
+              std::pair<std::size_t, std::size_t>{count / 2, count}}) {
+          const std::size_t rows = last - first;
+          const std::size_t out_stride = rows + 5;
+          for (std::size_t group = 1; group <= kernels::kSweepGroup;
+               ++group) {
+            for (const Tier tier : runnable_tiers()) {
+              std::vector<std::uint32_t> out(group * out_stride, kSentinel);
+              kernels::hamming_sweep_tier(tier, {queries.data(), group}, ext,
+                                          n, first, last, out.data(),
+                                          out_stride);
+              for (std::size_t g = 0; g < group; ++g) {
+                for (std::size_t j = 0; j < out_stride; ++j) {
+                  const std::uint32_t want =
+                      j < rows ? static_cast<std::uint32_t>(util::xor_popcount(
+                                     queries[g],
+                                     ext.words + (first + j) * stride, n))
+                               : kSentinel;
+                  ASSERT_EQ(out[g * out_stride + j], want)
+                      << "dim=" << dim << " stride=" << stride
+                      << " count=" << count << " first=" << first
+                      << " group=" << group << " g=" << g << " j=" << j
+                      << " tier=" << kernels::tier_name(tier);
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, BatchGroupsWithTiesAtRejectThresholdMatchSpanOracle) {
+  TierGuard guard;
+  // 192-bit rows (3 words) drawn from 9 patterns, so equal distances are
+  // everywhere and many candidates land exactly on the k-th best dot,
+  // where insert_top_k must keep the lower index. Eleven staggered ranges
+  // give segments covered by 1..11 queries — most not a multiple of the
+  // sweep group.
+  const std::size_t dim = 192;
+  const std::size_t n = wc(dim);
+  const std::size_t count = 300;
+  const auto patterns = random_words(9 * n, 0x7153);
+  std::vector<std::uint64_t> block(n * count);
+  util::SplitMix64 pick(0x9147);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t p = pick.next() % 9;
+    std::copy_n(patterns.begin() + static_cast<std::ptrdiff_t>(p * n), n,
+                block.begin() + static_cast<std::ptrdiff_t>(i * n));
+  }
+  std::vector<util::BitVec> refs;
+  for (std::size_t i = 0; i < count; ++i) {
+    refs.push_back(util::BitVec::view(block.data() + i * n, dim));
+  }
+  const RefView view = RefView::from_span(refs);
+  ASSERT_TRUE(view.contiguous());
+
+  std::vector<util::BitVec> hvs;
+  for (std::size_t q = 0; q < 11; ++q) {
+    // Half the queries copy a pattern, so their k-th best ties broadly.
+    hvs.push_back(q % 2 == 0 ? util::BitVec::view(
+                                   patterns.data() + (q % 9) * n, dim)
+                             : util::BitVec(dim));
+    if (q % 2 == 1) hvs.back().randomize(0x51 + q);
+  }
+  std::vector<BatchQuery> batch;
+  for (std::size_t q = 0; q < hvs.size(); ++q) {
+    batch.push_back(BatchQuery{&hvs[q], q * 11, count - q * 7, q});
+  }
+
+  for (const std::size_t k : {1u, 3u, 8u}) {
+    std::vector<std::vector<SearchHit>> want;
+    for (const BatchQuery& q : batch) {
+      want.push_back(top_k_search(*q.hv, refs, q.first, q.last, k));
+    }
+    for (const Tier tier : runnable_tiers()) {
+      kernels::set_active_tier(tier);
+      EXPECT_EQ(top_k_search_batch(batch, view, k), want)
+          << "k=" << k << " tier=" << kernels::tier_name(tier);
+      for (std::size_t q = 0; q < batch.size(); ++q) {
+        EXPECT_EQ(top_k_search(*batch[q].hv, view, batch[q].first,
+                               batch[q].last, k),
+                  want[q])
+            << "k=" << k << " q=" << q << " tier=" << kernels::tier_name(tier);
       }
     }
   }

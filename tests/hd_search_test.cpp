@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace oms::hd {
@@ -121,6 +123,34 @@ TEST(Search, SimilarityConsistentWithDot) {
     const double expected_sim =
         (static_cast<double>(h.dot) / 1024.0 + 1.0) / 2.0;
     EXPECT_NEAR(h.similarity, expected_sim, 1e-12);
+  }
+}
+
+TEST(Search, QueryOfAnotherDimensionIsRefused) {
+  // The sweeps read the library's word count from every query: a shorter
+  // query would be read past its end, a longer one scored on a prefix.
+  // Both throw, naming the two dimensions, before any sweep.
+  const auto refs = random_refs(40, 1024, 100);
+  const RefView view = RefView::from_span(refs);
+  for (const std::size_t dim : {960u, 1088u}) {
+    util::BitVec query(dim);
+    query.randomize(1100 + dim);
+    const std::vector<BatchQuery> batch{{&refs[0], 0, refs.size(), 0},
+                                        {&query, 0, refs.size(), 1}};
+    try {
+      (void)top_k_search(query, view, 0, refs.size(), 5);
+      ADD_FAILURE() << "top_k_search accepted dim " << dim;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::to_string(dim)), std::string::npos) << what;
+      EXPECT_NE(what.find("1024"), std::string::npos) << what;
+    }
+    EXPECT_THROW((void)top_k_search_batch(batch, view, 5),
+                 std::invalid_argument)
+        << "dim " << dim;
+    // An empty candidate range still checks the query.
+    EXPECT_THROW((void)top_k_search(query, view, 3, 3, 5),
+                 std::invalid_argument);
   }
 }
 
