@@ -15,8 +15,12 @@
 // Protocol (text lines; responses marked ←, asynchronous lines ⇠):
 //
 //   OPEN <library.omsx> [backend=NAME] [fdr=X] [seed=N] [block=N]
-//        [max_in_flight=N] [admit=block|reject] [timeout_ms=N]
+//        [max_in_flight=N] [admit=block|reject] [timeout_ms=N] [trace=N]
 //     ← OK <session-id>            or  ERR <message>
+//     fdr in (0, 1]; seed, trace in [0, 2^64); block in [1, 65536];
+//     max_in_flight >= 1; timeout_ms in [0, 86400000]. Anything else —
+//     a NaN, a sign, trailing bytes — is answered
+//     "ERR <option> must be <range>, got '<value>'".
 //   Q <session-id> <query-id> <precursor_mz> <charge> <mz:int,mz:int,...>
 //     ⇠ (nothing on admission)
 //     ← REJECT <session-id> <query-id>   only when admission sheds it
@@ -52,9 +56,13 @@
 // point (D=8192, 3-bit IDs, ±500 Da, 1% FDR) so a served session's PSM
 // stream is directly comparable to `quickstart --print-psms`; the OPEN
 // options override the knobs a tenant may vary.
+#include <charconv>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -90,6 +98,34 @@ oms::core::PipelineConfig base_config() {
 /// tens of thousands of peaks fits; a longer one is answered with
 /// "ERR line too long" and the connection is closed.
 constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+/// Largest OPEN block=: the engine sizes its admission queue as a multiple
+/// of the block.
+constexpr std::uint64_t kMaxBlock = 65536;
+/// Largest OPEN timeout_ms= (one day); a longer wait overflows the
+/// condition-variable deadline arithmetic.
+constexpr std::uint64_t kMaxTimeoutMs = 86'400'000;
+
+/// Parses all of `text` as a number with std::from_chars (no leading space
+/// or '+'); false on an empty value, trailing bytes or overflow.
+template <typename T>
+bool parse_all(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Parses all of `text` as an integer in [lo, hi] into `out`, which keeps
+/// its value on failure.
+template <typename T>
+bool parse_count(const std::string& text, std::uint64_t lo, std::uint64_t hi,
+                 T& out) {
+  std::uint64_t v = 0;
+  if (!parse_all(text, v) || v < lo || v > hi) return false;
+  out = static_cast<T>(v);
+  return true;
+}
 
 struct App {
   oms::serve::SearchServer server;
@@ -188,32 +224,55 @@ class Conversation {
       }
       const std::string key = opt.substr(0, eq);
       const std::string val = opt.substr(eq + 1);
+      // Numeric options parse strictly: the whole value, in range, or an
+      // ERR line naming the option and what it accepts.
+      const char* accepts = nullptr;
       if (key == "backend") {
         scfg.pipeline.backend_name = val;
       } else if (key == "fdr") {
-        scfg.pipeline.fdr_threshold = std::strtod(val.c_str(), nullptr);
+        double v = 0.0;
+        if (parse_all(val, v) && v > 0.0 && v <= 1.0) {
+          scfg.pipeline.fdr_threshold = v;
+        } else {
+          accepts = "a number in (0, 1]";
+        }
       } else if (key == "seed") {
-        scfg.pipeline.seed = std::strtoull(val.c_str(), nullptr, 10);
+        if (!parse_count(val, 0, kU64Max, scfg.pipeline.seed)) {
+          accepts = "an integer in [0, 2^64)";
+        }
       } else if (key == "block") {
-        scfg.block_size = std::strtoul(val.c_str(), nullptr, 10);
+        if (!parse_count(val, 1, kMaxBlock, scfg.block_size)) {
+          accepts = "an integer in [1, 65536]";
+        }
       } else if (key == "max_in_flight") {
-        scfg.max_in_flight = std::strtoul(val.c_str(), nullptr, 10);
+        if (!parse_count(val, 1, kU64Max, scfg.max_in_flight)) {
+          accepts = "an integer >= 1";
+        }
       } else if (key == "admit") {
         if (val == "block") {
           scfg.admit = oms::serve::AdmitPolicy::Block;
         } else if (val == "reject") {
           scfg.admit = oms::serve::AdmitPolicy::Reject;
         } else {
-          reply("ERR admit must be block|reject");
-          return true;
+          accepts = "block|reject";
         }
       } else if (key == "timeout_ms") {
-        scfg.admit_timeout =
-            std::chrono::milliseconds(std::strtol(val.c_str(), nullptr, 10));
+        std::uint64_t ms = 0;
+        if (parse_count(val, 0, kMaxTimeoutMs, ms)) {
+          scfg.admit_timeout = std::chrono::milliseconds(ms);
+        } else {
+          accepts = "an integer in [0, 86400000]";
+        }
       } else if (key == "trace") {
-        scfg.trace_sample_every = std::strtoull(val.c_str(), nullptr, 10);
+        if (!parse_count(val, 0, kU64Max, scfg.trace_sample_every)) {
+          accepts = "an integer in [0, 2^64)";
+        }
       } else {
         reply("ERR unknown OPEN option: " + key);
+        return true;
+      }
+      if (accepts != nullptr) {
+        reply("ERR " + key + " must be " + accepts + ", got '" + val + "'");
         return true;
       }
     }
@@ -365,6 +424,10 @@ void print_help() {
       "       [max_in_flight=N] [admit=block|reject] [timeout_ms=N]\n"
       "       [trace=N]\n"
       "    -> OK <session-id> | ERR <message>\n"
+      "    fdr in (0, 1]; seed and trace (every Nth query traced, 0 = off)\n"
+      "    in [0, 2^64); block in [1, 65536]; max_in_flight >= 1;\n"
+      "    timeout_ms in [0, 86400000]. A malformed or out-of-range value\n"
+      "    gets ERR <option> must be <range>, got '<value>'.\n"
       "  Q <session-id> <query-id> <precursor_mz> <charge> <mz:int,...>\n"
       "    -> REJECT <sid> <qid> only when admission sheds the query\n"
       "  CLOSE <session-id>\n"

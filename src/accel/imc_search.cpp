@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "util/rng.hpp"
@@ -166,25 +165,6 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
         "keyed search is not available in circuit fidelity");
   }
   std::vector<std::vector<hd::SearchHit>> out(queries.size());
-  if (queries.empty() || !view_.valid()) return out;
-  for (const hd::BatchQuery& q : queries) {
-    // The sweep reads word_count() words of every query and scales its dot
-    // by the query's own size: a query of another dimension is refused.
-    if (q.hv->size() != view_.dim()) {
-      throw std::invalid_argument(
-          "ImcSearchEngine::search_many: query dimension " +
-          std::to_string(q.hv->size()) + " differs from the library dimension " +
-          std::to_string(view_.dim()));
-    }
-  }
-  if (k == 0) return out;
-
-  std::vector<hd::BatchQuery> clipped(queries.begin(), queries.end());
-  for (hd::BatchQuery& q : clipped) {
-    q.last = std::min(q.last, refs_.size());
-    q.first = std::min(q.first, q.last);
-  }
-
   const bool noisy =
       cfg_.fidelity == Fidelity::kStatistical && phase_sigma_ > 0.0;
 
@@ -194,27 +174,39 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
   // |z| <= kCounterNormalMax, and rounding is monotone, so the computed
   // z * sigma * sqrt_phases never exceeds it.
   struct Slot {
-    const std::uint64_t* words;
     double dim;
     std::uint64_t key;
     double sqrt_phases;
     double margin;
   };
-  std::vector<Slot> slots(clipped.size());
-  for (std::size_t s = 0; s < clipped.size(); ++s) {
-    const util::BitVec& hv = *clipped[s].hv;
+  std::vector<Slot> slots(queries.size());
+  for (std::size_t s = 0; s < queries.size(); ++s) {
+    const util::BitVec& hv = *queries[s].hv;
     const double sqrt_phases =
         std::sqrt(static_cast<double>(phases_per_query(hv)));
-    slots[s] = {hv.words().data(), static_cast<double>(hv.size()),
-                util::hash_combine(cfg_.seed, clipped[s].stream), sqrt_phases,
+    slots[s] = {static_cast<double>(hv.size()),
+                util::hash_combine(cfg_.seed, queries[s].stream), sqrt_phases,
                 util::kCounterNormalMax * phase_sigma_ * sqrt_phases};
   }
 
-  // Scores one query's distances dist[0..n) to the candidates at global
+  // Shared phase scheduling: one activation pass over a segment's
+  // reference rows serves every covering query, so the phase count is per
+  // segment, not per (query, segment). The modelled chip scores every
+  // candidate, pruned or not.
+  std::uint64_t phases = 0;
+  const auto count_phases = [&](std::size_t lo, std::size_t hi,
+                                std::span<const std::size_t> active) {
+    if (noisy) {
+      phases += phases_per_query(*queries[active.front()].hv) * (hi - lo);
+    }
+  };
+
+  // Scores query `s`'s distances dist[0..n) to the candidates at global
   // indices base, base + 1, ... into its hits.
-  const auto score = [&](const Slot& q, const std::uint32_t* dist,
-                         std::size_t n, std::size_t base,
-                         std::vector<hd::SearchHit>& hits) {
+  const auto score = [&](std::size_t s, const std::uint32_t* dist,
+                         std::size_t n, std::size_t base) {
+    const Slot& q = slots[s];
+    std::vector<hd::SearchHit>& hits = out[s];
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t i = base + j;
       const double exact = q.dim - 2.0 * dist[j];
@@ -238,50 +230,8 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
     }
   };
 
-  constexpr std::size_t kGroup = hd::kernels::kSweepGroup;
-  const hd::kernels::Tier tier = hd::kernels::active_tier();
-  const std::size_t wc = view_.word_count();
-  std::vector<std::uint32_t> dist;
-  std::uint64_t phases = 0;
-  hd::for_each_query_segment(
-      clipped, [&](std::size_t lo, std::size_t hi,
-                   std::span<const std::size_t> active) {
-        if (noisy) {
-          // Shared phase scheduling: one activation pass over this
-          // segment's reference rows serves every covering query, so the
-          // phase count is per segment, not per (query, segment). The
-          // modelled chip scores every candidate, pruned or not.
-          phases += phases_per_query(*clipped[active.front()].hv) * (hi - lo);
-        }
-        // Per extent, chunked so a run of reference rows stays
-        // cache-resident while every active query is scored against it,
-        // kSweepGroup queries per register-tiled sweep; candidates still
-        // ascend per query (the insert_top_k tie-break contract).
-        view_.for_each_extent(lo, hi, [&](const hd::RefExtent& ext,
-                                          std::size_t lfirst,
-                                          std::size_t llast) {
-          const std::size_t chunk = hd::kernels::sweep_chunk_rows(ext.stride);
-          const std::size_t rows = std::min(chunk, llast - lfirst);
-          if (dist.size() < kGroup * rows) dist.resize(kGroup * rows);
-          for (std::size_t c0 = lfirst; c0 < llast; c0 += chunk) {
-            const std::size_t c1 = std::min(llast, c0 + chunk);
-            for (std::size_t g0 = 0; g0 < active.size(); g0 += kGroup) {
-              const std::size_t n = std::min(kGroup, active.size() - g0);
-              const std::uint64_t* group[kGroup];
-              for (std::size_t g = 0; g < n; ++g) {
-                group[g] = slots[active[g0 + g]].words;
-              }
-              hd::kernels::hamming_sweep_tier(tier, {group, n}, ext, wc, c0,
-                                              c1, dist.data(), rows);
-              for (std::size_t g = 0; g < n; ++g) {
-                const std::size_t s = active[g0 + g];
-                score(slots[s], dist.data() + g * rows, c1 - c0,
-                      ext.base + c0, out[s]);
-              }
-            }
-          }
-        });
-      });
+  hd::sweep_batch(queries, view_, k, "ImcSearchEngine::search_many",
+                  count_phases, score);
   if (phases > 0) {
     phases_executed_.fetch_add(phases, std::memory_order_relaxed);
   }

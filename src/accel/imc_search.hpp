@@ -11,10 +11,17 @@
 //  * kStatistical  — exact popcount dot + Gaussian noise with the phase
 //                    sigma measured by calibrate_mvm_error. Scales to
 //                    full workloads (Figs. 10/11/13). The keyed paths take
-//                    exact dots from the dispatched hd::kernels sweep and
-//                    draw noise only for candidates it could lift into the
-//                    top-k (see search_many); the modelled phases still
-//                    charge every candidate.
+//                    exact dots from hd::sweep_batch, the same batched-sweep
+//                    driver the exact search runs on, and draw noise only
+//                    for candidates it could lift into the top-k (see
+//                    search_many); the modelled phases still charge every
+//                    candidate.
+//
+// Device noise changes only how a candidate's dot is scored (§4.1), so the
+// RRAM-modelled search has no walk of its own: search_many hands
+// hd::sweep_batch its per-query scoring constants, its noise-pruned
+// scoring rule and its per-segment phase count, and top_k_keyed is a
+// one-query search_many.
 //  * kIdeal        — exact search (equivalent to hd::top_k_search).
 #pragma once
 
@@ -103,8 +110,9 @@ class ImcSearchEngine {
   /// — keyed noise depends on (seed, stream, global reference index), not
   /// on block composition.
   ///
-  /// Exact dots come from the dispatched register-tiled XOR-popcount
-  /// sweep, hd::kernels::kSweepGroup active queries per row load. Once a
+  /// Exact dots come from hd::sweep_batch (the dimension check, range
+  /// clipping and register-tiled walk shared with hd::top_k_search_batch),
+  /// hd::kernels::kSweepGroup active queries per row load. Once a
   /// query's list holds k hits, a candidate whose score cannot reach the
   /// k-th best under any draw (|z| <= util::kCounterNormalMax) skips its
   /// noise draw; the hits are those of scoring every candidate with

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/thread_pool.hpp"
 
@@ -138,28 +139,8 @@ std::vector<hd::SearchHit> ShardedSearch::top_k(const util::BitVec& query,
                                                 std::size_t last,
                                                 std::size_t k,
                                                 std::uint64_t stream) const {
-  last = std::min(last, refs_.size());
-  std::vector<hd::SearchHit> merged;
-  if (k == 0 || first >= last) return merged;
-
-  const std::size_t shard_first = first / refs_per_shard_;
-  const std::size_t shard_last = (last - 1) / refs_per_shard_;
-  std::vector<std::vector<hd::SearchHit>> shard_hits;
-  shard_hits.reserve(shard_last - shard_first + 1);
-  for (std::size_t s = shard_first; s <= shard_last; ++s) {
-    const std::size_t base = s * refs_per_shard_;
-    const std::size_t lo = first > base ? first - base : 0;
-    const std::size_t hi = std::min(last - base, refs_per_shard_);
-    shard_entries_.fetch_add(1, std::memory_order_relaxed);
-    auto hits = shards_[s]->top_k_keyed(query, lo, hi, k, stream);
-    for (auto& h : hits) h.reference_index += base;  // back to global
-    if (!hits.empty()) shard_hits.push_back(std::move(hits));
-  }
-  std::vector<const std::vector<hd::SearchHit>*> lists;
-  lists.reserve(shard_hits.size());
-  for (const auto& hits : shard_hits) lists.push_back(&hits);
-  merge_top_k(lists, k, merged);
-  return merged;
+  const hd::BatchQuery q{&query, first, last, stream};
+  return std::move(search_many({&q, 1}, k).front());
 }
 
 std::vector<std::vector<hd::SearchHit>> ShardedSearch::search_many(

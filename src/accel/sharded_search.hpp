@@ -9,9 +9,9 @@
 // window intersects only a contiguous run of shards and the executor
 // skips the rest.
 //
-// Parallelism: the batched path (search_many) runs every intersecting
-// shard's sub-block as an independent task — one chip searching its
-// partition — on a util::ThreadPool (the nested-safe parallel_tasks
+// Parallelism: search_many (and top_k, a one-query search_many) runs
+// every intersecting shard's sub-block as an independent task — one chip
+// searching its partition — on a util::ThreadPool (the nested-safe parallel_tasks
 // primitive, so blocks already running on the pool can still fan their
 // shards out). Per-shard results land in per-shard buffers and are merged
 // deterministically in shard order afterward; keyed noise guarantees the
@@ -100,8 +100,9 @@ class ShardedSearch {
   }
 
   /// Top-k search over global reference indices [first, last), merged
-  /// across every intersecting shard. Thread-safe for statistical/ideal
-  /// fidelity (keyed noise).
+  /// across every intersecting shard: a one-query search_many, so it
+  /// enters the same shards. Thread-safe for statistical/ideal fidelity
+  /// (keyed noise).
   [[nodiscard]] std::vector<hd::SearchHit> top_k(const util::BitVec& query,
                                                  std::size_t first,
                                                  std::size_t last,
@@ -119,11 +120,11 @@ class ShardedSearch {
   [[nodiscard]] std::vector<std::vector<hd::SearchHit>> search_many(
       std::span<const hd::BatchQuery> queries, std::size_t k) const;
 
-  /// Shard search entries so far: one per (query, intersecting shard) on
-  /// the per-query path, one per (block, intersecting shard) on the
-  /// batched path — the scale-out cost the batched path amortizes. Exact
-  /// (atomically counted per shard task) regardless of how many threads
-  /// execute the shards, so the measured perf-model path is deterministic.
+  /// Shard search entries so far: one per (block, intersecting shard), so
+  /// one per (query, intersecting shard) on the per-query top_k — the
+  /// scale-out cost the batched path amortizes. Exact (atomically counted
+  /// per shard task) regardless of how many threads execute the shards,
+  /// so the measured perf-model path is deterministic.
   [[nodiscard]] std::uint64_t shard_entries() const noexcept {
     return shard_entries_.load(std::memory_order_relaxed);
   }

@@ -4,23 +4,27 @@
 // what turns the same kernel into either a standard search (narrow window)
 // or an open modification search (wide window).
 //
-// Besides the per-query kernels this header carries the *query block*
+// Besides the exact searches this header carries the *query block*
 // vocabulary shared by every batched search path: BatchQuery (one request
 // in a block), insert_top_k (the top-k maintenance every kernel uses, so
 // tie-breaking is identical everywhere), for_each_query_segment (the
-// reference-major sweep that lets one pass over resident references serve a
-// whole block), and top_k_search_batch (the batched exact kernel built on
-// them).
+// reference-major segmentation that lets one pass over resident
+// references serve a whole block) and sweep_batch, the one batched-sweep
+// driver built on them. sweep_batch owns the dimension check, the range
+// clipping, the walk (segments → RefView extents → cache-sized chunks →
+// kernels::kSweepGroup query groups through the register-tiled
+// kernels::hamming_sweep_tier) and its distance scratch; a caller supplies
+// only what it does with a chunk's distances. top_k_search_batch passes
+// the exact top-k insert, accel::ImcSearchEngine::search_many its
+// noise-pruned scoring and phase count. Every single-query search is a
+// one-query batch: top_k_search over a RefView here, top_k_keyed and
+// ShardedSearch::top_k on the RRAM-modelled side.
 //
 // Kernel/dispatch seam: the word-level XOR-popcount work underneath lives
 // in hd/kernels.hpp — runtime-dispatched scalar / AVX2 / AVX-512-VPOPCNTDQ
 // tiers, all bit-identical, plus the piecewise RefView (an ordered list of
 // contiguous extents with global indices), the one reference layout every
-// sweep here takes. Every sweep goes through the one register-tiled group
-// primitive, kernels::hamming_sweep_tier: the batched kernel feeds it the
-// active queries kernels::kSweepGroup at a time, so each reference row
-// load scores a whole group, and the per-query kernel passes a group of
-// one. Sweeps are cache-blocked per extent, so a mapped
+// sweep here takes. Sweeps are cache-blocked per extent, so a mapped
 // monolithic index::LibraryIndex (one extent), a multi-segment
 // index::SegmentedLibrary (one extent per run of same-segment rows) and
 // in-process encodings (RefView::from_span) all go through the same
@@ -31,6 +35,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "hd/kernels.hpp"
@@ -67,12 +73,12 @@ struct SearchHit {
     const util::BitVec& query, std::span<const util::BitVec> references,
     std::size_t first, std::size_t last, std::size_t k);
 
-/// Same search over a piecewise view (bit-identical results): the chunked
-/// SIMD sweep runs per extent with global reference indices, visiting
-/// candidates in ascending global order. Callers holding a library build
-/// the view once (RefView::from_span, or the library's ref_view()) and
-/// reuse it per query. Throws std::invalid_argument, naming both, when the
-/// query's dimension is not the view's.
+/// Same search over a piecewise view (bit-identical results): a one-query
+/// top_k_search_batch, so it sweeps per extent with global reference
+/// indices, visiting candidates in ascending global order. Callers holding
+/// a library build the view once (RefView::from_span, or the library's
+/// ref_view()) and reuse it per query. Throws std::invalid_argument,
+/// naming both, when the query's dimension is not the view's.
 [[nodiscard]] std::vector<SearchHit> top_k_search(const util::BitVec& query,
                                                   const RefView& references,
                                                   std::size_t first,
@@ -155,15 +161,89 @@ void for_each_query_segment(std::span<const BatchQuery> queries,
   }
 }
 
+/// The one batched-sweep driver behind every RefView search, exact and
+/// RRAM-modelled. Returns at once when `queries` is empty or `refs` is
+/// invalid. Otherwise it throws std::invalid_argument, naming `who` and
+/// both dimensions, when any query's dimension is not the view's — before
+/// sweeping, and for an empty range too. With k > 0 it clips every range
+/// to [0, refs.count()) and walks the block reference-major:
+///
+///   on_segment(lo, hi, active)          once per for_each_query_segment
+///                                       segment;
+///   on_distances(slot, dist, n, base)   per active query and chunk, where
+///                                       dist[0..n) are the Hamming distances
+///                                       of queries[slot] to the global rows
+///                                       base, base + 1, ...
+///
+/// Each segment is split into its RefView extents and each extent into
+/// kernels::sweep_chunk_rows chunks, so a run of reference rows stays
+/// cache-resident while every active query is scored against it — the
+/// cache-level analogue of the crossbar's program-once-serve-the-block
+/// phase. Within a chunk the active queries go kernels::kSweepGroup at a
+/// time through the register-tiled kernels::hamming_sweep_tier, on the
+/// tier resolved once per call. Extents and chunks ascend, so every query
+/// sees its candidates in ascending global order (the insert_top_k
+/// tie-break contract) and results do not depend on block composition.
+template <typename OnSegment, typename OnDistances>
+void sweep_batch(std::span<const BatchQuery> queries, const RefView& refs,
+                 std::size_t k, const char* who, OnSegment&& on_segment,
+                 OnDistances&& on_distances) {
+  if (queries.empty() || !refs.valid()) return;
+  // The sweep reads word_count() words of every query and scores its dot
+  // against the library's dimension, so a shorter query would be read
+  // past its end and a longer one scored on a prefix.
+  for (const BatchQuery& q : queries) {
+    if (q.hv->size() != refs.dim()) {
+      throw std::invalid_argument(
+          std::string(who) + ": query dimension " +
+          std::to_string(q.hv->size()) +
+          " differs from the library dimension " + std::to_string(refs.dim()));
+    }
+  }
+  if (k == 0) return;
+
+  std::vector<BatchQuery> clipped(queries.begin(), queries.end());
+  for (BatchQuery& q : clipped) {
+    q.last = std::min(q.last, refs.count());
+    q.first = std::min(q.first, q.last);
+  }
+  constexpr std::size_t kGroup = kernels::kSweepGroup;
+  const kernels::Tier tier = kernels::active_tier();
+  const std::size_t wc = refs.word_count();
+  std::vector<std::uint32_t> dist;
+  for_each_query_segment(clipped, [&](std::size_t lo, std::size_t hi,
+                                      std::span<const std::size_t> active) {
+    on_segment(lo, hi, active);
+    refs.for_each_extent(lo, hi, [&](const RefExtent& ext, std::size_t lfirst,
+                                     std::size_t llast) {
+      const std::size_t chunk = kernels::sweep_chunk_rows(ext.stride);
+      const std::size_t rows = std::min(chunk, llast - lfirst);
+      if (dist.size() < kGroup * rows) dist.resize(kGroup * rows);
+      for (std::size_t c0 = lfirst; c0 < llast; c0 += chunk) {
+        const std::size_t c1 = std::min(llast, c0 + chunk);
+        for (std::size_t g0 = 0; g0 < active.size(); g0 += kGroup) {
+          const std::size_t n = std::min(kGroup, active.size() - g0);
+          const std::uint64_t* group[kGroup];
+          for (std::size_t g = 0; g < n; ++g) {
+            group[g] = clipped[active[g0 + g]].hv->words().data();
+          }
+          kernels::hamming_sweep_tier(tier, {group, n}, ext, wc, c0, c1,
+                                      dist.data(), rows);
+          for (std::size_t g = 0; g < n; ++g) {
+            on_distances(active[g0 + g], dist.data() + g * rows, c1 - c0,
+                         ext.base + c0);
+          }
+        }
+      }
+    });
+  });
+}
+
 /// Batched exact kernel: searches a whole query block in one
-/// reference-major sweep. result[i] is bit-identical to
+/// reference-major sweep_batch. result[i] is bit-identical to
 /// top_k_search(*queries[i].hv, references, queries[i].first,
-/// queries[i].last, k). The segment sweep runs per extent and is chunked
-/// (kernels::sweep_chunk_rows) so a chunk of reference rows stays
-/// cache-resident while every active query of the block is scored against
-/// it, kernels::kSweepGroup queries per register-tiled sweep call; the
-/// kernel tier is resolved once per call. Throws std::invalid_argument
-/// when any query's dimension is not the view's, before sweeping.
+/// queries[i].last, k). Throws std::invalid_argument when any query's
+/// dimension is not the view's, before sweeping.
 [[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
     std::span<const BatchQuery> queries, const RefView& references,
     std::size_t k);

@@ -172,8 +172,9 @@ class ConstBitVec {
                                               std::size_t n) noexcept {
   std::size_t total = 0;
   // Unrolled by four: the compiler vectorizes this into pshufb/popcnt loops.
+  const std::size_t body = n - n % 4;
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  for (; i < body; i += 4) {
     total += std::popcount(a[i + 0] ^ b[i + 0]);
     total += std::popcount(a[i + 1] ^ b[i + 1]);
     total += std::popcount(a[i + 2] ^ b[i + 2]);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <utility>
 
 namespace oms::util {
 
@@ -11,12 +12,11 @@ Cli::Cli(int argc, const char* const* argv) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;
     arg.erase(0, 2);
+    // A bare flag reads as "1".
     const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      values_[arg] = "1";
-    } else {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
+    std::string value = eq == std::string::npos ? "1" : arg.substr(eq + 1);
+    arg.resize(std::min(eq, arg.size()));
+    values_.insert_or_assign(std::move(arg), std::move(value));
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 
 namespace oms::util {
@@ -106,6 +107,7 @@ void ThreadPool::parallel_tasks(std::size_t n,
     std::atomic<std::size_t> completed{0};
     std::mutex done_mutex;
     std::condition_variable done_cv;
+    std::exception_ptr error;  ///< First exception fn threw; under done_mutex.
   };
   auto state = std::make_shared<State>();
   state->fn = fn;
@@ -115,7 +117,12 @@ void ThreadPool::parallel_tasks(std::size_t n,
     for (;;) {
       const std::size_t i = s.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= s.n) return;
-      s.fn(i);
+      try {
+        s.fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(s.done_mutex);
+        if (!s.error) s.error = std::current_exception();
+      }
       if (s.completed.fetch_add(1, std::memory_order_acq_rel) + 1 == s.n) {
         const std::lock_guard<std::mutex> lock(s.done_mutex);
         s.done_cv.notify_all();
@@ -138,6 +145,7 @@ void ThreadPool::parallel_tasks(std::size_t n,
   state->done_cv.wait(lock, [&] {
     return state->completed.load(std::memory_order_acquire) == state->n;
   });
+  if (state->error) std::rethrow_exception(state->error);
 }
 
 namespace {

@@ -53,7 +53,9 @@ class ThreadPool {
   /// task: even if every worker is busy (or blocked in an outer
   /// parallel_for), the caller drains the whole index range alone and
   /// nested parallelism cannot deadlock. Task indices are claimed from a
-  /// shared atomic counter; fn must tolerate any execution order.
+  /// shared atomic counter; fn must tolerate any execution order. If fn
+  /// throws, every other task still runs and the first exception is
+  /// rethrown in the caller once all of them have finished.
   void parallel_tasks(std::size_t n,
                       const std::function<void(std::size_t)>& fn);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hd/search.hpp"
 #include "util/thread_pool.hpp"
 
@@ -82,6 +84,58 @@ TEST(ShardedSearch, EmptyRangeAndZeroK) {
   const ShardedSearch sharded(refs, small_config(Fidelity::kIdeal, 50));
   EXPECT_TRUE(sharded.top_k(refs[0], 10, 10, 5, 1).empty());
   EXPECT_TRUE(sharded.top_k(refs[0], 0, 100, 0, 1).empty());
+}
+
+TEST(ShardedSearch, TopKIsAOneQuerySearchMany) {
+  // top_k is a one-query search_many: the same hits, and the same shards
+  // entered and phases charged, window by window.
+  const auto refs = random_refs(700, 1024, 7);
+  const ShardedSearch sharded(refs,
+                              small_config(Fidelity::kStatistical, 128));
+  util::BitVec query(1024);
+  query.randomize(950);
+
+  struct Case {
+    std::size_t first, last, k, entries;  // entries: shards the window hits
+  };
+  const Case cases[] = {
+      {10, 90, 5, 1},    // inside shard 0
+      {100, 300, 5, 3},  // crosses into shards 1 and 2
+      {300, 300, 5, 0},  // empty window
+      {0, 700, 0, 0},    // k = 0
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t e0 = sharded.shard_entries();
+    const std::uint64_t p0 = sharded.phases_executed();
+    const auto single = sharded.top_k(query, c.first, c.last, c.k, 42);
+    const std::uint64_t e1 = sharded.shard_entries();
+    const std::uint64_t p1 = sharded.phases_executed();
+    const hd::BatchQuery q{&query, c.first, c.last, 42};
+    const auto batch = sharded.search_many({&q, 1}, c.k);
+    const std::uint64_t e2 = sharded.shard_entries();
+    const std::uint64_t p2 = sharded.phases_executed();
+
+    const std::string where =
+        std::to_string(c.first) + ".." + std::to_string(c.last) +
+        " k=" + std::to_string(c.k);
+    ASSERT_EQ(batch.size(), 1U) << where;
+    EXPECT_EQ(single, batch.front()) << where;
+    EXPECT_EQ(single.size(), c.k == 0 || c.first == c.last ? 0U : c.k)
+        << where;
+    EXPECT_EQ(e1 - e0, c.entries) << where;
+    EXPECT_EQ(e2 - e1, e1 - e0) << where;
+    EXPECT_EQ(p2 - p1, p1 - p0) << where;
+    // 1024 / 64 activated pairs = 16 phases per candidate.
+    EXPECT_EQ(p1 - p0, c.entries == 0 ? 0U : 16U * (c.last - c.first))
+        << where;
+  }
+
+  // A query of another dimension throws even when the window fans out
+  // across shards on the pool.
+  util::BitVec wrong(960);
+  wrong.randomize(951);
+  EXPECT_THROW((void)sharded.top_k(wrong, 100, 500, 5, 1),
+               std::invalid_argument);
 }
 
 TEST(ShardedSearch, RejectsEmptyReferences) {

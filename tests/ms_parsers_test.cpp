@@ -92,9 +92,9 @@ TEST(Mgf, FileIoErrors) {
 
 TEST(Base64, RoundTripAllLengths) {
   for (std::size_t len = 0; len < 16; ++len) {
-    std::vector<std::uint8_t> data(len);
+    std::vector<std::uint8_t> data;
     for (std::size_t i = 0; i < len; ++i) {
-      data[i] = static_cast<std::uint8_t>(i * 37 + 5);
+      data.push_back(static_cast<std::uint8_t>(i * 37 + 5));
     }
     const std::string text = detail::base64_encode(data);
     EXPECT_EQ(detail::base64_decode(text), data) << "len=" << len;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -133,6 +134,25 @@ TEST(ThreadPool, ParallelTasksReusableAcrossCalls) {
     pool.parallel_tasks(50, [&](std::size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 50);
   }
+}
+
+TEST(ThreadPool, ParallelTasksRethrowsAfterEveryTaskRan) {
+  // A throwing task neither kills a worker nor returns early: every other
+  // index still runs, and the caller sees the exception afterwards.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> touched(64);
+  EXPECT_THROW(pool.parallel_tasks(64,
+                                   [&](std::size_t i) {
+                                     touched[i].fetch_add(1);
+                                     if (i % 16 == 5) {
+                                       throw std::invalid_argument("task");
+                                     }
+                                   }),
+               std::invalid_argument);
+  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+  std::atomic<int> after{0};
+  pool.parallel_tasks(8, [&](std::size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 8);
 }
 
 TEST(BoundedQueue, FifoOrderSingleThread) {
