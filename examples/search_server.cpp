@@ -24,6 +24,10 @@
 //   Q <session-id> <query-id> <precursor_mz> <charge> <mz:int,mz:int,...>
 //     ⇠ (nothing on admission)
 //     ← REJECT <session-id> <query-id>   only when admission sheds it
+//     session-id in [0, 2^64); query-id in [0, 2^32); precursor_mz finite
+//     and > 0; charge >= 1; every peak value finite. A malformed field is
+//     answered "ERR <field> must be <range>, got '<value>'", a malformed
+//     peak list "ERR bad peak list".
 //   ⇠ PSM <session-id> <query-id> <peptide> <score> <mass-shift>
 //     (%.17g — parses back to the exact double; may interleave anywhere)
 //   CLOSE <session-id>
@@ -58,6 +62,7 @@
 // options override the knobs a tenant may vary.
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -208,6 +213,12 @@ class Conversation {
     return true;
   }
 
+  /// Replies the ERR line for a field that failed strict parsing.
+  void reject_field(const std::string& field, const char* accepts,
+                    const std::string& value) {
+    reply("ERR " + field + " must be " + accepts + ", got '" + value + "'");
+  }
+
   bool cmd_open(const std::vector<char*>& tok) {
     if (tok.size() < 2) {
       reply("ERR OPEN needs a library path");
@@ -272,7 +283,7 @@ class Conversation {
         return true;
       }
       if (accepts != nullptr) {
-        reply("ERR " + key + " must be " + accepts + ", got '" + val + "'");
+        reject_field(key, accepts, val);
         return true;
       }
     }
@@ -294,10 +305,20 @@ class Conversation {
     return true;
   }
 
-  oms::serve::Session* find(const char* sid_text) {
-    const std::uint64_t sid = std::strtoull(sid_text, nullptr, 10);
+  /// The open session `text` names, or nullptr after replying ERR (a
+  /// malformed id, or no such session).
+  oms::serve::Session* find(const std::string& text) {
+    std::uint64_t sid = 0;
+    if (!parse_count(text, 0, kU64Max, sid)) {
+      reject_field("session", "an integer in [0, 2^64)", text);
+      return nullptr;
+    }
     auto it = sessions_.find(sid);
-    return it == sessions_.end() ? nullptr : it->second.get();
+    if (it == sessions_.end()) {
+      reply("ERR no such session: " + text);
+      return nullptr;
+    }
+    return it->second.get();
   }
 
   bool cmd_query(const std::vector<char*>& tok) {
@@ -306,14 +327,23 @@ class Conversation {
       return true;
     }
     oms::serve::Session* s = find(tok[1]);
-    if (s == nullptr) {
-      reply(std::string("ERR no such session: ") + tok[1]);
+    if (s == nullptr) return true;
+    oms::ms::Spectrum q;
+    if (!parse_count(tok[2], 0, std::numeric_limits<std::uint32_t>::max(),
+                     q.id)) {
+      reject_field("qid", "an integer in [0, 2^32)", tok[2]);
       return true;
     }
-    oms::ms::Spectrum q;
-    q.id = static_cast<std::uint32_t>(std::strtoul(tok[2], nullptr, 10));
-    q.precursor_mz = std::strtod(tok[3], nullptr);
-    q.precursor_charge = static_cast<int>(std::strtol(tok[4], nullptr, 10));
+    if (!parse_all(tok[3], q.precursor_mz) || !std::isfinite(q.precursor_mz) ||
+        q.precursor_mz <= 0.0) {
+      reject_field("mz", "a finite number > 0", tok[3]);
+      return true;
+    }
+    if (!parse_count(tok[4], 1, std::numeric_limits<int>::max(),
+                     q.precursor_charge)) {
+      reject_field("charge", "an integer >= 1", tok[4]);
+      return true;
+    }
     for (const char* p = tok[5]; *p != '\0';) {
       char* end = nullptr;
       const double mz = std::strtod(p, &end);
@@ -322,12 +352,12 @@ class Conversation {
         return true;
       }
       p = end + 1;
-      const double intensity = std::strtod(p, &end);
-      if (end == p) {
+      const auto intensity = static_cast<float>(std::strtod(p, &end));
+      if (end == p || !std::isfinite(mz) || !std::isfinite(intensity)) {
         reply("ERR bad peak list");
         return true;
       }
-      q.peaks.push_back({mz, static_cast<float>(intensity)});
+      q.peaks.push_back({mz, intensity});
       p = (*end == ',') ? end + 1 : end;
     }
     const std::uint32_t qid = q.id;
@@ -343,10 +373,7 @@ class Conversation {
       return true;
     }
     oms::serve::Session* s = find(tok[1]);
-    if (s == nullptr) {
-      reply(std::string("ERR no such session: ") + tok[1]);
-      return true;
-    }
+    if (s == nullptr) return true;
     // close() drains: the remaining accepted PSMs flush through on_accept
     // (so their lines precede CLOSED), then the summary confirms.
     const oms::core::PipelineResult result = s->close();
@@ -430,6 +457,9 @@ void print_help() {
       "    gets ERR <option> must be <range>, got '<value>'.\n"
       "  Q <session-id> <query-id> <precursor_mz> <charge> <mz:int,...>\n"
       "    -> REJECT <sid> <qid> only when admission sheds the query\n"
+      "    query-id in [0, 2^32); precursor_mz finite and > 0; charge >= 1;\n"
+      "    peak values finite. A malformed field gets ERR <field> must be\n"
+      "    <range>, got '<value>'; a malformed peak list ERR bad peak list.\n"
       "  CLOSE <session-id>\n"
       "    -> accepted PSMs, released as the stream's tail resolves\n"
       "       (close bounds the stream by what was submitted; no stream\n"

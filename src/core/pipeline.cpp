@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/query_engine.hpp"
@@ -21,8 +22,27 @@ PipelineResult::identification_set() const {
   return ids;
 }
 
+namespace {
+
+double checked_fdr_threshold(double threshold) {
+  if (!(threshold > 0.0 && threshold <= 1.0)) {
+    std::ostringstream msg;
+    msg << "Pipeline: fdr_threshold must be in (0, 1], got " << threshold;
+    throw std::invalid_argument(msg.str());
+  }
+  return threshold;
+}
+
+}  // namespace
+
 Pipeline::Pipeline(const PipelineConfig& cfg)
-    : cfg_(cfg), encoder_(cfg.encoder) {}
+    : cfg_(cfg), encoder_(cfg.encoder) {
+  (void)checked_fdr_threshold(cfg.fdr_threshold);
+}
+
+void Pipeline::set_fdr_threshold(double threshold) {
+  cfg_.fdr_threshold = checked_fdr_threshold(threshold);
+}
 
 Pipeline::~Pipeline() = default;
 

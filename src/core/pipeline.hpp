@@ -102,9 +102,9 @@ class Pipeline {
   /// Adjusts the FDR threshold for subsequent runs and engine drains. A
   /// filter-time knob: the library, encodings, and backend are untouched.
   /// Must not be called while a QueryEngine is live on this pipeline.
-  void set_fdr_threshold(double threshold) noexcept {
-    cfg_.fdr_threshold = threshold;
-  }
+  /// Throws std::invalid_argument naming the value unless it is in (0, 1]
+  /// (NaN included), as the constructor does for cfg.fdr_threshold.
+  void set_fdr_threshold(double threshold);
 
   /// The backend registry name this pipeline resolves to (backend_name,
   /// or "ideal-hd" when it is empty).

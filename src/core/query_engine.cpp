@@ -6,9 +6,13 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -105,16 +109,14 @@ struct QueryEngine::Impl {
           "set_library?)");
     }
 
-    encode_live.store(cfg.stage_threads, std::memory_order_relaxed);
-    search_live.store(cfg.stage_threads, std::memory_order_relaxed);
-    rescore_live.store(cfg.stage_threads, std::memory_order_relaxed);
-    preprocess_thread = std::thread([this] { preprocess_loop(); });
-    for (std::size_t t = 0; t < cfg.stage_threads; ++t) {
-      encode_threads.emplace_back([this] { encode_loop(); });
-      search_threads.emplace_back([this] { search_loop(); });
-      rescore_threads.emplace_back([this] { rescore_loop(); });
-    }
-    emit_thread = std::thread([this] { emit_loop(); });
+    workers.emplace_back([this] { preprocess_loop(); });
+    start_stage(to_encode, to_search, obs ? &obs->search_depth : nullptr,
+                &Impl::encode_stage);
+    start_stage(to_search, to_rescore, obs ? &obs->rescore_depth : nullptr,
+                &Impl::search_stage);
+    start_stage(to_rescore, to_emit, obs ? &obs->emit_depth : nullptr,
+                &Impl::rescore_stage);
+    workers.emplace_back([this] { emit_loop(); });
   }
 
   ~Impl() { shutdown(); }
@@ -130,7 +132,81 @@ struct QueryEngine::Impl {
     return c;
   }
 
-  // --- stage loops --------------------------------------------------------
+  // --- stage runner -------------------------------------------------------
+
+  /// What a block stage hands its output to (see start_stage).
+  template <typename T>
+  using Send = std::function<void(T)>;
+
+  /// Runs `work` on every item popped from `in` until the queue is closed
+  /// and empty. Once the stream has failed, items are popped and dropped;
+  /// an exception from `work` fails the stream.
+  template <typename T, typename Work>
+  void run_stage(util::BoundedQueue<T>& in, const Work& work) {
+    while (auto item = in.pop()) {
+      if (!failed.load(std::memory_order_acquire)) {
+        guarded([&] { work(*item); });
+      }
+    }
+  }
+
+  /// Runs `f`, routing any exception to fail() (the first one wins).
+  template <typename F>
+  void guarded(const F& f) {
+    try {
+      f();
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  }
+
+  /// Starts cfg.stage_threads workers of a block stage. Each one runs
+  /// run_stage over `in`; with timing on it observes a block's queue wait
+  /// (histogram and kQueueWait trace) and hands `body` the time the stage
+  /// started on the block, and `body` passes its output to a Send that
+  /// forwards it to `out` (see hand_on). The last worker to finish closes
+  /// `out`, so the cascade winds down stage by stage.
+  template <typename Out>
+  void start_stage(util::BoundedQueue<Block>& in, util::BoundedQueue<Out>& out,
+                   obs::Gauge* depth,
+                   void (Impl::*body)(Block&, Clock::time_point,
+                                      const Send<Out>&)) {
+    auto live = std::make_shared<std::atomic<std::size_t>>(cfg.stage_threads);
+    for (std::size_t t = 0; t < cfg.stage_threads; ++t) {
+      workers.emplace_back([this, &in, &out, depth, body, live] {
+        const Send<Out> send = [&](Out item) {
+          hand_on(out, depth, std::move(item));
+        };
+        run_stage(in, [&](Block& block) {
+          Clock::time_point t0{};
+          if (timing_on()) {
+            t0 = Clock::now();
+            const double wait = seconds_between(block.stamp, t0);
+            if (obs) obs->queue_wait_s.observe(wait);
+            if (tracing_on()) {
+              trace_block(block, obs::Stage::kQueueWait, wait);
+            }
+          }
+          (this->*body)(block, t0, send);
+        });
+        if (live->fetch_sub(1, std::memory_order_acq_rel) == 1) out.close();
+      });
+    }
+  }
+
+  /// Pushes `item` to the next stage and sets that queue's `depth` gauge;
+  /// a block is re-stamped with its queue-entry time first (timing on).
+  /// The push fails only once a failure closed the queue.
+  template <typename T>
+  void hand_on(util::BoundedQueue<T>& out, obs::Gauge* depth, T item) {
+    if constexpr (std::is_same_v<T, Block>) {
+      if (timing_on()) item.stamp = Clock::now();
+    }
+    (void)out.push(std::move(item));
+    if (depth != nullptr) depth->set(static_cast<double>(out.size()));
+  }
+
+  // --- stages -------------------------------------------------------------
 
   void preprocess_loop() {
     Block current;
@@ -139,20 +215,19 @@ struct QueryEngine::Impl {
     // the determinism contract keys on, but covering preprocess-dropped
     // queries too (which never get a `searched` index).
     std::uint64_t admit_seq = 0;
-    while (auto admitted = admission.pop()) {
-      if (failed.load(std::memory_order_acquire)) continue;
+    run_stage(admission, [&](Admitted& admitted) {
       const std::uint64_t key = admit_seq++;
       const bool traced = cfg.tracer != nullptr && cfg.tracer->sampled(key);
       Clock::time_point t0{};
       if (obs || traced) {
         t0 = Clock::now();
-        const double wait = seconds_between(admitted->enqueued, t0);
+        const double wait = seconds_between(admitted.enqueued, t0);
         if (obs) obs->admission_wait_s.observe(wait);
         if (traced) cfg.tracer->record(key, obs::Stage::kAdmit, wait);
       }
       ms::BinnedSpectrum binned;
       const bool kept =
-          ms::preprocess(admitted->spectrum, pipeline.cfg_.preprocess, binned);
+          ms::preprocess(admitted.spectrum, pipeline.cfg_.preprocess, binned);
       if (obs || traced) {
         const double prep = seconds_between(t0, Clock::now());
         if (obs) obs->preprocess_s.observe(prep);
@@ -167,7 +242,7 @@ struct QueryEngine::Impl {
           cfg.tracer->complete(key, obs::SpanOutcome::kDroppedPreprocess);
         }
         note_resolved(1);
-        continue;
+        return;
       }
       const std::size_t index = searched++;
       if (obs) {
@@ -175,176 +250,103 @@ struct QueryEngine::Impl {
         if (admit_time_by_index.size() <= index) {
           admit_time_by_index.resize(index + 1);
         }
-        admit_time_by_index[index] = admitted->enqueued;
+        admit_time_by_index[index] = admitted.enqueued;
       }
       current.index.push_back(index);
       current.span_keys.push_back(key);
       current.spectra.push_back(std::move(binned));
       if (current.spectra.size() >= cfg.block_size) flush(current);
-    }
-    if (!current.spectra.empty()) flush(current);
+    });
+    guarded([&] {
+      if (!current.spectra.empty()) flush(current);
+    });
     to_encode.close();
   }
 
   void flush(Block& current) {
     ++blocks;
     if (obs) obs->blocks.add(1);
-    if (timing_on()) current.stamp = Clock::now();
-    to_encode.push(std::move(current));
-    if (obs) obs->encode_depth.set(static_cast<double>(to_encode.size()));
-    current = Block{};
+    hand_on(to_encode, obs ? &obs->encode_depth : nullptr,
+            std::exchange(current, Block{}));
   }
 
-  void encode_loop() {
-    while (auto block = to_encode.pop()) {
-      if (!failed.load(std::memory_order_acquire)) {
-        try {
-          Clock::time_point t0{};
-          if (timing_on()) {
-            t0 = Clock::now();
-            const double wait = seconds_between(block->stamp, t0);
-            if (obs) obs->queue_wait_s.observe(wait);
-            if (tracing_on()) {
-              trace_block(*block, obs::Stage::kQueueWait, wait);
-            }
-          }
-          encode_block(*block);
-          build_searches(*block);
-          if (timing_on()) {
-            const double enc = seconds_between(t0, Clock::now());
-            if (obs) obs->encode_s.observe(enc);
-            if (tracing_on()) trace_block(*block, obs::Stage::kEncode, enc);
-            block->stamp = Clock::now();
-          }
-          to_search.push(std::move(*block));
-          if (obs) {
-            obs->search_depth.set(static_cast<double>(to_search.size()));
-          }
-        } catch (...) {
-          fail(std::current_exception());
-        }
-      }
+  void encode_stage(Block& block, Clock::time_point t0,
+                    const Send<Block>& send) {
+    encode_block(block);
+    build_searches(block);
+    if (timing_on()) {
+      const double enc = seconds_between(t0, Clock::now());
+      if (obs) obs->encode_s.observe(enc);
+      if (tracing_on()) trace_block(block, obs::Stage::kEncode, enc);
     }
-    if (encode_live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      to_search.close();
-    }
+    send(std::move(block));
   }
 
-  void search_loop() {
+  void search_stage(Block& block, Clock::time_point t0,
+                    const Send<Block>& send) {
     const std::size_t k =
         std::max<std::size_t>(1, pipeline.cfg_.rescore_top_k);
-    while (auto block = to_search.pop()) {
-      if (!failed.load(std::memory_order_acquire)) {
-        try {
-          Clock::time_point t0{};
-          double inner_s = 0.0;
-          if (timing_on()) {
-            t0 = Clock::now();
-            const double wait = seconds_between(block->stamp, t0);
-            if (obs) obs->queue_wait_s.observe(wait);
-            if (tracing_on()) {
-              trace_block(*block, obs::Stage::kQueueWait, wait);
-            }
-          }
-          const auto run_block = [&] {
-            if (timing_on()) {
-              const Clock::time_point s0 = Clock::now();
-              block->hits =
-                  pipeline.backend_->search_batch(block->searches, k);
-              inner_s = seconds_between(s0, Clock::now());
-            } else {
-              block->hits =
-                  pipeline.backend_->search_batch(block->searches, k);
-            }
-          };
-          // The gate (serve::FairScheduler) only decides *when* the block
-          // runs; keyed noise keeps the results schedule-independent.
-          if (cfg.search_gate) {
-            cfg.search_gate(run_block);
-          } else {
-            run_block();
-          }
-          if (timing_on()) {
-            // Outer minus inner separates the time waiting on the gate
-            // (cross-tenant scheduling) from the backend search itself;
-            // for the tracer the gate wait folds into queue-wait.
-            const double gate_wait = std::max(
-                0.0, seconds_between(t0, Clock::now()) - inner_s);
-            if (obs) {
-              obs->search_s.observe(inner_s);
-              obs->gate_wait_s.observe(gate_wait);
-            }
-            if (tracing_on()) {
-              trace_block(*block, obs::Stage::kSearch, inner_s);
-              trace_block(*block, obs::Stage::kQueueWait, gate_wait);
-            }
-            block->stamp = Clock::now();
-          }
-          if (obs) scrape_backend();
-          to_rescore.push(std::move(*block));
-          if (obs) {
-            obs->rescore_depth.set(static_cast<double>(to_rescore.size()));
-          }
-        } catch (...) {
-          fail(std::current_exception());
-        }
+    double inner_s = 0.0;
+    const auto run_block = [&] {
+      if (timing_on()) {
+        const Clock::time_point s0 = Clock::now();
+        block.hits = pipeline.backend_->search_batch(block.searches, k);
+        inner_s = seconds_between(s0, Clock::now());
+      } else {
+        block.hits = pipeline.backend_->search_batch(block.searches, k);
+      }
+    };
+    // The gate (serve::FairScheduler) only decides *when* the block runs;
+    // keyed noise keeps the results schedule-independent.
+    if (cfg.search_gate) {
+      cfg.search_gate(run_block);
+    } else {
+      run_block();
+    }
+    if (timing_on()) {
+      // Outer minus inner separates the time waiting on the gate
+      // (cross-tenant scheduling) from the backend search itself; for the
+      // tracer the gate wait folds into queue-wait.
+      const double gate_wait =
+          std::max(0.0, seconds_between(t0, Clock::now()) - inner_s);
+      if (obs) {
+        obs->search_s.observe(inner_s);
+        obs->gate_wait_s.observe(gate_wait);
+      }
+      if (tracing_on()) {
+        trace_block(block, obs::Stage::kSearch, inner_s);
+        trace_block(block, obs::Stage::kQueueWait, gate_wait);
       }
     }
-    if (search_live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      to_rescore.close();
-    }
+    if (obs) scrape_backend();
+    send(std::move(block));
   }
 
-  void rescore_loop() {
-    while (auto block = to_rescore.pop()) {
-      if (!failed.load(std::memory_order_acquire)) {
-        try {
-          Clock::time_point t0{};
-          if (timing_on()) {
-            t0 = Clock::now();
-            const double wait = seconds_between(block->stamp, t0);
-            if (obs) obs->queue_wait_s.observe(wait);
-            if (tracing_on()) {
-              trace_block(*block, obs::Stage::kQueueWait, wait);
-            }
-          }
-          const std::size_t in_block = block->spectra.size();
-          std::vector<Emitted> emitted_block = rescore_block(*block);
-          if (timing_on()) {
-            const double rs = seconds_between(t0, Clock::now());
-            if (obs) obs->rescore_s.observe(rs);
-            if (tracing_on()) trace_block(*block, obs::Stage::kRescore, rs);
-          }
-          if (tracing_on() && emitted_block.size() != block->span_keys.size()) {
-            // Empty-window slots never reach the emit stage: close their
-            // spans here, after the block's last record. Emitted entries
-            // preserve slot order, so the non-emitted keys fall out of a
-            // two-pointer walk.
-            std::size_t j = 0;
-            for (const std::uint64_t key : block->span_keys) {
-              if (j < emitted_block.size() &&
-                  emitted_block[j].span_key == key) {
-                ++j;
-              } else {
-                cfg.tracer->complete(key, obs::SpanOutcome::kEmptyWindow);
-              }
-            }
-          }
-          if (!emitted_block.empty()) to_emit.push(std::move(emitted_block));
-          if (obs) {
-            obs->emit_depth.set(static_cast<double>(to_emit.size()));
-          }
-          // Every query in the block is now resolved — either its PSM is
-          // en route to emission or it had no candidate window.
-          note_resolved(in_block);
-        } catch (...) {
-          fail(std::current_exception());
+  void rescore_stage(Block& block, Clock::time_point t0,
+                     const Send<std::vector<Emitted>>& send) {
+    std::vector<Emitted> emitted_block = rescore_block(block);
+    if (timing_on()) {
+      const double rs = seconds_between(t0, Clock::now());
+      if (obs) obs->rescore_s.observe(rs);
+      if (tracing_on()) trace_block(block, obs::Stage::kRescore, rs);
+    }
+    if (tracing_on() && emitted_block.size() != block.span_keys.size()) {
+      // Empty-window slots never reach the emit stage: close their spans
+      // here, after the block's last record. Emitted entries preserve slot
+      // order, so the non-emitted keys fall out of a two-pointer walk.
+      std::size_t j = 0;
+      for (const std::uint64_t key : block.span_keys) {
+        if (j < emitted_block.size() && emitted_block[j].span_key == key) {
+          ++j;
+        } else {
+          cfg.tracer->complete(key, obs::SpanOutcome::kEmptyWindow);
         }
       }
     }
-    if (rescore_live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      to_emit.close();
-    }
+    if (!emitted_block.empty()) send(std::move(emitted_block));
+    // Every query in the block is now resolved — either its PSM is en
+    // route to emission or it had no candidate window.
+    note_resolved(block.spectra.size());
   }
 
   /// Resolution bookkeeping shared by the preprocess filter and rescore:
@@ -355,62 +357,51 @@ struct QueryEngine::Impl {
   }
 
   void emit_loop() {
-    // Estimator adds allocate and the user's on_accept may throw; route
-    // failures through fail() like every other stage instead of letting
-    // them terminate the emission thread.
-    while (auto emitted_block = to_emit.pop()) {
-      if (!failed.load(std::memory_order_acquire)) {
-        try {
-          Clock::time_point t0{};
-          std::vector<std::uint64_t> span_keys;
-          if (timing_on()) {
-            t0 = Clock::now();
-            if (tracing_on()) {
-              span_keys.reserve(emitted_block->size());
-              for (const Emitted& e : *emitted_block) {
-                span_keys.push_back(e.span_key);
-              }
-            }
+    // Estimator adds allocate and the user's on_accept may throw; the
+    // runner routes both to fail() like every other stage.
+    run_stage(to_emit, [this](std::vector<Emitted>& emitted_block) {
+      Clock::time_point t0{};
+      std::vector<std::uint64_t> span_keys;
+      if (timing_on()) {
+        t0 = Clock::now();
+        if (tracing_on()) {
+          span_keys.reserve(emitted_block.size());
+          for (const Emitted& e : emitted_block) {
+            span_keys.push_back(e.span_key);
           }
-          if (rolling || rolling_grouped) {
-            for (const Emitted& e : *emitted_block) {
-              if (rolling_grouped) {
-                rolling_grouped->add(e.psm, e.index);
-              } else {
-                rolling->add(e.psm, e.index);
-              }
-            }
-          }
-          if (obs) obs->psms_emitted.add(emitted_block->size());
-          emitted.insert(emitted.end(),
-                         std::make_move_iterator(emitted_block->begin()),
-                         std::make_move_iterator(emitted_block->end()));
-          roll_emit();
-          if (timing_on()) {
-            const double es = seconds_between(t0, Clock::now());
-            if (obs) obs->emit_s.observe(es);
-            for (const std::uint64_t key : span_keys) {
-              cfg.tracer->record(key, obs::Stage::kEmit, es);
-              // The emission decision ran: the span chain is complete
-              // (the FDR verdict — early release vs drain — is a
-              // stream-level property, not a per-query stage).
-              cfg.tracer->complete(key, obs::SpanOutcome::kEmitted);
-            }
-          }
-        } catch (...) {
-          fail(std::current_exception());
         }
       }
-    }
+      if (rolling || rolling_grouped) {
+        for (const Emitted& e : emitted_block) {
+          if (rolling_grouped) {
+            rolling_grouped->add(e.psm, e.index);
+          } else {
+            rolling->add(e.psm, e.index);
+          }
+        }
+      }
+      if (obs) obs->psms_emitted.add(emitted_block.size());
+      emitted.insert(emitted.end(),
+                     std::make_move_iterator(emitted_block.begin()),
+                     std::make_move_iterator(emitted_block.end()));
+      roll_emit();
+      if (timing_on()) {
+        const double es = seconds_between(t0, Clock::now());
+        if (obs) obs->emit_s.observe(es);
+        for (const std::uint64_t key : span_keys) {
+          cfg.tracer->record(key, obs::Stage::kEmit, es);
+          // The emission decision ran: the span chain is complete (the
+          // FDR verdict — early release vs drain — is a stream-level
+          // property, not a per-query stage).
+          cfg.tracer->complete(key, obs::SpanOutcome::kEmitted);
+        }
+      }
+    });
     // The stream is complete once to_emit closes: every stage has finished,
     // so the outstanding-query count is exact (zero) and everything the
     // final filter will accept can be released before the drain machinery
     // runs.
-    try {
-      roll_emit();
-    } catch (...) {
-      fail(std::current_exception());
-    }
+    guarded([this] { roll_emit(); });
   }
 
   /// Rolling early release: runs on the emission thread after each block.
@@ -552,7 +543,7 @@ struct QueryEngine::Impl {
     for (std::size_t slot = 0; slot < n; ++slot) {
       if (hits[slot].empty()) {
         // No candidate in any mass window: resolved without a PSM. The
-        // span completes in rescore_loop, after the block's kRescore
+        // span completes in rescore_stage, after the block's kRescore
         // record — completing here and recording after would silently
         // reopen the span.
         empty_window.fetch_add(1, std::memory_order_relaxed);
@@ -597,14 +588,39 @@ struct QueryEngine::Impl {
 
   // --- lifecycle ----------------------------------------------------------
 
+  /// The one admission path behind submit, try_submit and submit_for,
+  /// which differ only in the admission-queue `push` they pass. Throws
+  /// std::logic_error naming `who` once the stream is drained or closed.
+  /// The query is counted before the push, so the rolling bound can only
+  /// over-count the future mid-admission, never under-count (that merely
+  /// delays a release); the count is undone when the push refuses it.
+  template <typename Push>
+  bool admit(const char* who, ms::Spectrum&& query, const Push& push) {
+    if (drained) {
+      throw std::logic_error(std::string(who) + ": already drained");
+    }
+    if (closed.load(std::memory_order_acquire)) {
+      throw std::logic_error(std::string(who) + ": stream closed");
+    }
+    submitted.fetch_add(1, std::memory_order_acq_rel);
+    if (push(Admitted{std::move(query),
+                      timing_on() ? Clock::now() : Clock::time_point{}})) {
+      if (obs) obs->submitted.add(1);
+      return true;
+    }
+    submitted.fetch_sub(1, std::memory_order_acq_rel);
+    return false;
+  }
+
+
   void fail(std::exception_ptr e) {
     {
       const std::lock_guard<std::mutex> lock(error_mutex);
       if (!error) error = std::move(e);
     }
     failed.store(true, std::memory_order_release);
-    // Unblock every producer and consumer; remaining items are discarded
-    // by the failed checks in the stage loops.
+    // Unblock every producer and consumer; run_stage pops and drops the
+    // remaining items.
     admission.close();
     to_encode.close();
     to_search.close();
@@ -614,17 +630,9 @@ struct QueryEngine::Impl {
 
   void shutdown() {
     admission.close();
-    if (preprocess_thread.joinable()) preprocess_thread.join();
-    for (auto& t : encode_threads) {
+    for (std::thread& t : workers) {
       if (t.joinable()) t.join();
     }
-    for (auto& t : search_threads) {
-      if (t.joinable()) t.join();
-    }
-    for (auto& t : rescore_threads) {
-      if (t.joinable()) t.join();
-    }
-    if (emit_thread.joinable()) emit_thread.join();
   }
 
   Pipeline& pipeline;
@@ -632,7 +640,7 @@ struct QueryEngine::Impl {
   const bool imc_encode;
 
   // --- observability ------------------------------------------------------
-  // Metric handles resolved once at construction so the stage loops never
+  // Metric handles resolved once at construction so the stages never
   // touch the registry mutex. Null when QueryEngineConfig::metrics is null
   // — every instrumentation site is then a single `if (obs)` branch.
   struct Obs {
@@ -743,14 +751,9 @@ struct QueryEngine::Impl {
   util::BoundedQueue<Block> to_rescore;
   util::BoundedQueue<std::vector<Emitted>> to_emit;
 
-  std::thread preprocess_thread;
-  std::vector<std::thread> encode_threads;
-  std::vector<std::thread> search_threads;
-  std::vector<std::thread> rescore_threads;
-  std::thread emit_thread;
-  std::atomic<std::size_t> encode_live{0};
-  std::atomic<std::size_t> search_live{0};
-  std::atomic<std::size_t> rescore_live{0};
+  /// Every stage worker in pipeline order (preprocess, encode, search,
+  /// rescore, emit), which is the order shutdown() joins them in.
+  std::vector<std::thread> workers;
 
   std::atomic<bool> failed{false};
   /// Set by close_stream()/drain-after-close: no further arrivals, so the
@@ -796,19 +799,12 @@ void QueryEngine::submit(const ms::Spectrum& query) {
 }
 
 void QueryEngine::submit(ms::Spectrum&& query) {
-  if (impl_->drained) {
-    throw std::logic_error("QueryEngine::submit: already drained");
-  }
-  if (impl_->closed.load(std::memory_order_acquire)) {
-    throw std::logic_error("QueryEngine::submit: stream closed");
-  }
-  impl_->submitted.fetch_add(1, std::memory_order_acq_rel);
-  if (impl_->obs) impl_->obs->submitted.add(1);
   // push() only fails when a stage failure closed the queue; drain()
   // reports the stored exception.
-  (void)impl_->admission.push(
-      Admitted{std::move(query), impl_->timing_on() ? Clock::now()
-                                                    : Clock::time_point{}});
+  (void)impl_->admit("QueryEngine::submit", std::move(query),
+                     [this](Admitted&& a) {
+                       return impl_->admission.push(std::move(a));
+                     });
 }
 
 void QueryEngine::submit_batch(std::span<const ms::Spectrum> queries) {
@@ -816,46 +812,19 @@ void QueryEngine::submit_batch(std::span<const ms::Spectrum> queries) {
 }
 
 bool QueryEngine::try_submit(ms::Spectrum&& query) {
-  if (impl_->drained) {
-    throw std::logic_error("QueryEngine::try_submit: already drained");
-  }
-  if (impl_->closed.load(std::memory_order_acquire)) {
-    throw std::logic_error("QueryEngine::try_submit: stream closed");
-  }
-  // Count before pushing (like submit) so the rolling bound can only
-  // over-count the future mid-admission, never under-count; undo on
-  // rejection — over-counting merely delays a release.
-  impl_->submitted.fetch_add(1, std::memory_order_acq_rel);
-  if (impl_->admission.try_push(
-          Admitted{std::move(query), impl_->timing_on()
-                                         ? Clock::now()
-                                         : Clock::time_point{}})) {
-    if (impl_->obs) impl_->obs->submitted.add(1);
-    return true;
-  }
-  impl_->submitted.fetch_sub(1, std::memory_order_acq_rel);
-  return false;
+  return impl_->admit("QueryEngine::try_submit", std::move(query),
+                      [this](Admitted&& a) {
+                        return impl_->admission.try_push(std::move(a));
+                      });
 }
 
 bool QueryEngine::submit_for(ms::Spectrum&& query,
                              std::chrono::milliseconds timeout) {
-  if (impl_->drained) {
-    throw std::logic_error("QueryEngine::submit_for: already drained");
-  }
-  if (impl_->closed.load(std::memory_order_acquire)) {
-    throw std::logic_error("QueryEngine::submit_for: stream closed");
-  }
-  impl_->submitted.fetch_add(1, std::memory_order_acq_rel);
-  if (impl_->admission.push_for(
-          Admitted{std::move(query), impl_->timing_on()
-                                         ? Clock::now()
-                                         : Clock::time_point{}},
-          timeout)) {
-    if (impl_->obs) impl_->obs->submitted.add(1);
-    return true;
-  }
-  impl_->submitted.fetch_sub(1, std::memory_order_acq_rel);
-  return false;
+  return impl_->admit("QueryEngine::submit_for", std::move(query),
+                      [this, timeout](Admitted&& a) {
+                        return impl_->admission.push_for(std::move(a),
+                                                         timeout);
+                      });
 }
 
 void QueryEngine::close_stream() {

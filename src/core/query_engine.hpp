@@ -18,6 +18,18 @@
 // collects them. drain() flushes everything, applies the FDR filter, and
 // returns the PipelineResult.
 //
+// One stage runner (private to query_engine.cpp) carries the protocol the
+// stages share, so each stage body holds only its own work. It pops the
+// stage's queue until that queue is closed and empty, and drops items once
+// the stream has failed. An exception from any stage fails the stream: the
+// first one is kept for drain() to rethrow, failed() turns true, and every
+// queue closes, so no producer or worker stays blocked. For the encode,
+// search and rescore stages the runner also observes each block's queue
+// wait, re-stamps the block and pushes the stage's output to the next
+// queue with its depth gauge. The last worker of a stage closes the next
+// queue, so the stages wind down in pipeline order. submit, try_submit and
+// submit_for share one admission path and differ only in how they push.
+//
 // Emission is policy-driven: AtDrain (default) holds all PSMs for the
 // batch filter at drain(); Rolling additionally threads every PSM through
 // core::StreamingFdr so hits whose q-value provably cannot rise above the

@@ -48,45 +48,11 @@ void ThreadPool::parallel_for(
   const std::size_t total = end - begin;
   const std::size_t n_chunks =
       std::min(total, std::max<std::size_t>(1, thread_count()));
-  if (n_chunks == 1) {
-    fn(begin, end);
-    return;
-  }
-
-  // The completion state is heap-shared with the chunk tasks: the last
-  // task signals *after* its decrement, and a spurious caller wakeup in
-  // that window could otherwise observe remaining == 0, return, and
-  // destroy a stack-allocated mutex/cv the task is still about to lock.
-  // (fn stays caller-owned: every chunk finishes fn before decrementing,
-  // so the caller cannot return while any task still touches it.)
-  struct ForState {
-    std::atomic<std::size_t> remaining;
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-  };
-  auto state = std::make_shared<ForState>();
-  state->remaining.store(n_chunks, std::memory_order_relaxed);
-
   const std::size_t chunk = (total + n_chunks - 1) / n_chunks;
-  {
-    std::lock_guard lock(mutex_);
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      const std::size_t lo = begin + c * chunk;
-      const std::size_t hi = std::min(end, lo + chunk);
-      tasks_.emplace([&fn, state, lo, hi] {
-        if (lo < hi) fn(lo, hi);
-        if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard dl(state->done_mutex);
-          state->done_cv.notify_one();
-        }
-      });
-    }
-  }
-  cv_.notify_all();
-
-  std::unique_lock lock(state->done_mutex);
-  state->done_cv.wait(lock, [&] {
-    return state->remaining.load(std::memory_order_acquire) == 0;
+  parallel_tasks(n_chunks, [&](std::size_t c) {
+    const std::size_t lo = begin + c * chunk;
+    const std::size_t hi = std::min(end, lo + chunk);
+    if (lo < hi) fn(lo, hi);
   });
 }
 

@@ -1,5 +1,7 @@
 // Work-queue primitives for the library's concurrency:
-//   * ThreadPool     — minimal fixed-size pool with a blocking parallel_for.
+//   * ThreadPool     — minimal fixed-size pool with one fork-join,
+//                      parallel_tasks, in which the caller works too;
+//                      parallel_for is its statically chunked range form.
 //                      Search and encoding over tens of thousands of spectra
 //                      are embarrassingly parallel; static chunking keeps the
 //                      partitioning deterministic so results do not depend on
@@ -37,25 +39,25 @@ class ThreadPool {
     return workers_.size();
   }
 
-  /// Runs fn(begin..end) partitioned statically over the pool and blocks
-  /// until all chunks complete. fn receives a half-open index range
-  /// [chunk_begin, chunk_end). Exceptions from fn terminate (by design:
-  /// worker functions in this codebase are noexcept in spirit). Safe to
-  /// call concurrently from several non-pool threads; must not be called
-  /// from inside a pool task (the caller blocks without helping) — use
-  /// parallel_tasks for nested parallelism.
+  /// Runs fn(begin..end) in min(end - begin, thread_count()) static chunks
+  /// and blocks until all of them complete. fn receives a half-open index
+  /// range [chunk_begin, chunk_end); the chunk ranges depend only on the
+  /// range and the pool size. The chunks run as parallel_tasks, so the
+  /// caller works too, the call is safe from inside a pool task, and if fn
+  /// throws, every other chunk still runs and the first exception is
+  /// rethrown in the caller.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// Runs fn(i) for every i in [0, n) and blocks until all calls complete.
-  /// Unlike parallel_for, the *calling thread claims tasks itself* while
-  /// pool workers help out, so this is safe to invoke from inside a pool
-  /// task: even if every worker is busy (or blocked in an outer
-  /// parallel_for), the caller drains the whole index range alone and
-  /// nested parallelism cannot deadlock. Task indices are claimed from a
-  /// shared atomic counter; fn must tolerate any execution order. If fn
-  /// throws, every other task still runs and the first exception is
-  /// rethrown in the caller once all of them have finished.
+  /// The *calling thread claims tasks itself* while pool workers help
+  /// out, so this is safe to invoke from inside a pool task: even if
+  /// every worker is busy (or blocked in an outer fork-join), the caller
+  /// drains the whole index range alone and nested parallelism cannot
+  /// deadlock. Task indices are claimed from a shared atomic counter; fn
+  /// must tolerate any execution order. If fn throws, every other task
+  /// still runs and the first exception is rethrown in the caller once
+  /// all of them have finished.
   void parallel_tasks(std::size_t n,
                       const std::function<void(std::size_t)>& fn);
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "ms/synthetic.hpp"
 
@@ -55,6 +59,37 @@ TEST(Pipeline, RunBeforeSetLibraryThrows) {
   Pipeline pipeline(small_pipeline_config());
   EXPECT_THROW((void)pipeline.run(shared_workload().queries),
                std::logic_error);
+}
+
+TEST(Pipeline, FdrThresholdOutsideUnitIntervalThrows) {
+  const double bad[] = {0.0, -0.01, 1.5, std::nan(""),
+                        std::numeric_limits<double>::infinity()};
+  for (const double t : bad) {
+    PipelineConfig cfg = small_pipeline_config();
+    cfg.fdr_threshold = t;
+    try {
+      Pipeline pipeline(cfg);
+      FAIL() << "constructor accepted fdr_threshold " << t;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("fdr_threshold"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  Pipeline pipeline(small_pipeline_config());
+  for (const double t : bad) {
+    EXPECT_THROW(pipeline.set_fdr_threshold(t), std::invalid_argument) << t;
+  }
+  EXPECT_EQ(pipeline.config().fdr_threshold, 0.01);
+  pipeline.set_fdr_threshold(1.0);
+  EXPECT_EQ(pipeline.config().fdr_threshold, 1.0);
+  try {
+    pipeline.set_fdr_threshold(1.5);
+    FAIL() << "set_fdr_threshold accepted 1.5";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("1.5"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Pipeline, LibraryContainsTargetsAndDecoys) {

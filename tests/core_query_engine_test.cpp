@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -475,6 +479,97 @@ TEST(QueryEngine, NonFiniteQueriesAreDroppedAtPreprocess) {
     EXPECT_EQ(result.psms[i].score, clean_result.psms[i].score) << i;
   }
   EXPECT_EQ(result.identification_set(), clean_result.identification_set());
+}
+
+// A stage that throws fails the stream: the producer is never left blocked
+// on back-pressure, failed() reports it and drain() rethrows the first
+// exception.
+TEST(QueryEngine, ThrowingSearchGateFailsTheStream) {
+  const ms::Workload& wl = shared_workload();
+  Pipeline pipeline(small_config("ideal-hd"));
+  pipeline.set_library(wl.references);
+  QueryEngineConfig ecfg;
+  ecfg.block_size = 1;
+  ecfg.queue_blocks = 1;
+  ecfg.stage_threads = 2;
+  std::atomic<std::size_t> gated{0};
+  ecfg.search_gate = [&](const std::function<void()>& run_block) {
+    if (gated.fetch_add(1) + 1 == 4) throw std::runtime_error("gate 4");
+    run_block();
+  };
+  QueryEngine engine(pipeline, ecfg);
+  engine.submit_batch(wl.queries);  // returns although the stream failed
+  EXPECT_TRUE(engine.failed());
+  try {
+    (void)engine.drain();
+    FAIL() << "drain() did not rethrow the gate's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "gate 4");
+  }
+}
+
+TEST(QueryEngine, ThrowingOnAcceptFailsTheStreamAfterClose) {
+  const ms::Workload& wl = shared_workload();
+  Pipeline pipeline(small_config("ideal-hd"));
+  pipeline.set_library(wl.references);
+  QueryEngineConfig ecfg;
+  ecfg.block_size = 8;
+  ecfg.stage_threads = 2;
+  ecfg.emit_policy = EmitPolicy::Rolling;
+  ecfg.on_accept = [](const Psm&) { throw std::runtime_error("on_accept"); };
+  QueryEngine engine(pipeline, ecfg);
+  engine.submit_batch(wl.queries);
+  engine.close_stream();
+  try {
+    (void)engine.drain();
+    FAIL() << "drain() did not rethrow on_accept's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "on_accept");
+  }
+  // The release after close_stream() ran on the emission thread, so the
+  // exception failed the stream rather than escaping drain()'s flush.
+  EXPECT_TRUE(engine.failed());
+}
+
+TEST(QueryEngine, ThrowingBackendSearchBatchFailsTheStream) {
+  struct ThrowingBackend final : SearchBackend {
+    [[nodiscard]] std::string_view name() const noexcept override {
+      return "throwing-batch";
+    }
+    [[nodiscard]] std::vector<hd::SearchHit> top_k(
+        const util::BitVec&, std::size_t, std::size_t, std::size_t,
+        std::uint64_t) override {
+      return {};
+    }
+    [[nodiscard]] std::vector<std::vector<hd::SearchHit>> search_batch(
+        std::span<const Query>, std::size_t) override {
+      throw std::runtime_error("search_batch");
+    }
+    [[nodiscard]] BackendStats stats() const override {
+      return BackendStats{"throwing-batch", 0, 1, 0, 0.0, 1.0};
+    }
+  };
+  BackendRegistry::instance().register_backend(
+      "test-throwing-batch",
+      [](std::span<const util::BitVec>, const BackendOptions&) {
+        return std::make_unique<ThrowingBackend>();
+      });
+  const ms::Workload& wl = shared_workload();
+  Pipeline pipeline(small_config("test-throwing-batch"));
+  pipeline.set_library(wl.references);
+  QueryEngineConfig ecfg;
+  ecfg.block_size = 4;
+  ecfg.queue_blocks = 2;
+  ecfg.stage_threads = 2;
+  QueryEngine engine(pipeline, ecfg);
+  engine.submit_batch(wl.queries);
+  try {
+    (void)engine.drain();
+    FAIL() << "drain() did not rethrow search_batch's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "search_batch");
+  }
+  EXPECT_TRUE(engine.failed());
 }
 
 TEST(QueryEngine, DrainWithoutSubmissionsIsEmpty) {

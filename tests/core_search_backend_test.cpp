@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "core/pipeline.hpp"
 #include "hd/search.hpp"
@@ -174,6 +176,32 @@ TEST(SearchBackend, BatchedMatchesSequentialTopK) {
         EXPECT_EQ(batched[i][j], sequential[j]) << name << " q" << i;
       }
     }
+  }
+}
+
+TEST(SearchBackend, WrongDimensionInMultiBlockBatchThrows) {
+  // query_block = 2 splits the batch into blocks that run in parallel over
+  // the global pool; the 960-dim query's block must surface the driver's
+  // std::invalid_argument in the caller rather than end the process.
+  const auto refs = random_refs(200, 1024, 6);
+  std::vector<util::BitVec> queries(8);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    queries[i] = util::BitVec(i == 5 ? 960 : 1024);
+    queries[i].randomize(7000 + i);
+  }
+  std::vector<Query> batch(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    batch[i] = Query{&queries[i], 0, refs.size(), i};
+  }
+  BackendOptions opts = small_options();
+  opts.query_block = 2;
+  for (const char* name : {"ideal-hd", "rram-statistical"}) {
+    auto backend = make_backend(name, refs, opts);
+    EXPECT_THROW((void)backend->search_batch(batch, 4), std::invalid_argument)
+        << name;
+    // The backend still serves a well-formed batch afterwards.
+    const std::span<const Query> good(batch.data(), 4);
+    EXPECT_EQ(backend->search_batch(good, 4).size(), good.size()) << name;
   }
 }
 

@@ -269,6 +269,19 @@ TEST(ObsTracerEngine, RegistryCountersMatchEngineStats) {
       snap.histogram("engine.stage.search_seconds");
   ASSERT_NE(search, nullptr);
   EXPECT_EQ(search->count, stats.blocks);
+  // One encode, gate-wait and rescore observation per block, and one
+  // queue wait in front of each of the three block stages.
+  for (const char* name : {"engine.stage.encode_seconds",
+                           "engine.stage.gate_wait_seconds",
+                           "engine.stage.rescore_seconds"}) {
+    const obs::HistogramSnapshot* h = snap.histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count, stats.blocks) << name;
+  }
+  const obs::HistogramSnapshot* queue_wait =
+      snap.histogram("engine.stage.queue_wait_seconds");
+  ASSERT_NE(queue_wait, nullptr);
+  EXPECT_EQ(queue_wait->count, 3 * stats.blocks);
   // Backend identity surfaced as Info entries.
   EXPECT_EQ(snap.infos.at("backend.name"), "ideal-hd");
 }

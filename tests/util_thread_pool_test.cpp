@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace oms::util {
@@ -153,6 +156,45 @@ TEST(ThreadPool, ParallelTasksRethrowsAfterEveryTaskRan) {
   std::atomic<int> after{0};
   pool.parallel_tasks(8, [&](std::size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 8);
+}
+
+TEST(ThreadPool, ParallelForRethrowsAfterEveryChunkRan) {
+  // Same contract as parallel_tasks: a throwing chunk neither ends the
+  // process nor returns early, and the pool is usable afterwards.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> touched(100);
+  EXPECT_THROW(pool.parallel_for(0, 100,
+                                 [&](std::size_t lo, std::size_t hi) {
+                                   for (std::size_t i = lo; i < hi; ++i) {
+                                     touched[i].fetch_add(1);
+                                   }
+                                   if (lo == 0) {
+                                     throw std::invalid_argument("chunk");
+                                   }
+                                 }),
+               std::invalid_argument);
+  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+  std::atomic<int> after{0};
+  pool.parallel_for(0, 10, [&](std::size_t lo, std::size_t hi) {
+    after.fetch_add(static_cast<int>(hi - lo));
+  });
+  EXPECT_EQ(after.load(), 10);
+}
+
+TEST(ThreadPool, ParallelForKeepsStaticChunks) {
+  // min(range, threads) chunks of ceil(range / chunks) indices each: the
+  // chunk ranges depend only on the range and the pool size.
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  pool.parallel_for(3, 13, [&](std::size_t lo, std::size_t hi) {
+    const std::lock_guard<std::mutex> lock(mu);
+    chunks.emplace_back(lo, hi);
+  });
+  std::sort(chunks.begin(), chunks.end());
+  const std::vector<std::pair<std::size_t, std::size_t>> expected = {
+      {3, 6}, {6, 9}, {9, 12}, {12, 13}};
+  EXPECT_EQ(chunks, expected);
 }
 
 TEST(BoundedQueue, FifoOrderSingleThread) {
