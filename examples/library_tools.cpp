@@ -9,12 +9,12 @@
 // --index-out persists the encoded library as a full LibraryIndex
 // artifact; --index-in searches from a previously persisted artifact
 // instead of re-encoding (the build-once/load-many flow).
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 
 #include "core/pipeline.hpp"
-#include "hd/serialize.hpp"
 #include "index/index_builder.hpp"
 #include "index/library_index.hpp"
 #include "ms/mgf.hpp"
@@ -104,26 +104,25 @@ int main(int argc, char** argv) {
     const auto build_stats =
         oms::index::IndexBuilder::write_from_pipeline(pipeline, index_path);
     const auto reopened = oms::index::LibraryIndex::open(index_path);
+    // The reloaded word block must hold exactly the vectors the pipeline
+    // encoded: the artifact replaces re-encoding, so any drift is a bug.
+    const auto encoded = pipeline.reference_hvs();
+    const auto stored = reopened.hypervectors();
+    if (!std::equal(encoded.begin(), encoded.end(), stored.begin(),
+                    stored.end())) {
+      std::fprintf(stderr, "error: %s reloads different hypervectors\n",
+                   index_path.c_str());
+      return 1;
+    }
     std::printf("library index persisted: %zu entries, %zu bytes (%s), "
-                "reload OK (%zu entries back, %s)\n",
+                "reload OK (%zu hypervectors identical, %s)\n",
                 build_stats.entries, build_stats.file_bytes,
-                index_path.c_str(), reopened.size(),
+                index_path.c_str(), stored.size(),
                 reopened.mapped() ? "mmap" : "in-memory");
   }
 
-  // The hypervector-only cache API still works and shares the same
-  // container format underneath.
-  const std::string hv_path = out_dir + "/oms_library.hvs";
-  oms::hd::save_encoded_library_file(hv_path, cfg.encoder,
-                                     pipeline.reference_hvs());
-  const auto encoded =
-      oms::hd::load_encoded_library_file(hv_path, cfg.encoder);
-  std::printf("encoded library cached: %zu hypervectors (%s), reload OK\n",
-              encoded.size(), hv_path.c_str());
-
   std::remove(mgf_path.c_str());
   std::remove(mzml_path.c_str());
-  std::remove(hv_path.c_str());
   if (demo_persist) std::remove(index_path.c_str());
   return 0;
 }

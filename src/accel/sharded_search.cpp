@@ -94,9 +94,7 @@ double phase_weighted_mean(std::span<const double> values,
 
 ShardedSearch::ShardedSearch(std::span<const util::BitVec> references,
                              const ShardedSearchConfig& cfg)
-    : refs_(references),
-      parallel_shards_(cfg.parallel_shards),
-      pool_(cfg.pool) {
+    : refs_(references), pool_(cfg.pool) {
   if (references.empty()) {
     throw std::invalid_argument("ShardedSearch: empty reference set");
   }
@@ -179,9 +177,9 @@ std::vector<std::vector<hd::SearchHit>> ShardedSearch::search_many(
 
   // Each intersecting shard's sub-block is one independent task; results
   // land in per-shard buffers so the merge below reads the same inputs
-  // whether the tasks ran sequentially or concurrently (keyed noise:
-  // scores never depend on scheduling). parallel_tasks lets the caller
-  // help, so blocks already running on the pool can still fan out.
+  // however the tasks were scheduled (keyed noise: scores never depend on
+  // scheduling). parallel_tasks lets the caller help, so blocks already
+  // running on the pool can still fan out, and runs a single task inline.
   const auto run_task = [&](std::size_t t) {
     ShardTask& task = tasks[t];
     const std::size_t base = task.shard * refs_per_shard_;
@@ -191,11 +189,7 @@ std::vector<std::vector<hd::SearchHit>> ShardedSearch::search_many(
       for (auto& h : hits) h.reference_index += base;  // back to global
     }
   };
-  if (parallel_shards_ && tasks.size() > 1) {
-    task_pool().parallel_tasks(tasks.size(), run_task);
-  } else {
-    for (std::size_t t = 0; t < tasks.size(); ++t) run_task(t);
-  }
+  task_pool().parallel_tasks(tasks.size(), run_task);
 
   // Deterministic merge in shard order: gather each slot's per-shard
   // lists (ascending shard id == ascending global index range) and run

@@ -15,8 +15,8 @@
 // primitive, so blocks already running on the pool can still fan their
 // shards out). Per-shard results land in per-shard buffers and are merged
 // deterministically in shard order afterward; keyed noise guarantees the
-// merge input never depends on scheduling, so the parallel path is
-// bit-identical to the sequential one.
+// merge input never depends on scheduling, so results are bit-identical
+// to one monolithic ImcSearchEngine over the whole library.
 #pragma once
 
 #include <atomic>
@@ -40,10 +40,6 @@ struct ShardedSearchConfig {
   /// Cap on references per shard; 0 derives it from chip capacity
   /// (columns × column blocks that fit the chip's arrays).
   std::size_t max_refs_per_shard = 0;
-  /// Run a block's intersecting shards concurrently (search_many). The
-  /// sequential path is kept selectable for benchmarking and regression
-  /// testing; results are bit-identical either way.
-  bool parallel_shards = true;
   /// Pool the shard tasks run on; null → util::ThreadPool::global().
   util::ThreadPool* pool = nullptr;
 };
@@ -111,8 +107,7 @@ class ShardedSearch {
 
   /// Batched search: ships the whole query block to each intersecting
   /// shard once (one shard entry per block instead of one per query), runs
-  /// the intersecting shards concurrently when configured (see
-  /// ShardedSearchConfig::parallel_shards), and merges the per-shard top-k
+  /// the intersecting shards concurrently, and merges the per-shard top-k
   /// lists per query with a bounded k-way merge. result[i] is
   /// bit-identical to top_k(*queries[i].hv, ...) — shard noise is keyed on
   /// global reference indices, so neither blocking, shard order, nor
@@ -134,7 +129,6 @@ class ShardedSearch {
 
   std::span<const util::BitVec> refs_;
   std::size_t refs_per_shard_ = 0;
-  bool parallel_shards_ = true;
   util::ThreadPool* pool_ = nullptr;
   std::vector<std::unique_ptr<ImcSearchEngine>> shards_;
   std::vector<MappingPlan> plans_;

@@ -138,8 +138,7 @@ class Pipeline {
                    std::shared_ptr<SearchBackend> shared_backend = nullptr);
 
   /// Monolithic-index shorthand for
-  /// set_library(SegmentedLibrary::of(index)); throws std::runtime_error
-  /// for hypervector-only caches (no entries).
+  /// set_library(SegmentedLibrary::of(index)).
   void set_library(std::shared_ptr<const index::LibraryIndex> index);
 
   /// The pipeline's search backend, shareable with other pipelines over

@@ -311,7 +311,6 @@ BackendRegistry::BackendRegistry() {
         cfg.chip.array = opts.array;
         cfg.engine = imc_config(opts, opts.sharded_fidelity);
         cfg.max_refs_per_shard = opts.max_refs_per_shard;
-        cfg.parallel_shards = opts.parallel_shards;
         cfg.pool = opts.shard_pool;
         return std::make_unique<ShardedBackend>(refs, cfg, opts.query_block);
       },

@@ -25,9 +25,8 @@
 //                       for many (default fans out over the global thread
 //                       pool; backends may override with a genuinely batched
 //                       implementation). The "sharded" backend additionally
-//                       runs a block's intersecting shards concurrently
-//                       (BackendOptions::parallel_shards) via the
-//                       nested-safe util::ThreadPool::parallel_tasks.
+//                       runs a block's intersecting shards concurrently via
+//                       the nested-safe util::ThreadPool::parallel_tasks.
 //   * BackendRegistry — string-keyed factory. Built-in names:
 //                         "ideal-hd"         exact Hamming search
 //                                            (hd::top_k_search semantics);
@@ -206,11 +205,6 @@ struct BackendOptions {
   /// one shipment to every intersecting shard (sharded), and blocks are
   /// processed in parallel over the global thread pool.
   std::size_t query_block = 64;
-  /// "sharded" only: run a block's intersecting shards concurrently (the
-  /// multi-chip picture — every chip searches its partition of the block
-  /// at once). Results are bit-identical to the sequential shard walk;
-  /// keep it switchable for benchmarking the intra-block speedup.
-  bool parallel_shards = true;
   /// "sharded" only: pool the intra-block shard tasks run on; null →
   /// util::ThreadPool::global(). Tests inject small pools to pin the
   /// worker count.

@@ -6,7 +6,8 @@
 //   sections...           each 8-byte aligned; the hypervector word block
 //                         64-byte aligned for cache-line/SIMD friendliness
 //
-// Sections of a full library index (kFlagHasEntries set):
+// Sections (header flags are exactly kFlagHasEntries; a reader rejects
+// any other value):
 //   kMeta         IndexMeta: counts + the IndexFingerprint of everything
 //                 that shaped the artifact (preprocess config, encoder
 //                 config + kind, IMC-vs-exact encoding, decoys, seeds, BER)
@@ -20,9 +21,6 @@
 //   kHvWords      uint64[count * words_per_hv]  the encoded hypervectors,
 //                 entry i at words [i*wpv, (i+1)*wpv), little-endian,
 //                 tail bits zero
-//
-// Hypervector-only caches (hd/serialize compat) carry just kMeta+kHvWords
-// with kFlagHasEntries clear.
 //
 // All integers are little-endian; the endian tag in the header makes a
 // byte-swapped reader fail loudly instead of searching garbage. Every
@@ -68,7 +66,8 @@ enum SectionId : std::uint32_t {
   return "unknown";
 }
 
-/// Header flags.
+/// Header flags. Every container carries its library entries, so this is
+/// the one value a reader accepts.
 inline constexpr std::uint32_t kFlagHasEntries = 1U << 0;
 
 struct FileHeader {

@@ -1,7 +1,6 @@
 #include "index/library_index.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -56,8 +55,14 @@ void LibraryIndex::parse(const OpenOptions& opts) {
     fail("unsupported format version " + std::to_string(hdr->version) +
          " (this build reads version " + std::to_string(kFormatVersion) + ")");
   }
-  // Trailing bytes beyond the container are tolerated (a stream may carry
-  // more after it); anything shorter than the recorded size is truncation.
+  if (hdr->flags != kFlagHasEntries) {
+    fail("unsupported header flags " + std::to_string(hdr->flags) +
+         " (a library index has flags " + std::to_string(kFlagHasEntries) +
+         "; hypervector-only caches are no longer readable — rebuild "
+         "the index)");
+  }
+  // Bytes beyond the recorded size are ignored; anything shorter than it
+  // is truncation.
   if (hdr->file_size > image_.size()) {
     fail("truncated file (header records " + std::to_string(hdr->file_size) +
          " bytes, got " + std::to_string(image_.size()) + ")");
@@ -72,7 +77,6 @@ void LibraryIndex::parse(const OpenOptions& opts) {
     fail("truncated section table");
   }
   version_ = hdr->version;
-  has_entries_ = (hdr->flags & kFlagHasEntries) != 0;
 
   const auto* table = reinterpret_cast<const SectionRecord*>(
       image_.data() + sizeof(FileHeader));
@@ -100,21 +104,28 @@ void LibraryIndex::parse(const OpenOptions& opts) {
     sections_.push_back({rec.id, rec.offset, rec.size, rec.checksum});
   }
 
+  const auto require = [this](std::uint32_t id) {
+    const SectionRecord* rec = find_section(id);
+    if (rec == nullptr) {
+      fail(std::string(section_name(id)) + " section is missing");
+    }
+    return rec;
+  };
+
   // --- meta ---------------------------------------------------------------
-  const SectionRecord* meta_rec = find_section(kMeta);
-  if (meta_rec == nullptr || meta_rec->size != sizeof(IndexMeta)) {
-    fail("missing or malformed meta section");
+  const SectionRecord* meta_rec = require(kMeta);
+  if (meta_rec->size != sizeof(IndexMeta)) {
+    fail("meta section has the wrong size");
   }
   meta_ = reinterpret_cast<const IndexMeta*>(image_.data() + meta_rec->offset);
   const auto count = static_cast<std::size_t>(meta_->entry_count);
   const std::size_t wpv = meta_->words_per_hv;
-  if (meta_->dim == 0 || wpv != (meta_->dim + 63) / 64) {
+  if (meta_->dim == 0 || wpv != (std::size_t{meta_->dim} + 63) / 64) {
     fail("meta section records an inconsistent dimension/word count");
   }
 
   // --- hypervector word block ---------------------------------------------
-  const SectionRecord* hv_rec = find_section(kHvWords);
-  if (hv_rec == nullptr) fail("missing hv-words section");
+  const SectionRecord* hv_rec = require(kHvWords);
   if (hv_rec->offset % kWordBlockAlignment != 0) {
     fail("hv-words block is not 64-byte aligned");
   }
@@ -134,18 +145,12 @@ void LibraryIndex::parse(const OpenOptions& opts) {
     hv_views_.push_back(util::BitVec::view(hv_words_ + i * wpv, meta_->dim));
   }
 
-  if (!has_entries_) return;  // hypervector-only cache: done.
-
   // --- entries + satellite sections ---------------------------------------
-  const SectionRecord* ent_rec = find_section(kEntries);
-  const SectionRecord* pep_rec = find_section(kPeptides);
-  const SectionRecord* bin_rec = find_section(kPeakBins);
-  const SectionRecord* wgt_rec = find_section(kPeakWeights);
-  const SectionRecord* axis_rec = find_section(kMassAxis);
-  if (ent_rec == nullptr || pep_rec == nullptr || bin_rec == nullptr ||
-      wgt_rec == nullptr || axis_rec == nullptr) {
-    fail("missing a library section (entries/peptides/peaks/mass-axis)");
-  }
+  const SectionRecord* ent_rec = require(kEntries);
+  const SectionRecord* pep_rec = require(kPeptides);
+  const SectionRecord* bin_rec = require(kPeakBins);
+  const SectionRecord* wgt_rec = require(kPeakWeights);
+  const SectionRecord* axis_rec = require(kMassAxis);
   if (ent_rec->size % sizeof(EntryRecord) != 0 ||
       ent_rec->size / sizeof(EntryRecord) != count) {
     fail("entries section size does not match the entry count");
@@ -243,26 +248,12 @@ void LibraryIndex::verify_deep() const {
       }
     }
   }
-  if (has_entries_) {
-    for (std::size_t i = 0; i < library_.size(); ++i) {
-      const ms::BinnedSpectrum& s = library_[i];
-      if (!std::is_sorted(s.bins.begin(), s.bins.end())) {
-        fail("entry " + std::to_string(i) + " peak bins are not sorted");
-      }
+  for (std::size_t i = 0; i < library_.size(); ++i) {
+    const ms::BinnedSpectrum& s = library_[i];
+    if (!std::is_sorted(s.bins.begin(), s.bins.end())) {
+      fail("entry " + std::to_string(i) + " peak bins are not sorted");
     }
   }
-}
-
-std::vector<util::BitVec> load_hypervectors_owned(const LibraryIndex& index) {
-  std::vector<util::BitVec> out;
-  out.reserve(index.hypervectors().size());
-  for (const util::BitVec& view : index.hypervectors()) {
-    util::BitVec hv(view.size());
-    std::memcpy(hv.words().data(), view.words().data(),
-                view.word_count() * sizeof(std::uint64_t));
-    out.push_back(std::move(hv));
-  }
-  return out;
 }
 
 }  // namespace oms::index

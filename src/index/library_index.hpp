@@ -72,13 +72,13 @@ struct SectionInfo {
 class LibraryIndex {
  public:
   /// Opens and validates an index file. Structural problems (bad magic,
-  /// version, endianness, truncation, inconsistent sections, checksum
-  /// mismatches) throw std::runtime_error naming the offending section.
+  /// version, endianness, header flags, truncation, inconsistent sections,
+  /// checksum mismatches) throw std::runtime_error naming the cause.
   [[nodiscard]] static LibraryIndex open(const std::string& path,
                                          const OpenOptions& opts = {});
 
-  /// Parses an already-loaded image (stream loads, tests). The image must
-  /// be 8-byte aligned, which util::MappedFile guarantees.
+  /// Parses an already-loaded image (tests, corruption injection). The
+  /// image must be 8-byte aligned, which util::MappedFile guarantees.
   [[nodiscard]] static LibraryIndex from_image(util::MappedFile image,
                                                const OpenOptions& opts = {});
 
@@ -92,10 +92,6 @@ class LibraryIndex {
     return meta_->fingerprint;
   }
 
-  /// False for hypervector-only caches (the hd/serialize compat format),
-  /// which carry no spectra and cannot back a Pipeline.
-  [[nodiscard]] bool has_entries() const noexcept { return has_entries_; }
-
   [[nodiscard]] std::size_t size() const noexcept {
     return static_cast<std::size_t>(meta_->entry_count);
   }
@@ -108,8 +104,7 @@ class LibraryIndex {
   }
 
   /// The materialized spectral library (mass-sorted, identical to what
-  /// Pipeline::set_library(spectra) would have built). Empty for
-  /// hypervector-only caches.
+  /// Pipeline::set_library(spectra) would have built).
   [[nodiscard]] const ms::SpectralLibrary& library() const noexcept {
     return library_;
   }
@@ -125,10 +120,9 @@ class LibraryIndex {
     return {hv_words_ + i * meta_->words_per_hv, meta_->dim};
   }
 
-  /// The mapped precursor-mass axis (sorted ascending); empty for
-  /// hypervector-only caches.
+  /// The mapped precursor-mass axis (sorted ascending).
   [[nodiscard]] std::span<const double> mass_axis() const noexcept {
-    return {mass_axis_, mass_axis_ == nullptr ? 0 : size()};
+    return {mass_axis_, size()};
   }
 
   /// Index range [first, last) of entries with precursor mass within
@@ -167,7 +161,6 @@ class LibraryIndex {
   util::MappedFile image_;
   std::string path_;
   std::uint32_t version_ = 0;
-  bool has_entries_ = false;
   const IndexMeta* meta_ = nullptr;
   const std::uint64_t* hv_words_ = nullptr;
   const double* mass_axis_ = nullptr;
@@ -176,11 +169,5 @@ class LibraryIndex {
   std::vector<util::BitVec> hv_views_;
   ms::SpectralLibrary library_;
 };
-
-/// Loads only the hypervectors of an index image — works for both full
-/// indexes and hypervector-only caches. Returns owning BitVecs (the compat
-/// path behind hd::load_encoded_library).
-[[nodiscard]] std::vector<util::BitVec> load_hypervectors_owned(
-    const LibraryIndex& index);
 
 }  // namespace oms::index

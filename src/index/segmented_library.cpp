@@ -33,9 +33,6 @@ SegmentedLibrary SegmentedLibrary::open(const std::string& path,
     const std::string seg_path = (dir / row.name).string();
     auto seg = std::make_shared<const LibraryIndex>(
         LibraryIndex::open(seg_path, opts));
-    if (!seg->has_entries()) {
-      fail(path, "segment " + row.name + " is a hypervector-only cache");
-    }
     // The manifest row is the append-time identity of the segment; any
     // drift means the file was swapped or rewritten behind the manifest.
     if (!(seg->fingerprint() == lib.manifest_.fingerprint)) {
@@ -109,11 +106,6 @@ SegmentedLibrary SegmentedLibrary::of(
     std::shared_ptr<const LibraryIndex> index) {
   if (!index) {
     throw std::invalid_argument("SegmentedLibrary::of: null index");
-  }
-  if (!index->has_entries()) {
-    throw std::runtime_error(
-        "SegmentedLibrary::of: hypervector-only cache (no library entries) "
-        "— build a full index with index::IndexBuilder");
   }
   SegmentedLibrary lib;
   lib.path_ = index->path();

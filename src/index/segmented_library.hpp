@@ -73,9 +73,7 @@ class SegmentedLibrary {
 
   /// Wraps an open monolithic index as a one-segment library under a
   /// synthesized one-row manifest, aliasing its entries, hypervectors and
-  /// mass axis. Throws std::invalid_argument for a null index and
-  /// std::runtime_error for a hypervector-only cache (no entries to
-  /// search).
+  /// mass axis. Throws std::invalid_argument for a null index.
   [[nodiscard]] static SegmentedLibrary of(
       std::shared_ptr<const LibraryIndex> index);
 

@@ -55,32 +55,22 @@ class SectionWriter {
   SectionRecord current_{};
 };
 
-void check_hvs(std::span<const util::BitVec> hvs, std::uint32_t dim) {
+}  // namespace
+
+void write_index(std::ostream& out, const ms::SpectralLibrary& library,
+                 std::span<const util::BitVec> hvs,
+                 const IndexFingerprint& fingerprint) {
+  const std::uint32_t dim = fingerprint.enc_dim;
+  if (dim == 0) {
+    throw std::invalid_argument("index writer: fingerprint has dim == 0");
+  }
   for (const util::BitVec& hv : hvs) {
     if (hv.size() != dim) {
       throw std::invalid_argument(
           "index writer: hypervector dimension mismatch");
     }
   }
-}
-
-void write_hv_section(SectionWriter& w, std::span<const util::BitVec> hvs) {
-  w.begin(kHvWords, kWordBlockAlignment);
-  for (const util::BitVec& hv : hvs) {
-    w.write(hv.words().data(), hv.word_count() * sizeof(std::uint64_t));
-  }
-  w.end();
-}
-
-void write_container(std::ostream& out, const ms::SpectralLibrary* library,
-                     std::span<const util::BitVec> hvs,
-                     const IndexFingerprint& fingerprint) {
-  const std::uint32_t dim = fingerprint.enc_dim;
-  if (dim == 0) {
-    throw std::invalid_argument("index writer: fingerprint has dim == 0");
-  }
-  check_hvs(hvs, dim);
-  if (library != nullptr && library->size() != hvs.size()) {
+  if (library.size() != hvs.size()) {
     throw std::invalid_argument(
         "index writer: entry/hypervector count mismatch");
   }
@@ -89,16 +79,17 @@ void write_container(std::ostream& out, const ms::SpectralLibrary* library,
   meta.entry_count = hvs.size();
   meta.dim = dim;
   meta.words_per_hv = (dim + 63) / 64;
+  meta.target_count = library.target_count();
   meta.fingerprint = fingerprint;
 
-  const std::size_t section_count = library != nullptr ? 7 : 2;
+  constexpr std::size_t section_count = 7;
   const auto start = static_cast<std::uint64_t>(out.tellp());
 
   // Header + table placeholder; both are rewritten once sizes and
   // checksums are known.
   FileHeader header;
   header.section_count = static_cast<std::uint32_t>(section_count);
-  header.flags = library != nullptr ? kFlagHasEntries : 0;
+  header.flags = kFlagHasEntries;
   out.write(reinterpret_cast<const char*>(&header), sizeof header);
   std::vector<SectionRecord> table;
   table.reserve(section_count);
@@ -111,70 +102,67 @@ void write_container(std::ostream& out, const ms::SpectralLibrary* library,
 
   SectionWriter w(out, table, start);
 
-  if (library != nullptr) {
-    meta.target_count = library->target_count();
-    std::uint64_t total_peaks = 0;
-    std::uint64_t peptide_bytes = 0;
-    for (const ms::BinnedSpectrum& s : library->entries()) {
-      total_peaks += s.bins.size();
-      peptide_bytes += s.peptide.size();
-    }
-    meta.total_peaks = total_peaks;
-    meta.peptide_bytes = peptide_bytes;
-
-    w.begin(kMeta, kSectionAlignment);
-    w.write(&meta, sizeof meta);
-    w.end();
-
-    w.begin(kEntries, kSectionAlignment);
-    std::uint64_t peak_offset = 0;
-    std::uint64_t peptide_offset = 0;
-    for (const ms::BinnedSpectrum& s : library->entries()) {
-      EntryRecord rec;
-      rec.precursor_mass = s.precursor_mass;
-      rec.peak_offset = peak_offset;
-      rec.peptide_offset = peptide_offset;
-      rec.id = s.id;
-      rec.precursor_charge = s.precursor_charge;
-      rec.peak_count = static_cast<std::uint32_t>(s.bins.size());
-      rec.peptide_length = static_cast<std::uint32_t>(s.peptide.size());
-      rec.flags = s.is_decoy ? kEntryFlagDecoy : 0;
-      w.write(&rec, sizeof rec);
-      peak_offset += s.bins.size();
-      peptide_offset += s.peptide.size();
-    }
-    w.end();
-
-    w.begin(kPeptides, kSectionAlignment);
-    for (const ms::BinnedSpectrum& s : library->entries()) {
-      w.write(s.peptide.data(), s.peptide.size());
-    }
-    w.end();
-
-    w.begin(kPeakBins, kSectionAlignment);
-    for (const ms::BinnedSpectrum& s : library->entries()) {
-      w.write(s.bins.data(), s.bins.size() * sizeof(std::uint32_t));
-    }
-    w.end();
-
-    w.begin(kPeakWeights, kSectionAlignment);
-    for (const ms::BinnedSpectrum& s : library->entries()) {
-      w.write(s.weights.data(), s.weights.size() * sizeof(float));
-    }
-    w.end();
-
-    w.begin(kMassAxis, kSectionAlignment);
-    for (const ms::BinnedSpectrum& s : library->entries()) {
-      w.write(&s.precursor_mass, sizeof(double));
-    }
-    w.end();
-  } else {
-    w.begin(kMeta, kSectionAlignment);
-    w.write(&meta, sizeof meta);
-    w.end();
+  std::uint64_t total_peaks = 0;
+  std::uint64_t peptide_bytes = 0;
+  for (const ms::BinnedSpectrum& s : library.entries()) {
+    total_peaks += s.bins.size();
+    peptide_bytes += s.peptide.size();
   }
+  meta.total_peaks = total_peaks;
+  meta.peptide_bytes = peptide_bytes;
 
-  write_hv_section(w, hvs);
+  w.begin(kMeta, kSectionAlignment);
+  w.write(&meta, sizeof meta);
+  w.end();
+
+  w.begin(kEntries, kSectionAlignment);
+  std::uint64_t peak_offset = 0;
+  std::uint64_t peptide_offset = 0;
+  for (const ms::BinnedSpectrum& s : library.entries()) {
+    EntryRecord rec;
+    rec.precursor_mass = s.precursor_mass;
+    rec.peak_offset = peak_offset;
+    rec.peptide_offset = peptide_offset;
+    rec.id = s.id;
+    rec.precursor_charge = s.precursor_charge;
+    rec.peak_count = static_cast<std::uint32_t>(s.bins.size());
+    rec.peptide_length = static_cast<std::uint32_t>(s.peptide.size());
+    rec.flags = s.is_decoy ? kEntryFlagDecoy : 0;
+    w.write(&rec, sizeof rec);
+    peak_offset += s.bins.size();
+    peptide_offset += s.peptide.size();
+  }
+  w.end();
+
+  w.begin(kPeptides, kSectionAlignment);
+  for (const ms::BinnedSpectrum& s : library.entries()) {
+    w.write(s.peptide.data(), s.peptide.size());
+  }
+  w.end();
+
+  w.begin(kPeakBins, kSectionAlignment);
+  for (const ms::BinnedSpectrum& s : library.entries()) {
+    w.write(s.bins.data(), s.bins.size() * sizeof(std::uint32_t));
+  }
+  w.end();
+
+  w.begin(kPeakWeights, kSectionAlignment);
+  for (const ms::BinnedSpectrum& s : library.entries()) {
+    w.write(s.weights.data(), s.weights.size() * sizeof(float));
+  }
+  w.end();
+
+  w.begin(kMassAxis, kSectionAlignment);
+  for (const ms::BinnedSpectrum& s : library.entries()) {
+    w.write(&s.precursor_mass, sizeof(double));
+  }
+  w.end();
+
+  w.begin(kHvWords, kWordBlockAlignment);
+  for (const util::BitVec& hv : hvs) {
+    w.write(hv.words().data(), hv.word_count() * sizeof(std::uint64_t));
+  }
+  w.end();
 
   w.pad_to(kSectionAlignment);
   header.file_size = static_cast<std::uint64_t>(out.tellp()) - start;
@@ -189,19 +177,6 @@ void write_container(std::ostream& out, const ms::SpectralLibrary* library,
   if (!out) {
     throw std::runtime_error("index writer: stream write failed");
   }
-}
-
-}  // namespace
-
-void write_index(std::ostream& out, const ms::SpectralLibrary& library,
-                 std::span<const util::BitVec> hvs,
-                 const IndexFingerprint& fingerprint) {
-  write_container(out, &library, hvs, fingerprint);
-}
-
-void write_hv_cache(std::ostream& out, std::span<const util::BitVec> hvs,
-                    const IndexFingerprint& fingerprint) {
-  write_container(out, nullptr, hvs, fingerprint);
 }
 
 void write_index_file(const std::string& path,

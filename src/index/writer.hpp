@@ -2,8 +2,8 @@
 // sequentially with a running FNV-1a checksum (the hypervector word block
 // streams one vector at a time, so a million-spectrum library never needs
 // a second in-memory copy); the section table is patched in afterwards via
-// one seek. Shared by index::IndexBuilder (full library indexes) and the
-// hd/serialize compat layer (hypervector-only caches).
+// one seek. Used by index::IndexBuilder and by every path that persists a
+// library.
 #pragma once
 
 #include <iosfwd>
@@ -24,11 +24,6 @@ namespace oms::index {
 void write_index(std::ostream& out, const ms::SpectralLibrary& library,
                  std::span<const util::BitVec> hvs,
                  const IndexFingerprint& fingerprint);
-
-/// Writes a hypervector-only cache (no entries; kFlagHasEntries clear) —
-/// the on-disk form behind hd::save_encoded_library.
-void write_hv_cache(std::ostream& out, std::span<const util::BitVec> hvs,
-                    const IndexFingerprint& fingerprint);
 
 /// File variant of write_index; throws std::runtime_error when `path`
 /// cannot be created.

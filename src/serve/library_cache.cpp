@@ -35,8 +35,7 @@ std::uint64_t backend_config_hash(const core::PipelineConfig& cfg) noexcept {
   x = util::hash_combine(x, o.calibration_samples,
                          static_cast<std::uint64_t>(o.sharded_fidelity));
   x = util::hash_combine(x, o.max_refs_per_shard, o.query_block);
-  x = util::hash_combine(x, static_cast<std::uint64_t>(o.parallel_shards),
-                         o.chip.array_count);
+  x = util::hash_combine(x, o.chip.array_count);
   // Device model, field by field (mirrors the fingerprint's device_hash
   // but also covers exact backends, whose fingerprint omits the device).
   const rram::ArrayConfig& a = o.array;

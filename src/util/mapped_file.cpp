@@ -1,9 +1,7 @@
 #include "util/mapped_file.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <stdexcept>
 #include <utility>
 
@@ -107,40 +105,6 @@ MappedFile MappedFile::read(const std::string& path) {
   }
   mf.data_ = reinterpret_cast<const std::byte*>(mf.buffer_.data());
   mf.size_ = static_cast<std::size_t>(size);
-  return mf;
-}
-
-MappedFile MappedFile::from_stream(std::istream& in, std::size_t limit,
-                                   const void* prefix,
-                                   std::size_t prefix_size) {
-  MappedFile mf;
-  std::size_t size = std::min(prefix_size, limit);
-  if (size > 0) {
-    mf.buffer_.resize((size + 7) / 8, 0);
-    std::memcpy(mf.buffer_.data(), prefix, size);
-  }
-  // Chunked reads straight into the aligned buffer; growth is amortized
-  // (and bounded by the actual stream content, so an absurd `limit` from
-  // a crafted header cannot force a giant allocation), and a multi-GB
-  // cache never holds a second full copy of itself.
-  constexpr std::size_t kChunk = 1 << 20;
-  while (in && size < limit) {
-    const std::size_t want = std::min(kChunk, limit - size);
-    const std::size_t needed = (size + want + 7) / 8;
-    if (mf.buffer_.capacity() < needed) {
-      // resize() alone grows exactly; double so the chunk loop stays
-      // amortized-linear on multi-GB streams.
-      mf.buffer_.reserve(std::max(needed, 2 * mf.buffer_.capacity()));
-    }
-    mf.buffer_.resize(needed);
-    in.read(reinterpret_cast<char*>(mf.buffer_.data()) + size,
-            static_cast<std::streamsize>(want));
-    size += static_cast<std::size_t>(in.gcount());
-    if (static_cast<std::size_t>(in.gcount()) < want) break;
-  }
-  mf.buffer_.resize((size + 7) / 8);
-  mf.data_ = reinterpret_cast<const std::byte*>(mf.buffer_.data());
-  mf.size_ = size;
   return mf;
 }
 

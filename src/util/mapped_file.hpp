@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -39,17 +38,6 @@ class MappedFile {
   /// memory (tests, corruption injection).
   [[nodiscard]] static MappedFile from_bytes(const void* bytes,
                                              std::size_t size);
-
-  /// Reads from the stream's current position into an owned buffer,
-  /// without an intermediate copy (the serialize compat path). Stops
-  /// after `limit` total bytes (SIZE_MAX = to EOF), so a caller that has
-  /// peeked a framing header can consume exactly one container and leave
-  /// the stream positioned after it. `prefix` (optional) is bytes the
-  /// caller already consumed; they are placed at the start of the buffer
-  /// and count toward `limit`.
-  [[nodiscard]] static MappedFile from_stream(
-      std::istream& in, std::size_t limit = static_cast<std::size_t>(-1),
-      const void* prefix = nullptr, std::size_t prefix_size = 0);
 
   [[nodiscard]] const std::byte* data() const noexcept { return data_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }

@@ -1,15 +1,16 @@
 // Parallel intra-block shard execution: ShardedSearch::search_many runs
 // each intersecting shard's sub-block as an independent task on a
 // util::ThreadPool and merges per-shard buffers deterministically in
-// shard order. These suites pin the contracts the parallel path must
-// honor: bit-identical hits vs the sequential shard walk, vs the
-// monolithic engines, and vs every block size / pool size; tie-breaks
+// shard order. These suites pin the contracts that path must honor:
+// hits bit-identical to the monolithic engines for every block size and
+// pool size, also when blocks nest inside an outer pool; tie-breaks
 // surviving the bounded k-way merge; and exact (scheduling-independent)
 // amortization counters, since accel::PerfModel::from_measured consumes
 // them. Registered under the `tsan` ctest label so the ThreadSanitizer CI
 // job covers the new concurrency.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "accel/sharded_search.hpp"
@@ -79,64 +80,48 @@ ShardedSearchConfig base_config(Fidelity f, std::size_t refs_per_shard) {
   return cfg;
 }
 
-TEST(ShardedParallel, BitIdenticalToSequentialAcrossBlockAndPoolSizes) {
+/// The oracle: one monolithic engine over the whole library, configured
+/// like every shard, searched one query at a time.
+std::vector<std::vector<hd::SearchHit>> monolithic_hits(
+    const std::vector<util::BitVec>& refs, const ShardedSearchConfig& cfg,
+    std::span<const hd::BatchQuery> batch, std::size_t k) {
+  const ImcSearchEngine mono(refs, cfg.engine);
+  std::vector<std::vector<hd::SearchHit>> out;
+  out.reserve(batch.size());
+  for (const hd::BatchQuery& q : batch) {
+    out.push_back(mono.top_k_keyed(*q.hv, q.first, q.last, k, q.stream));
+  }
+  return out;
+}
+
+TEST(ShardedParallel, MatchesMonolithicEngineAcrossBlockAndPoolSizes) {
   const auto refs = random_hvs(600, 1024, 1);
   const auto query_hvs = random_hvs(48, 1024, 9000);
   const auto batch = make_batch(query_hvs, refs.size());
   const std::size_t k = 5;
 
   // 90 refs/shard: 7 shards with a ragged 60-reference tail.
-  ShardedSearchConfig seq_cfg =
-      base_config(Fidelity::kStatistical, 90);
-  seq_cfg.parallel_shards = false;
-  const ShardedSearch sequential(refs, seq_cfg);
-  ASSERT_EQ(sequential.shard_count(), 7U);
+  const ShardedSearchConfig cfg = base_config(Fidelity::kStatistical, 90);
+  const auto expected = monolithic_hits(refs, cfg, batch, k);
 
-  for (const std::size_t block : {1UL, 7UL, 64UL}) {
-    const auto expected = run_in_blocks(sequential, batch, k, block);
-    for (const std::size_t threads : {1UL, 2UL, 3UL, 4UL}) {
-      util::ThreadPool pool(threads);
-      ShardedSearchConfig par_cfg = seq_cfg;
-      par_cfg.parallel_shards = true;
-      par_cfg.pool = &pool;
-      const ShardedSearch parallel(refs, par_cfg);
-      const auto got = run_in_blocks(parallel, batch, k, block);
-      expect_identical(expected, got, "parallel vs sequential");
-    }
-  }
-}
-
-TEST(ShardedParallel, MatchesMonolithicEngineUnderStatisticalNoise) {
-  const auto refs = random_hvs(500, 1024, 2);
-  const auto query_hvs = random_hvs(30, 1024, 5555);
-  const auto batch = make_batch(query_hvs, refs.size());
-  const std::size_t k = 4;
-
-  ImcSearchConfig mono_cfg;
-  mono_cfg.fidelity = Fidelity::kStatistical;
-  mono_cfg.calibration_samples = 512;
-  const ImcSearchEngine mono(refs, mono_cfg);
-
-  util::ThreadPool pool(3);
-  ShardedSearchConfig cfg = base_config(Fidelity::kStatistical, 120);
-  cfg.pool = &pool;
-  const ShardedSearch sharded(refs, cfg);
-
-  const auto got = run_in_blocks(sharded, batch, k, 7);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto expected = mono.top_k_keyed(*batch[i].hv, batch[i].first,
-                                           batch[i].last, k, batch[i].stream);
-    ASSERT_EQ(got[i].size(), expected.size()) << i;
-    for (std::size_t j = 0; j < expected.size(); ++j) {
-      EXPECT_EQ(got[i][j], expected[j]) << i << "," << j;
+  for (const std::size_t threads : {1UL, 2UL, 3UL, 4UL}) {
+    util::ThreadPool pool(threads);
+    ShardedSearchConfig pooled = cfg;
+    pooled.pool = &pool;
+    const ShardedSearch sharded(refs, pooled);
+    ASSERT_EQ(sharded.shard_count(), 7U);
+    for (const std::size_t block : {1UL, 7UL, 64UL}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " block=" + std::to_string(block));
+      expect_identical(expected, run_in_blocks(sharded, batch, k, block),
+                       "sharded vs monolithic");
     }
   }
 }
 
 TEST(ShardedParallel, BackendPathsAgreeAcrossAllApplicableBackends) {
-  // Backend-level equivalence: the "sharded" backend with parallel shards
-  // must reproduce its sequential twin and the monolithic backend of the
-  // same fidelity ("ideal-hd" for ideal shards, "rram-statistical" for
+  // Backend-level equivalence: the "sharded" backend must reproduce the
+  // monolithic backend of the same fidelity ("ideal-hd" for ideal shards, "rram-statistical" for
   // statistical ones), for every block size. "rram-circuit" has no
   // sharded counterpart (circuit fidelity is rejected at construction).
   const auto refs = random_hvs(400, 512, 3);
@@ -160,16 +145,10 @@ TEST(ShardedParallel, BackendPathsAgreeAcrossAllApplicableBackends) {
 
     for (const std::size_t block : {1UL, 7UL, 64UL}) {
       opts.query_block = block;
-      opts.parallel_shards = false;
-      auto sequential = core::make_backend("sharded", refs, opts);
-      opts.parallel_shards = true;
-      auto parallel = core::make_backend("sharded", refs, opts);
-
-      const auto expected = mono->search_batch(batch, k);
-      expect_identical(expected, sequential->search_batch(batch, k),
-                       "sequential-sharded vs monolithic");
-      expect_identical(expected, parallel->search_batch(batch, k),
-                       "parallel-sharded vs monolithic");
+      auto sharded = core::make_backend("sharded", refs, opts);
+      expect_identical(mono->search_batch(batch, k),
+                       sharded->search_batch(batch, k),
+                       "sharded vs monolithic");
     }
   }
 }
@@ -253,13 +232,9 @@ TEST(ShardedParallel, NestedInsideOuterPoolBlocksDoesNotDeadlock) {
     }
   });
 
-  ShardedSearchConfig seq_cfg = cfg;
-  seq_cfg.parallel_shards = false;
-  seq_cfg.pool = nullptr;
-  const ShardedSearch sequential(refs, seq_cfg);
   for (std::size_t b = 0; b < 4; ++b) {
-    const auto expected =
-        sequential.search_many(std::span(batch).subspan(b * 8, 8), 3);
+    const auto expected = monolithic_hits(
+        refs, cfg, std::span(batch).subspan(b * 8, 8), 3);
     expect_identical(expected, per_block[b], "nested block");
   }
 }

@@ -1,6 +1,5 @@
 // Tests for the second extension wave: ground-truth evaluation, consensus
-// library construction, encoded-library serialization, and crossbar read
-// disturb + refresh.
+// library construction, and crossbar read disturb + refresh.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +7,6 @@
 
 #include "core/evaluation.hpp"
 #include "core/pipeline.hpp"
-#include "hd/serialize.hpp"
 #include "ms/consensus.hpp"
 #include "ms/synthetic.hpp"
 #include "rram/array.hpp"
@@ -152,60 +150,6 @@ TEST(Consensus, MedianPrecursorAndMajorityCharge) {
   const ms::Spectrum c = ms::build_consensus(reps);
   EXPECT_DOUBLE_EQ(c.precursor_mz, 500.2);  // median, outlier-robust
   EXPECT_EQ(c.precursor_charge, 2);
-}
-
-// ---------- Encoded library serialization ----------
-
-hd::EncoderConfig serialize_config() {
-  hd::EncoderConfig cfg;
-  cfg.dim = 512;
-  cfg.bins = 1000;
-  cfg.chunks = 64;
-  return cfg;
-}
-
-TEST(Serialize, RoundTripPreservesEverything) {
-  std::vector<util::BitVec> hvs(9);
-  for (std::size_t i = 0; i < hvs.size(); ++i) {
-    hvs[i] = util::BitVec(512);
-    hvs[i].randomize(i + 3);
-  }
-  std::stringstream ss;
-  hd::save_encoded_library(ss, serialize_config(), hvs);
-  const auto back = hd::load_encoded_library(ss, serialize_config());
-  ASSERT_EQ(back.size(), hvs.size());
-  for (std::size_t i = 0; i < hvs.size(); ++i) EXPECT_EQ(back[i], hvs[i]);
-}
-
-TEST(Serialize, RejectsFingerprintMismatch) {
-  std::vector<util::BitVec> hvs(1, util::BitVec(512));
-  std::stringstream ss;
-  hd::save_encoded_library(ss, serialize_config(), hvs);
-  hd::EncoderConfig other = serialize_config();
-  other.seed ^= 1;
-  EXPECT_THROW((void)hd::load_encoded_library(ss, other),
-               std::invalid_argument);
-}
-
-TEST(Serialize, RejectsGarbageAndTruncation) {
-  std::stringstream garbage("not a library");
-  EXPECT_THROW((void)hd::load_encoded_library(garbage, serialize_config()),
-               std::runtime_error);
-
-  std::vector<util::BitVec> hvs(4, util::BitVec(512));
-  std::stringstream ss;
-  hd::save_encoded_library(ss, serialize_config(), hvs);
-  const std::string full = ss.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW((void)hd::load_encoded_library(truncated, serialize_config()),
-               std::runtime_error);
-}
-
-TEST(Serialize, RejectsWrongDimensionOnSave) {
-  std::vector<util::BitVec> hvs(1, util::BitVec(256));  // config says 512
-  std::stringstream ss;
-  EXPECT_THROW(hd::save_encoded_library(ss, serialize_config(), hvs),
-               std::invalid_argument);
 }
 
 // ---------- Read disturb + refresh ----------

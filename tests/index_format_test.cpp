@@ -1,19 +1,23 @@
 // On-disk format contract of the LibraryIndex container: fail-loud on
-// truncation, corruption, bad magic/version/endianness; fingerprint
-// mismatches reject with the offending fields; the hypervector word block
-// is 64-byte aligned little-endian words with clean tails; and the
-// hd/serialize compat API (hypervector-only caches) shares the container,
-// including the encoder-kind fingerprint it historically omitted.
+// truncation, corruption, bad magic/version/endianness/flags; structural
+// mutations (resealed with fresh checksums so they get past the checksum
+// gate) are rejected naming their cause, and seeded random mutations
+// either fail with std::runtime_error or open into an index that passes
+// verify_deep(); fingerprint mismatches reject with the offending fields;
+// the writer rejects hypervectors of the wrong dimension; and the
+// hypervector word block is 64-byte aligned little-endian words with
+// clean tails.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "hd/serialize.hpp"
 #include "index/format.hpp"
 #include "index/index_builder.hpp"
 #include "index/library_index.hpp"
@@ -33,20 +37,79 @@ core::PipelineConfig small_config() {
   return cfg;
 }
 
-/// A small index image in memory (via a live pipeline + the stream writer).
-std::string build_image(const core::PipelineConfig& cfg,
-                        std::size_t refs = 60) {
+/// A small library pipeline (60 targets + 60 decoys) under `cfg`.
+std::unique_ptr<core::Pipeline> small_pipeline(
+    const core::PipelineConfig& cfg) {
   ms::WorkloadConfig data_cfg;
-  data_cfg.reference_count = refs;
+  data_cfg.reference_count = 60;
   data_cfg.query_count = 0;
   data_cfg.seed = 13;
   const auto workload = ms::generate_workload(data_cfg);
-  core::Pipeline pipeline(cfg);
-  pipeline.set_library(workload.references);
+  auto pipeline = std::make_unique<core::Pipeline>(cfg);
+  pipeline->set_library(workload.references);
+  return pipeline;
+}
+
+/// A small index image in memory (via a live pipeline + the stream writer).
+std::string build_image(const core::PipelineConfig& cfg) {
+  const auto pipeline = small_pipeline(cfg);
   std::stringstream ss;
-  index::write_index(ss, pipeline.library(), pipeline.reference_hvs(),
+  index::write_index(ss, pipeline->library(), pipeline->reference_hvs(),
                      index::fingerprint_of(cfg));
   return ss.str();
+}
+
+template <typename T>
+T read_at(const std::string& bytes, std::size_t offset) {
+  T value{};
+  std::memcpy(&value, bytes.data() + offset, sizeof value);
+  return value;
+}
+
+template <typename T>
+void write_at(std::string& bytes, std::size_t offset, const T& value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+}
+
+/// Byte offset of the section-table record for section `id`.
+std::size_t record_offset(const std::string& bytes, std::uint32_t id) {
+  const auto hdr = read_at<index::FileHeader>(bytes, 0);
+  for (std::uint32_t s = 0; s < hdr.section_count; ++s) {
+    const std::size_t at =
+        sizeof(index::FileHeader) + s * sizeof(index::SectionRecord);
+    if (read_at<index::SectionRecord>(bytes, at).id == id) return at;
+  }
+  ADD_FAILURE() << "no section " << index::section_name(id);
+  return 0;
+}
+
+index::SectionRecord section_record(const std::string& bytes,
+                                    std::uint32_t id) {
+  return read_at<index::SectionRecord>(bytes, record_offset(bytes, id));
+}
+
+/// Recomputes the checksum of every section whose record still points
+/// inside the image, so a mutation reaches the structural checks behind
+/// the checksum gate. Tolerates a mutated header and table.
+void reseal(std::string& bytes) {
+  if (bytes.size() < sizeof(index::FileHeader)) return;
+  const auto hdr = read_at<index::FileHeader>(bytes, 0);
+  for (std::uint32_t s = 0; s < hdr.section_count; ++s) {
+    const std::size_t at =
+        sizeof(index::FileHeader) + s * sizeof(index::SectionRecord);
+    if (at + sizeof(index::SectionRecord) > bytes.size()) return;
+    auto rec = read_at<index::SectionRecord>(bytes, at);
+    if (rec.offset > bytes.size() || rec.size > bytes.size() - rec.offset) {
+      continue;
+    }
+    rec.checksum = index::fnv1a64(bytes.data() + rec.offset, rec.size);
+    write_at(bytes, at, rec);
+  }
+}
+
+/// Offset of IndexMeta field `member` inside the image.
+std::size_t meta_field(const std::string& bytes, std::size_t member) {
+  return section_record(bytes, index::kMeta).offset + member;
 }
 
 index::LibraryIndex open_image(const std::string& bytes,
@@ -69,7 +132,6 @@ TEST(IndexFormat, OpensItsOwnOutput) {
   const auto cfg = small_config();
   const std::string bytes = build_image(cfg);
   const auto idx = open_image(bytes);
-  EXPECT_TRUE(idx.has_entries());
   EXPECT_EQ(idx.size(), 120U);  // 60 targets + 60 decoys
   EXPECT_EQ(idx.dim(), 1024U);
   EXPECT_EQ(idx.version(), index::kFormatVersion);
@@ -80,22 +142,6 @@ TEST(IndexFormat, OpensItsOwnOutput) {
 TEST(IndexFormat, RejectsGarbageAndShortFiles) {
   expect_open_fails("not a library index", "truncated");
   expect_open_fails(std::string(200, 'x'), "magic");
-}
-
-TEST(IndexFormat, LegacyOmshCachesGetATargetedError) {
-  // A pre-container "OMSH" cache (u32 magic 0x4f4d5348 + raw words) must
-  // not die on a generic bad-magic message.
-  std::string legacy("HSMO", 4);  // 0x4f4d5348 little-endian
-  legacy.resize(96, '\0');
-  std::stringstream ss(legacy);
-  hd::EncoderConfig ecfg;
-  try {
-    (void)hd::load_encoded_library(ss, ecfg);
-    FAIL() << "expected a legacy-format error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("legacy OMSH"), std::string::npos)
-        << "actual message: " << e.what();
-  }
 }
 
 TEST(IndexFormat, RejectsTruncationAnywhere) {
@@ -187,7 +233,7 @@ TEST(IndexFormat, WordBlockIsAlignedLittleEndian) {
 
 TEST(IndexFormat, FingerprintMismatchRejectsWithFieldNames) {
   const auto cfg = small_config();
-  const std::string bytes = build_image(cfg);
+  std::string bytes = build_image(cfg);
 
   auto open_with = [&](const core::PipelineConfig& pcfg) {
     auto idx = std::make_shared<index::LibraryIndex>(open_image(bytes));
@@ -227,115 +273,186 @@ TEST(IndexFormat, FingerprintMismatchRejectsWithFieldNames) {
   auto wrong_ber = cfg;
   wrong_ber.injected_ber = 0.01;
   expect_mismatch(wrong_ber, "injected_ber");
+
+  // No pipeline option selects another encoder kind, so an artifact
+  // recording one is simulated by patching the stored field (last case:
+  // open_with reads `bytes`).
+  write_at(bytes,
+           meta_field(bytes, offsetof(index::IndexMeta, fingerprint) +
+                                 offsetof(index::IndexFingerprint, enc_kind)),
+           static_cast<std::uint32_t>(hd::EncoderKind::kPermutation));
+  reseal(bytes);
+  expect_mismatch(cfg, "encoder.kind");
 }
 
-TEST(IndexFormat, HvOnlyCacheSharesContainerButCannotBackAPipeline) {
-  hd::EncoderConfig ecfg;
-  ecfg.dim = 512;
-  ecfg.bins = 1000;
-  ecfg.chunks = 64;
-  std::vector<util::BitVec> hvs(5);
-  for (std::size_t i = 0; i < hvs.size(); ++i) {
-    hvs[i] = util::BitVec(512);
-    hvs[i].randomize(i + 1);
-  }
+TEST(IndexFormat, WriterRejectsWrongDimension) {
+  const auto cfg = small_config();
+  const auto pipeline = small_pipeline(cfg);
+  const auto hvs = pipeline->reference_hvs();
+  std::vector<util::BitVec> wrong(hvs.begin(), hvs.end());
+  wrong[3] = util::BitVec(cfg.encoder.dim / 2);
   std::stringstream ss;
-  hd::save_encoded_library(ss, ecfg, hvs);
-  const std::string bytes = ss.str();
-
-  // One on-disk format: the cache opens as a LibraryIndex...
-  const auto idx = open_image(bytes);
-  EXPECT_FALSE(idx.has_entries());
-  EXPECT_EQ(idx.size(), hvs.size());
-  EXPECT_EQ(idx.fingerprint().enc_kind,
-            static_cast<std::uint32_t>(hd::EncoderKind::kIdLevel));
-  for (std::size_t i = 0; i < hvs.size(); ++i) {
-    EXPECT_EQ(idx.hypervectors()[i], hvs[i]);
-  }
-
-  // ...but a pipeline demands the full artifact.
-  auto shared = std::make_shared<index::LibraryIndex>(open_image(bytes));
-  core::Pipeline pipeline(small_config());
-  EXPECT_THROW(pipeline.set_library(shared), std::runtime_error);
-}
-
-TEST(IndexFormat, StreamContainerSurvivesPrefixAndTrailingData) {
-  // Section offsets are container-relative, so the hv-cache API works
-  // inside a larger stream: a prefix before save and bytes after it.
-  hd::EncoderConfig ecfg;
-  ecfg.dim = 320;
-  ecfg.bins = 400;
-  std::vector<util::BitVec> hvs(4);
-  for (std::size_t i = 0; i < hvs.size(); ++i) {
-    hvs[i] = util::BitVec(320);
-    hvs[i].randomize(i + 40);
-  }
-  std::stringstream ss;
-  ss << "prefix!!";  // 8 bytes already consumed by the caller's framing
-  hd::save_encoded_library(ss, ecfg, hvs);
-  ss << "trailing-data";
-
-  ss.seekg(8);
-  const auto back = hd::load_encoded_library(ss, ecfg);
-  ASSERT_EQ(back.size(), hvs.size());
-  for (std::size_t i = 0; i < hvs.size(); ++i) EXPECT_EQ(back[i], hvs[i]);
-  // The load consumed exactly one container: the caller's trailing
-  // framing is still there to read.
-  std::string tail;
-  ss >> tail;
-  EXPECT_EQ(tail, "trailing-data");
-}
-
-TEST(IndexFormat, StreamLoadsConsumeExactlyOneContainer) {
-  // Two libraries saved back-to-back load sequentially — the stream
-  // contract of the original hd/serialize implementation.
-  hd::EncoderConfig ecfg;
-  ecfg.dim = 192;
-  ecfg.bins = 300;
-  std::vector<util::BitVec> first(2), second(3);
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    first[i] = util::BitVec(192);
-    first[i].randomize(i + 100);
-  }
-  for (std::size_t i = 0; i < second.size(); ++i) {
-    second[i] = util::BitVec(192);
-    second[i].randomize(i + 200);
-  }
-  std::stringstream ss;
-  hd::save_encoded_library(ss, ecfg, first);
-  hd::save_encoded_library(ss, ecfg, second);
-
-  const auto back1 = hd::load_encoded_library(ss, ecfg);
-  const auto back2 = hd::load_encoded_library(ss, ecfg);
-  ASSERT_EQ(back1.size(), first.size());
-  ASSERT_EQ(back2.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(back1[i], first[i]);
-  }
-  for (std::size_t i = 0; i < second.size(); ++i) {
-    EXPECT_EQ(back2[i], second[i]);
+  try {
+    index::write_index(ss, pipeline->library(), wrong,
+                       index::fingerprint_of(cfg));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("dimension"), std::string::npos)
+        << "actual message: " << e.what();
   }
 }
 
-TEST(IndexFormat, SerializeCompatCoversEncoderKind) {
-  hd::EncoderConfig ecfg;
-  ecfg.dim = 256;
-  ecfg.bins = 500;
-  std::vector<util::BitVec> hvs(3, util::BitVec(256));
-  std::stringstream ss;
-  hd::save_encoded_library(ss, ecfg, hvs, hd::EncoderKind::kPermutation);
+TEST(IndexFormat, RejectsHeaderFlagsOtherThanHasEntries) {
+  const auto cfg = small_config();
+  const std::string bytes = build_image(cfg);
+  constexpr std::size_t kFlagsAt = offsetof(index::FileHeader, flags);
+  ASSERT_EQ(read_at<std::uint32_t>(bytes, kFlagsAt), index::kFlagHasEntries);
 
-  // Same config, wrong kind: the fingerprint the old format omitted.
-  std::stringstream reread(ss.str());
-  EXPECT_THROW(
-      (void)hd::load_encoded_library(reread, ecfg,
-                                     hd::EncoderKind::kRandomProjection),
-      std::invalid_argument);
+  // kFlagHasEntries cleared: the shape of a hypervector-only cache, which
+  // this reader no longer accepts.
+  std::string cleared = bytes;
+  write_at<std::uint32_t>(cleared, kFlagsAt, 0);
+  expect_open_fails(cleared, "flags");
 
-  std::stringstream again(ss.str());
-  const auto back =
-      hd::load_encoded_library(again, ecfg, hd::EncoderKind::kPermutation);
-  EXPECT_EQ(back.size(), hvs.size());
+  // An unknown flag bit beside kFlagHasEntries.
+  std::string unknown = bytes;
+  write_at<std::uint32_t>(unknown, kFlagsAt, index::kFlagHasEntries | 2U);
+  expect_open_fails(unknown, "flags");
+}
+
+TEST(IndexFormat, StructuralMutationsNameTheirCause) {
+  const auto cfg = small_config();
+  const std::string bytes = build_image(cfg);
+  // Resealing an unmutated image changes nothing, so every failure below
+  // comes from its mutation alone.
+  std::string resealed = bytes;
+  reseal(resealed);
+  ASSERT_EQ(resealed, bytes);
+
+  // Rewrites the table record of section `id` with `edit`, reseals, and
+  // expects open to fail naming `needle`.
+  const auto expect_record_edit_fails =
+      [&](std::uint32_t id, const auto& edit, const std::string& needle) {
+        SCOPED_TRACE(needle);
+        std::string mutated = bytes;
+        const std::size_t at = record_offset(mutated, id);
+        auto rec = read_at<index::SectionRecord>(mutated, at);
+        edit(rec);
+        write_at(mutated, at, rec);
+        reseal(mutated);
+        expect_open_fails(mutated, needle);
+      };
+
+  expect_record_edit_fails(
+      index::kPeptides,
+      [&](index::SectionRecord& r) { r.offset = bytes.size() + 64; },
+      "peptides section exceeds the file bounds");
+  expect_record_edit_fails(
+      index::kPeakBins, [](index::SectionRecord& r) { r.offset += 4; },
+      "peak-bins section is misaligned");
+  expect_record_edit_fails(
+      index::kPeptides, [](index::SectionRecord& r) { r.id = index::kEntries; },
+      "entries section appears twice");
+  expect_record_edit_fails(
+      index::kEntries, [](index::SectionRecord& r) { r.id = 99; },
+      "entries section is missing");
+
+  const auto expect_meta_edit_fails = [&](std::size_t member, const auto& edit,
+                                          const std::string& needle) {
+    SCOPED_TRACE(needle);
+    std::string mutated = bytes;
+    const std::size_t at = meta_field(mutated, member);
+    write_at(mutated, at, edit(read_at<decltype(edit(0))>(mutated, at)));
+    reseal(mutated);
+    expect_open_fails(mutated, needle);
+  };
+  expect_meta_edit_fails(
+      offsetof(index::IndexMeta, words_per_hv),
+      [](std::uint32_t wpv) { return wpv + 1; },
+      "inconsistent dimension/word count");
+  // dim near 2^32 with words_per_hv = 0: `dim + 63` must not wrap in
+  // 32 bits into a consistent-looking zero word count (and a zero stride).
+  static_assert(offsetof(index::IndexMeta, words_per_hv) ==
+                offsetof(index::IndexMeta, dim) + sizeof(std::uint32_t));
+  expect_meta_edit_fails(
+      offsetof(index::IndexMeta, dim),
+      [](std::uint64_t) { return std::uint64_t{0xFFFFFFF0U}; },
+      "inconsistent dimension/word count");
+  expect_meta_edit_fails(
+      offsetof(index::IndexMeta, entry_count),
+      [](std::uint64_t n) { return n + 1; },
+      "hv-words section size does not match entry count");
+
+  // The last entry's peaks run one past the end of the peak sections.
+  std::string mutated = bytes;
+  const auto entries = section_record(mutated, index::kEntries);
+  const std::size_t count = entries.size / sizeof(index::EntryRecord);
+  const std::size_t at =
+      entries.offset + (count - 1) * sizeof(index::EntryRecord);
+  auto last = read_at<index::EntryRecord>(mutated, at);
+  last.peak_count += 1;
+  write_at(mutated, at, last);
+  reseal(mutated);
+  expect_open_fails(mutated,
+                    "entry " + std::to_string(count - 1) +
+                        " peaks exceed the peak sections");
+}
+
+TEST(IndexFormat, SeededRandomMutationsFailLoudOrVerify) {
+  const auto cfg = small_config();
+  const std::string bytes = build_image(cfg);
+  // The header, section table and meta section hold every count and
+  // offset the reader trusts; aim half the flips there.
+  const std::size_t structural =
+      meta_field(bytes, 0) + sizeof(index::IndexMeta);
+
+  std::mt19937_64 rng(0x4F4D5358);
+  std::size_t opened = 0;
+  std::size_t rejected = 0;
+  constexpr int kTrials = 600;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::string mutated = bytes;
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    const bool truncate = pick(5) == 0;
+    if (truncate) {
+      mutated.resize(pick(bytes.size()));
+      // Half the time also shrink the recorded size so the truncation
+      // gets past the file-size check and into the section bounds.
+      if (mutated.size() >= sizeof(index::FileHeader) && pick(2) == 0) {
+        write_at<std::uint64_t>(mutated,
+                                offsetof(index::FileHeader, file_size),
+                                mutated.size());
+      }
+    } else {
+      const std::size_t flips = 1 + pick(4);
+      for (std::size_t f = 0; f < flips; ++f) {
+        const std::size_t at =
+            pick(2) == 0 ? pick(structural) : pick(mutated.size());
+        mutated[at] = static_cast<char>(mutated[at] ^ (1U << pick(8)));
+      }
+    }
+    if (pick(2) == 0) reseal(mutated);
+    index::OpenOptions opts;
+    opts.verify_checksums = pick(2) == 0;
+
+    try {
+      const auto idx = open_image(mutated, opts);
+      idx.verify_deep();
+      ++opened;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "trial " << trial << ": unexpected exception type: "
+                    << e.what();
+    }
+  }
+  // Both outcomes occur: flips in padding and annotation bytes survive a
+  // reseal, structural ones do not.
+  EXPECT_GT(opened, 0U);
+  EXPECT_GT(rejected, 0U);
+  EXPECT_EQ(opened + rejected, static_cast<std::size_t>(kTrials));
 }
 
 }  // namespace

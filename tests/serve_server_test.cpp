@@ -375,8 +375,6 @@ TEST(LibraryCache, BackendConfigHashKeysEveryResultShapingField) {
       PERTURB(c.backend_options.chip.array_count += 1),
       PERTURB(c.backend_options.max_refs_per_shard += 1),
       PERTURB(c.backend_options.query_block += 1),
-      PERTURB(c.backend_options.parallel_shards =
-                  !c.backend_options.parallel_shards),
       PERTURB(c.backend_options.array.rows += 2),
       PERTURB(c.backend_options.array.cols += 2),
       PERTURB(c.backend_options.array.adc_bits += 1),
