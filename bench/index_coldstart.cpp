@@ -13,9 +13,6 @@
 // Usage: index_coldstart [--scale=1.0] [--refs=6000] [--queries=8]
 //                        [--dim=8192] [--reps=3]
 //                        [--out=BENCH_index_coldstart.json]
-//
-// "rram-circuit" programs every reference into simulated crossbar tiles at
-// set_library, so it runs at a reduced reference count noted in the JSON.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -55,7 +52,6 @@ struct Measurement {
   double index_build_s = 0.0;
   double index_spectra_per_sec = 0.0;
   std::size_t index_bytes = 0;
-  bool reduced_scale = false;
   bool mapped = false;
 
   [[nodiscard]] double speedup() const noexcept {
@@ -99,7 +95,6 @@ void write_json(const std::string& path,
         << ", \"index_build_spectra_per_sec\": " << m.index_spectra_per_sec
         << ", \"index_file_bytes\": " << m.index_bytes
         << ", \"mmap\": " << (m.mapped ? "true" : "false")
-        << ", \"reduced_scale\": " << (m.reduced_scale ? "true" : "false")
         << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"append\": [\n";
@@ -156,41 +151,30 @@ int main(int argc, char** argv) {
               "D=%u\n\n",
               workload.references.size(), workload.queries.size(), dim);
 
-  // Circuit fidelity programs every reference into simulated analog
-  // tiles; keep its library small so the suite stays in minutes.
-  const std::size_t circuit_refs = std::min<std::size_t>(n_refs, 120);
-  oms::ms::WorkloadConfig circuit_cfg = data_cfg;
-  circuit_cfg.reference_count = circuit_refs;
-  const auto circuit_workload = oms::ms::generate_workload(circuit_cfg);
-
-  const char* backends[] = {"ideal-hd", "rram-statistical", "sharded",
-                            "rram-circuit"};
+  const char* backends[] = {"ideal-hd", "rram-statistical", "sharded"};
   std::vector<Measurement> results;
   oms::util::Table table({"backend", "build→PSM (s)", "load→PSM (s)",
                           "speedup", "build (spec/s)", "file (MB)"});
 
   for (const char* backend : backends) {
-    const bool circuit = std::string(backend) == "rram-circuit";
-    const auto& wl = circuit ? circuit_workload : workload;
 
     oms::core::PipelineConfig cfg = oms::bench::paper_pipeline_config(dim);
     cfg.backend_name = backend;
     if (std::string(backend) == "sharded") {
       cfg.backend_options.max_refs_per_shard =
-          std::max<std::size_t>(1, 2 * wl.references.size() / 4);
+          std::max<std::size_t>(1, 2 * workload.references.size() / 4);
     }
 
     Measurement m;
     m.backend = backend;
-    m.references = wl.references.size();
-    m.reduced_scale = circuit;
+    m.references = workload.references.size();
 
     // --- legacy path: everything re-derived in-process ------------------
     for (std::size_t rep = 0; rep < reps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
       oms::core::Pipeline pipeline(cfg);
-      pipeline.set_library(wl.references);
-      const auto r = pipeline.run(wl.queries);
+      pipeline.set_library(workload.references);
+      const auto r = pipeline.run(workload.queries);
       const double secs = seconds_since(t0);
       m.build_first_psm_s =
           rep == 0 ? secs : std::min(m.build_first_psm_s, secs);
@@ -202,7 +186,7 @@ int main(int argc, char** argv) {
     const std::string index_path = "/tmp/omshd_coldstart_" +
                                    std::string(backend) + ".omsx";
     const oms::index::IndexBuilder builder(cfg);
-    const auto build_stats = builder.build(wl.references, index_path);
+    const auto build_stats = builder.build(workload.references, index_path);
     m.index_build_s = build_stats.encode_seconds + build_stats.write_seconds;
     m.index_spectra_per_sec = build_stats.spectra_per_sec();
     m.index_bytes = build_stats.file_bytes;
@@ -214,7 +198,7 @@ int main(int argc, char** argv) {
           oms::index::LibraryIndex::open(index_path));
       oms::core::Pipeline pipeline(cfg);
       pipeline.set_library(idx);
-      const auto r = pipeline.run(wl.queries);
+      const auto r = pipeline.run(workload.queries);
       const double secs = seconds_since(t0);
       m.load_first_psm_s =
           rep == 0 ? secs : std::min(m.load_first_psm_s, secs);
@@ -408,8 +392,6 @@ int main(int argc, char** argv) {
       "(the load path maps the word block and encodes only the probe\n"
       "queries). The gap is widest where reference encoding dominates —\n"
       "IMC-model backends pay calibration + keyed noise per reference on\n"
-      "the build path. rram-circuit still programs its crossbars from the\n"
-      "mapped vectors at backend construction, so its gain is encode-only\n"
-      "and it runs at reduced scale.\n");
+      "the build path.\n");
   return 0;
 }

@@ -42,6 +42,15 @@ MappingPlan plan_search_mapping(std::size_t references, std::uint32_t dim,
   return plan;
 }
 
+std::size_t references_per_chip(std::uint32_t dim,
+                                const rram::ChipConfig& chip) {
+  const std::size_t pair_rows = chip.array.pair_rows();
+  const std::size_t vtiles = (dim + pair_rows - 1) / pair_rows;
+  const std::size_t blocks =
+      std::max<std::size_t>(1, chip.array_count / vtiles);
+  return blocks * chip.array.cols;
+}
+
 double query_latency_s(const MappingPlan& plan, std::size_t candidates,
                        std::size_t adcs_per_array, double cycle_s) {
   if (adcs_per_array == 0) {

@@ -38,6 +38,13 @@ struct MappingPlan {
                                               const rram::ChipConfig& chip,
                                               std::size_t activated_pairs);
 
+/// References of dimension `dim` one chip holds: the column blocks that
+/// fit its arrays (array_count / vertical tiles per reference, at least
+/// one) times the columns per array. The capacity unit the "sharded"
+/// backend cuts a library into (core/search_backend.hpp).
+[[nodiscard]] std::size_t references_per_chip(std::uint32_t dim,
+                                              const rram::ChipConfig& chip);
+
 /// Latency of scoring `candidates` references for one query, assuming
 /// `adcs_per_array` columns sensed per phase per array and all arrays
 /// operating in parallel.

@@ -197,14 +197,8 @@ void Pipeline::set_library(
   if (shared_backend) {
     // Multi-tenant path: adopt a backend another pipeline (or the
     // serve-layer library cache) already built over this same library's
-    // hypervectors. Per-call engine state cannot be multiplexed, and a
-    // name mismatch would silently search through the wrong substrate.
-    if (!shared_backend->thread_safe()) {
-      throw std::invalid_argument(
-          "Pipeline::set_library: shared backend '" +
-          std::string(shared_backend->name()) +
-          "' is not thread-safe and cannot be multiplexed across sessions");
-    }
+    // hypervectors. A name mismatch would silently search through the
+    // wrong substrate.
     if (shared_backend->name() != backend_name()) {
       throw std::invalid_argument(
           "Pipeline::set_library: shared backend is '" +

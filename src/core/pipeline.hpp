@@ -4,11 +4,10 @@
 // The search substrate is selected by registry name (see
 // core/search_backend.hpp): "ideal-hd" is exact digital HD (HyperOMS'
 // algorithm), "rram-statistical" searches through the calibrated MLC RRAM
-// error model ("this work" on hardware), "rram-circuit" searches through
-// the full crossbar simulation (slow, small libraries; encoding still uses
-// the statistical model, and results repeat only across freshly built
-// pipelines — the analog arrays carry state), and "sharded" scales out
-// over multiple chips.
+// error model ("this work" on hardware), and "sharded" searches the same
+// model with the library cut into chip-capacity slices (multi-chip
+// accounting). The crossbar circuit simulation calibrates that model
+// (accel::calibrate_mvm_error) and is not a backend.
 // Independent of the backend, `injected_ber` flips encoded bits at a given
 // rate (the Fig. 11 robustness protocol).
 //
@@ -64,7 +63,7 @@ struct PipelineConfig {
   bool charge_tolerant = false;
   double injected_ber = 0.0;          ///< Bit errors on all encoded HVs.
   /// Search backend registry name ("ideal-hd", "rram-statistical",
-  /// "rram-circuit", "sharded", or anything registered at runtime).
+  /// "sharded", or anything registered at runtime).
   /// Empty → "ideal-hd".
   std::string backend_name;
   /// Device/sharding options handed to BackendRegistry::make. The seed is
@@ -131,9 +130,8 @@ class Pipeline {
   /// over this same library's hypervectors, adopted instead of
   /// constructing a private one — so N sessions on one library share one
   /// backend instance (and its exact BackendStats counters). It must be
-  /// thread_safe() (per-call engine state cannot be multiplexed across
-  /// concurrent sessions; std::invalid_argument otherwise) and registered
-  /// under this pipeline's backend_name (checked).
+  /// registered under this pipeline's backend_name (std::invalid_argument
+  /// otherwise).
   void set_library(std::shared_ptr<const index::SegmentedLibrary> library,
                    std::shared_ptr<SearchBackend> shared_backend = nullptr);
 

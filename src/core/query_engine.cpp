@@ -71,7 +71,7 @@ struct Emitted {
 struct QueryEngine::Impl {
   Impl(Pipeline& p, const QueryEngineConfig& engine_cfg)
       : pipeline(p),
-        cfg(sanitize(engine_cfg, p)),
+        cfg(sanitize(engine_cfg)),
         imc_encode(BackendRegistry::instance().imc_encoding(
             p.backend_name(), p.cfg_.backend_options)),
         admission(cfg.block_size * cfg.queue_blocks),
@@ -121,14 +121,10 @@ struct QueryEngine::Impl {
 
   ~Impl() { shutdown(); }
 
-  static QueryEngineConfig sanitize(QueryEngineConfig c, Pipeline& p) {
+  static QueryEngineConfig sanitize(QueryEngineConfig c) {
     c.block_size = std::max<std::size_t>(1, c.block_size);
     c.queue_blocks = std::max<std::size_t>(1, c.queue_blocks);
     c.stage_threads = std::max<std::size_t>(1, c.stage_threads);
-    // A backend with per-call engine state (the circuit simulation) needs
-    // the synchronous call sequence: one worker per stage and in-order
-    // FIFO hand-off reproduce it.
-    if (p.backend_ && !p.backend_->thread_safe()) c.stage_threads = 1;
     return c;
   }
 

@@ -48,9 +48,7 @@
 // or assigned index, never on arrival time, block composition, or thread
 // schedule. Streaming results are therefore bit-identical to a synchronous
 // Pipeline::run over the same queries in the same admission order, for any
-// block size and worker count. (Backends that report thread_safe() == false
-// — the circuit simulation — are served by single-threaded stages so their
-// engine-state call sequence matches the synchronous path.)
+// block size and worker count.
 #pragma once
 
 #include <chrono>

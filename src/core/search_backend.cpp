@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "accel/imc_search.hpp"
-#include "accel/sharded_search.hpp"
+#include "accel/mapper.hpp"
 #include "util/thread_pool.hpp"
 
 namespace oms::core {
@@ -43,17 +43,13 @@ BackendStats BackendStats::since(const BackendStats& before) const {
 std::vector<std::vector<hd::SearchHit>> SearchBackend::search_batch(
     std::span<const Query> queries, std::size_t k) {
   std::vector<std::vector<hd::SearchHit>> out(queries.size());
-  const auto run_range = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const Query& q = queries[i];
-      out[i] = top_k(*q.hv, q.first, q.last, k, q.stream);
-    }
-  };
-  if (thread_safe()) {
-    util::ThreadPool::global().parallel_for(0, queries.size(), run_range);
-  } else {
-    run_range(0, queries.size());
-  }
+  util::ThreadPool::global().parallel_for(
+      0, queries.size(), [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const Query& q = queries[i];
+          out[i] = top_k(*q.hv, q.first, q.last, k, q.stream);
+        }
+      });
   return out;
 }
 
@@ -155,42 +151,61 @@ class IdealHdBackend final : public SearchBackend {
   BlockCounters counters_;
 };
 
-/// One in-memory-compute engine (statistical or circuit fidelity).
+/// Chip slices of `width` references that a block enters: those meeting
+/// the union of its non-empty windows, clipped to `count` references.
+std::uint64_t slices_entered(std::span<const Query> queries,
+                             std::size_t count, std::size_t width) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;  // [first, last]
+  spans.reserve(queries.size());
+  for (const Query& q : queries) {
+    const std::size_t last = std::min(q.last, count);
+    if (q.first < last) spans.emplace_back(q.first / width, (last - 1) / width);
+  }
+  std::sort(spans.begin(), spans.end());
+  std::uint64_t entered = 0;
+  std::size_t next = 0;  // first slice not yet counted
+  for (const auto& [first, last] : spans) {
+    const std::size_t from = std::max(first, next);
+    if (from <= last) {
+      entered += last - from + 1;
+      next = last + 1;
+    }
+  }
+  return entered;
+}
+
+/// The MLC-RRAM search model: one accel::ImcSearchEngine over the whole
+/// library. A nonzero `slice_width` ("sharded") cuts the library into
+/// chip-capacity slices for accounting only — shards = ceil(references /
+/// width) and one shard entry per (block, slice its windows meet); the
+/// hits, phases, sigma and gain are the unsliced engine's, since keyed
+/// noise depends on the global reference index alone.
 class ImcBackend final : public SearchBackend {
  public:
   ImcBackend(std::string name, std::span<const util::BitVec> references,
-             const accel::ImcSearchConfig& cfg, std::size_t query_block)
+             const accel::ImcSearchConfig& cfg, std::size_t query_block,
+             std::size_t slice_width)
       : name_(std::move(name)),
         engine_(references, cfg),
-        query_block_(query_block) {}
+        query_block_(query_block),
+        slice_width_(slice_width) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return name_;
   }
 
-  [[nodiscard]] bool thread_safe() const noexcept override {
-    // Circuit fidelity drives stateful crossbar arrays per call.
-    return engine_.config().fidelity != accel::Fidelity::kCircuit;
-  }
-
   [[nodiscard]] std::vector<hd::SearchHit> top_k(
       const util::BitVec& query, std::size_t first, std::size_t last,
       std::size_t k, std::uint64_t stream) override {
-    if (engine_.config().fidelity == accel::Fidelity::kCircuit) {
-      return engine_.top_k(query, first, last, k);
-    }
-    return engine_.top_k_keyed(query, first, last, k, stream);
+    const Query q{&query, first, last, stream};
+    return std::move(search(std::span(&q, 1), k).front());
   }
 
   [[nodiscard]] std::vector<std::vector<hd::SearchHit>> search_batch(
       std::span<const Query> queries, std::size_t k) override {
-    if (engine_.config().fidelity == accel::Fidelity::kCircuit) {
-      // The analog arrays carry per-call state; keep the sequential path.
-      return SearchBackend::search_batch(queries, k);
-    }
     auto out = run_blocked(queries, query_block_,
                            [&](std::span<const Query> sub) {
-                             return engine_.search_many(sub, k);
+                             return search(sub, k);
                            });
     counters_.count(queries.size(), query_block_);
     return out;
@@ -203,61 +218,32 @@ class ImcBackend final : public SearchBackend {
     s.phases_executed = engine_.phases_executed();
     s.phase_sigma = engine_.phase_sigma();
     s.gain = engine_.gain();
+    if (slice_width_ > 0) {
+      s.shards = (s.references + slice_width_ - 1) / slice_width_;
+      s.shard_entries = slice_entries_.load(std::memory_order_relaxed);
+    }
     counters_.fill(s);
     return s;
   }
 
  private:
+  /// One block through the engine, with its slice entries counted.
+  [[nodiscard]] std::vector<std::vector<hd::SearchHit>> search(
+      std::span<const Query> queries, std::size_t k) const {
+    auto hits = engine_.search_many(queries, k);
+    if (slice_width_ > 0 && k > 0) {
+      slice_entries_.fetch_add(
+          slices_entered(queries, engine_.reference_count(), slice_width_),
+          std::memory_order_relaxed);
+    }
+    return hits;
+  }
+
   std::string name_;
   accel::ImcSearchEngine engine_;
   std::size_t query_block_;
-  BlockCounters counters_;
-};
-
-/// Multi-chip scale-out: contiguous shards, merged top-k.
-class ShardedBackend final : public SearchBackend {
- public:
-  ShardedBackend(std::span<const util::BitVec> references,
-                 const accel::ShardedSearchConfig& cfg,
-                 std::size_t query_block)
-      : sharded_(references, cfg), query_block_(query_block) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "sharded";
-  }
-
-  [[nodiscard]] std::vector<hd::SearchHit> top_k(
-      const util::BitVec& query, std::size_t first, std::size_t last,
-      std::size_t k, std::uint64_t stream) override {
-    return sharded_.top_k(query, first, last, k, stream);
-  }
-
-  [[nodiscard]] std::vector<std::vector<hd::SearchHit>> search_batch(
-      std::span<const Query> queries, std::size_t k) override {
-    auto out = run_blocked(queries, query_block_,
-                           [&](std::span<const Query> sub) {
-                             return sharded_.search_many(sub, k);
-                           });
-    counters_.count(queries.size(), query_block_);
-    return out;
-  }
-
-  [[nodiscard]] BackendStats stats() const override {
-    BackendStats s;
-    s.backend = "sharded";
-    s.references = sharded_.reference_count();
-    s.shards = sharded_.shard_count();
-    s.phases_executed = sharded_.phases_executed();
-    s.phase_sigma = sharded_.phase_sigma();
-    s.gain = sharded_.gain();
-    s.shard_entries = sharded_.shard_entries();
-    counters_.fill(s);
-    return s;
-  }
-
- private:
-  accel::ShardedSearch sharded_;
-  std::size_t query_block_;
+  std::size_t slice_width_;  ///< 0 = unsliced ("rram-statistical").
+  mutable std::atomic<std::uint64_t> slice_entries_{0};
   BlockCounters counters_;
 };
 
@@ -288,35 +274,34 @@ BackendRegistry::BackendRegistry() {
       [](std::span<const util::BitVec> refs, const BackendOptions& opts) {
         return std::make_unique<ImcBackend>(
             "rram-statistical", refs,
-            imc_config(opts, accel::Fidelity::kStatistical),
-            opts.query_block);
-      },
-      always_imc_encoded};
-  factories_["rram-circuit"] = {
-      [](std::span<const util::BitVec> refs, const BackendOptions& opts) {
-        return std::make_unique<ImcBackend>(
-            "rram-circuit", refs, imc_config(opts, accel::Fidelity::kCircuit),
-            opts.query_block);
+            imc_config(opts, accel::Fidelity::kStatistical), opts.query_block,
+            /*slice_width=*/0);
       },
       always_imc_encoded};
   factories_["sharded"] = {
       [](std::span<const util::BitVec> refs, const BackendOptions& opts) {
         if (opts.sharded_fidelity == accel::Fidelity::kCircuit) {
           throw std::invalid_argument(
-              "sharded backend does not support circuit fidelity (shards "
-              "search through the thread-safe keyed path only)");
+              "sharded backend does not support circuit fidelity (slices "
+              "search through the keyed statistical or ideal model only)");
         }
-        accel::ShardedSearchConfig cfg;
-        cfg.chip = opts.chip;
-        cfg.chip.array = opts.array;
-        cfg.engine = imc_config(opts, opts.sharded_fidelity);
-        cfg.max_refs_per_shard = opts.max_refs_per_shard;
-        cfg.pool = opts.shard_pool;
-        return std::make_unique<ShardedBackend>(refs, cfg, opts.query_block);
+        if (refs.empty()) {
+          throw std::invalid_argument("sharded backend: empty reference set");
+        }
+        rram::ChipConfig chip = opts.chip;
+        chip.array = opts.array;
+        const std::size_t width =
+            opts.max_refs_per_shard > 0
+                ? opts.max_refs_per_shard
+                : accel::references_per_chip(
+                      static_cast<std::uint32_t>(refs.front().size()), chip);
+        return std::make_unique<ImcBackend>(
+            "sharded", refs, imc_config(opts, opts.sharded_fidelity),
+            opts.query_block, width);
       },
-      // Statistical shards model the same device noise as the monolithic
+      // Statistical slices model the same device noise as the monolithic
       // rram-statistical engine, so their libraries must be encoded the
-      // same way for end-to-end equivalence; ideal shards take the exact
+      // same way for end-to-end equivalence; ideal slices take the exact
       // encoding (matching "ideal-hd").
       [](const BackendOptions& opts) {
         return opts.sharded_fidelity == accel::Fidelity::kStatistical;

@@ -1,7 +1,7 @@
 // Pluggable search-backend seam: every way this codebase can score a query
 // hypervector against a reference library — exact digital HD, statistical
-// MLC-RRAM, circuit-level crossbars, sharded multi-chip — sits behind one
-// abstract interface, selected by registry name at runtime.
+// MLC-RRAM, the same model sliced across chips — sits behind one abstract
+// interface, selected by registry name at runtime.
 //
 // Map of this header:
 //   * Query           — one batched search request (hypervector + candidate
@@ -24,21 +24,24 @@
 //   * SearchBackend   — the interface: `top_k` for one query, `search_batch`
 //                       for many (default fans out over the global thread
 //                       pool; backends may override with a genuinely batched
-//                       implementation). The "sharded" backend additionally
-//                       runs a block's intersecting shards concurrently via
-//                       the nested-safe util::ThreadPool::parallel_tasks.
+//                       implementation). Blocks of one batch run
+//                       concurrently over the global pool.
 //   * BackendRegistry — string-keyed factory. Built-in names:
 //                         "ideal-hd"         exact Hamming search
 //                                            (hd::top_k_search semantics);
 //                         "rram-statistical" calibrated MLC-RRAM noise model
 //                                            (accel::ImcSearchEngine);
-//                         "rram-circuit"     search through the full crossbar
-//                                            circuit simulation (slow; small
-//                                            libraries only; pipeline-scale
-//                                            *encoding* still goes through
-//                                            the statistical IMC model);
-//                         "sharded"          multi-chip scale-out
-//                                            (accel::ShardedSearch).
+//                         "sharded"          the same engine with the library
+//                                            cut into chip-capacity slices
+//                                            (accel::references_per_chip),
+//                                            which count shards and shard
+//                                            entries for the multi-chip
+//                                            perf model; hits equal the
+//                                            unsliced engine's.
+//                       The crossbar circuit simulation (src/rram/,
+//                       accel::Fidelity::kCircuit) is the statistical
+//                       model's reference — accel::calibrate_mvm_error
+//                       fits its sigma and gain — not a backend.
 //   * make_backend    — convenience wrapper over the registry.
 //
 // Reference libraries reach a backend as a span of util::BitVec — either
@@ -60,16 +63,14 @@
 // compacts them in the background, so fragmented views trend back to one
 // extent without any request-path work.
 //
-// Multi-tenant serving seam (src/serve/): backends reporting
-// thread_safe() == true may be *shared* across concurrent sessions —
-// serve::LibraryCache holds one instance per (fingerprint, path,
-// backend-config) and hands it to every compatible serve::Session via
-// Pipeline::set_library(library, shared_backend), with cross-tenant
-// search_batch calls arbitrated by serve::FairScheduler. A shared backend
-// must therefore keep top_k / search_batch reentrant and its BackendStats
-// counters atomic (the built-ins already do, for the exact-counter
-// contract above). thread_safe() == false backends ("rram-circuit") are
-// never cached or shared: each session builds and keeps its own.
+// Multi-tenant serving seam (src/serve/): a backend may be *shared* across
+// concurrent sessions — serve::LibraryCache holds one instance per
+// (fingerprint, path, backend-config) and hands it to every compatible
+// serve::Session via Pipeline::set_library(library, shared_backend), with
+// cross-tenant search_batch calls arbitrated by serve::FairScheduler. Every
+// backend must therefore keep top_k / search_batch reentrant and its
+// BackendStats counters atomic (the built-ins do, for the exact-counter
+// contract above).
 //
 // Registering a new backend (e.g. from a plugin or a future GPU/FPGA port):
 //
@@ -88,11 +89,7 @@
 // Implementations must honor the determinism contract: equal-score hits are
 // ordered by lower reference index, and all simulation noise is keyed on
 // (seed, stream, global reference index) so results do not depend on thread
-// scheduling. The one exception is "rram-circuit": its analog arrays carry
-// engine-lifetime RNG state, so it is deterministic only for a fixed engine
-// state and call sequence (two freshly built pipelines agree; repeated
-// run() calls on one engine do not) — it reports thread_safe() == false and
-// is batched sequentially.
+// scheduling, call order or how many sessions share the instance.
 #pragma once
 
 #include <cstdint>
@@ -111,10 +108,6 @@
 #include "rram/chip.hpp"
 #include "util/bitvec.hpp"
 
-namespace oms::util {
-class ThreadPool;
-}  // namespace oms::util
-
 namespace oms::core {
 
 /// One batched search request: score `*hv` against references
@@ -122,7 +115,7 @@ namespace oms::core {
 /// (conventionally the query spectrum id, so simulated hardware noise is
 /// reproducible regardless of scheduling). The same struct is the block
 /// vocabulary of the batched kernels underneath (hd::top_k_search_batch,
-/// accel::ImcSearchEngine::search_many, accel::ShardedSearch::search_many).
+/// accel::ImcSearchEngine::search_many).
 using Query = hd::BatchQuery;
 
 /// Substrate-independent accounting a backend can report.
@@ -133,8 +126,9 @@ struct BackendStats {
   std::uint64_t phases_executed = 0;  ///< Hardware activation phases so far.
   double phase_sigma = 0.0;           ///< Per-phase noise sigma (0 = exact).
   double gain = 1.0;                  ///< Multiplicative score gain (IR droop).
-  std::uint64_t shard_entries = 0;    ///< Shard searches: per query on the
-                                      ///< fan-out path, per block batched.
+  std::uint64_t shard_entries = 0;    ///< Shard searches: one per (block,
+                                      ///< shard its windows meet); a
+                                      ///< one-query top_k is a block.
   std::uint64_t query_blocks = 0;     ///< Blocks served by batched overrides.
   std::uint64_t batched_queries = 0;  ///< Queries inside those blocks.
   /// Popcount kernel tier the digital sweeps run on ("scalar" | "avx2" |
@@ -191,24 +185,20 @@ struct BackendOptions {
   std::size_t activated_pairs = 64;    ///< Differential pairs per phase.
   std::size_t calibration_samples = 4096;
   std::uint64_t seed = 2024;
-  /// Per-shard engine fidelity for "sharded" (the rram-* names fix
-  /// theirs). Circuit fidelity is rejected: shards search through the
-  /// thread-safe keyed path only.
+  /// Engine fidelity for "sharded" ("rram-statistical" fixes its own).
+  /// Circuit fidelity is rejected: the slices search through the keyed
+  /// statistical or ideal model only.
   accel::Fidelity sharded_fidelity = accel::Fidelity::kStatistical;
-  /// Capacity unit per shard. `chip.array` is overridden with `array`
-  /// above so a single device model drives both the noise calibration and
-  /// the capacity/shard-size derivation.
+  /// Capacity unit per "sharded" slice. `chip.array` is overridden with
+  /// `array` above so a single device model drives both the noise
+  /// calibration and the slice width (accel::references_per_chip).
   rram::ChipConfig chip{};
   std::size_t max_refs_per_shard = 0;  ///< 0 → derive from chip capacity.
   /// Queries per block inside the batched search_batch overrides: each
-  /// block is one reference-major sweep (ideal-hd, rram-statistical) or
-  /// one shipment to every intersecting shard (sharded), and blocks are
-  /// processed in parallel over the global thread pool.
+  /// block is one reference-major sweep, entering every "sharded" slice
+  /// its windows meet once, and blocks are processed in parallel over
+  /// the global thread pool.
   std::size_t query_block = 64;
-  /// "sharded" only: pool the intra-block shard tasks run on; null →
-  /// util::ThreadPool::global(). Tests inject small pools to pin the
-  /// worker count.
-  util::ThreadPool* shard_pool = nullptr;
 };
 
 /// Abstract search backend over an externally owned reference set (the
@@ -227,20 +217,13 @@ class SearchBackend {
       const util::BitVec& query, std::size_t first, std::size_t last,
       std::size_t k, std::uint64_t stream) = 0;
 
-  /// True when top_k may be called concurrently from multiple threads with
-  /// reproducible results (the keyed-noise contract). Backends with mutable
-  /// per-call state (e.g. the circuit simulation) return false and are
-  /// batched sequentially.
-  [[nodiscard]] virtual bool thread_safe() const noexcept { return true; }
-
   /// Searches a whole batch; result i corresponds to queries[i]. The
-  /// default fans out over util::ThreadPool::global() when thread_safe(),
-  /// and degrades to a sequential loop otherwise. The built-in backends
-  /// override it with genuinely batched implementations — "ideal-hd" and
-  /// "rram-statistical" sweep size-`BackendOptions::query_block` blocks
-  /// reference-major (shared activation-phase scheduling), "sharded" ships
-  /// each block to every intersecting shard once — and any override must
-  /// return results identical to sequential top_k calls.
+  /// default fans top_k out over util::ThreadPool::global(), so top_k must
+  /// be reentrant. The built-in backends override it with genuinely
+  /// batched implementations — every one sweeps size-
+  /// `BackendOptions::query_block` blocks reference-major (shared
+  /// activation-phase scheduling) — and any override must return results
+  /// identical to sequential top_k calls.
   [[nodiscard]] virtual std::vector<std::vector<hd::SearchHit>> search_batch(
       std::span<const Query> queries, std::size_t k);
 

@@ -186,9 +186,10 @@ IndexBuilder::IndexBuilder(const core::PipelineConfig& cfg) : cfg_(cfg) {}
 BuildStats IndexBuilder::build(const std::vector<ms::Spectrum>& targets,
                                const std::string& path) const {
   // The stored bytes depend on the backend only through its encoding
-  // trait, so build through the cheapest backend of the right trait — a
-  // caller configured for "rram-circuit" should not program crossbar
-  // tiles just to persist the library.
+  // trait, so build through the canonical backend of that trait: a
+  // library persisted for "sharded" is the one persisted for
+  // "rram-statistical", and one configured for a runtime-registered
+  // substrate is built without constructing that substrate.
   core::PipelineConfig build_cfg = cfg_;
   const std::string backend =
       cfg_.backend_name.empty() ? "ideal-hd" : cfg_.backend_name;

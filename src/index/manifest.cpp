@@ -32,11 +32,31 @@ Manifest Manifest::load(const std::string& path) {
   if (header.version != kManifestVersion) {
     fail(path, "unsupported version " + std::to_string(header.version));
   }
+  // Check both header counts before trusting either: the payload must fit
+  // in the bytes the file still holds (so nothing is allocated for a size
+  // the file cannot back), and the segment table and fingerprint in the
+  // payload, bounded by division so a huge count cannot wrap.
+  const std::streamoff here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff end = in.tellg();
+  in.seekg(here);
+  if (!in || here < 0 || end < here) fail(path, "cannot size the file");
+  const auto left = static_cast<std::uint64_t>(end - here);
+  if (header.payload_bytes > left) {
+    fail(path, "payload_bytes " + std::to_string(header.payload_bytes) +
+                   " exceeds the " + std::to_string(left) +
+                   " bytes after the header");
+  }
+  if (header.payload_bytes < sizeof(IndexFingerprint) ||
+      header.segment_count >
+          (header.payload_bytes - sizeof(IndexFingerprint)) /
+              sizeof(SegmentRecord)) {
+    fail(path, "segment_count " + std::to_string(header.segment_count) +
+                   " does not fit payload_bytes " +
+                   std::to_string(header.payload_bytes));
+  }
   const std::uint64_t min_payload =
       header.segment_count * sizeof(SegmentRecord) + sizeof(IndexFingerprint);
-  if (header.payload_bytes < min_payload) {
-    fail(path, "payload smaller than its own segment table");
-  }
 
   std::vector<char> payload(header.payload_bytes);
   in.read(payload.data(), static_cast<std::streamsize>(payload.size()));

@@ -84,8 +84,9 @@ struct Manifest {
   std::vector<ManifestSegment> segments;
 
   /// Reads and validates a manifest. Bad magic/version/endianness,
-  /// truncation, checksum mismatches, and inconsistent segment bases all
-  /// throw std::runtime_error naming the problem.
+  /// truncation, header counts the file cannot hold, checksum mismatches,
+  /// and inconsistent segment bases all throw std::runtime_error naming
+  /// the file and the problem.
   [[nodiscard]] static Manifest load(const std::string& path);
 
   /// Atomically persists (write temp + rename, like write_index_file).

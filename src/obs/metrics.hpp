@@ -115,7 +115,7 @@ class Info {
 
 /// The default histogram bounds: exponential 1-2-5 ladder from 1 µs to
 /// 10 s (seconds), the span of everything this codebase times — a scalar
-/// popcount sweep to a cold rram-circuit block.
+/// popcount sweep to a cold open-window IMC-modelled block.
 [[nodiscard]] std::span<const double> default_latency_bounds() noexcept;
 
 /// Fixed-bucket histogram. observe() is striped relaxed bucket increments

@@ -136,7 +136,7 @@ LibraryLease LibraryCache::lease(const std::string& path,
 void LibraryCache::donate(const std::string& path,
                           const core::PipelineConfig& pcfg,
                           std::shared_ptr<core::SearchBackend> backend) {
-  if (!backend || !backend->thread_safe()) return;
+  if (!backend) return;
   Key key{index::fingerprint_hash(index::fingerprint_of(pcfg)), 0, path};
   try {
     key.generation = index::library_generation(path);

@@ -30,9 +30,8 @@
 // everything that shapes a backend instance (registry name, seed, device
 // model, sharding geometry). The cache never constructs backends itself —
 // core::Pipeline owns that logic — sessions donate() the backend their
-// pipeline built, and only thread_safe() backends are accepted (the
-// circuit simulation carries per-call engine state and must stay private
-// to one single-threaded session).
+// pipeline built. Every registered backend is reentrant with keyed noise,
+// so any of them may be shared.
 #pragma once
 
 #include <cstddef>
@@ -117,7 +116,7 @@ class LibraryCache {
 
   /// Offers the backend a session's pipeline built over the leased library,
   /// so later sessions share it. Ignored (not an error) when the backend
-  /// is null or not thread_safe(), when the library is no longer resident,
+  /// is null, when the library is no longer resident,
   /// or when an equivalent backend is already cached (first donation
   /// wins — all donors built under the same key, so the instances are
   /// interchangeable).

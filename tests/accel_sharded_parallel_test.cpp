@@ -1,19 +1,21 @@
-// Parallel intra-block shard execution: ShardedSearch::search_many runs
-// each intersecting shard's sub-block as an independent task on a
-// util::ThreadPool and merges per-shard buffers deterministically in
-// shard order. These suites pin the contracts that path must honor:
-// hits bit-identical to the monolithic engines for every block size and
-// pool size, also when blocks nest inside an outer pool; tie-breaks
-// surviving the bounded k-way merge; and exact (scheduling-independent)
-// amortization counters, since accel::PerfModel::from_measured consumes
-// them. Registered under the `tsan` ctest label so the ThreadSanitizer CI
-// job covers the new concurrency.
+// Concurrency contracts of the "sharded" backend: one ImcSearchEngine
+// over the whole library whose chip-capacity slices are accounting only,
+// with a batch's query blocks running concurrently over
+// util::ThreadPool::global(). These suites pin what that path must honor:
+// hits bit-identical to the monolithic engine for every block size and
+// every global-pool size, tie-breaks across slice boundaries, and exact
+// (scheduling-independent) slice-entry and phase counters, since
+// accel::PerfModel::from_measured consumes them. Registered under the
+// `tsan` ctest label so the ThreadSanitizer CI job covers the blocks'
+// concurrency.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "accel/sharded_search.hpp"
+#include "accel/imc_search.hpp"
 #include "core/search_backend.hpp"
 #include "hd/search.hpp"
 #include "util/thread_pool.hpp"
@@ -32,37 +34,22 @@ std::vector<util::BitVec> random_hvs(std::size_t n, std::size_t dim,
 }
 
 /// Varied overlapping windows (some full-range, some narrow, some hugging
-/// a shard boundary) so each block genuinely intersects several shards.
-std::vector<hd::BatchQuery> make_batch(
-    const std::vector<util::BitVec>& queries, std::size_t n_refs) {
-  std::vector<hd::BatchQuery> batch(queries.size());
+/// a slice boundary) so each block genuinely meets several slices.
+std::vector<core::Query> make_batch(const std::vector<util::BitVec>& queries,
+                                    std::size_t n_refs) {
+  std::vector<core::Query> batch(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const std::size_t first = (i % 5) * (n_refs / 10);
     const std::size_t last =
         i % 3 == 0 ? n_refs : std::min(n_refs, first + n_refs / 2 + i);
-    batch[i] = hd::BatchQuery{&queries[i], first, last, i};
+    batch[i] = core::Query{&queries[i], first, last, i};
   }
   return batch;
 }
 
-/// Feeds `batch` to search_many in size-`block` slices, concatenating the
-/// per-query results — how the backend's run_blocked drives the executor.
-std::vector<std::vector<hd::SearchHit>> run_in_blocks(
-    const ShardedSearch& sharded, std::span<const hd::BatchQuery> batch,
-    std::size_t k, std::size_t block) {
-  std::vector<std::vector<hd::SearchHit>> out;
-  out.reserve(batch.size());
-  for (std::size_t begin = 0; begin < batch.size(); begin += block) {
-    const std::size_t count = std::min(block, batch.size() - begin);
-    auto hits = sharded.search_many(batch.subspan(begin, count), k);
-    for (auto& h : hits) out.push_back(std::move(h));
-  }
-  return out;
-}
-
-void expect_identical(
-    const std::vector<std::vector<hd::SearchHit>>& a,
-    const std::vector<std::vector<hd::SearchHit>>& b, const char* what) {
+void expect_identical(const std::vector<std::vector<hd::SearchHit>>& a,
+                      const std::vector<std::vector<hd::SearchHit>>& b,
+                      const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].size(), b[i].size()) << what << " q" << i;
@@ -72,58 +59,126 @@ void expect_identical(
   }
 }
 
-ShardedSearchConfig base_config(Fidelity f, std::size_t refs_per_shard) {
-  ShardedSearchConfig cfg;
-  cfg.engine.fidelity = f;
-  cfg.engine.calibration_samples = 512;
-  cfg.max_refs_per_shard = refs_per_shard;
-  return cfg;
+core::BackendOptions sharded_options(Fidelity f, std::size_t refs_per_shard) {
+  core::BackendOptions opts;
+  opts.sharded_fidelity = f;
+  opts.calibration_samples = 512;
+  opts.max_refs_per_shard = refs_per_shard;
+  return opts;
 }
 
 /// The oracle: one monolithic engine over the whole library, configured
-/// like every shard, searched one query at a time.
+/// as the backend configures its engine, searched one query at a time.
 std::vector<std::vector<hd::SearchHit>> monolithic_hits(
-    const std::vector<util::BitVec>& refs, const ShardedSearchConfig& cfg,
-    std::span<const hd::BatchQuery> batch, std::size_t k) {
-  const ImcSearchEngine mono(refs, cfg.engine);
+    const std::vector<util::BitVec>& refs, const core::BackendOptions& opts,
+    std::span<const core::Query> batch, std::size_t k) {
+  ImcSearchConfig cfg;
+  cfg.array = opts.array;
+  cfg.activated_pairs = opts.activated_pairs;
+  cfg.fidelity = opts.sharded_fidelity;
+  cfg.calibration_samples = opts.calibration_samples;
+  cfg.seed = opts.seed;
+  const ImcSearchEngine mono(refs, cfg);
   std::vector<std::vector<hd::SearchHit>> out;
   out.reserve(batch.size());
-  for (const hd::BatchQuery& q : batch) {
+  for (const core::Query& q : batch) {
     out.push_back(mono.top_k_keyed(*q.hv, q.first, q.last, k, q.stream));
   }
   return out;
 }
 
-TEST(ShardedParallel, MatchesMonolithicEngineAcrossBlockAndPoolSizes) {
+/// Counters by brute force: per block, the union of its windows in rows
+/// (phases charge every row once per block) and in distinct slices (one
+/// entry per slice the block meets).
+struct Counters {
+  std::uint64_t entries = 0;
+  std::uint64_t phases = 0;
+};
+Counters expected_counters(std::span<const core::Query> batch,
+                           std::size_t n_refs, std::size_t width,
+                           std::size_t block, std::uint64_t phases_per_row) {
+  Counters c;
+  for (std::size_t begin = 0; begin < batch.size(); begin += block) {
+    std::vector<bool> row(n_refs, false);
+    for (std::size_t i = begin; i < std::min(batch.size(), begin + block);
+         ++i) {
+      for (std::size_t r = batch[i].first; r < batch[i].last; ++r) {
+        row[r] = true;
+      }
+    }
+    std::vector<bool> slice((n_refs + width - 1) / width, false);
+    for (std::size_t r = 0; r < n_refs; ++r) {
+      if (!row[r]) continue;
+      c.phases += phases_per_row;
+      if (!slice[r / width]) ++c.entries;
+      slice[r / width] = true;
+    }
+  }
+  return c;
+}
+
+/// Child-process body of the global-pool sweep: sizes the fresh process's
+/// global pool to `threads`, then checks the sharded backend against the
+/// monolithic oracle and the brute-force counters for every block size.
+/// Exits 0 on success; otherwise prints the first mismatch and exits 1.
+[[noreturn]] void check_with_global_threads(std::size_t threads) {
+  const auto fail = [](const std::string& what) {
+    std::fprintf(stderr, "%s\n", what.c_str());
+    std::exit(1);
+  };
+  if (!util::ThreadPool::set_global_threads(threads) ||
+      util::ThreadPool::global().thread_count() != threads) {
+    fail("global pool not sized to " + std::to_string(threads));
+  }
   const auto refs = random_hvs(600, 1024, 1);
   const auto query_hvs = random_hvs(48, 1024, 9000);
   const auto batch = make_batch(query_hvs, refs.size());
   const std::size_t k = 5;
 
-  // 90 refs/shard: 7 shards with a ragged 60-reference tail.
-  const ShardedSearchConfig cfg = base_config(Fidelity::kStatistical, 90);
-  const auto expected = monolithic_hits(refs, cfg, batch, k);
-
-  for (const std::size_t threads : {1UL, 2UL, 3UL, 4UL}) {
-    util::ThreadPool pool(threads);
-    ShardedSearchConfig pooled = cfg;
-    pooled.pool = &pool;
-    const ShardedSearch sharded(refs, pooled);
-    ASSERT_EQ(sharded.shard_count(), 7U);
-    for (const std::size_t block : {1UL, 7UL, 64UL}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " block=" + std::to_string(block));
-      expect_identical(expected, run_in_blocks(sharded, batch, k, block),
-                       "sharded vs monolithic");
+  // 90 refs/slice: 7 slices with a ragged 60-reference tail.
+  core::BackendOptions opts = sharded_options(Fidelity::kStatistical, 90);
+  const auto expected = monolithic_hits(refs, opts, batch, k);
+  for (const std::size_t block : {1UL, 7UL, 64UL}) {
+    const std::string where = "threads=" + std::to_string(threads) +
+                              " block=" + std::to_string(block);
+    opts.query_block = block;
+    const auto backend = core::make_backend("sharded", refs, opts);
+    if (backend->stats().shards != 7U) fail(where + ": shard count");
+    if (backend->search_batch(batch, k) != expected) {
+      fail(where + ": hits differ from the monolithic engine");
     }
+    // 1024 / 64 activated pairs = 16 phases per candidate row.
+    const Counters want =
+        expected_counters(batch, refs.size(), 90, block, 16);
+    const core::BackendStats s = backend->stats();
+    if (s.shard_entries != want.entries) {
+      fail(where + ": shard_entries " + std::to_string(s.shard_entries) +
+           " != " + std::to_string(want.entries));
+    }
+    if (s.phases_executed != want.phases) {
+      fail(where + ": phases " + std::to_string(s.phases_executed) +
+           " != " + std::to_string(want.phases));
+    }
+  }
+  std::exit(0);
+}
+
+TEST(ShardedParallel, MatchesMonolithicEngineAcrossBlockAndPoolSizes) {
+  // The global pool is sized once per process, so each size runs in a
+  // freshly executed child (threadsafe death-test style re-executes this
+  // binary for just this test).
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const std::size_t threads : {1UL, 2UL, 3UL, 4UL}) {
+    EXPECT_EXIT(check_with_global_threads(threads),
+                testing::ExitedWithCode(0), "")
+        << "threads=" << threads;
   }
 }
 
 TEST(ShardedParallel, BackendPathsAgreeAcrossAllApplicableBackends) {
   // Backend-level equivalence: the "sharded" backend must reproduce the
-  // monolithic backend of the same fidelity ("ideal-hd" for ideal shards, "rram-statistical" for
-  // statistical ones), for every block size. "rram-circuit" has no
-  // sharded counterpart (circuit fidelity is rejected at construction).
+  // monolithic backend of the same fidelity ("ideal-hd" for ideal slices,
+  // "rram-statistical" for statistical ones), for every block size.
   const auto refs = random_hvs(400, 512, 3);
   const auto query_hvs = random_hvs(40, 512, 7777);
   std::vector<core::Query> batch(query_hvs.size());
@@ -138,7 +193,7 @@ TEST(ShardedParallel, BackendPathsAgreeAcrossAllApplicableBackends) {
     opts.calibration_samples = 512;
     opts.seed = 99;
     opts.sharded_fidelity = fidelity;
-    opts.max_refs_per_shard = 70;  // 6 shards, ragged tail
+    opts.max_refs_per_shard = 70;  // 6 slices, ragged tail
     const char* mono_name =
         fidelity == Fidelity::kIdeal ? "ideal-hd" : "rram-statistical";
     auto mono = core::make_backend(mono_name, refs, opts);
@@ -153,20 +208,18 @@ TEST(ShardedParallel, BackendPathsAgreeAcrossAllApplicableBackends) {
   }
 }
 
-TEST(ShardedParallel, TieBreaksSurviveTheBoundedMerge) {
-  // Duplicated references straddling shard boundaries force exact score
-  // ties that the k-way merge must emit in ascending global index order.
+TEST(ShardedParallel, TieBreaksHoldAcrossSliceBoundaries) {
+  // Duplicated references straddling slice boundaries force exact score
+  // ties, which must come out in ascending global index order.
   auto refs = random_hvs(300, 512, 4);
   for (const std::size_t dup : {23UL, 74UL, 75UL, 149UL, 150UL, 299UL}) {
     refs[dup] = refs[5];
   }
-  util::ThreadPool pool(4);
-  ShardedSearchConfig cfg = base_config(Fidelity::kIdeal, 75);
-  cfg.pool = &pool;
-  const ShardedSearch sharded(refs, cfg);
+  const auto sharded = core::make_backend(
+      "sharded", refs, sharded_options(Fidelity::kIdeal, 75));
 
-  const hd::BatchQuery q{&refs[5], 0, refs.size(), 0};
-  const auto out = sharded.search_many(std::span(&q, 1), 7);
+  const core::Query q{&refs[5], 0, refs.size(), 0};
+  const auto out = sharded->search_batch(std::span(&q, 1), 7);
   ASSERT_EQ(out.size(), 1U);
   ASSERT_EQ(out[0].size(), 7U);
   const std::size_t expected[] = {5, 23, 74, 75, 149, 150, 299};
@@ -174,69 +227,7 @@ TEST(ShardedParallel, TieBreaksSurviveTheBoundedMerge) {
     EXPECT_EQ(out[0][i].reference_index, expected[i]) << i;
     EXPECT_EQ(out[0][i].dot, 512) << i;
   }
-}
-
-TEST(ShardedParallel, CountersExactAcrossPoolSizes) {
-  // The amortization counters feed PerfModel::from_measured, so they must
-  // be exact — identical whether one thread or four executed the shards.
-  const auto refs = random_hvs(450, 1024, 5);
-  const auto query_hvs = random_hvs(33, 1024, 31337);
-  const auto batch = make_batch(query_hvs, refs.size());
-
-  std::uint64_t expected_entries = 0;
-  std::uint64_t expected_phases = 0;
-  std::vector<std::uint64_t> expected_per_shard;
-  for (const std::size_t threads : {1UL, 2UL, 4UL}) {
-    util::ThreadPool pool(threads);
-    ShardedSearchConfig cfg = base_config(Fidelity::kStatistical, 110);
-    cfg.pool = &pool;
-    const ShardedSearch sharded(refs, cfg);
-    (void)run_in_blocks(sharded, batch, 3, 11);
-
-    std::vector<std::uint64_t> per_shard;
-    for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-      per_shard.push_back(sharded.shard_phases_executed(s));
-    }
-    if (threads == 1) {
-      expected_entries = sharded.shard_entries();
-      expected_phases = sharded.phases_executed();
-      expected_per_shard = per_shard;
-      EXPECT_GT(expected_entries, 0U);
-      EXPECT_GT(expected_phases, 0U);
-    } else {
-      EXPECT_EQ(sharded.shard_entries(), expected_entries) << threads;
-      EXPECT_EQ(sharded.phases_executed(), expected_phases) << threads;
-      EXPECT_EQ(per_shard, expected_per_shard) << threads;
-    }
-  }
-}
-
-TEST(ShardedParallel, NestedInsideOuterPoolBlocksDoesNotDeadlock) {
-  // The backend runs blocks on the global pool and each block fans its
-  // shards out on the same pool — the nested case parallel_tasks exists
-  // for. A 2-thread pool with 4 concurrent blocks must still finish.
-  const auto refs = random_hvs(300, 512, 6);
-  const auto query_hvs = random_hvs(32, 512, 424242);
-  const auto batch = make_batch(query_hvs, refs.size());
-
-  util::ThreadPool pool(2);
-  ShardedSearchConfig cfg = base_config(Fidelity::kStatistical, 60);
-  cfg.pool = &pool;
-  const ShardedSearch sharded(refs, cfg);
-
-  std::vector<std::vector<std::vector<hd::SearchHit>>> per_block(4);
-  pool.parallel_for(0, 4, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t b = lo; b < hi; ++b) {
-      per_block[b] = sharded.search_many(
-          std::span(batch).subspan(b * 8, 8), 3);
-    }
-  });
-
-  for (std::size_t b = 0; b < 4; ++b) {
-    const auto expected = monolithic_hits(
-        refs, cfg, std::span(batch).subspan(b * 8, 8), 3);
-    expect_identical(expected, per_block[b], "nested block");
-  }
+  EXPECT_EQ(sharded->stats().shard_entries, 4U);
 }
 
 }  // namespace

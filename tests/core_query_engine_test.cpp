@@ -209,45 +209,6 @@ TEST(QueryEngine, RollingMatchesAtDrainSharded) {
   check_rolling_matches_at_drain("sharded", 16, 2);
 }
 
-TEST(QueryEngine, RollingMatchesAtDrainRramCircuit) {
-  // Non-thread-safe backend: rolling rides the single-threaded stage path.
-  ms::WorkloadConfig wcfg;
-  wcfg.reference_count = 25;
-  wcfg.query_count = 8;
-  wcfg.seed = 99;
-  const ms::Workload wl = ms::generate_workload(wcfg);
-
-  PipelineConfig cfg = small_config("rram-circuit");
-  cfg.encoder.dim = 256;
-  cfg.encoder.chunks = 32;
-  cfg.add_decoys = false;
-
-  Pipeline reference(cfg);
-  reference.set_library(wl.references);
-  const PipelineResult sync = reference.run(wl.queries);
-
-  Pipeline streamed(cfg);
-  streamed.set_library(wl.references);
-  QueryEngineConfig ecfg;
-  ecfg.block_size = 3;
-  ecfg.stage_threads = 4;  // forced down to 1
-  ecfg.emit_policy = EmitPolicy::Rolling;
-  std::vector<Psm> delivered;  // single-threaded stages; no lock needed
-  std::mutex mu;
-  ecfg.on_accept = [&](const Psm& p) {
-    const std::lock_guard<std::mutex> lock(mu);
-    delivered.push_back(p);
-  };
-  QueryEngine engine(streamed, ecfg);
-  engine.submit_batch(wl.queries);
-  engine.close_stream();
-  const PipelineResult streamed_result = engine.drain();
-  expect_same_psms(sync, streamed_result, "rram-circuit rolling");
-  sort_like_accepted(delivered);
-  expect_same_psm_lists(delivered, streamed_result.accepted,
-                        "rram-circuit rolling");
-}
-
 TEST(QueryEngine, RollingWithoutCloseFlushesEverythingAtDrain) {
   // Stream never closed before drain: the bound can never retire the
   // adversarial future, so nothing releases early — but the callback
@@ -359,38 +320,8 @@ TEST(QueryEngine, StreamingMatchesRunShardedMultiShard) {
   QueryEngine engine(streamed, ecfg);
   engine.submit_batch(wl.queries);
   expect_same_psms(sync, engine.drain(), "sharded multi-shard");
-}
-
-TEST(QueryEngine, StreamingMatchesRunRramCircuit) {
-  // The circuit backend carries engine state, so the engine serves it with
-  // single-threaded stages and in-order blocks; two freshly built
-  // pipelines must agree between run() and streaming. Tiny workload: the
-  // circuit path simulates every analog phase.
-  ms::WorkloadConfig wcfg;
-  wcfg.reference_count = 25;
-  wcfg.query_count = 8;
-  wcfg.seed = 99;
-  const ms::Workload wl = ms::generate_workload(wcfg);
-
-  PipelineConfig cfg = small_config("rram-circuit");
-  cfg.encoder.dim = 256;
-  cfg.encoder.chunks = 32;
-  cfg.add_decoys = false;
-
-  Pipeline reference(cfg);
-  reference.set_library(wl.references);
-  const PipelineResult sync = reference.run(wl.queries);
-
-  Pipeline streamed(cfg);
-  streamed.set_library(wl.references);
-  QueryEngineConfig ecfg;
-  ecfg.block_size = 3;
-  ecfg.stage_threads = 4;  // forced down to 1 for non-thread-safe backends
-  QueryEngine engine(streamed, ecfg);
-  engine.submit_batch(wl.queries);
-  const PipelineResult streamed_result = engine.drain();
-  expect_same_psms(sync, streamed_result, "rram-circuit");
-  EXPECT_EQ(engine.stats().stage_threads, 1U);
+  // Every backend is reentrant, so no backend narrows the stages.
+  EXPECT_EQ(engine.stats().stage_threads, 3U);
 }
 
 TEST(QueryEngine, RescoringCascadeAndChargeToleranceMatch) {

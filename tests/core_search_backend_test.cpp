@@ -48,11 +48,13 @@ void expect_deterministic_order(const std::vector<hd::SearchHit>& hits,
 
 TEST(BackendRegistry, ContainsBuiltinNames) {
   const auto names = BackendRegistry::instance().names();
-  for (const char* expected :
-       {"ideal-hd", "rram-statistical", "rram-circuit", "sharded"}) {
+  for (const char* expected : {"ideal-hd", "rram-statistical", "sharded"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
+  // The crossbar circuit calibrates the statistical model; it is not a
+  // search backend.
+  EXPECT_FALSE(BackendRegistry::instance().contains("rram-circuit"));
 }
 
 TEST(BackendRegistry, UnknownNameThrowsListingRegisteredNames) {
@@ -249,7 +251,6 @@ TEST(BackendRegistry, ImcEncodingTraitMarksDeviceSubstrates) {
   auto& reg = BackendRegistry::instance();
   const BackendOptions opts;  // default sharded_fidelity = statistical
   EXPECT_TRUE(reg.imc_encoding("rram-statistical", opts));
-  EXPECT_TRUE(reg.imc_encoding("rram-circuit", opts));
   EXPECT_FALSE(reg.imc_encoding("ideal-hd", opts));
   EXPECT_FALSE(reg.imc_encoding("no-such-backend", opts));
   // Sharded encodes like the substrate its shards simulate.
@@ -260,9 +261,9 @@ TEST(BackendRegistry, ImcEncodingTraitMarksDeviceSubstrates) {
 }
 
 TEST(SearchBackend, ShardedRejectsCircuitFidelityAtConstruction) {
-  // Shards search through the thread-safe keyed path, which circuit
-  // fidelity cannot provide; the factory must fail fast instead of
-  // letting top_k throw inside the thread pool later.
+  // Slices search through the keyed path, which circuit fidelity cannot
+  // provide; the factory must fail fast instead of letting top_k throw
+  // inside the thread pool later.
   const auto refs = random_refs(50, 256, 8);
   BackendOptions opts = small_options();
   opts.sharded_fidelity = accel::Fidelity::kCircuit;
@@ -298,7 +299,7 @@ TEST(Pipeline, ShardedPipelineMatchesMonolithicRramPipeline) {
   // Scaling out must be transparent: switching backend_name from
   // "rram-statistical" to "sharded" (statistical shards) on the same
   // workload reproduces the identical PSM list — same IMC-model encoding,
-  // same globally keyed search noise (see ImcSearchConfig::index_offset).
+  // same engine and keyed search noise; the chip slices only count.
   ms::WorkloadConfig wcfg;
   wcfg.reference_count = 150;
   wcfg.query_count = 60;
@@ -415,8 +416,6 @@ TEST(BackendStatsComposition, ChunkedDeltasMergeToSynchronousCounters) {
       {"ideal-hd", small_options(), 256, 512, 48, 16},
       {"rram-statistical", small_options(), 256, 512, 48, 16},
       {"sharded", sharded_opts, 256, 512, 48, 16},
-      // The circuit model walks every analog phase: keep it tiny.
-      {"rram-circuit", small_options(), 48, 256, 6, 2},
   };
   for (Case& c : cases) {
     c.opts.query_block = c.chunk / 2;

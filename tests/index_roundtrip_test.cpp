@@ -71,12 +71,8 @@ class IndexRoundTrip : public testing::TestWithParam<const char*> {};
 
 TEST_P(IndexRoundTrip, LoadPathIsBitIdenticalWithZeroEncodes) {
   const std::string backend = GetParam();
-  const bool circuit = backend == "rram-circuit";
-  // The circuit simulation programs every reference into analog tiles;
-  // keep its library tiny so the suite stays fast.
-  const auto workload =
-      circuit ? small_workload(40, 12, 9) : small_workload();
-  auto cfg = test_config(backend, circuit ? 512 : 2048);
+  const auto workload = small_workload();
+  auto cfg = test_config(backend, 2048);
   if (backend == "sharded") {
     cfg.backend_options.max_refs_per_shard = 150;
   }
@@ -140,7 +136,7 @@ TEST_P(IndexRoundTrip, LoadPathIsBitIdenticalWithZeroEncodes) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, IndexRoundTrip,
                          testing::Values("ideal-hd", "rram-statistical",
-                                         "rram-circuit", "sharded"));
+                                         "sharded"));
 
 TEST(IndexRoundTrip, EncodeCounterResetsWhenWarmPipelineAdoptsIndex) {
   // A warm replica that switches from in-process encoding to the artifact

@@ -239,10 +239,8 @@ class SegmentedVsOneShot : public testing::TestWithParam<const char*> {};
 
 TEST_P(SegmentedVsOneShot, BitIdenticalAcrossAppendsAndCompaction) {
   const std::string backend = GetParam();
-  const bool circuit = backend == "rram-circuit";
-  const auto workload =
-      circuit ? small_workload(40, 12, 9) : small_workload();
-  auto cfg = test_config(backend, circuit ? 512 : 2048);
+  const auto workload = small_workload();
+  auto cfg = test_config(backend, 2048);
   if (backend == "sharded") {
     cfg.backend_options.max_refs_per_shard = 150;
   }
@@ -308,7 +306,7 @@ TEST_P(SegmentedVsOneShot, BitIdenticalAcrossAppendsAndCompaction) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SegmentedVsOneShot,
                          testing::Values("ideal-hd", "rram-statistical",
-                                         "rram-circuit", "sharded"));
+                                         "sharded"));
 
 TEST(IndexSegment, CompactionIsByteIdenticalToOneShotArtifact) {
   const auto workload = small_workload(150, 0, 34);
@@ -425,10 +423,8 @@ class PiecewiseSweep : public testing::TestWithParam<const char*> {};
 
 TEST_P(PiecewiseSweep, BitIdenticalToMonolithicAcrossSegmentCounts) {
   const std::string backend = GetParam();
-  const bool circuit = backend == "rram-circuit";
-  const std::uint32_t dim = circuit ? 512 : 2048;
-  const auto workload =
-      circuit ? small_workload(40, 12, 11) : small_workload(260, 50, 11);
+  const std::uint32_t dim = 2048;
+  const auto workload = small_workload(260, 50, 11);
   auto cfg = test_config(backend, dim);
   if (backend == "sharded") cfg.backend_options.max_refs_per_shard = 90;
 
@@ -471,7 +467,7 @@ TEST_P(PiecewiseSweep, BitIdenticalToMonolithicAcrossSegmentCounts) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, PiecewiseSweep,
                          testing::Values("ideal-hd", "rram-statistical",
-                                         "rram-circuit", "sharded"));
+                                         "sharded"));
 
 TEST(IndexSegment, PiecewiseBatchedSweepMatchesMonolithicCopy) {
   // Kernel-level check, below the pipeline: batched search over a

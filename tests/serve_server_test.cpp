@@ -364,7 +364,7 @@ TEST(LibraryCache, BackendConfigHashKeysEveryResultShapingField) {
   same.backend_options.chip.array.rows *= 2;
   EXPECT_EQ(serve::backend_config_hash(same), h0);
 
-  // Every other field, except the test-only shard_pool pointer.
+  // Every other field.
 #define PERTURB(stmt) {#stmt, [](core::PipelineConfig& c) { stmt; }}
   const std::pair<const char*, void (*)(core::PipelineConfig&)> fields[] = {
       PERTURB(c.backend_name = "sharded"),
