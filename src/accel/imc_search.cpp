@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/rng.hpp"
@@ -15,6 +16,11 @@ ImcSearchEngine::ImcSearchEngine(std::span<const util::BitVec> references,
       refs_(references),
       view_(hd::RefView::from_span(references)),
       rng_(util::hash_combine(cfg.seed, 0x1333C5ULL)) {
+  if (cfg_.array.pair_rows() == 0) {
+    throw std::invalid_argument(
+        "ImcSearchEngine: array.rows " + std::to_string(cfg_.array.rows) +
+        " holds no differential pair (need at least 2)");
+  }
   if (refs_.empty()) return;
   const std::size_t dim = refs_.front().size();
   for (const auto& r : refs_) {
@@ -164,7 +170,6 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
     throw std::logic_error(
         "keyed search is not available in circuit fidelity");
   }
-  std::vector<std::vector<hd::SearchHit>> out(queries.size());
   const bool noisy =
       cfg_.fidelity == Fidelity::kStatistical && phase_sigma_ > 0.0;
 
@@ -189,24 +194,12 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
                 util::kCounterNormalMax * phase_sigma_ * sqrt_phases};
   }
 
-  // Shared phase scheduling: one activation pass over a segment's
-  // reference rows serves every covering query, so the phase count is per
-  // segment, not per (query, segment). The modelled chip scores every
-  // candidate, pruned or not.
-  std::uint64_t phases = 0;
-  const auto count_phases = [&](std::size_t lo, std::size_t hi,
-                                std::span<const std::size_t> active) {
-    if (noisy) {
-      phases += phases_per_query(*queries[active.front()].hv) * (hi - lo);
-    }
-  };
-
   // Scores query `s`'s distances dist[0..n) to the candidates at global
   // indices base, base + 1, ... into its hits.
-  const auto score = [&](std::size_t s, const std::uint32_t* dist,
-                         std::size_t n, std::size_t base) {
+  const auto score = [&](std::vector<hd::SearchHit>& hits, std::size_t s,
+                         const std::uint32_t* dist, std::size_t n,
+                         std::size_t base) {
     const Slot& q = slots[s];
-    std::vector<hd::SearchHit>& hits = out[s];
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t i = base + j;
       const double exact = q.dim - 2.0 * dist[j];
@@ -230,12 +223,32 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
     }
   };
 
-  hd::sweep_batch(queries, view_, k, "ImcSearchEngine::search_many",
-                  count_phases, score);
-  if (phases > 0) {
-    phases_executed_.fetch_add(phases, std::memory_order_relaxed);
-  }
-  return out;
+  // One slice of the block. Shared phase scheduling: one activation pass
+  // over a segment's reference rows serves every covering query, so the
+  // phase count is per segment, not per (query, segment). It is linear in
+  // the segment's rows, so slices cut at any row sum to the unsplit
+  // block's count. The modelled chip scores every candidate, pruned or
+  // not.
+  const auto sweep = [&](std::span<const hd::BatchQuery> slice,
+                         std::vector<std::vector<hd::SearchHit>>& hits) {
+    std::uint64_t phases = 0;
+    hd::sweep_batch(
+        slice, view_, k, "ImcSearchEngine::search_many",
+        [&](std::size_t lo, std::size_t hi,
+            std::span<const std::size_t> active) {
+          if (noisy) {
+            phases += phases_per_query(*slice[active.front()].hv) * (hi - lo);
+          }
+        },
+        [&](std::size_t s, const std::uint32_t* dist, std::size_t n,
+            std::size_t base) { score(hits[s], s, dist, n, base); });
+    if (phases > 0) {
+      phases_executed_.fetch_add(phases, std::memory_order_relaxed);
+    }
+  };
+
+  return hd::sweep_sliced(queries, view_, k, hd::slice_count(queries, view_),
+                          sweep);
 }
 
 std::vector<hd::SearchHit> ImcSearchEngine::top_k(const util::BitVec& query,

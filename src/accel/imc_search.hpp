@@ -19,9 +19,9 @@
 //
 // Device noise changes only how a candidate's dot is scored (§4.1), so the
 // RRAM-modelled search has no walk of its own: search_many hands
-// hd::sweep_batch its per-query scoring constants, its noise-pruned
-// scoring rule and its per-segment phase count, and top_k_keyed is a
-// one-query search_many.
+// hd::sweep_sliced one hd::sweep_batch per reference slice, with its
+// per-query scoring constants, its noise-pruned scoring rule and its
+// per-segment phase count, and top_k_keyed is a one-query search_many.
 //  * kIdeal        — exact search (equivalent to hd::top_k_search).
 #pragma once
 
@@ -60,7 +60,8 @@ class ImcSearchEngine {
  public:
   /// Builds the engine over `references` (not owned; must outlive the
   /// engine). In circuit mode the references are programmed into arrays
-  /// immediately.
+  /// immediately. Throws std::invalid_argument, naming array.rows, when
+  /// the array holds no differential pair (rows < 2).
   ImcSearchEngine(std::span<const util::BitVec> references,
                   const ImcSearchConfig& cfg);
   ~ImcSearchEngine();
@@ -72,6 +73,8 @@ class ImcSearchEngine {
   [[nodiscard]] std::size_t reference_count() const noexcept {
     return refs_.size();
   }
+  /// The piecewise layout the keyed sweeps run over (hd::RefView).
+  [[nodiscard]] const hd::RefView& view() const noexcept { return view_; }
   /// Phase sigma used in statistical mode (0 for ideal fidelity).
   [[nodiscard]] double phase_sigma() const noexcept { return phase_sigma_; }
   /// Fitted IR-droop gain applied to statistical scores (1 for ideal).
@@ -112,7 +115,10 @@ class ImcSearchEngine {
   ///
   /// Exact dots come from hd::sweep_batch (the dimension check, range
   /// clipping and register-tiled walk shared with hd::top_k_search_batch),
-  /// hd::kernels::kSweepGroup active queries per row load. Once a
+  /// hd::kernels::kSweepGroup active queries per row load, one sweep per
+  /// hd::sweep_sliced reference slice; noise is keyed on the global index
+  /// and phases are linear in a segment's rows, so the hits and
+  /// phases_executed do not depend on the slicing. Once a
   /// query's list holds k hits, a candidate whose score cannot reach the
   /// k-th best under any draw (|z| <= util::kCounterNormalMax) skips its
   /// noise draw; the hits are those of scoring every candidate with

@@ -3,8 +3,26 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace oms::accel {
+
+namespace {
+
+/// Differential pairs per array column; throws std::invalid_argument,
+/// naming array.rows, when the array holds none (every layout divides by
+/// it).
+std::size_t checked_pair_rows(const rram::ChipConfig& chip, const char* who) {
+  const std::size_t pair_rows = chip.array.pair_rows();
+  if (pair_rows == 0) {
+    throw std::invalid_argument(
+        std::string(who) + ": array.rows " + std::to_string(chip.array.rows) +
+        " holds no differential pair (need at least 2)");
+  }
+  return pair_rows;
+}
+
+}  // namespace
 
 MappingPlan plan_search_mapping(std::size_t references, std::uint32_t dim,
                                 const rram::ChipConfig& chip,
@@ -12,7 +30,8 @@ MappingPlan plan_search_mapping(std::size_t references, std::uint32_t dim,
   if (references == 0 || dim == 0) {
     throw std::invalid_argument("plan_search_mapping: empty problem");
   }
-  const std::size_t pair_rows = chip.array.pair_rows();
+  const std::size_t pair_rows =
+      checked_pair_rows(chip, "plan_search_mapping");
   if (activated_pairs == 0 || pair_rows % activated_pairs != 0) {
     throw std::invalid_argument(
         "plan_search_mapping: activated_pairs must divide array pair rows");
@@ -44,7 +63,8 @@ MappingPlan plan_search_mapping(std::size_t references, std::uint32_t dim,
 
 std::size_t references_per_chip(std::uint32_t dim,
                                 const rram::ChipConfig& chip) {
-  const std::size_t pair_rows = chip.array.pair_rows();
+  const std::size_t pair_rows =
+      checked_pair_rows(chip, "references_per_chip");
   const std::size_t vtiles = (dim + pair_rows - 1) / pair_rows;
   const std::size_t blocks =
       std::max<std::size_t>(1, chip.array_count / vtiles);

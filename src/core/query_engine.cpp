@@ -441,6 +441,9 @@ struct QueryEngine::Impl {
 
   // --- stage bodies -------------------------------------------------------
 
+  // One task per query on the global pool: each encode (and its injected
+  // bit errors) is keyed on the spectrum id, so the bits do not depend on
+  // which thread runs it, and parallel_tasks rethrows a failure here.
   void encode_block(Block& block) {
     const std::size_t n = block.spectra.size();
     block.hvs.resize(n);
@@ -453,28 +456,20 @@ struct QueryEngine::Impl {
         peak_counts[i] = block.spectra[i].peak_count();
       }
       pipeline.imc_encoder_->precalibrate(peak_counts);
-      for (std::size_t i = 0; i < n; ++i) {
-        block.hvs[i] = pipeline.imc_encoder_->encode_keyed(
-            block.spectra[i].bins, block.spectra[i].weights,
-            util::hash_combine(kQuerySalt, block.spectra[i].id));
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        block.hvs[i] =
-            pipeline.encoder_.encode(block.spectra[i].bins,
-                                     block.spectra[i].weights);
-      }
     }
-
-    if (pipeline.cfg_.injected_ber > 0.0) {
-      const std::uint64_t ber_seed =
-          util::hash_combine(pipeline.cfg_.seed, kQuerySalt);
-      for (std::size_t i = 0; i < n; ++i) {
-        block.hvs[i] = hd::with_bit_errors_keyed(
-            block.hvs[i], pipeline.cfg_.injected_ber, ber_seed,
-            block.spectra[i].id);
-      }
-    }
+    const double ber = pipeline.cfg_.injected_ber;
+    const std::uint64_t ber_seed =
+        util::hash_combine(pipeline.cfg_.seed, kQuerySalt);
+    util::ThreadPool::global().parallel_tasks(n, [&](std::size_t i) {
+      const ms::BinnedSpectrum& q = block.spectra[i];
+      util::BitVec hv =
+          imc_encode ? pipeline.imc_encoder_->encode_keyed(
+                           q.bins, q.weights,
+                           util::hash_combine(kQuerySalt, q.id))
+                     : pipeline.encoder_.encode(q.bins, q.weights);
+      if (ber > 0.0) hv = hd::with_bit_errors_keyed(hv, ber, ber_seed, q.id);
+      block.hvs[i] = std::move(hv);
+    });
   }
 
   void build_searches(Block& block) {

@@ -10,7 +10,10 @@
 // The preprocess stage (single-threaded, so query indices are assigned in
 // admission order) packs surviving spectra into size-`block_size` blocks;
 // encode workers turn a block into hypervectors (exact digital or IMC-model
-// encoding, matching the pipeline's backend trait) and expand the
+// encoding, matching the pipeline's backend trait; the block's per-query
+// encodes, injected bit errors included, run as util::ThreadPool::global()
+// tasks after one precalibrate, and each is keyed on its spectrum id, so
+// the bits do not depend on the thread) and expand the
 // precursor-mass interpretations; search workers hand each block to
 // SearchBackend::search_batch — the size-B query blocks the genuinely
 // batched backends amortize activation phases and shard entries over;

@@ -218,6 +218,9 @@ class ImcBackend final : public SearchBackend {
     s.phases_executed = engine_.phases_executed();
     s.phase_sigma = engine_.phase_sigma();
     s.gain = engine_.gain();
+    s.kernel = hd::kernels::tier_name(hd::kernels::active_tier());
+    s.contiguous_refs = engine_.view().contiguous();
+    s.extent_count = engine_.view().extent_count();
     if (slice_width_ > 0) {
       s.shards = (s.references + slice_width_ - 1) / slice_width_;
       s.shard_entries = slice_entries_.load(std::memory_order_relaxed);

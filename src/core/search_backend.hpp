@@ -25,7 +25,11 @@
 //                       for many (default fans out over the global thread
 //                       pool; backends may override with a genuinely batched
 //                       implementation). Blocks of one batch run
-//                       concurrently over the global pool.
+//                       concurrently over the global pool, and the
+//                       built-ins cut a block whose windows cover enough
+//                       reference rows into slices that run as pool tasks
+//                       too (hd::sweep_sliced), so a lone or last block
+//                       still keeps every core busy.
 //   * BackendRegistry — string-keyed factory. Built-in names:
 //                         "ideal-hd"         exact Hamming search
 //                                            (hd::top_k_search semantics);
@@ -197,7 +201,8 @@ struct BackendOptions {
   /// Queries per block inside the batched search_batch overrides: each
   /// block is one reference-major sweep, entering every "sharded" slice
   /// its windows meet once, and blocks are processed in parallel over
-  /// the global thread pool.
+  /// the global thread pool (a wide block's sweep is itself cut into
+  /// pool slices; hd::sweep_sliced).
   std::size_t query_block = 64;
 };
 

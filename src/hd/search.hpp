@@ -14,9 +14,14 @@
 // clipping, the walk (segments → RefView extents → cache-sized chunks →
 // kernels::kSweepGroup query groups through the register-tiled
 // kernels::hamming_sweep_tier) and its distance scratch; a caller supplies
-// only what it does with a chunk's distances. top_k_search_batch passes
-// the exact top-k insert, accel::ImcSearchEngine::search_many its
-// noise-pruned scoring and phase count. Every single-query search is a
+// only what it does with a chunk's distances. Above it, sweep_sliced cuts
+// a block whose windows cover enough rows (slice_count) into reference
+// slices, runs one sweep per slice as a util::ThreadPool::global() task
+// and merges each query's per-slice top-k lists in slice order, so one
+// block's sweep uses every core and the hits stay bit-identical.
+// top_k_search_batch passes each slice the exact top-k insert,
+// accel::ImcSearchEngine::search_many its noise-pruned scoring and phase
+// count. Every single-query search is a
 // one-query batch: top_k_search over a RefView here, top_k_keyed on the
 // RRAM-modelled side (which every RRAM-modelled backend, "sharded"
 // included, searches through).
@@ -35,6 +40,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -240,8 +246,60 @@ void sweep_batch(std::span<const BatchQuery> queries, const RefView& refs,
   });
 }
 
-/// Batched exact kernel: searches a whole query block in one
-/// reference-major sweep_batch. result[i] is bit-identical to
+/// Smallest reference slice, in kernels::sweep_chunk_rows chunks, that
+/// sweep_sliced hands to a pool task of its own. Below it a slice's sweep
+/// is too short to pay for its task, its lists and its merge.
+inline constexpr std::size_t kMinSliceChunks = 4;
+
+/// The slice count P the batched searches run a block with:
+/// min(util::ThreadPool::global() threads, window rows ÷ (kMinSliceChunks
+/// chunks)), at least 1, where the window rows are those covered by the
+/// union of the block's windows clipped to [0, refs.count()). It follows
+/// only what the call can observe, so there is no knob; a block whose
+/// windows cover fewer than two minimum slices (a standard ±0.05 Da
+/// search, say) stays one slice and never touches the pool.
+[[nodiscard]] std::size_t slice_count(std::span<const BatchQuery> queries,
+                                      const RefView& refs);
+
+/// Where sweep_sliced cuts a block into at most `slices` slices: ascending
+/// global rows c_0 < c_1 < ... < c_m (m <= slices), slice j being rows
+/// [c_j, c_j+1). c_0 is the first row the union of the block's clipped
+/// windows covers and c_m one past its last; the inner cuts split the
+/// union's covered rows evenly, rounded to kernels::sweep_chunk_rows
+/// multiples when a slice averages at least one chunk. Empty when the
+/// union is.
+[[nodiscard]] std::vector<std::size_t> slice_bounds(
+    std::span<const BatchQuery> queries, const RefView& refs,
+    std::size_t slices);
+
+/// One slice's sweep: fills hits[slot] (queries.size() empty lists on
+/// entry) for the block `slice`, whose windows are the block's clipped to
+/// the slice's reference rows (an empty window where a query's window
+/// misses the slice). Slots keep their hv and stream.
+using SliceSweep =
+    std::function<void(std::span<const BatchQuery> slice,
+                       std::vector<std::vector<SearchHit>>& hits)>;
+
+/// Runs a block's search as `slices` reference slices on the global pool
+/// and merges them — the top-k per parallel unit, then reduce, of GPU and
+/// FPGA OMS engines. The block is cut at slice_bounds(queries, refs,
+/// slices); sweep(slice, hits) runs on each as a
+/// util::ThreadPool::parallel_tasks task (nested-safe; an exception is
+/// rethrown here). Each query's lists
+/// are then merged with insert_top_k in slice order, O(slices · k) per
+/// query. Slices ascend in global index, so equal scores still order by
+/// lower index, and the global top-k is a subset of the union of the
+/// per-slice top-k lists: for a sweep that visits a slice's candidates in
+/// ascending order (sweep_batch does), the result is bit-identical to
+/// sweep(queries, hits) for every `slices`. With slices <= 1, k == 0 or
+/// an empty union this is that one call, unsplit.
+[[nodiscard]] std::vector<std::vector<SearchHit>> sweep_sliced(
+    std::span<const BatchQuery> queries, const RefView& refs, std::size_t k,
+    std::size_t slices, const SliceSweep& sweep);
+
+/// Batched exact kernel: searches a whole query block reference-major,
+/// as slice_count(queries, references) sweep_sliced slices of one
+/// sweep_batch each. result[i] is bit-identical to
 /// top_k_search(*queries[i].hv, references, queries[i].first,
 /// queries[i].last, k). Throws std::invalid_argument when any query's
 /// dimension is not the view's, before sweeping.

@@ -3,13 +3,15 @@
 // with a batch's query blocks running concurrently over
 // util::ThreadPool::global(). These suites pin what that path must honor:
 // hits bit-identical to the monolithic engine for every block size and
-// every global-pool size, tie-breaks across slice boundaries, and exact
-// (scheduling-independent) slice-entry and phase counters, since
-// accel::PerfModel::from_measured consumes them. Registered under the
-// `tsan` ctest label so the ThreadSanitizer CI job covers the blocks'
-// concurrency.
+// every global-pool size — on a library wide enough that each block's
+// sweep is itself cut into pool slices, too — tie-breaks across slice
+// boundaries, and exact (scheduling-independent) slice-entry and phase
+// counters, since accel::PerfModel::from_measured consumes them.
+// Registered under the `tsan` ctest label so the ThreadSanitizer CI job
+// covers the blocks' and the slices' concurrency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -117,9 +119,47 @@ Counters expected_counters(std::span<const core::Query> batch,
   return c;
 }
 
+/// Checks the sharded backend over `refs` (dimension 1024, so 16 phases
+/// per candidate row) against the monolithic oracle and the brute-force
+/// counters for every block size; returns the first mismatch, or "".
+std::string check_library(const std::vector<util::BitVec>& refs,
+                          std::size_t width, std::size_t shards,
+                          const std::string& where) {
+  const auto query_hvs = random_hvs(48, 1024, 9000);
+  const auto batch = make_batch(query_hvs, refs.size());
+  const std::size_t k = 5;
+
+  core::BackendOptions opts = sharded_options(Fidelity::kStatistical, width);
+  const auto expected = monolithic_hits(refs, opts, batch, k);
+  for (const std::size_t block : {1UL, 7UL, 64UL}) {
+    const std::string at = where + " block=" + std::to_string(block);
+    opts.query_block = block;
+    const auto backend = core::make_backend("sharded", refs, opts);
+    if (backend->stats().shards != shards) return at + ": shard count";
+    if (backend->search_batch(batch, k) != expected) {
+      return at + ": hits differ from the monolithic engine";
+    }
+    // 1024 / 64 activated pairs = 16 phases per candidate row.
+    const Counters want =
+        expected_counters(batch, refs.size(), width, block, 16);
+    const core::BackendStats s = backend->stats();
+    if (s.shard_entries != want.entries) {
+      return at + ": shard_entries " + std::to_string(s.shard_entries) +
+             " != " + std::to_string(want.entries);
+    }
+    if (s.phases_executed != want.phases) {
+      return at + ": phases " + std::to_string(s.phases_executed) + " != " +
+             std::to_string(want.phases);
+    }
+  }
+  return "";
+}
+
 /// Child-process body of the global-pool sweep: sizes the fresh process's
 /// global pool to `threads`, then checks the sharded backend against the
-/// monolithic oracle and the brute-force counters for every block size.
+/// monolithic oracle and the brute-force counters for every block size,
+/// on a narrow library (each block one slice of the sweep) and on one
+/// wide enough that every block's sweep is cut into pool slices.
 /// Exits 0 on success; otherwise prints the first mismatch and exits 1.
 [[noreturn]] void check_with_global_threads(std::size_t threads) {
   const auto fail = [](const std::string& what) {
@@ -130,36 +170,41 @@ Counters expected_counters(std::span<const core::Query> batch,
       util::ThreadPool::global().thread_count() != threads) {
     fail("global pool not sized to " + std::to_string(threads));
   }
-  const auto refs = random_hvs(600, 1024, 1);
-  const auto query_hvs = random_hvs(48, 1024, 9000);
-  const auto batch = make_batch(query_hvs, refs.size());
-  const std::size_t k = 5;
+  const std::string where = "threads=" + std::to_string(threads);
 
-  // 90 refs/slice: 7 slices with a ragged 60-reference tail.
-  core::BackendOptions opts = sharded_options(Fidelity::kStatistical, 90);
-  const auto expected = monolithic_hits(refs, opts, batch, k);
-  for (const std::size_t block : {1UL, 7UL, 64UL}) {
-    const std::string where = "threads=" + std::to_string(threads) +
-                              " block=" + std::to_string(block);
-    opts.query_block = block;
-    const auto backend = core::make_backend("sharded", refs, opts);
-    if (backend->stats().shards != 7U) fail(where + ": shard count");
-    if (backend->search_batch(batch, k) != expected) {
-      fail(where + ": hits differ from the monolithic engine");
-    }
-    // 1024 / 64 activated pairs = 16 phases per candidate row.
-    const Counters want =
-        expected_counters(batch, refs.size(), 90, block, 16);
-    const core::BackendStats s = backend->stats();
-    if (s.shard_entries != want.entries) {
-      fail(where + ": shard_entries " + std::to_string(s.shard_entries) +
-           " != " + std::to_string(want.entries));
-    }
-    if (s.phases_executed != want.phases) {
-      fail(where + ": phases " + std::to_string(s.phases_executed) +
-           " != " + std::to_string(want.phases));
-    }
+  // 600 refs, 90 refs/chip slice: 7 slices with a ragged 60-reference
+  // tail. Under one 1,024-row sweep chunk, so no block is split.
+  const auto narrow = random_hvs(600, 1024, 1);
+  std::string err = check_library(narrow, 90, 7, where + " narrow");
+  if (!err.empty()) fail(err);
+
+  // At D = 1024 a row is 16 words (128 B), so a sweep chunk is 128 KiB /
+  // 128 B = 1,024 rows and a minimum slice hd::kMinSliceChunks (4) chunks
+  // = 4,096 rows; a block whose windows cover >= 2 minimum slices (8,192
+  // rows) is split into P = min(threads, rows / 4,096) slices. With
+  // 16,500 references a full-range block gets P = min(threads, 4) =
+  // threads, and make_batch's half-library windows (>= 8,250 rows) split
+  // in two at every pool size >= 2. 2,500 refs per chip slice gives 7
+  // chip slices with a ragged 1,500-reference tail. The references sit in
+  // one contiguous word block, as a mapped library's do.
+  constexpr std::size_t kWide = 16500;
+  const auto rows = random_hvs(kWide, 1024, 2);
+  std::vector<std::uint64_t> words(kWide * 16);
+  std::vector<util::BitVec> wide;
+  for (std::size_t i = 0; i < kWide; ++i) {
+    std::copy_n(rows[i].words().data(), 16, words.data() + i * 16);
+    wide.push_back(util::BitVec::view(words.data() + i * 16, 1024));
   }
+  const auto probe = random_hvs(1, 1024, 3);
+  const core::Query full{&probe[0], 0, kWide, 0};
+  const std::size_t p =
+      hd::slice_count({&full, 1}, hd::RefView::from_span(wide));
+  if (p != std::min<std::size_t>(threads, 4)) {
+    fail(where + ": wide library splits into " + std::to_string(p) +
+         " slices");
+  }
+  err = check_library(wide, 2500, 7, where + " wide");
+  if (!err.empty()) fail(err);
   std::exit(0);
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -293,6 +294,65 @@ TEST(SearchBackend, StatsReportSubstrateAccounting) {
   (void)rram->top_k(refs[0], 0, refs.size(), 3, 1);
   // 512 dims / 64 activated pairs = 8 phases per candidate, 300 candidates.
   EXPECT_EQ(rram->stats().phases_executed, 8U * 300U);
+}
+
+TEST(SearchBackend, RramBackendsReportTheLayoutTheySweep) {
+  // rram-statistical and sharded sweep the same hd::RefView tiers as
+  // ideal-hd, so they report the same kernel and layout: one extent for a
+  // contiguous word block, one per row-run for scattered heap BitVecs.
+  const std::size_t dim = 512;
+  const std::size_t wc = dim / 64;
+  const auto heap = random_refs(120, dim, 21);
+  std::vector<std::uint64_t> block(heap.size() * wc);
+  std::vector<util::BitVec> mapped;
+  for (std::size_t i = 0; i < heap.size(); ++i) {
+    std::copy_n(heap[i].words().data(), wc, block.data() + i * wc);
+    mapped.push_back(util::BitVec::view(block.data() + i * wc, dim));
+  }
+  const std::vector<util::BitVec>* layouts[] = {&heap, &mapped};
+  for (const auto* refs : layouts) {
+    const BackendStats ideal =
+        make_backend("ideal-hd", *refs, small_options())->stats();
+    ASSERT_FALSE(ideal.kernel.empty());
+    ASSERT_GT(ideal.extent_count, 0U);
+    for (const char* name : {"rram-statistical", "sharded"}) {
+      const BackendStats s =
+          make_backend(name, *refs, small_options())->stats();
+      EXPECT_EQ(s.kernel, ideal.kernel) << name;
+      EXPECT_EQ(s.contiguous_refs, ideal.contiguous_refs) << name;
+      EXPECT_EQ(s.extent_count, ideal.extent_count) << name;
+    }
+  }
+  const BackendStats one =
+      make_backend("sharded", mapped, small_options())->stats();
+  EXPECT_TRUE(one.contiguous_refs);
+  EXPECT_EQ(one.extent_count, 1U);
+}
+
+TEST(SearchBackend, RramBackendsRejectAnArrayWithoutAPair) {
+  // A differential pair takes two rows; every layout divides by the pairs
+  // per column, so 0 or 1 rows must fail at construction, naming the
+  // field, for the monolithic and the chip-sliced engine alike.
+  const auto refs = random_refs(40, 256, 9);
+  for (const std::size_t rows : {0U, 1U}) {
+    BackendOptions opts = small_options();
+    opts.array.rows = rows;
+    for (const char* name : {"rram-statistical", "sharded"}) {
+      try {
+        (void)make_backend(name, refs, opts);
+        ADD_FAILURE() << name << " accepted array.rows " << rows;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("array.rows"), std::string::npos)
+            << name << ": " << e.what();
+      }
+    }
+    // An explicit slice width skips the capacity arithmetic; the engine
+    // still refuses the array.
+    opts.max_refs_per_shard = 10;
+    EXPECT_THROW((void)make_backend("sharded", refs, opts),
+                 std::invalid_argument)
+        << rows;
+  }
 }
 
 TEST(Pipeline, ShardedPipelineMatchesMonolithicRramPipeline) {

@@ -115,6 +115,15 @@ TEST(Mapper, RejectsBadInputs) {
                std::invalid_argument);
   EXPECT_THROW((void)accel::plan_search_mapping(10, 8192, chip, 7),
                std::invalid_argument);
+  // An array of fewer than two rows holds no differential pair; every
+  // layout divides by the pairs per column.
+  for (const std::size_t rows : {0U, 1U}) {
+    chip.array.rows = rows;
+    EXPECT_THROW((void)accel::plan_search_mapping(10, 8192, chip, 64),
+                 std::invalid_argument);
+    EXPECT_THROW((void)accel::references_per_chip(8192, chip),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Mapper, LatencyScalesWithCandidatesAndRows) {
