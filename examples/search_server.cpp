@@ -52,9 +52,8 @@
 // Observability overhead contract: metrics are block-granular (a handful
 // of clock reads per ~64-query block); per-query span tracing is off
 // unless OPEN sets trace=N (trace every Nth query), and while off every
-// engine instrumentation site is a single branch — serve throughput with
-// tracing disabled is held to within noise of the uninstrumented build
-// (bench/serve_throughput.cpp gate).
+// engine instrumentation site is a single branch that records, allocates
+// and locks nothing.
 //
 // The pipeline configuration behind OPEN is the quickstart operating
 // point (D=8192, 3-bit IDs, ±500 Da, 1% FDR) so a served session's PSM

@@ -46,8 +46,10 @@ void Pipeline::set_fdr_threshold(double threshold) {
 
 Pipeline::~Pipeline() = default;
 
-std::string Pipeline::backend_name() const {
-  return cfg_.backend_name.empty() ? "ideal-hd" : cfg_.backend_name;
+std::string Pipeline::backend_name() const { return backend_name(cfg_); }
+
+std::string Pipeline::backend_name(const PipelineConfig& cfg) {
+  return cfg.backend_name.empty() ? "ideal-hd" : cfg.backend_name;
 }
 
 const ms::SpectralLibrary& Pipeline::library() const noexcept {

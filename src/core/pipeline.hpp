@@ -108,6 +108,8 @@ class Pipeline {
   /// The backend registry name this pipeline resolves to (backend_name,
   /// or "ideal-hd" when it is empty).
   [[nodiscard]] std::string backend_name() const;
+  /// The same resolution for a configuration with no pipeline built.
+  [[nodiscard]] static std::string backend_name(const PipelineConfig& cfg);
 
   /// Builds the reference side: preprocess targets, synthesize decoys,
   /// encode everything (with optional BER injection), and construct the

@@ -92,7 +92,7 @@ struct QueryEngineConfig {
   /// applies back-pressure to admission when a stage falls behind.
   std::size_t queue_blocks = 8;
   /// Worker threads for each of the encode / search / rescore stages.
-  /// Forced to 1 when the backend is not thread-safe. 0 → 1.
+  /// 0 → 1.
   std::size_t stage_threads = 1;
   /// PSM release policy. Rolling streams confident hits mid-run.
   EmitPolicy emit_policy = EmitPolicy::AtDrain;

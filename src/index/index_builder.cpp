@@ -20,33 +20,18 @@ namespace {
   return util::hash_combine(acc, std::bit_cast<std::uint64_t>(v));
 }
 
-/// Order-sensitive hash of the device model the IMC encoder calibrates
-/// against. Field-by-field (not raw struct bytes) so padding never leaks in.
-[[nodiscard]] std::uint64_t device_hash(const rram::ArrayConfig& a) noexcept {
-  std::uint64_t x = util::hash_combine(0x4445564943453031ULL,  // "DEVICE01"
-                                       a.rows, a.cols);
-  x = util::hash_combine(x, static_cast<std::uint64_t>(a.adc_bits));
-  x = mix_double(x, a.v_pulse);
-  x = mix_double(x, a.ir_alpha);
-  x = mix_double(x, a.sense_sigma);
-  x = mix_double(x, a.wire_sigma);
-  x = mix_double(x, a.read_time_s);
-  x = mix_double(x, a.read_disturb_us);
-  const rram::CellConfig& c = a.cell;
-  x = util::hash_combine(x, static_cast<std::uint64_t>(c.levels),
-                         static_cast<std::uint64_t>(c.write_verify_iterations));
-  x = mix_double(x, c.g_min_us);
-  x = mix_double(x, c.g_max_us);
-  x = mix_double(x, c.sigma_program_us);
-  x = mix_double(x, c.relax_sigma_us);
-  x = mix_double(x, c.relax_tau_s);
-  x = mix_double(x, c.drift_frac);
-  x = mix_double(x, c.mid_state_factor);
-  x = mix_double(x, c.tail_prob_per_ln);
-  x = mix_double(x, c.tail_sigma_us);
-  x = mix_double(x, c.common_mode_fraction);
-  x = mix_double(x, c.verify_tolerance_us);
-  return x;
+/// `cfg` with its backend replaced by the canonical backend of its
+/// encoding trait. The stored bytes depend on the backend only through
+/// that trait, so a library persisted for "sharded" is the one persisted
+/// for "rram-statistical", and one configured for a runtime-registered
+/// substrate is built without constructing that substrate.
+[[nodiscard]] core::PipelineConfig canonical_build_config(
+    const core::PipelineConfig& cfg) {
+  const bool imc = core::BackendRegistry::instance().imc_encoding(
+      core::Pipeline::backend_name(cfg), cfg.backend_options);
+  core::PipelineConfig out = cfg;
+  out.backend_name = imc ? "rram-statistical" : "ideal-hd";
+  return out;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -79,6 +64,33 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
+std::uint64_t device_hash(const rram::ArrayConfig& a) noexcept {
+  std::uint64_t x = util::hash_combine(0x4445564943453031ULL,  // "DEVICE01"
+                                       a.rows, a.cols);
+  x = util::hash_combine(x, static_cast<std::uint64_t>(a.adc_bits));
+  x = mix_double(x, a.v_pulse);
+  x = mix_double(x, a.ir_alpha);
+  x = mix_double(x, a.sense_sigma);
+  x = mix_double(x, a.wire_sigma);
+  x = mix_double(x, a.read_time_s);
+  x = mix_double(x, a.read_disturb_us);
+  const rram::CellConfig& c = a.cell;
+  x = util::hash_combine(x, static_cast<std::uint64_t>(c.levels),
+                         static_cast<std::uint64_t>(c.write_verify_iterations));
+  x = mix_double(x, c.g_min_us);
+  x = mix_double(x, c.g_max_us);
+  x = mix_double(x, c.sigma_program_us);
+  x = mix_double(x, c.relax_sigma_us);
+  x = mix_double(x, c.relax_tau_s);
+  x = mix_double(x, c.drift_frac);
+  x = mix_double(x, c.mid_state_factor);
+  x = mix_double(x, c.tail_prob_per_ln);
+  x = mix_double(x, c.tail_sigma_us);
+  x = mix_double(x, c.common_mode_fraction);
+  x = mix_double(x, c.verify_tolerance_us);
+  return x;
+}
+
 IndexFingerprint fingerprint_of(const core::PipelineConfig& cfg) {
   IndexFingerprint fp;
   const ms::PreprocessConfig& p = cfg.preprocess;
@@ -101,10 +113,8 @@ IndexFingerprint fingerprint_of(const core::PipelineConfig& cfg) {
   fp.enc_kind = static_cast<std::uint32_t>(hd::EncoderKind::kIdLevel);
   fp.enc_seed = e.seed;
 
-  const std::string backend =
-      cfg.backend_name.empty() ? "ideal-hd" : cfg.backend_name;
   const bool imc = core::BackendRegistry::instance().imc_encoding(
-      backend, cfg.backend_options);
+      core::Pipeline::backend_name(cfg), cfg.backend_options);
   fp.imc_encoding = imc ? 1 : 0;
   fp.add_decoys = cfg.add_decoys ? 1 : 0;
   fp.pipeline_seed = cfg.seed;
@@ -185,20 +195,8 @@ IndexBuilder::IndexBuilder(const core::PipelineConfig& cfg) : cfg_(cfg) {}
 
 BuildStats IndexBuilder::build(const std::vector<ms::Spectrum>& targets,
                                const std::string& path) const {
-  // The stored bytes depend on the backend only through its encoding
-  // trait, so build through the canonical backend of that trait: a
-  // library persisted for "sharded" is the one persisted for
-  // "rram-statistical", and one configured for a runtime-registered
-  // substrate is built without constructing that substrate.
-  core::PipelineConfig build_cfg = cfg_;
-  const std::string backend =
-      cfg_.backend_name.empty() ? "ideal-hd" : cfg_.backend_name;
-  const bool imc = core::BackendRegistry::instance().imc_encoding(
-      backend, cfg_.backend_options);
-  build_cfg.backend_name = imc ? "rram-statistical" : "ideal-hd";
-
   const auto t0 = std::chrono::steady_clock::now();
-  core::Pipeline pipeline(build_cfg);
+  core::Pipeline pipeline(canonical_build_config(cfg_));
   pipeline.set_library(targets);
   BuildStats stats;
   stats.encode_seconds = seconds_since(t0);
@@ -236,17 +234,8 @@ BuildStats IndexBuilder::append(const std::vector<ms::Spectrum>& spectra,
     manifest.fingerprint = fingerprint_of(cfg_);
   }
 
-  // Same trait trick as build(): only the encoding trait of the backend
-  // shapes the stored bytes.
-  core::PipelineConfig build_cfg = cfg_;
-  const std::string backend =
-      cfg_.backend_name.empty() ? "ideal-hd" : cfg_.backend_name;
-  const bool imc = core::BackendRegistry::instance().imc_encoding(
-      backend, cfg_.backend_options);
-  build_cfg.backend_name = imc ? "rram-statistical" : "ideal-hd";
-
   const auto t0 = std::chrono::steady_clock::now();
-  core::Pipeline pipeline(build_cfg);
+  core::Pipeline pipeline(canonical_build_config(cfg_));
   pipeline.set_library(spectra);
   BuildStats stats;
   stats.encode_seconds = seconds_since(t0);

@@ -36,6 +36,11 @@ namespace oms::index {
 void validate_fingerprint(const IndexFingerprint& fp,
                           const core::PipelineConfig& cfg);
 
+/// Order-sensitive hash of the device model the IMC encoder calibrates
+/// against, field by field (not raw struct bytes, so padding never leaks
+/// in). Persisted as IndexFingerprint::device_hash.
+[[nodiscard]] std::uint64_t device_hash(const rram::ArrayConfig& a) noexcept;
+
 /// Canonical order-sensitive digest of a fingerprint, hashed field by
 /// field — never over the raw struct bytes, so padding (present or added
 /// by a future format revision) can never leak into a cache key. Two

@@ -1,6 +1,5 @@
 #include "serve/library_cache.hpp"
 
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -11,22 +10,9 @@
 
 namespace oms::serve {
 
-namespace {
-
-[[nodiscard]] std::uint64_t mix_double(std::uint64_t acc, double v) noexcept {
-  return util::hash_combine(acc, std::bit_cast<std::uint64_t>(v));
-}
-
-}  // namespace
-
-std::uint64_t fingerprint_hash(const index::IndexFingerprint& fp) noexcept {
-  return index::fingerprint_hash(fp);
-}
-
 std::uint64_t backend_config_hash(const core::PipelineConfig& cfg) noexcept {
   const core::BackendOptions& o = cfg.backend_options;
-  const std::string name = cfg.backend_name.empty() ? std::string("ideal-hd")
-                                                    : cfg.backend_name;
+  const std::string name = core::Pipeline::backend_name(cfg);
   std::uint64_t x = index::fnv1a64(name.data(), name.size(),
                                    0x4241434b454e4431ULL);  // "BACKEND1"
   // The pipeline overrides opts.seed with cfg.seed before construction, so
@@ -36,32 +22,9 @@ std::uint64_t backend_config_hash(const core::PipelineConfig& cfg) noexcept {
                          static_cast<std::uint64_t>(o.sharded_fidelity));
   x = util::hash_combine(x, o.max_refs_per_shard, o.query_block);
   x = util::hash_combine(x, o.chip.array_count);
-  // Device model, field by field (mirrors the fingerprint's device_hash
-  // but also covers exact backends, whose fingerprint omits the device).
-  const rram::ArrayConfig& a = o.array;
-  x = util::hash_combine(x, a.rows, a.cols);
-  x = util::hash_combine(x, static_cast<std::uint64_t>(a.adc_bits));
-  x = mix_double(x, a.v_pulse);
-  x = mix_double(x, a.ir_alpha);
-  x = mix_double(x, a.sense_sigma);
-  x = mix_double(x, a.wire_sigma);
-  x = mix_double(x, a.read_time_s);
-  x = mix_double(x, a.read_disturb_us);
-  const rram::CellConfig& c = a.cell;
-  x = util::hash_combine(x, static_cast<std::uint64_t>(c.levels),
-                         static_cast<std::uint64_t>(c.write_verify_iterations));
-  x = mix_double(x, c.g_min_us);
-  x = mix_double(x, c.g_max_us);
-  x = mix_double(x, c.sigma_program_us);
-  x = mix_double(x, c.relax_sigma_us);
-  x = mix_double(x, c.relax_tau_s);
-  x = mix_double(x, c.drift_frac);
-  x = mix_double(x, c.mid_state_factor);
-  x = mix_double(x, c.tail_prob_per_ln);
-  x = mix_double(x, c.tail_sigma_us);
-  x = mix_double(x, c.common_mode_fraction);
-  x = mix_double(x, c.verify_tolerance_us);
-  return x;
+  // The fingerprint's device hash, but for every backend: the fingerprint
+  // leaves the device out for exact backends.
+  return util::hash_combine(x, index::device_hash(o.array));
 }
 
 LibraryCache::LibraryCache(const LibraryCacheConfig& cfg) : cfg_(cfg) {

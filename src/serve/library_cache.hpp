@@ -77,14 +77,6 @@ struct LibraryLease {
   bool backend_hit = false; ///< Backend came from the cache too.
 };
 
-/// Cache-key hash of a fingerprint. Delegates to the canonical
-/// index::fingerprint_hash, which enumerates fields (like
-/// backend_config_hash below) instead of hashing raw struct bytes —
-/// padding, current or introduced by a future format revision, must
-/// never leak into a cache key.
-[[nodiscard]] std::uint64_t fingerprint_hash(
-    const index::IndexFingerprint& fp) noexcept;
-
 /// Order-sensitive field-by-field hash of everything that shapes a search
 /// backend built by core::Pipeline under this config: registry name, seed,
 /// device model, sharding geometry, batching. Field enumeration, never raw

@@ -113,7 +113,7 @@ class SearchServer {
   /// session's pipeline + engine over the shared backend, and registers
   /// it with the scheduler. Throws std::runtime_error at max_sessions,
   /// and propagates open/validation failures (missing file, fingerprint
-  /// drift, non-thread-safe backend sharing) without leaking capacity.
+  /// drift) without leaking capacity.
   [[nodiscard]] std::shared_ptr<Session> open(const std::string& library_path,
                                               SessionConfig cfg);
 

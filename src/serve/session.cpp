@@ -40,8 +40,7 @@ Session::Session(std::shared_ptr<detail::ServerCore> core,
   pipeline_->set_library(library_, lease.backend);
   if (!lease.backend) {
     // First session on this (library, backend-config): donate the backend
-    // the pipeline just built so later tenants share it. donate() ignores
-    // non-thread-safe backends (those stay private by design).
+    // the pipeline just built so later tenants share it.
     core_->cache.donate(library_path_, cfg_.pipeline,
                         pipeline_->shared_backend());
   }

@@ -81,8 +81,7 @@ struct SessionConfig {
   /// Per-query stage tracing for this stream (obs/trace.hpp): trace every
   /// Nth admitted query through the engine's stages, spans readable via
   /// Session::tracer(). 0 (default) disables tracing — the engine's hot
-  /// path then costs one branch per stage (the overhead contract the
-  /// serve bench's qps gate holds the layer to).
+  /// path then costs one branch per stage and records nothing.
   std::uint64_t trace_sample_every = 0;
   /// Completed-span ring capacity when tracing is on.
   std::size_t trace_capacity = 1024;

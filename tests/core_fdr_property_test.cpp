@@ -2,8 +2,10 @@
 // sets (duplicate scores, all-decoy, all-target, shuffled orders) checking
 // the invariants the streaming engine's rolling emission leans on —
 // q-value monotonicity, StreamingFdr == batch compute_q_values after every
-// prefix, and that emit_confident never releases a PSM the end-of-stream
-// batch filter rejects. The last test drives the invariants through a
+// prefix, that emit_confident never releases a PSM the end-of-stream
+// batch filter rejects, and that it releases nothing while the
+// outstanding count exceeds tau times the targets seen (the (1 - tau)
+// first-release law). The last test drives the invariants through a
 // concurrent Rolling QueryEngine, which is why this suite also runs under
 // the ThreadSanitizer CI job (ctest label: property + tsan).
 #include <gtest/gtest.h>
@@ -38,6 +40,20 @@ std::vector<Psm> random_psms(util::Xoshiro256& rng, std::size_t n,
     psms[i].mass_shift = rng.bernoulli(0.5) ? 0.0 : 16.0;
   }
   return psms;
+}
+
+/// The (1 - tau) first-release law: for tau < 1, while the outstanding
+/// count R exceeds tau x (targets seen), nothing can be released. Every
+/// slot's bound is min(1, (D + R) / T) with T <= targets seen, so it is
+/// at least R / (targets seen) > tau. At tau = 1 the cap at 1 releases
+/// everything, so the law does not apply. Tested as a correctly rounded
+/// quotient, which is monotone in both operands like the bound's own
+/// division, so the check is exact.
+bool first_release_blocked(std::size_t max_future, std::size_t targets_seen,
+                           double threshold) {
+  return threshold < 1.0 && static_cast<double>(max_future) /
+                                    static_cast<double>(targets_seen) >
+                                threshold;
 }
 
 TEST(FdrProperty, QValuesMonotoneAndTieConsistentOverRandomSets) {
@@ -140,11 +156,21 @@ TEST(FdrProperty, EmitConfidentNeverReleasesWhatTheFinalFilterRejects) {
                                   2 + rng.below(20));
     StreamingFdr streaming;
     std::vector<Psm> released;
+    std::size_t targets_seen = 0;
     for (std::size_t i = 0; i < n; ++i) {
+      targets_seen += psms[i].is_decoy ? 0 : 1;
       streaming.add(psms[i], i);
       if (rng.bernoulli(0.25) || i + 1 == n) {
         // The engine's bound: every PSM still to come may be a decoy.
-        for (auto& r : streaming.emit_confident(threshold, n - (i + 1))) {
+        const std::size_t max_future = n - (i + 1);
+        auto batch = streaming.emit_confident(threshold, max_future);
+        if (first_release_blocked(max_future, targets_seen, threshold)) {
+          EXPECT_TRUE(batch.empty())
+              << "trial " << trial << " threshold " << threshold
+              << ": released with " << max_future << " outstanding over "
+              << targets_seen << " targets";
+        }
+        for (auto& r : batch) {
           EXPECT_EQ(r.tag, r.psm.query_id);  // tags travel with the PSM
           released.push_back(std::move(r.psm));
         }
@@ -180,12 +206,21 @@ TEST(FdrProperty, GroupedStreamingMatchesGroupedBatchFilter) {
 
     StreamingGroupedFdr streaming = StreamingGroupedFdr::standard_open();
     std::vector<Psm> released;
+    std::size_t targets_seen = 0;
     for (std::size_t i = 0; i < n; ++i) {
+      targets_seen += psms[i].is_decoy ? 0 : 1;
       streaming.add(psms[i], i);
       if (rng.bernoulli(0.3) || i + 1 == n) {
-        for (auto& r : streaming.emit_confident(threshold, n - (i + 1))) {
-          released.push_back(std::move(r.psm));
+        const std::size_t max_future = n - (i + 1);
+        auto batch = streaming.emit_confident(threshold, max_future);
+        // Each group's targets are a subset of all targets seen, and every
+        // group bounds with the global max_future.
+        if (first_release_blocked(max_future, targets_seen, threshold)) {
+          EXPECT_TRUE(batch.empty())
+              << "trial " << trial << ": released with " << max_future
+              << " outstanding over " << targets_seen << " targets";
         }
+        for (auto& r : batch) released.push_back(std::move(r.psm));
       }
     }
 

@@ -329,23 +329,20 @@ TEST(LibraryCache, FingerprintHashIsValueBasedAcrossCodePaths) {
   ASSERT_TRUE(from_cfg == from_disk);
 
   // Regression: the cache key must hash the fields, never the raw struct
-  // bytes — equal fingerprints hash equal regardless of provenance, and
-  // the serve:: shim agrees with the canonical index:: hash it delegates
-  // to (one entry per library, not one per code path).
-  EXPECT_EQ(serve::fingerprint_hash(from_cfg),
-            serve::fingerprint_hash(from_disk));
-  EXPECT_EQ(serve::fingerprint_hash(from_cfg),
-            index::fingerprint_hash(from_cfg));
+  // bytes — equal fingerprints hash equal regardless of provenance (one
+  // entry per library, not one per code path).
+  EXPECT_EQ(index::fingerprint_hash(from_cfg),
+            index::fingerprint_hash(from_disk));
 
   // And it is not degenerate: a one-field perturbation moves the hash.
   index::IndexFingerprint other = from_cfg;
   other.enc_chunks += 1;
-  EXPECT_NE(serve::fingerprint_hash(other),
-            serve::fingerprint_hash(from_cfg));
+  EXPECT_NE(index::fingerprint_hash(other),
+            index::fingerprint_hash(from_cfg));
   other = from_cfg;
   other.injected_ber = 0.001;
-  EXPECT_NE(serve::fingerprint_hash(other),
-            serve::fingerprint_hash(from_cfg));
+  EXPECT_NE(index::fingerprint_hash(other),
+            index::fingerprint_hash(from_cfg));
 }
 
 // Sessions that differ in any field shaping search results must never
