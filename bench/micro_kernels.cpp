@@ -14,9 +14,11 @@
 // the int8 oracle rows — while timing it, and
 // emits machine-readable BENCH_kernels.json (--kernels-out=...) so the
 // CI artifact trail has per-PR kernel numbers. Its "imc" rows time the
-// RRAM-modelled encode_keyed and search_many against their unpruned
-// reference loops and report how often each still draws noise. CI runs
-// only this section (`--benchmark_filter=NONE` skips the gbench loops).
+// RRAM-modelled encode_keyed (per tier, with its keyed sign pass alone)
+// and search_many against their unpruned reference loops and report how
+// often each still draws noise, and time the MVM-error calibration per
+// bucket on a one-worker pool and on the global pool. CI runs only this
+// section (`--benchmark_filter=NONE` skips the gbench loops).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -38,6 +40,7 @@
 #include "util/bitvec.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -387,52 +390,96 @@ std::vector<EncodePoint> measure_encode(std::size_t reps) {
   return points;
 }
 
-/// The RRAM-modelled ("rram-statistical") paths at the paper shape, each
-/// timed next to its unpruned reference loop — every component or pair
-/// draws its noise — and checked for identity against it. The draw
-/// fractions apply the engine's skip rules inside the reference loops.
-struct ImcPoint {
-  double encode_us_per_spectrum = 0.0;
-  double encode_reference_us_per_spectrum = 0.0;
-  double encode_draw_frac = 0.0;  ///< Components that still draw noise.
-  bool encode_identical = true;
-  double search_ns_per_candidate = 0.0;
-  double search_reference_ns_per_candidate = 0.0;
-  double search_draw_frac = 0.0;  ///< (query, candidate) pairs that draw.
-  bool search_identical = true;
+/// encode_keyed on one dispatch tier, at the paper shape (64 spectra of
+/// 50 peaks, D = 8192, 3-bit IDs), next to the unpruned reference loop —
+/// every component draws its noise — and checked for identity against it.
+struct KeyedEncodePoint {
+  std::string tier;
+  double us_per_spectrum = 0.0;
+  double sign_pass_us_per_spectrum = 0.0;  ///< kernels::keyed_sign_pass alone.
+  double reference_us_per_spectrum = 0.0;
+  double draw_frac = 0.0;  ///< Components this tier's sign pass leaves.
+  bool identical = true;
 };
 
-ImcPoint measure_imc(std::size_t reps) {
+/// search_many's (query, candidate) pairs against the engine's unpruned
+/// reference loop, with the fraction of pairs that still draw.
+struct KeyedSearchPoint {
+  double ns_per_candidate = 0.0;
+  double reference_ns_per_candidate = 0.0;
+  double draw_frac = 0.0;
+  bool identical = true;
+};
+
+/// MVM-error calibration at one pool size against all threads.
+struct CalibrationPoint {
+  std::vector<std::size_t> pairs;  ///< Buckets calibrated, 3-bit weights.
+  std::size_t samples = 0;
+  double ms_per_bucket_pool1 = 0.0;  ///< A one-worker pool (plus caller).
+  double ms_per_bucket_all = 0.0;    ///< The global pool.
+  std::size_t threads = 0;           ///< Global pool workers.
+  bool identical = true;             ///< Same stats, field for field.
+};
+
+std::vector<KeyedEncodePoint> measure_keyed_encode(std::size_t reps) {
   namespace accel = oms::accel;
   namespace util = oms::util;
-  ImcPoint point;
-
-  // encode_keyed: 64 spectra of 50 peaks, D = 8192, 3-bit IDs.
-  {
-    constexpr std::size_t kSpectra = 64;
-    constexpr std::size_t kPeaks = 50;
-    const oms::hd::EncoderConfig cfg;
-    oms::hd::Encoder encoder(cfg);
-    accel::ImcEncoderConfig icfg;
-    icfg.calibration_samples = 1024;
-    accel::ImcEncoder imc(encoder, icfg);
-    util::Xoshiro256 rng(0x1AC0DE);
-    std::vector<std::vector<std::uint32_t>> bins(kSpectra);
-    std::vector<std::vector<float>> weights(kSpectra);
-    for (std::size_t i = 0; i < kSpectra; ++i) {
-      for (std::size_t p = 0; p < kPeaks; ++p) {
-        bins[i].push_back(static_cast<std::uint32_t>(rng.below(cfg.bins)));
-        weights[i].push_back(static_cast<float>(rng.uniform(0.05, 1.0)));
-      }
-      encoder.id_bank().ensure(bins[i]);
+  constexpr std::size_t kSpectra = 64;
+  constexpr std::size_t kPeaks = 50;
+  const oms::hd::EncoderConfig cfg;
+  oms::hd::Encoder encoder(cfg);
+  accel::ImcEncoderConfig icfg;
+  icfg.calibration_samples = 1024;
+  accel::ImcEncoder imc(encoder, icfg);
+  util::Xoshiro256 rng(0x1AC0DE);
+  std::vector<std::vector<std::uint32_t>> bins(kSpectra);
+  std::vector<std::vector<float>> weights(kSpectra);
+  for (std::size_t i = 0; i < kSpectra; ++i) {
+    for (std::size_t p = 0; p < kPeaks; ++p) {
+      bins[i].push_back(static_cast<std::uint32_t>(rng.below(cfg.bins)));
+      weights[i].push_back(static_cast<float>(rng.uniform(0.05, 1.0)));
     }
-    imc.precalibrate(bins);
+    encoder.id_bank().ensure(bins[i]);
+  }
+  imc.precalibrate(bins);
 
+  // The reference: exact sums, then every component draws.
+  std::vector<std::vector<std::int32_t>> acc(kSpectra);
+  std::vector<double> sigma(kSpectra);
+  std::vector<std::uint64_t> key(kSpectra);
+  std::vector<util::BitVec> ref(kSpectra);
+  double best_ref = 1e300;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const double t0 = now_s();
+    for (std::size_t i = 0; i < kSpectra; ++i) {
+      acc[i].assign(cfg.dim, 0);
+      encoder.accumulate(bins[i], weights[i], acc[i]);
+      sigma[i] = imc.keyed_noise_sigma(bins[i].size());
+      key[i] = util::hash_combine(icfg.seed, i, 0xE2C0ULL);
+      ref[i] = util::BitVec(cfg.dim);
+      for (std::size_t d = 0; d < cfg.dim; ++d) {
+        if (static_cast<double>(acc[i][d]) +
+                sigma[i] * util::counter_normal(key[i], d) >
+            0.0) {
+          ref[i].set(d, true);
+        }
+      }
+    }
+    best_ref = std::min(best_ref, now_s() - t0);
+    benchmark::DoNotOptimize(ref.data());
+  }
+
+  const Tier saved = kernels::active_tier();
+  std::vector<KeyedEncodePoint> points;
+  for (const Tier tier : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
+    if (tier > kernels::best_supported()) continue;
+    kernels::set_active_tier(tier);
     std::vector<util::BitVec> hvs(kSpectra);
-    std::vector<util::BitVec> ref(kSpectra);
+    std::vector<std::uint64_t> words(cfg.dim / 64);
+    std::vector<std::uint32_t> undecided(cfg.dim);
     std::size_t draws = 0;
     double best = 1e300;
-    double best_ref = 1e300;
+    double best_pass = 1e300;
     for (std::size_t rep = 0; rep < reps; ++rep) {
       double t0 = now_s();
       for (std::size_t i = 0; i < kSpectra; ++i) {
@@ -441,107 +488,146 @@ ImcPoint measure_imc(std::size_t reps) {
       best = std::min(best, now_s() - t0);
       benchmark::DoNotOptimize(hvs.data());
 
+      draws = 0;
       t0 = now_s();
-      std::vector<std::int32_t> acc(cfg.dim);
       for (std::size_t i = 0; i < kSpectra; ++i) {
-        std::fill(acc.begin(), acc.end(), 0);
-        encoder.accumulate(bins[i], weights[i], acc);
-        const double sigma = imc.keyed_noise_sigma(bins[i].size());
-        const std::uint64_t key = util::hash_combine(icfg.seed, i, 0xE2C0ULL);
-        ref[i] = util::BitVec(cfg.dim);
-        for (std::size_t d = 0; d < cfg.dim; ++d) {
-          const double a = static_cast<double>(acc[d]);
-          if (a + sigma * util::counter_normal(key, d) > 0.0) {
-            ref[i].set(d, true);
-          }
-          if (rep == 0) {  // counted once; best-of timing skips this pass
-            draws += std::abs(a) <= sigma * util::counter_normal_bound(key, d);
-          }
-        }
+        draws += kernels::keyed_sign_pass(acc[i], sigma[i], key[i],
+                                          words.data(), undecided.data());
       }
-      best_ref = std::min(best_ref, now_s() - t0);
-      benchmark::DoNotOptimize(ref.data());
+      best_pass = std::min(best_pass, now_s() - t0);
+      benchmark::DoNotOptimize(words.data());
     }
-    point.encode_us_per_spectrum = best * 1e6 / kSpectra;
-    point.encode_reference_us_per_spectrum = best_ref * 1e6 / kSpectra;
-    point.encode_draw_frac = static_cast<double>(draws) /
-                             static_cast<double>(kSpectra * cfg.dim);
-    point.encode_identical = hvs == ref;
+    KeyedEncodePoint p;
+    p.tier = std::string(kernels::tier_name(tier));
+    p.us_per_spectrum = best * 1e6 / kSpectra;
+    p.sign_pass_us_per_spectrum = best_pass * 1e6 / kSpectra;
+    p.reference_us_per_spectrum = best_ref * 1e6 / kSpectra;
+    p.draw_frac = static_cast<double>(draws) /
+                  static_cast<double>(kSpectra * cfg.dim);
+    p.identical = hvs == ref;
+    points.push_back(std::move(p));
   }
+  kernels::set_active_tier(saved);
+  return points;
+}
 
-  // search_many: a block of 16 open-window queries (each a 25%-flipped
-  // copy of one reference) over 4096 contiguous references, k = 1.
-  {
-    constexpr std::size_t kDim = 8192;
-    constexpr std::size_t kRefs = 4096;
-    constexpr std::size_t kQueries = 16;
-    constexpr std::size_t kWords = kDim / 64;
-    constexpr std::size_t kTop = 1;
-    util::SplitMix64 sm(0x5EA6C4);
-    std::vector<std::uint64_t> block(kRefs * kWords);
-    for (auto& w : block) w = sm.next();
-    std::vector<util::BitVec> refs;
-    for (std::size_t i = 0; i < kRefs; ++i) {
-      refs.push_back(util::BitVec::view(block.data() + i * kWords, kDim));
-    }
-    std::vector<util::BitVec> hvs;
-    for (std::size_t q = 0; q < kQueries; ++q) {
-      util::BitVec hv = refs[(q * 997) % kRefs];
-      for (std::size_t f = 0; f < kDim / 4; ++f) hv.flip(sm.next() % kDim);
-      hvs.push_back(std::move(hv));
-    }
-    std::vector<oms::hd::BatchQuery> queries;
-    for (std::size_t q = 0; q < kQueries; ++q) {
-      queries.push_back({&hvs[q], 0, kRefs, 100 + q});
-    }
-    accel::ImcSearchConfig scfg;
-    scfg.calibration_samples = 1024;
-    const accel::ImcSearchEngine engine(refs, scfg);
-    const double margin = util::kCounterNormalMax * engine.phase_sigma() *
-                          std::sqrt(static_cast<double>(kDim / 64));
-
-    std::vector<std::vector<oms::hd::SearchHit>> hits;
-    std::vector<std::vector<oms::hd::SearchHit>> ref(kQueries);
-    std::size_t draws = 0;
+/// Calibrates the 3-bit buckets of 8..64 pairs at the production sample
+/// count, on a one-worker pool and on the global pool (best of `reps`
+/// passes each), and checks every field of every bucket's stats agrees.
+CalibrationPoint measure_calibration(std::size_t reps) {
+  namespace accel = oms::accel;
+  namespace util = oms::util;
+  CalibrationPoint point;
+  point.pairs = {8, 16, 24, 32, 40, 48, 56, 64};
+  point.samples = 4096;
+  const oms::rram::ArrayConfig array;
+  const auto run = [&](util::ThreadPool& pool,
+                       std::vector<accel::MvmErrorStats>& stats) {
     double best = 1e300;
-    double best_ref = 1e300;
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      double t0 = now_s();
-      hits = engine.search_many(queries, kTop);
-      best = std::min(best, now_s() - t0);
-      benchmark::DoNotOptimize(hits.data());
-
-      t0 = now_s();
-      for (std::size_t q = 0; q < kQueries; ++q) {
-        ref[q].clear();
-        for (std::size_t i = 0; i < kRefs; ++i) {
-          if (rep == 0) {  // counted once; best-of timing skips this pass
-            const double exact =
-                static_cast<double>(kDim) -
-                2.0 * static_cast<double>(kernels::xor_popcount(
-                          hvs[q].words().data(), refs[i].words().data(),
-                          kWords));
-            draws += ref[q].size() < kTop ||
-                     engine.gain() * exact + margin + 1.0 >
-                         static_cast<double>(ref[q].back().dot);
-          }
-          const double d = engine.dot_keyed(hvs[q], i, queries[q].stream);
-          oms::hd::insert_top_k(
-              ref[q],
-              oms::hd::SearchHit{i, std::llround(d),
-                                 (d / static_cast<double>(kDim) + 1.0) / 2.0},
-              kTop);
-        }
+      stats.clear();
+      const double t0 = now_s();
+      for (const std::size_t pairs : point.pairs) {
+        stats.push_back(accel::calibrate_mvm_error(array, pairs, 3,
+                                                   point.samples, 13, pool));
       }
-      best_ref = std::min(best_ref, now_s() - t0);
-      benchmark::DoNotOptimize(ref.data());
+      best = std::min(best, now_s() - t0);
     }
-    const double pairs = static_cast<double>(kQueries * kRefs);
-    point.search_ns_per_candidate = best * 1e9 / pairs;
-    point.search_reference_ns_per_candidate = best_ref * 1e9 / pairs;
-    point.search_draw_frac = static_cast<double>(draws) / pairs;
-    point.search_identical = hits == ref;
+    return best * 1e3 / static_cast<double>(point.pairs.size());
+  };
+  util::ThreadPool one(1);
+  std::vector<accel::MvmErrorStats> serial;
+  std::vector<accel::MvmErrorStats> parallel;
+  point.ms_per_bucket_pool1 = run(one, serial);
+  point.ms_per_bucket_all = run(util::ThreadPool::global(), parallel);
+  point.threads = util::ThreadPool::global().thread_count();
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    const accel::MvmErrorStats& a = serial[i];
+    const accel::MvmErrorStats& b = parallel[i];
+    point.identical = point.identical && a.sigma_mac == b.sigma_mac &&
+                      a.bias_gain == b.bias_gain && a.rmse_mac == b.rmse_mac &&
+                      a.rmse_normalized == b.rmse_normalized &&
+                      a.sigma_normalized == b.sigma_normalized;
   }
+  return point;
+}
+
+KeyedSearchPoint measure_keyed_search(std::size_t reps) {
+  namespace accel = oms::accel;
+  namespace util = oms::util;
+  KeyedSearchPoint point;
+
+  // A block of 16 open-window queries (each a 25%-flipped
+  // copy of one reference) over 4096 contiguous references, k = 1.
+  constexpr std::size_t kDim = 8192;
+  constexpr std::size_t kRefs = 4096;
+  constexpr std::size_t kQueries = 16;
+  constexpr std::size_t kWords = kDim / 64;
+  constexpr std::size_t kTop = 1;
+  util::SplitMix64 sm(0x5EA6C4);
+  std::vector<std::uint64_t> block(kRefs * kWords);
+  for (auto& w : block) w = sm.next();
+  std::vector<util::BitVec> refs;
+  for (std::size_t i = 0; i < kRefs; ++i) {
+    refs.push_back(util::BitVec::view(block.data() + i * kWords, kDim));
+  }
+  std::vector<util::BitVec> hvs;
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    util::BitVec hv = refs[(q * 997) % kRefs];
+    for (std::size_t f = 0; f < kDim / 4; ++f) hv.flip(sm.next() % kDim);
+    hvs.push_back(std::move(hv));
+  }
+  std::vector<oms::hd::BatchQuery> queries;
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    queries.push_back({&hvs[q], 0, kRefs, 100 + q});
+  }
+  accel::ImcSearchConfig scfg;
+  scfg.calibration_samples = 1024;
+  const accel::ImcSearchEngine engine(refs, scfg);
+  const double margin = util::kCounterNormalMax * engine.phase_sigma() *
+                        std::sqrt(static_cast<double>(kDim / 64));
+
+  std::vector<std::vector<oms::hd::SearchHit>> hits;
+  std::vector<std::vector<oms::hd::SearchHit>> ref(kQueries);
+  std::size_t draws = 0;
+  double best = 1e300;
+  double best_ref = 1e300;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    double t0 = now_s();
+    hits = engine.search_many(queries, kTop);
+    best = std::min(best, now_s() - t0);
+    benchmark::DoNotOptimize(hits.data());
+
+    t0 = now_s();
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      ref[q].clear();
+      for (std::size_t i = 0; i < kRefs; ++i) {
+        if (rep == 0) {  // counted once; best-of timing skips this pass
+          const double exact =
+              static_cast<double>(kDim) -
+              2.0 * static_cast<double>(kernels::xor_popcount(
+                        hvs[q].words().data(), refs[i].words().data(),
+                        kWords));
+          draws += ref[q].size() < kTop ||
+                   engine.gain() * exact + margin + 1.0 >
+                       static_cast<double>(ref[q].back().dot);
+        }
+        const double d = engine.dot_keyed(hvs[q], i, queries[q].stream);
+        oms::hd::insert_top_k(
+            ref[q],
+            oms::hd::SearchHit{i, std::llround(d),
+                               (d / static_cast<double>(kDim) + 1.0) / 2.0},
+            kTop);
+      }
+    }
+    best_ref = std::min(best_ref, now_s() - t0);
+    benchmark::DoNotOptimize(ref.data());
+  }
+  const double pairs = static_cast<double>(kQueries * kRefs);
+  point.ns_per_candidate = best * 1e9 / pairs;
+  point.reference_ns_per_candidate = best_ref * 1e9 / pairs;
+  point.draw_frac = static_cast<double>(draws) / pairs;
+  point.identical = hits == ref;
   return point;
 }
 
@@ -616,21 +702,30 @@ int run_kernel_sweeps(const std::string& out_path) {
   }
 
   std::printf("\nRRAM-modelled paths, D=8192, best of %zu passes:\n", reps);
-  const ImcPoint imc = measure_imc(reps);
-  all_identical = all_identical && imc.encode_identical &&
-                  imc.search_identical;
-  std::printf("  encode_keyed  %9.2f us/spectrum (reference %.2f)  "
-              "draws %.2f%% of components%s\n",
-              imc.encode_us_per_spectrum,
-              imc.encode_reference_us_per_spectrum,
-              100.0 * imc.encode_draw_frac,
-              imc.encode_identical ? "" : "  !! MISMATCH vs reference");
-  std::printf("  search_many   %9.2f ns/candidate (reference %.2f)  "
+  const std::vector<KeyedEncodePoint> keyed = measure_keyed_encode(reps);
+  for (const KeyedEncodePoint& p : keyed) {
+    all_identical = all_identical && p.identical;
+    std::printf("  encode_keyed %-7s %8.2f us/spectrum (sign pass %.2f, "
+                "reference %.2f)  draws %.2f%% of components%s\n",
+                p.tier.c_str(), p.us_per_spectrum,
+                p.sign_pass_us_per_spectrum, p.reference_us_per_spectrum,
+                100.0 * p.draw_frac,
+                p.identical ? "" : "  !! MISMATCH vs reference");
+  }
+  const KeyedSearchPoint search = measure_keyed_search(reps);
+  all_identical = all_identical && search.identical;
+  std::printf("  search_many          %8.2f ns/candidate (reference %.2f)  "
               "draws %.2f%% of pairs%s\n",
-              imc.search_ns_per_candidate,
-              imc.search_reference_ns_per_candidate,
-              100.0 * imc.search_draw_frac,
-              imc.search_identical ? "" : "  !! MISMATCH vs reference");
+              search.ns_per_candidate, search.reference_ns_per_candidate,
+              100.0 * search.draw_frac,
+              search.identical ? "" : "  !! MISMATCH vs reference");
+  const CalibrationPoint cal = measure_calibration(3);
+  all_identical = all_identical && cal.identical;
+  std::printf("  calibration          %8.2f ms/bucket at pool size 1, %.2f "
+              "at %zu threads (3-bit, %zu samples)%s\n",
+              cal.ms_per_bucket_pool1, cal.ms_per_bucket_all, cal.threads,
+              cal.samples,
+              cal.identical ? "" : "  !! MISMATCH across pool sizes");
 
   std::ofstream out(out_path);
   out << "{\n  \"bench\": \"kernels\",\n  \"best_supported\": \""
@@ -666,20 +761,32 @@ int run_kernel_sweeps(const std::string& out_path) {
         << ", \"identical\": " << (p.identical ? "true" : "false") << "}"
         << (i + 1 < encode_points.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"imc\": [\n"
-      << "    {\"path\": \"encode_keyed\", \"dim\": 8192, \"peaks\": 50, "
-      << "\"us_per_spectrum\": " << imc.encode_us_per_spectrum
-      << ", \"reference_us_per_spectrum\": "
-      << imc.encode_reference_us_per_spectrum
-      << ", \"draw_frac\": " << imc.encode_draw_frac
-      << ", \"identical\": " << (imc.encode_identical ? "true" : "false")
-      << "},\n"
-      << "    {\"path\": \"search_many\", \"dim\": 8192, \"k\": 1, "
-      << "\"ns_per_candidate\": " << imc.search_ns_per_candidate
+  out << "  ],\n  \"imc\": [\n";
+  for (const KeyedEncodePoint& p : keyed) {
+    out << "    {\"path\": \"encode_keyed\", \"dim\": 8192, \"peaks\": 50, "
+        << "\"tier\": \"" << p.tier
+        << "\", \"us_per_spectrum\": " << p.us_per_spectrum
+        << ", \"sign_pass_us_per_spectrum\": " << p.sign_pass_us_per_spectrum
+        << ", \"reference_us_per_spectrum\": " << p.reference_us_per_spectrum
+        << ", \"draw_frac\": " << p.draw_frac
+        << ", \"identical\": " << (p.identical ? "true" : "false") << "},\n";
+  }
+  out << "    {\"path\": \"search_many\", \"dim\": 8192, \"k\": 1, "
+      << "\"ns_per_candidate\": " << search.ns_per_candidate
       << ", \"reference_ns_per_candidate\": "
-      << imc.search_reference_ns_per_candidate
-      << ", \"draw_frac\": " << imc.search_draw_frac
-      << ", \"identical\": " << (imc.search_identical ? "true" : "false")
+      << search.reference_ns_per_candidate
+      << ", \"draw_frac\": " << search.draw_frac
+      << ", \"identical\": " << (search.identical ? "true" : "false")
+      << "},\n"
+      << "    {\"path\": \"calibration\", \"weight_bits\": 3, \"pairs\": [";
+  for (std::size_t i = 0; i < cal.pairs.size(); ++i) {
+    out << (i > 0 ? ", " : "") << cal.pairs[i];
+  }
+  out << "], \"samples\": " << cal.samples
+      << ", \"ms_per_bucket_pool1\": " << cal.ms_per_bucket_pool1
+      << ", \"ms_per_bucket_all_threads\": " << cal.ms_per_bucket_all
+      << ", \"threads\": " << cal.threads
+      << ", \"identical\": " << (cal.identical ? "true" : "false")
       << "}\n  ]\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return all_identical ? 0 : 1;  // a mismatch fails the bench run loudly

@@ -9,12 +9,19 @@
 //                    *measured from the circuit model* by this calibrator.
 // The calibration is run once per (array config, activated rows, weight
 // bits) tuple, which keeps the statistical mode faithful to the device
-// model by construction.
+// model by construction. Its independent crossbar rounds run in parallel
+// on the global pool, because an index build and set_library wait on
+// their calibrations (one per peak-count bucket) before any RRAM-modelled
+// encode or search can start.
 #pragma once
 
 #include <cstdint>
 
 #include "rram/array.hpp"
+
+namespace oms::util {
+class ThreadPool;
+}  // namespace oms::util
 
 namespace oms::accel {
 
@@ -36,13 +43,28 @@ struct MvmErrorStats {
   int weight_bits = 1;
 };
 
-/// Runs `samples` random MVM phases through a scratch CrossbarArray with
-/// uniformly random quantized weights and bipolar inputs, and fits the
-/// error statistics. Deterministic in `seed`.
+/// Senses `samples` random MAC outputs, 32 columns per round, each round
+/// a fresh CrossbarArray with uniformly random quantized weights and
+/// bipolar inputs over `n_pairs` activated pairs, and fits the error
+/// statistics. Every round's draws (array seed, weights, inputs) come
+/// sequentially from one stream keyed on (seed, n_pairs, weight_bits);
+/// the rounds then run as util::ThreadPool::global() tasks and reduce in
+/// round order, so the result is bit-identical for every pool size and
+/// deterministic in `seed`. Throws std::invalid_argument when `n_pairs`
+/// exceeds the array's pair rows or it has no columns.
 [[nodiscard]] MvmErrorStats calibrate_mvm_error(const rram::ArrayConfig& base,
                                                 std::size_t n_pairs,
                                                 int weight_bits,
                                                 std::size_t samples,
                                                 std::uint64_t seed);
+
+/// Same, with the rounds on `pool` instead of the global pool (benches
+/// compare pool sizes within one process this way).
+[[nodiscard]] MvmErrorStats calibrate_mvm_error(const rram::ArrayConfig& base,
+                                                std::size_t n_pairs,
+                                                int weight_bits,
+                                                std::size_t samples,
+                                                std::uint64_t seed,
+                                                util::ThreadPool& pool);
 
 }  // namespace oms::accel

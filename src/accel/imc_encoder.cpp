@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 
+#include "hd/kernels.hpp"
 #include "rram/chip.hpp"
 #include "util/rng.hpp"
 
 namespace oms::accel {
 namespace {
-
-/// Rounds an activated-row count up to the calibration grid (multiples of
-/// 8, minimum 8) so the sigma cache stays small.
-std::size_t calibration_bucket(std::size_t n_rows) {
-  return std::max<std::size_t>(8, (n_rows + 7) / 8 * 8);
-}
 
 /// Mean square magnitude of ID components at a given precision: the odd
 /// lattice ±{1}, ±{1,3}, ±{1,3,5,7} gives 1, 5, 21.
@@ -50,28 +46,49 @@ util::BitVec ImcEncoder::encode(std::span<const std::uint32_t> bins,
   return encoder_.encode(bins, weights);
 }
 
+std::size_t ImcEncoder::bucket_for(std::size_t n_rows) const {
+  // Activated-row counts round up to the calibration grid (multiples of
+  // 8, minimum 8) so the sigma cache stays small. One peak activates one
+  // differential pair row, so a spectrum may not have more peaks than the
+  // array has pair rows; a bucket that rounds up past them calibrates at
+  // the full array instead.
+  const std::size_t pairs = cfg_.array.pair_rows();
+  if (n_rows > pairs) {
+    std::ostringstream msg;
+    msg << "ImcEncoder: a spectrum with " << n_rows
+        << " peaks needs as many differential pair rows, but the array has "
+        << pairs << " (array.rows = " << cfg_.array.rows
+        << "); lower preprocess.max_peaks or raise array.rows";
+    throw std::invalid_argument(msg.str());
+  }
+  return std::min(std::max<std::size_t>(8, (n_rows + 7) / 8 * 8), pairs);
+}
+
 double ImcEncoder::sigma_for(std::size_t n_rows) {
   // Cached value is the *normalized* RMSE (error / ideal-output spread),
   // which transfers between the calibration's uniform weights and the
-  // encoder's ID magnitude lattice. Calibration runs under the cache lock:
-  // it only happens on a bucket's first sighting, and serializing it keeps
-  // concurrent streaming encoders from duplicating the work.
-  const std::size_t bucket = calibration_bucket(n_rows);
-  const std::lock_guard<std::mutex> lock(sigma_mutex_);
-  auto it = sigma_cache_.find(bucket);
-  if (it == sigma_cache_.end()) {
-    const int bits = static_cast<int>(encoder_.config().id_precision);
-    const MvmErrorStats stats = calibrate_mvm_error(
-        cfg_.array, bucket, bits, cfg_.calibration_samples, cfg_.seed);
-    // A uniform gain cannot flip Sign(); only the stochastic residual
-    // produces encoding bit errors.
-    it = sigma_cache_.emplace(bucket, stats.sigma_normalized).first;
+  // encoder's ID magnitude lattice. Calibration runs outside the cache
+  // lock: it fans its rounds out over the global pool, and a thread
+  // waiting on those tasks must not hold the lock that concurrent
+  // streaming encoders take for every spectrum. Concurrent misses on one
+  // bucket compute the same deterministic value; the first insert wins.
+  const std::size_t bucket = bucket_for(n_rows);
+  {
+    const std::lock_guard<std::mutex> lock(sigma_mutex_);
+    const auto it = sigma_cache_.find(bucket);
+    if (it != sigma_cache_.end()) return it->second;
   }
-  return it->second;
+  const int bits = static_cast<int>(encoder_.config().id_precision);
+  const MvmErrorStats stats = calibrate_mvm_error(
+      cfg_.array, bucket, bits, cfg_.calibration_samples, cfg_.seed);
+  // A uniform gain cannot flip Sign(); only the stochastic residual
+  // produces encoding bit errors.
+  const std::lock_guard<std::mutex> lock(sigma_mutex_);
+  return sigma_cache_.emplace(bucket, stats.sigma_normalized).first->second;
 }
 
 double ImcEncoder::sigma_for_const(std::size_t n_rows) const {
-  const std::size_t bucket = calibration_bucket(n_rows);
+  const std::size_t bucket = bucket_for(n_rows);
   const std::lock_guard<std::mutex> lock(sigma_mutex_);
   const auto it = sigma_cache_.find(bucket);
   if (it == sigma_cache_.end()) {
@@ -144,19 +161,14 @@ util::BitVec ImcEncoder::encode_keyed(std::span<const std::uint32_t> bins,
   // Bit d is (acc[d] + sigma_acc * z_d > 0). Where |acc[d]| exceeds
   // sigma_acc times a bound on |z_d| the noise cannot flip the sign
   // (rounding is monotone, so the computed product respects the bound
-  // too), and the bit is sign(acc[d]). A branch-free first pass writes
-  // those bits and lists the components the bound cannot settle; only
-  // they draw their noise.
+  // too), and the bit is sign(acc[d]). The sign pass (on the active kernel
+  // tier) writes those bits and lists the components the bound cannot
+  // settle; only they draw their noise.
   util::BitVec hv(cfg.dim);
   const std::span<std::uint64_t> words = hv.words();
   std::vector<std::uint32_t> undecided(cfg.dim);
-  std::size_t n = 0;
-  for (std::size_t d = 0; d < cfg.dim; ++d) {
-    const double a = static_cast<double>(acc[d]);
-    words[d >> 6] |= static_cast<std::uint64_t>(a > 0.0) << (d & 63);
-    undecided[n] = static_cast<std::uint32_t>(d);
-    n += std::abs(a) <= sigma_acc * util::counter_normal_bound(key, d);
-  }
+  const std::size_t n = hd::kernels::keyed_sign_pass(
+      acc, sigma_acc, key, words.data(), undecided.data());
   for (std::size_t t = 0; t < n; ++t) {
     const std::size_t d = undecided[t];
     const double noisy = static_cast<double>(acc[d]) +

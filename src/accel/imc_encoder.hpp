@@ -7,6 +7,14 @@
 // Fidelity mirrors ImcSearchEngine: circuit mode programs real arrays per
 // spectrum (small-scale experiments); statistical mode perturbs the exact
 // accumulator with the calibrated per-MAC sigma before binarization.
+//
+// Statistical mode's two host-side costs both run off the serial path:
+// the per-bucket sigma comes from calibrate_mvm_error, whose crossbar
+// rounds fan out over util::ThreadPool::global(); and encode_keyed's sign
+// pass — hash, bound and compare for every component — is the dispatched
+// hd::kernels::keyed_sign_pass, so only the ~8% of components its bound
+// cannot settle pay for a normal draw. Both are bit-identical to their
+// serial, scalar forms.
 #pragma once
 
 #include <cstdint>
@@ -63,9 +71,12 @@ class ImcEncoder {
   /// Calibrates and caches the MAC sigma for every peak-count bucket in
   /// the batch (statistical mode; no-op otherwise). Calibration is
   /// deterministic per (device, bucket, seed), so precalibrating block by
-  /// block yields the same sigmas as one whole-batch pass. Thread-safe
-  /// against concurrent precalibrate()/encode_keyed() calls from streaming
-  /// encode workers.
+  /// block yields the same sigmas as one whole-batch pass. Buckets are
+  /// multiples of 8 peaks, capped at the array's pair rows; a spectrum
+  /// with more peaks than pair rows throws std::invalid_argument naming
+  /// its peak count. Thread-safe against concurrent
+  /// precalibrate()/encode_keyed() calls from streaming encode workers;
+  /// the cache lock is not held while a bucket calibrates on the pool.
   void precalibrate(std::span<const std::vector<std::uint32_t>> bin_lists);
 
   /// Same, from peak counts alone (buckets depend only on the count; the
@@ -83,6 +94,9 @@ class ImcEncoder {
       std::span<const std::uint32_t> bins, std::span<const float> weights);
   [[nodiscard]] util::BitVec encode_statistical(
       std::span<const std::uint32_t> bins, std::span<const float> weights);
+  /// Calibration bucket of a spectrum with `n_rows` peaks; throws
+  /// std::invalid_argument past the array's pair rows.
+  [[nodiscard]] std::size_t bucket_for(std::size_t n_rows) const;
   /// Calibrated sigma for an activated-row bucket (calibrates on miss).
   [[nodiscard]] double sigma_for(std::size_t n_rows);
   /// Cached sigma; throws std::logic_error if precalibrate() missed it.

@@ -110,6 +110,18 @@ std::vector<util::BitVec> Pipeline::encode_spectra(
 }
 
 void Pipeline::ensure_imc_encoder() {
+  // In-memory encoding stores one ID row per peak in a differential pair
+  // row, so the preprocessing cap must fit the array.
+  const rram::ArrayConfig& array = cfg_.backend_options.array;
+  if (cfg_.preprocess.max_peaks > array.pair_rows()) {
+    std::ostringstream msg;
+    msg << "Pipeline: preprocess.max_peaks = " << cfg_.preprocess.max_peaks
+        << " exceeds the " << array.pair_rows()
+        << " differential pair rows of an array (array.rows = " << array.rows
+        << "), which in-memory encoding of backend '" << backend_name()
+        << "' needs one per peak";
+    throw std::invalid_argument(msg.str());
+  }
   if (!imc_encoder_) {
     imc_encoder_ = std::make_unique<accel::ImcEncoder>(
         encoder_,
@@ -121,8 +133,13 @@ void Pipeline::ensure_imc_encoder() {
 }
 
 void Pipeline::set_library(const std::vector<ms::Spectrum>& targets) {
-  // Fail on a typo'd backend name before the (expensive) encoding work.
+  // Fail on a typo'd backend name, or a peak cap the array cannot hold,
+  // before the (expensive) encoding work.
   BackendRegistry::instance().require(backend_name());
+  if (BackendRegistry::instance().imc_encoding(backend_name(),
+                                               cfg_.backend_options)) {
+    ensure_imc_encoder();
+  }
   reference_encodes_ = 0;  // count this library build only
 
   std::vector<ms::BinnedSpectrum> entries =

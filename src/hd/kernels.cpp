@@ -4,8 +4,11 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+
+#include "util/rng.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
     !defined(OMSHD_DISABLE_SIMD)
@@ -254,6 +257,32 @@ void encode_scalar(const EncodeOperands& ops, std::uint64_t* bits,
     finish_block(sums, bits != nullptr ? bits + w : nullptr,
                  acc != nullptr ? acc + col : nullptr);
   }
+}
+
+// --- Keyed-noise sign pass -----------------------------------------------
+//
+// Component d of the in-memory encoder's output is acc[d] + sigma * z_d > 0
+// with z_d = util::counter_normal(key, d). The pass writes acc[d] > 0 for
+// every component and lists those whose |acc[d]| the noise bound
+// util::counter_normal_bound(key, d) cannot settle. Identity across tiers
+// rests on evaluating the same doubles in the same order: the bound is
+// kRadiusBound[radius_bin(h1)] * kCosBound[cos_bin(h2)], then sigma times
+// that, compared (<=) with |acc[d]| converted exactly from int32.
+
+/// The oracle: the per-component loop the SIMD tiers must reproduce.
+std::size_t keyed_sign_pass_scalar(const std::int32_t* acc, std::size_t dim,
+                                   double sigma, std::uint64_t key,
+                                   std::uint64_t* bits,
+                                   std::uint32_t* undecided) noexcept {
+  std::fill_n(bits, dim / 64, std::uint64_t{0});
+  std::size_t n = 0;
+  for (std::size_t d = 0; d < dim; ++d) {
+    const double a = static_cast<double>(acc[d]);
+    bits[d >> 6] |= static_cast<std::uint64_t>(a > 0.0) << (d & 63);
+    undecided[n] = static_cast<std::uint32_t>(d);
+    n += std::abs(a) <= sigma * util::counter_normal_bound(key, d);
+  }
+  return n;
 }
 
 #ifdef OMSHD_X86_SIMD
@@ -712,6 +741,150 @@ __attribute__((target("avx2"))) void encode_avx2(const EncodeOperands& ops,
   }
 }
 
+// AVX2 sign pass: 8 components per step, hashed as two 4-lane halves.
+// AVX2 has no 64-bit lane multiply, so mullo64_avx2 builds one from three
+// vpmuludq partial products; nor a leading-zero count, so radius_bin is
+// read off the double of h1 >> 11 (< 2^53, converted exactly by the
+// magic-number split): its exponent gives the leading zeros and its top 4
+// mantissa bits are the 4 bits after the leading one wherever the table
+// uses them (lz <= 48). Undecided lanes compact through a vpermd table
+// and store as a full 8-lane vector at the list's end, as on AVX-512.
+
+/// a * b mod 2^64 per 64-bit lane.
+__attribute__((target("avx2"), always_inline)) inline __m256i mullo64_avx2(
+    __m256i a, __m256i b) noexcept {
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
+                       _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, b),
+                          _mm256_slli_epi64(cross, 32));
+}
+
+__attribute__((target("avx2"), always_inline)) inline __m256i xorshift_avx2(
+    __m256i x, int shift) noexcept {
+  return _mm256_xor_si256(x, _mm256_srli_epi64(x, shift));
+}
+
+__attribute__((target("avx2"), always_inline)) inline __m256i
+broadcast_u64_avx2(std::uint64_t v) noexcept {
+  return _mm256_set1_epi64x(static_cast<long long>(v));
+}
+
+/// util::mix64 per lane.
+__attribute__((target("avx2"), always_inline)) inline __m256i mix64_avx2(
+    __m256i x) noexcept {
+  x = _mm256_add_epi64(x, broadcast_u64_avx2(0x9e3779b97f4a7c15ULL));
+  x = mullo64_avx2(xorshift_avx2(x, 30),
+                   broadcast_u64_avx2(0xbf58476d1ce4e5b9ULL));
+  x = mullo64_avx2(xorshift_avx2(x, 27),
+                   broadcast_u64_avx2(0x94d049bb133111ebULL));
+  return xorshift_avx2(x, 31);
+}
+
+/// util::detail::radius_bin per lane.
+__attribute__((target("avx2"), always_inline)) inline __m256i
+radius_bin_avx2(__m256i h1) noexcept {
+  // x = h1 >> 11 as hi * 2^32 + lo: OR each half into the mantissa of
+  // 2^84 / 2^52 and subtract those back out; the sum is exact.
+  const __m256i x = _mm256_srli_epi64(h1, 11);
+  const __m256d two84 = _mm256_castsi256_pd(
+      _mm256_set1_epi64x(0x4530000000000000LL));
+  const __m256d two52 = _mm256_castsi256_pd(
+      _mm256_set1_epi64x(0x4330000000000000LL));
+  const __m256d hi = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(x, 32),
+                                          _mm256_castpd_si256(two84))),
+      two84);
+  const __m256d lo = _mm256_sub_pd(
+      _mm256_castsi256_pd(
+          _mm256_blend_epi32(x, _mm256_castpd_si256(two52), 0xAA)),
+      two52);
+  const __m256i bits = _mm256_castpd_si256(_mm256_add_pd(hi, lo));
+  // Exponent field f: x >= 1 has its leading one at bit f - 1023, so h1
+  // has lz = 1075 - f leading zeros; x == 0 (f == 0) caps at 53 too. The
+  // values fit the low dword, so a 32-bit min serves.
+  const __m256i lz = _mm256_min_epi32(
+      _mm256_sub_epi64(_mm256_set1_epi64x(1075), _mm256_srli_epi64(bits, 52)),
+      _mm256_set1_epi64x(53));
+  const __m256i frac = _mm256_and_si256(
+      _mm256_srli_epi64(bits, 52 - util::detail::kRadiusFractionBits),
+      _mm256_set1_epi64x(util::detail::kRadiusBins - 1));
+  return _mm256_or_si256(
+      _mm256_slli_epi64(lz, util::detail::kRadiusFractionBits), frac);
+}
+
+/// Bitmask of the 4 lanes of counters `d` (int32 sums `acc4`) whose sign
+/// the bound cannot settle.
+__attribute__((target("avx2"), always_inline)) inline int undecided4_avx2(
+    __m256i d, __m128i acc4, __m256i key, __m256d sigma) noexcept {
+  const __m256i h1 = mix64_avx2(_mm256_xor_si256(key, mix64_avx2(d)));
+  const __m256i h2 = mix64_avx2(
+      _mm256_xor_si256(h1, broadcast_u64_avx2(0xd1b54a32d192ed03ULL)));
+  const __m256d radius = _mm256_i64gather_pd(
+      util::detail::kRadiusBound.data(), radius_bin_avx2(h1), 8);
+  const __m256d cosine = _mm256_i64gather_pd(
+      util::detail::kCosBound.data(),
+      _mm256_srli_epi64(h2, 64 - util::detail::kCosBinBits), 8);
+  const __m256d threshold =
+      _mm256_mul_pd(sigma, _mm256_mul_pd(radius, cosine));
+  const __m256d a = _mm256_andnot_pd(_mm256_set1_pd(-0.0),
+                                     _mm256_cvtepi32_pd(acc4));
+  return _mm256_movemask_pd(_mm256_cmp_pd(a, threshold, _CMP_LE_OQ));
+}
+
+/// Entry m lists the set bits of m ascending, one byte each: the vpermd
+/// indices that move mask m's lanes to the front.
+constexpr std::array<std::uint64_t, 256> kCompact8 = [] {
+  std::array<std::uint64_t, 256> t{};
+  for (unsigned m = 0; m < 256; ++m) {
+    unsigned k = 0;
+    for (unsigned lane = 0; lane < 8; ++lane) {
+      if ((m >> lane) & 1U) t[m] |= std::uint64_t{lane} << (8 * k++);
+    }
+  }
+  return t;
+}();
+
+__attribute__((target("avx2"))) std::size_t keyed_sign_pass_avx2(
+    const std::int32_t* acc, std::size_t dim, double sigma, std::uint64_t key,
+    std::uint64_t* bits, std::uint32_t* undecided) noexcept {
+  const __m256i keys = broadcast_u64_avx2(key);
+  const __m256d sigmas = _mm256_set1_pd(sigma);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i lanes8 = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i step4 = _mm256_set1_epi64x(4);
+  __m256i counters = _mm256_setr_epi64x(0, 1, 2, 3);
+  std::size_t n = 0;
+  for (std::size_t w = 0; w < dim / 64; ++w) {
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k < 8; ++k) {
+      const std::size_t d0 = 64 * w + 8 * k;
+      const __m256i a8 =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + d0));
+      word |= static_cast<std::uint64_t>(static_cast<unsigned>(
+                  _mm256_movemask_ps(
+                      _mm256_castsi256_ps(_mm256_cmpgt_epi32(a8, zero)))))
+              << (8 * k);
+      const int lo = undecided4_avx2(counters, _mm256_castsi256_si128(a8),
+                                     keys, sigmas);
+      counters = _mm256_add_epi64(counters, step4);
+      const int hi = undecided4_avx2(
+          counters, _mm256_extracti128_si256(a8, 1), keys, sigmas);
+      counters = _mm256_add_epi64(counters, step4);
+      const auto open = static_cast<unsigned>(lo | (hi << 4));
+      const __m256i perm = _mm256_cvtepu8_epi32(
+          _mm_cvtsi64_si128(static_cast<long long>(kCompact8[open])));
+      const __m256i index = _mm256_add_epi32(
+          _mm256_set1_epi32(static_cast<int>(d0)), lanes8);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(undecided + n),
+                          _mm256_permutevar8x32_epi32(index, perm));
+      n += static_cast<std::size_t>(std::popcount(open));
+    }
+    bits[w] = word;
+  }
+  return n;
+}
+
 // AVX-512 encode: one zmm of int8 lanes per 64-component block, the LV
 // sign word used directly as the negate mask; tiles of NB blocks keep NB
 // independent accumulator chains in flight.
@@ -826,6 +999,107 @@ __attribute__((target("avx512f,avx512bw"))) void encode_avx512(
   for (; w < words; ++w) encode_tile_avx512<1>(ops, lim, table, w, bits, acc);
 }
 
+// AVX-512 sign pass: 16 components per step. Their sign bits come from one
+// int32 compare; each 8-lane half hashes its counters with vpmullq
+// (AVX-512DQ), bins h1 with vplzcntq (AVX-512CD) and gathers both bound
+// tables; the undecided lanes' indices compress into a register and store
+// as a full vector at the list's end (at most 16 past it, which stays below
+// dim because the list never outruns the components seen). Intrinsics take
+// their all-ones masked forms for the reason lower_half() gives.
+
+constexpr __mmask8 kAll8 = 0xFF;
+
+__attribute__((target("avx512f"), always_inline)) inline __m512i
+broadcast_u64(std::uint64_t v) noexcept {
+  return _mm512_set1_epi64(static_cast<long long>(v));
+}
+
+/// x ^ (x >> shift) per lane.
+__attribute__((target("avx512f"), always_inline)) inline __m512i
+xorshift_avx512(__m512i x, unsigned shift) noexcept {
+  return _mm512_xor_si512(x, _mm512_maskz_srli_epi64(kAll8, x, shift));
+}
+
+/// util::mix64 per lane.
+__attribute__((target("avx512f,avx512dq"), always_inline)) inline __m512i
+mix64_avx512(__m512i x) noexcept {
+  x = _mm512_add_epi64(x, broadcast_u64(0x9e3779b97f4a7c15ULL));
+  x = _mm512_mullo_epi64(xorshift_avx512(x, 30),
+                         broadcast_u64(0xbf58476d1ce4e5b9ULL));
+  x = _mm512_mullo_epi64(xorshift_avx512(x, 27),
+                         broadcast_u64(0x94d049bb133111ebULL));
+  return xorshift_avx512(x, 31);
+}
+
+/// Lanes of counters `d` (eight int32 sums `acc8`) whose sign the bound
+/// cannot settle: util::counter_normal_bound lane by lane.
+__attribute__((target("avx512f,avx512dq,avx512cd"),
+               always_inline)) inline __mmask8
+undecided8_avx512(__m512i d, __m256i acc8, __m512i key,
+                  __m512d sigma) noexcept {
+  const __m512i h1 = mix64_avx512(_mm512_xor_si512(key, mix64_avx512(d)));
+  const __m512i h2 = mix64_avx512(
+      _mm512_xor_si512(h1, broadcast_u64(0xd1b54a32d192ed03ULL)));
+  // radius_bin: min(lz, 53) * 16 + the 4 bits after the leading one.
+  const __m512i lz = _mm512_maskz_min_epu64(
+      kAll8, _mm512_maskz_lzcnt_epi64(kAll8, h1), _mm512_set1_epi64(53));
+  const __m512i frac =
+      _mm512_maskz_srli_epi64(kAll8, _mm512_maskz_sllv_epi64(kAll8, h1, lz),
+                              63 - util::detail::kRadiusFractionBits);
+  const __m512i rbin = _mm512_or_si512(
+      _mm512_maskz_slli_epi64(kAll8, lz, util::detail::kRadiusFractionBits),
+      _mm512_and_si512(frac,
+                       _mm512_set1_epi64(util::detail::kRadiusBins - 1)));
+  const __m512i cbin =
+      _mm512_maskz_srli_epi64(kAll8, h2, 64 - util::detail::kCosBinBits);
+  const __m512d none = _mm512_setzero_pd();
+  const __m512d radius = _mm512_mask_i64gather_pd(
+      none, kAll8, rbin, util::detail::kRadiusBound.data(), 8);
+  const __m512d cosine = _mm512_mask_i64gather_pd(
+      none, kAll8, cbin, util::detail::kCosBound.data(), 8);
+  const __m512d threshold =
+      _mm512_mul_pd(sigma, _mm512_mul_pd(radius, cosine));
+  const __m512d a = _mm512_abs_pd(_mm512_maskz_cvtepi32_pd(kAll8, acc8));
+  return _mm512_cmp_pd_mask(a, threshold, _CMP_LE_OQ);
+}
+
+__attribute__((target("avx512f,avx512dq,avx512cd"))) std::size_t
+keyed_sign_pass_avx512(const std::int32_t* acc, std::size_t dim, double sigma,
+                       std::uint64_t key, std::uint64_t* bits,
+                       std::uint32_t* undecided) noexcept {
+  const __m512i keys = broadcast_u64(key);
+  const __m512d sigmas = _mm512_set1_pd(sigma);
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i lanes16 = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                            11, 12, 13, 14, 15);
+  const __m512i step8 = _mm512_set1_epi64(8);
+  __m512i counters = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+  std::size_t n = 0;
+  for (std::size_t w = 0; w < dim / 64; ++w) {
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k < 4; ++k) {
+      const std::size_t d0 = 64 * w + 16 * k;
+      const __m512i a16 = _mm512_loadu_si512(acc + d0);
+      word |= static_cast<std::uint64_t>(_mm512_cmpgt_epi32_mask(a16, zero))
+              << (16 * k);
+      const __mmask8 lo = undecided8_avx512(
+          counters, lower_half(a16), keys, sigmas);
+      counters = _mm512_add_epi64(counters, step8);
+      const __mmask8 hi = undecided8_avx512(
+          counters, upper_half(a16), keys, sigmas);
+      counters = _mm512_add_epi64(counters, step8);
+      const auto open = static_cast<__mmask16>(lo | (hi << 8));
+      const __m512i index = _mm512_add_epi32(
+          _mm512_set1_epi32(static_cast<int>(d0)), lanes16);
+      _mm512_storeu_si512(undecided + n,
+                          _mm512_maskz_compress_epi32(open, index));
+      n += static_cast<std::size_t>(std::popcount(open));
+    }
+    bits[w] = word;
+  }
+  return n;
+}
+
 #endif  // OMSHD_X86_SIMD
 
 Tier probe_best_supported() noexcept {
@@ -833,7 +1107,9 @@ Tier probe_best_supported() noexcept {
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512vpopcntdq") &&
-      __builtin_cpu_supports("avx512bw")) {
+      __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512cd")) {
     return Tier::kAvx512;
   }
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
@@ -970,6 +1246,25 @@ void encode(const EncodeOperands& ops, std::uint64_t* bits,
   }
 #endif
   encode_scalar(ops, bits, acc);
+}
+
+std::size_t keyed_sign_pass(std::span<const std::int32_t> acc, double sigma,
+                            std::uint64_t key, std::uint64_t* bits,
+                            std::uint32_t* undecided) noexcept {
+#ifdef OMSHD_X86_SIMD
+  switch (active_tier()) {
+    case Tier::kAvx512:
+      return keyed_sign_pass_avx512(acc.data(), acc.size(), sigma, key, bits,
+                                    undecided);
+    case Tier::kAvx2:
+      return keyed_sign_pass_avx2(acc.data(), acc.size(), sigma, key, bits,
+                                  undecided);
+    case Tier::kScalar:
+      break;
+  }
+#endif
+  return keyed_sign_pass_scalar(acc.data(), acc.size(), sigma, key, bits,
+                                undecided);
 }
 
 }  // namespace kernels

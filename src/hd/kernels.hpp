@@ -1,7 +1,8 @@
 // SIMD kernels behind the exact Hamming search and the ID-Level encoder,
 // with runtime CPU dispatch. Three tiers share one contract — bit-identical
-// outputs (Hamming counts, encoded hypervectors, accumulator sums), so
-// swapping tiers can never move a search result:
+// outputs (Hamming counts, encoded hypervectors, accumulator sums, sign
+// words and undecided lists), so swapping tiers can never move a search
+// result:
 //
 //   kScalar  portable std::popcount loop (util::xor_popcount; the sweep
 //            scores a query group row by row) and a column-blocked
@@ -9,22 +10,26 @@
 //            compiled when OMSHD_DISABLE_SIMD is defined or the target is
 //            not x86-64;
 //   kAvx2    256-bit XOR + nibble-LUT (vpshufb) popcount, accumulated with
-//            vpsadbw, swept as query-group x 2-row register tiles, and
+//            vpsadbw, swept as query-group x 2-row register tiles,
 //            even/odd 32-component int8 encode halves whose ID nibbles
-//            decode, LV sign folded in, by vpshufb — no special compile
-//            flags needed, the functions carry target("avx2") attributes
-//            and are entered only after a CPUID check;
+//            decode, LV sign folded in, by vpshufb, and the keyed-noise
+//            sign pass with a vpmuludq-built 64-bit multiply — no special
+//            compile flags needed, the functions carry target("avx2")
+//            attributes and are entered only after a CPUID check;
 //   kAvx512  512-bit XOR + native vpopcntq (AVX-512-VPOPCNTDQ) swept as
 //            query-group x 4-row register tiles with masked word tails,
-//            and 64-component masked int8 encode blocks (AVX-512BW).
+//            64-component masked int8 encode blocks (AVX-512BW), and the
+//            keyed-noise sign pass with vpmullq hashing (AVX-512DQ) and
+//            vplzcntq bound binning (AVX-512CD); the probe requires all
+//            five feature flags.
 //
-// The dispatched entry points (xor_popcount, encode) read the active tier
-// once per call; the sweep primitive (hamming_sweep_tier) takes the tier
-// from its caller, which resolves it once per search. best_supported() is
-// CPUID-probed at startup and the OMSHD_KERNEL_TIER env var ("scalar" |
-// "avx2" | "avx512") or set_active_tier() can clamp it down — benches use
-// this to measure every tier, tests to prove bit-identity across all of
-// them.
+// The dispatched entry points (xor_popcount, encode, keyed_sign_pass) read
+// the active tier once per call; the sweep primitive (hamming_sweep_tier)
+// takes the tier from its caller, which resolves it once per search.
+// best_supported() is CPUID-probed at startup and the OMSHD_KERNEL_TIER
+// env var ("scalar" | "avx2" | "avx512") or set_active_tier() can clamp it
+// down — benches use this to measure every tier, tests to prove
+// bit-identity across all of them.
 //
 // RefView is the one reference layout every sweep runs over: an ordered
 // list of contiguous (words, stride, rows, base-index) extents partitioning
@@ -218,6 +223,23 @@ struct EncodeOperands {
 /// Every tier produces identical outputs.
 void encode(const EncodeOperands& ops, std::uint64_t* bits,
             std::int32_t* acc) noexcept;
+
+/// The keyed-noise sign pass of the in-memory encoder
+/// (accel::ImcEncoder::encode_keyed). Component d of its output is
+/// acc[d] + sigma * util::counter_normal(key, d) > 0. Where
+/// |acc[d]| > sigma * util::counter_normal_bound(key, d) no draw can flip
+/// the sign, so the bit is acc[d] > 0. For all acc.size() components (a
+/// multiple of 64) the pass writes acc[d] > 0 to `bits` (whole words) and
+/// lists, ascending, the components the bound cannot settle in `undecided`
+/// (capacity acc.size()); it returns their count. The caller draws those
+/// components' noise and overwrites their bits. Every tier writes the same
+/// bits and the same list. The SIMD tiers hash 4 (AVX2, emulated 64-bit
+/// multiply) or 8 (AVX-512, vpmullq and vplzcntq) counters per vector and
+/// gather the bound tables.
+[[nodiscard]] std::size_t keyed_sign_pass(std::span<const std::int32_t> acc,
+                                          double sigma, std::uint64_t key,
+                                          std::uint64_t* bits,
+                                          std::uint32_t* undecided) noexcept;
 
 }  // namespace kernels
 }  // namespace oms::hd

@@ -7,6 +7,14 @@
 //  * Xoshiro256StarStar — fast general-purpose stream generator used wherever
 //    a long sequence is consumed (noise models, synthetic data).
 //
+// On top of the counter-based hash, counter_normal(seed, counter) is one
+// keyed standard-normal draw (Box–Muller over two hashes), and
+// counter_normal_bound bounds its magnitude from the hash bits alone: 54 x
+// 16 radius bins (h1's leading zeros and the 4 bits after its leading one)
+// times 256 angle bins (h2's top byte). The keyed in-memory encoder skips
+// the log, sqrt and cos of every component whose sign the bound already
+// settles — about 92% of them.
+//
 // Neither generator is cryptographic; both are fully deterministic given a
 // 64-bit seed, which is what reproducibility of every table/figure requires.
 #pragma once
@@ -14,6 +22,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -52,8 +61,17 @@ struct CounterNormalHashes {
   return {h1, mix64(h1 ^ 0xd1b54a32d192ed03ULL)};
 }
 
-/// Newton square root and Taylor cosine: constexpr stand-ins for libm,
-/// used only to build the bound tables below.
+/// The standard-normal draw that hashes (h1, h2) stand for.
+[[nodiscard]] inline double normal_from_hashes(std::uint64_t h1,
+                                               std::uint64_t h2) noexcept {
+  const double u1 = (static_cast<double>(h1 >> 11) + 0.5) * 0x1.0p-53;
+  const double u2 = static_cast<double>(h2 >> 11) * 0x1.0p-53;
+  return __builtin_sqrt(-2.0 * __builtin_log(u1)) *
+         __builtin_cos(6.283185307179586 * u2);
+}
+
+/// Newton square root, Taylor cosine and atanh-series log1p: constexpr
+/// stand-ins for libm, used only to build the bound tables below.
 [[nodiscard]] constexpr double ct_sqrt(double x) noexcept {
   double r = x > 1.0 ? x : 1.0;
   for (int i = 0; i < 64; ++i) r = 0.5 * (r + x / r);
@@ -70,34 +88,89 @@ struct CounterNormalHashes {
   return sum;
 }
 
+[[nodiscard]] constexpr double ct_log1p(double x) noexcept {  // 0 <= x < 1
+  // ln(1 + x) = 2 atanh(y), y = x / (2 + x) <= 1/3.
+  const double y = x / (2.0 + x);
+  double power = y;
+  double sum = 0.0;
+  for (int k = 0; k < 40; ++k) {
+    sum += power / static_cast<double>(2 * k + 1);
+    power *= y * y;
+  }
+  return 2.0 * sum;
+}
+
 /// Slack for libm rounding in counter_normal (a few ulps, ~1e-15
 /// relative) and for the constexpr approximations above.
 inline constexpr double kBoundPad = 0x1.0p-30;
 
-/// u1 >= 2^-(lz+1) when h1 has lz leading zeros (lz >= 53 leaves
-/// h1 >> 11 == 0, so u1 = 2^-54), hence the radius sqrt(-2 ln u1) is at
-/// most sqrt(2 (min(lz, 53) + 1) ln 2).
-inline constexpr std::array<double, 54> kRadiusBound = [] {
-  std::array<double, 54> t{};
+/// Bits of h1 past its leading one that refine the radius bound.
+inline constexpr int kRadiusFractionBits = 4;
+inline constexpr int kRadiusBins = 1 << kRadiusFractionBits;
+
+/// Leading-zero counts whose refining bits all survive u1's `>> 11`: the
+/// leading one at bit 63 - lz and the 4 bits below it reach down to bit
+/// 59 - lz >= 11.
+inline constexpr int kRadiusRefinedRows = 49;
+
+/// kRadiusBound row and column of h1: its leading zeros lz (capped at
+/// 53) times 16 plus the 4 bits f after its leading one.
+[[nodiscard]] constexpr std::size_t radius_bin(std::uint64_t h1) noexcept {
+  const int lz = std::min(std::countl_zero(h1), 53);
+  return static_cast<std::size_t>(lz) * kRadiusBins +
+         static_cast<std::size_t>((h1 << lz) >> (63 - kRadiusFractionBits) &
+                                  (kRadiusBins - 1));
+}
+
+/// Bound on the Box–Muller radius sqrt(-2 ln u1) per radius_bin(h1). For
+/// lz <= 48, h1 >= 2^(63-lz) (1 + f/16), so u1 >= 2^-(lz+1) (1 + f/16) and
+/// -ln u1 <= (lz + 1) ln 2 - ln(1 + f/16). Past that the shift drops f and
+/// the row keeps the leading-zeros bound u1 >= 2^-(lz+1) for every f (lz
+/// >= 53 leaves h1 >> 11 == 0, so u1 = 2^-54).
+inline constexpr std::array<double, 54 * kRadiusBins> kRadiusBound = [] {
+  constexpr double kLn2 = 0.6931471805599453;
+  std::array<double, 54 * kRadiusBins> t{};
   for (int lz = 0; lz < 54; ++lz) {
-    t[lz] = ct_sqrt(2.0 * (lz + 1) * 0.6931471805599453) * (1.0 + kBoundPad);
+    for (int f = 0; f < kRadiusBins; ++f) {
+      const double refine =
+          lz < kRadiusRefinedRows
+              ? ct_log1p(static_cast<double>(f) / kRadiusBins)
+              : 0.0;
+      t[lz * kRadiusBins + f] =
+          ct_sqrt(2.0 * ((lz + 1) * kLn2 - refine)) * (1.0 + kBoundPad);
+    }
   }
   return t;
 }();
 
-/// The top 6 bits j of h2 place u2 in [j/64, (j+1)/64). |cos 2πu| is
-/// monotone between multiples of 1/4, so its maximum over that interval
-/// sits at an endpoint. Capped at 1 so no bound exceeds kCounterNormalMax.
-inline constexpr std::array<double, 64> kCosBound = [] {
-  std::array<double, 64> t{};
-  for (int j = 0; j < 64; ++j) {
-    const double a = ct_cos(6.283185307179586 * j / 64.0);
-    const double b = ct_cos(6.283185307179586 * (j + 1) / 64.0);
+/// Bits of h2 that bin the angle: the top 8 bits j place u2 in
+/// [j/256, (j+1)/256).
+inline constexpr int kCosBinBits = 8;
+
+[[nodiscard]] constexpr std::size_t cos_bin(std::uint64_t h2) noexcept {
+  return static_cast<std::size_t>(h2 >> (64 - kCosBinBits));
+}
+
+/// Bound on |cos 2πu2| per cos_bin(h2). |cos 2πu| is monotone between
+/// multiples of 1/4, so its maximum over a bin sits at an endpoint. Capped
+/// at 1 so no bound exceeds kCounterNormalMax.
+inline constexpr std::array<double, 1 << kCosBinBits> kCosBound = [] {
+  constexpr int kBins = 1 << kCosBinBits;
+  std::array<double, kBins> t{};
+  for (int j = 0; j < kBins; ++j) {
+    const double a = ct_cos(6.283185307179586 * j / kBins);
+    const double b = ct_cos(6.283185307179586 * (j + 1) / kBins);
     const double m = std::max(a < 0 ? -a : a, b < 0 ? -b : b) + kBoundPad;
     t[j] = std::min(m, 1.0);
   }
   return t;
 }();
+
+/// Bound on |normal_from_hashes(h1, h2)| from the hash bits alone.
+[[nodiscard]] constexpr double bound_from_hashes(std::uint64_t h1,
+                                                 std::uint64_t h2) noexcept {
+  return kRadiusBound[radius_bin(h1)] * kCosBound[cos_bin(h2)];
+}
 
 }  // namespace detail
 
@@ -108,26 +181,26 @@ inline constexpr std::array<double, 64> kCosBound = [] {
 [[nodiscard]] inline double counter_normal(std::uint64_t seed,
                                            std::uint64_t counter) noexcept {
   const auto [h1, h2] = detail::counter_normal_hashes(seed, counter);
-  const double u1 = (static_cast<double>(h1 >> 11) + 0.5) * 0x1.0p-53;
-  const double u2 = static_cast<double>(h2 >> 11) * 0x1.0p-53;
-  return __builtin_sqrt(-2.0 * __builtin_log(u1)) *
-         __builtin_cos(6.283185307179586 * u2);
+  return detail::normal_from_hashes(h1, h2);
 }
 
 /// Bound on |counter_normal(seed, counter)| over every (seed, counter):
 /// u1 >= 2^-54, so |z| <= sqrt(-2 ln 2^-54) ≈ 8.652 (padded for rounding).
 /// Callers whose result cannot change under any draw that small can skip
 /// the draw itself.
-inline constexpr double kCounterNormalMax = detail::kRadiusBound[53];
+inline constexpr double kCounterNormalMax =
+    detail::kRadiusBound[53 * detail::kRadiusBins];
 
 /// Per-draw bound on |counter_normal(seed, counter)| from the hash bits
-/// alone — no log, sqrt or cos: the leading zeros of h1 bound −ln u1 and
-/// the top 6 bits of h2 bound |cos 2πu2|. Never above kCounterNormalMax.
+/// alone — no log, sqrt or cos: the leading zeros of h1 and the 4 bits
+/// after its leading one bound −ln u1, the top 8 bits of h2 bound
+/// |cos 2πu2|. Never above kCounterNormalMax. hd::kernels::keyed_sign_pass
+/// evaluates it 8 or 16 components at a time on the SIMD tiers from the
+/// same tables, so every tier settles the same components.
 [[nodiscard]] constexpr double counter_normal_bound(
     std::uint64_t seed, std::uint64_t counter) noexcept {
   const auto [h1, h2] = detail::counter_normal_hashes(seed, counter);
-  const int lz = std::countl_zero(h1);
-  return detail::kRadiusBound[std::min(lz, 53)] * detail::kCosBound[h2 >> 58];
+  return detail::bound_from_hashes(h1, h2);
 }
 
 /// SplitMix64: a 64-bit generator with a single word of state. Primarily

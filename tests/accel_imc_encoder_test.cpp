@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include "util/rng.hpp"
 
 namespace oms::accel {
@@ -200,6 +204,42 @@ TEST(ImcEncoder, CircuitModeRejectsTooManyPeaks) {
   make_sparse(6, 20, bins, weights);
   enc.id_bank().ensure(bins);
   EXPECT_THROW((void)imc.encode(bins, weights), std::invalid_argument);
+}
+
+TEST(ImcEncoder, PrecalibrateRejectsMorePeaksThanPairRows) {
+  // One peak activates one differential pair row; a spectrum with more
+  // peaks than the array's pair rows must fail naming its peak count,
+  // not deep inside the crossbar model.
+  hd::Encoder enc(encoder_config());
+  ImcEncoder imc(enc, imc_config(Fidelity::kStatistical));  // 128 pairs
+  const std::vector<std::size_t> too_many = {40, 129};
+  try {
+    imc.precalibrate(too_many);
+    ADD_FAILURE() << "129 peaks accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("129 peaks"), std::string::npos)
+        << e.what();
+  }
+  const std::vector<std::size_t> full = {128};
+  EXPECT_NO_THROW(imc.precalibrate(full));
+}
+
+TEST(ImcEncoder, BucketPastThePairRowsCalibratesAtThePairRows) {
+  // 125 pairs: 121 peaks round up to the 128 bucket, which the array
+  // cannot activate; it calibrates at all 125 pairs instead, the bucket
+  // 125 peaks land in too.
+  hd::Encoder enc(encoder_config());
+  ImcEncoderConfig icfg = imc_config(Fidelity::kStatistical);
+  icfg.array.rows = 250;
+  ImcEncoder imc(enc, icfg);
+  const std::vector<std::size_t> peaks = {121, 125};
+  ASSERT_NO_THROW(imc.precalibrate(peaks));
+  const MvmErrorStats stats = calibrate_mvm_error(
+      icfg.array, 125, static_cast<int>(enc.config().id_precision),
+      icfg.calibration_samples, icfg.seed);
+  const double per_peak = imc.keyed_noise_sigma(125) / std::sqrt(125.0);
+  EXPECT_DOUBLE_EQ(imc.keyed_noise_sigma(121) / std::sqrt(121.0), per_peak);
+  EXPECT_DOUBLE_EQ(per_peak, stats.sigma_normalized * std::sqrt(21.0));
 }
 
 TEST(ImcEncoder, EmptySpectrumEncodesToZeroVector) {

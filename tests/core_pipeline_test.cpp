@@ -228,6 +228,48 @@ TEST(Pipeline, RramBackendStaysCloseToIdeal) {
   EXPECT_GT(hw, base * 7 / 10);
 }
 
+TEST(Pipeline, ImcBackendsRejectAPeakCapTheArrayCannotHold) {
+  // In-memory encoding stores one ID row per peak in a differential pair
+  // row: 150 peaks cannot fit the default array's 128 pairs. Every
+  // IMC-encoding backend must say so, naming both fields, before it
+  // encodes anything; the exact backend does not care, and a cap of 128
+  // fills the array exactly. 200 extra noise peaks per spectrum make
+  // every cap bind.
+  const ms::Workload& wl = shared_workload();
+  std::vector<ms::Spectrum> few(wl.references.begin(),
+                                wl.references.begin() + 12);
+  for (ms::Spectrum& s : few) {
+    const float level = 0.5F * s.base_peak_intensity();
+    for (int i = 0; i < 200; ++i) {
+      s.peaks.push_back(ms::Peak{200.0 + 6.0 * i + 0.013 * s.id, level});
+    }
+    s.sort_peaks();
+  }
+  for (const char* name : {"rram-statistical", "sharded"}) {
+    PipelineConfig cfg = small_pipeline_config();
+    cfg.backend_name = name;
+    cfg.preprocess.max_peaks = 150;
+    Pipeline pipeline(cfg);
+    try {
+      pipeline.set_library(few);
+      ADD_FAILURE() << name << " accepted max_peaks 150";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("preprocess.max_peaks"), std::string::npos) << what;
+      EXPECT_NE(what.find("array.rows"), std::string::npos) << what;
+    }
+    EXPECT_EQ(pipeline.reference_encode_count(), 0U) << name;
+
+    cfg.preprocess.max_peaks = 128;
+    Pipeline fits(cfg);
+    EXPECT_NO_THROW(fits.set_library(few)) << name;
+  }
+  PipelineConfig exact = small_pipeline_config();
+  exact.preprocess.max_peaks = 150;
+  Pipeline ideal(exact);
+  EXPECT_NO_THROW(ideal.set_library(few));
+}
+
 TEST(Pipeline, FdrFilterKeepsDecoyMatchesOut) {
   const ms::Workload& wl = shared_workload();
   Pipeline pipeline(small_pipeline_config());

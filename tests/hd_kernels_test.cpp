@@ -2,17 +2,24 @@
 // dispatch tier must produce exactly the scalar reference counts — across
 // dimensions with non-multiple-of-64 tails, over buffers with only the
 // 8-byte alignment the in-memory MappedFile fallback guarantees, and
-// through the full search stack (same hits, same tie-breaks). When the
-// build disables SIMD (OMSHD_DISABLE_SIMD — the CI portable-fallback leg),
-// the suite additionally pins best_supported() to the scalar tier, so the
-// fallback path is genuinely compiled and run.
+// through the full search stack (same hits, same tie-breaks). The keyed
+// sign pass of the in-memory encoder (keyed_sign_pass) must write the
+// scalar oracle's sign words and undecided list on every tier, and the
+// oracle is pinned to its definition — bit d is acc[d] > 0, d undecided
+// iff |acc[d]| <= sigma * util::counter_normal_bound(key, d) — on sums
+// built to sit on the bound's edges. When the build disables SIMD
+// (OMSHD_DISABLE_SIMD — the CI portable-fallback leg), the suite
+// additionally pins best_supported() to the scalar tier, so the fallback
+// path is genuinely compiled and run.
 #include "hd/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -425,6 +432,131 @@ TEST(Kernels, NonContiguousSpanStillMatchesScalarReference) {
     EXPECT_EQ(top_k_search(query, refs, 0, refs.size(), 5), expected)
         << kernels::tier_name(tier);
     EXPECT_EQ(top_k_search(query, view, 0, refs.size(), 5), expected)
+        << kernels::tier_name(tier);
+  }
+}
+
+struct Pass {
+  std::vector<std::uint64_t> bits;
+  std::vector<std::uint32_t> undecided;
+};
+
+/// One pass through `tier`. The outputs start as garbage, so a tier that
+/// skips a word or leaves a stale list entry cannot pass.
+Pass run_pass(Tier tier, const std::vector<std::int32_t>& acc, double sigma,
+              std::uint64_t key) {
+  kernels::set_active_tier(tier);
+  Pass p;
+  p.bits.assign(acc.size() / 64, 0x5A5A5A5A5A5A5A5AULL);
+  p.undecided.assign(acc.size(), 0xFFFFFFFFU);
+  const std::size_t n = kernels::keyed_sign_pass(acc, sigma, key,
+                                                 p.bits.data(),
+                                                 p.undecided.data());
+  p.undecided.resize(n);
+  return p;
+}
+
+/// The pass's definition, component by component.
+Pass definition(const std::vector<std::int32_t>& acc, double sigma,
+                std::uint64_t key) {
+  Pass p;
+  p.bits.assign(acc.size() / 64, 0);
+  for (std::size_t d = 0; d < acc.size(); ++d) {
+    const double a = static_cast<double>(acc[d]);
+    if (a > 0.0) p.bits[d / 64] |= std::uint64_t{1} << (d % 64);
+    if (std::abs(a) <= sigma * util::counter_normal_bound(key, d)) {
+      p.undecided.push_back(static_cast<std::uint32_t>(d));
+    }
+  }
+  return p;
+}
+
+/// Accumulators cycling through the bound's edge cases for (sigma, key).
+std::vector<std::int32_t> edge_sums(std::size_t dim, double sigma,
+                                    std::uint64_t key) {
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  util::SplitMix64 sm(key ^ dim);
+  std::vector<std::int32_t> acc(dim);
+  for (std::size_t d = 0; d < dim; ++d) {
+    // ⌊sigma · bound⌋ is undecided (|a| <= the threshold); one past it is
+    // settled unless rounding lands it on the threshold too.
+    const double edge = std::floor(sigma * util::counter_normal_bound(key, d));
+    const auto at = static_cast<std::int32_t>(std::min(edge, 1e9));
+    switch (sm.next() % 10) {
+      case 0: acc[d] = 0; break;
+      case 1: acc[d] = 1; break;
+      case 2: acc[d] = -1; break;
+      case 3: acc[d] = at; break;
+      case 4: acc[d] = at + 1; break;
+      case 5: acc[d] = -at; break;
+      case 6: acc[d] = -at - 1; break;
+      case 7: acc[d] = d % 2 == 0 ? kMax : kMin; break;
+      default:
+        acc[d] = static_cast<std::int32_t>(sm.next() % 2001) - 1000;
+        break;
+    }
+  }
+  return acc;
+}
+
+TEST(KeyedSignPass, ScalarOracleMatchesItsDefinition) {
+  const TierGuard guard;
+  for (const std::size_t dim : {64U, 128U, 8192U}) {
+    for (const double sigma : {0.0, 0.75, 37.5, 4096.0}) {
+      const std::uint64_t key = util::hash_combine(dim, 0x516E);
+      const std::vector<std::int32_t> acc = edge_sums(dim, sigma, key);
+      const Pass want = definition(acc, sigma, key);
+      const Pass got = run_pass(Tier::kScalar, acc, sigma, key);
+      EXPECT_EQ(got.bits, want.bits) << "dim " << dim << " sigma " << sigma;
+      EXPECT_EQ(got.undecided, want.undecided)
+          << "dim " << dim << " sigma " << sigma;
+    }
+  }
+}
+
+TEST(KeyedSignPass, EveryTierMatchesTheScalarOracle) {
+  const TierGuard guard;
+  for (const std::size_t dim : {64U, 128U, 8192U}) {
+    for (const double sigma : {0.0, 0.75, 37.5, 4096.0, 1e12}) {
+      for (std::uint64_t stream = 0; stream < 3; ++stream) {
+        const std::uint64_t key = util::hash_combine(0xE2C0, stream, dim);
+        const std::vector<std::int32_t> acc = edge_sums(dim, sigma, key);
+        const Pass oracle = run_pass(Tier::kScalar, acc, sigma, key);
+        for (const Tier tier : runnable_tiers()) {
+          const Pass got = run_pass(tier, acc, sigma, key);
+          EXPECT_EQ(got.bits, oracle.bits)
+              << kernels::tier_name(tier) << " dim " << dim << " sigma "
+              << sigma << " stream " << stream;
+          EXPECT_EQ(got.undecided, oracle.undecided)
+              << kernels::tier_name(tier) << " dim " << dim << " sigma "
+              << sigma << " stream " << stream;
+        }
+      }
+    }
+  }
+}
+
+TEST(KeyedSignPass, ListLengthsCoverNoneSomeAndAll) {
+  // sigma 0 draws only the zero sums (none when there are none); a huge
+  // sigma draws everything, so every 16-lane compress step stores a full
+  // vector at the list's end.
+  const TierGuard guard;
+  const std::size_t dim = 8192;
+  std::vector<std::int32_t> acc(dim);
+  std::size_t zeros = 0;
+  for (std::size_t d = 0; d < dim; ++d) {
+    acc[d] = static_cast<std::int32_t>(d % 7) - 3;
+    zeros += acc[d] == 0;
+  }
+  std::vector<std::int32_t> nonzero = acc;
+  for (std::int32_t& a : nonzero) a = a == 0 ? 5 : a;
+  for (const Tier tier : runnable_tiers()) {
+    EXPECT_TRUE(run_pass(tier, nonzero, 0.0, 9).undecided.empty())
+        << kernels::tier_name(tier);
+    EXPECT_EQ(run_pass(tier, acc, 0.0, 9).undecided.size(), zeros)
+        << kernels::tier_name(tier);
+    EXPECT_EQ(run_pass(tier, acc, 1e12, 9).undecided.size(), dim)
         << kernels::tier_name(tier);
   }
 }

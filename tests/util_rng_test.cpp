@@ -160,5 +160,65 @@ TEST(CounterNormalBound, BoundsDrawsInTheFarTail) {
   }
 }
 
+TEST(CounterNormalBound, RefinedBinsBoundEveryCraftedHashPair) {
+  // The worst case of each radius bin is its smallest h1: the leading one
+  // at bit 63 - lz followed by the bin's 4 bits and zeros (the largest u1
+  // bound the bin claims); both edges of each cos bin are the angle's
+  // extremes. Every leading-zero count 0..64 (h1 == 0 included) against
+  // every cos-bin edge, plus the all-ones tail of each radius bin.
+  std::vector<std::uint64_t> h1s;
+  for (int lz = 0; lz < 64; ++lz) {
+    const std::uint64_t lead = std::uint64_t{1} << (63 - lz);
+    for (std::uint64_t f = 0; f < 16; ++f) {
+      const std::uint64_t bits = lz <= 59 ? f << (59 - lz) : f >> (lz - 59);
+      const std::uint64_t tail = lz <= 59 ? (lead >> 4) - 1 : lead - 1;
+      h1s.push_back(lead | bits);
+      h1s.push_back(lead | bits | tail);
+    }
+  }
+  h1s.push_back(0);
+  std::vector<std::uint64_t> h2s;
+  for (std::uint64_t j = 0; j < 256; ++j) {
+    h2s.push_back(j << 56);
+    h2s.push_back(((j + 1) << 56) - 1);
+  }
+  for (const std::uint64_t h1 : h1s) {
+    for (const std::uint64_t h2 : h2s) {
+      const double bound = detail::bound_from_hashes(h1, h2);
+      ASSERT_GE(bound, std::abs(detail::normal_from_hashes(h1, h2)))
+          << std::hex << h1 << " " << h2;
+      ASSERT_LE(bound, kCounterNormalMax);
+    }
+  }
+}
+
+TEST(CounterNormalBound, RefinedBinsFollowTheHashBits) {
+  // radius_bin: leading zeros (capped at 53) then the 4 bits after the
+  // leading one; cos_bin: the top byte.
+  EXPECT_EQ(detail::radius_bin(~std::uint64_t{0}), 15U);
+  EXPECT_EQ(detail::radius_bin(std::uint64_t{1} << 63), 0U);
+  EXPECT_EQ(detail::radius_bin(std::uint64_t{0x13} << 40), 19U * 16 + 3);
+  EXPECT_EQ(detail::radius_bin(1), 53U * 16);
+  EXPECT_EQ(detail::radius_bin(0), 53U * 16);
+  EXPECT_EQ(detail::cos_bin(0xAB00000000000000ULL), 0xABU);
+  // Past lz 48 the `>> 11` of u1 drops the refining bits: those rows keep
+  // the leading-zeros bound for every bin.
+  for (int lz = 49; lz < 54; ++lz) {
+    for (int f = 1; f < 16; ++f) {
+      EXPECT_EQ(detail::kRadiusBound[lz * 16 + f],
+                detail::kRadiusBound[lz * 16])
+          << lz << " " << f;
+    }
+  }
+  // Finer bins only tighten: within a row the bound falls with f.
+  for (int lz = 0; lz < 49; ++lz) {
+    for (int f = 1; f < 16; ++f) {
+      EXPECT_LT(detail::kRadiusBound[lz * 16 + f],
+                detail::kRadiusBound[lz * 16 + f - 1])
+          << lz << " " << f;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace oms::util
