@@ -51,6 +51,10 @@ MvmErrorStats calibrate_mvm_error(const rram::ArrayConfig& base,
   const int levels = cfg.cell.levels;
   const std::size_t cols_per_round = std::min<std::size_t>(cfg.cols, 32);
   const std::size_t rounds = (samples + cols_per_round - 1) / cols_per_round;
+  // A round programs and senses only its first cols_per_round columns, and
+  // no column's value or noise depends on the array's width (only on its
+  // pair rows), so each round's scratch array is that narrow.
+  cfg.cols = cols_per_round;
 
   struct Round {
     std::uint64_t array_seed = 0;
