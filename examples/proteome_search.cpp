@@ -8,7 +8,7 @@
 //   pipeline        ----------------->   identifications + TSV report
 //
 // Usage: proteome_search [--proteins=150] [--out=/tmp/psms.tsv]
-//                        [--backend=ideal-hd|rram-statistical|sharded|...]
+//                        [--backend=ideal-hd|rram-statistical|...]
 //                        [--batch-size=64] [--threads=0] [--rolling-fdr]
 //                        [--index-out=FILE] [--index-in=FILE]
 //

@@ -133,10 +133,10 @@ double ImcSearchEngine::keyed_value(const util::BitVec& query,
       static_cast<double>(util::bipolar_dot(query, refs_[index]));
   if (cfg_.fidelity == Fidelity::kIdeal || phase_sigma_ <= 0.0) return exact;
 
-  // Keyed on the *global* reference index so a shard reproduces exactly
-  // the noise a monolithic engine would apply to the same reference.
-  const double z = util::counter_normal(util::hash_combine(cfg_.seed, stream),
-                                        index + cfg_.index_offset);
+  // Keyed on the reference index alone, so the draw does not depend on
+  // which block, slice or thread scores the candidate.
+  const double z =
+      util::counter_normal(util::hash_combine(cfg_.seed, stream), index);
   const std::size_t phases = phases_per_query(query);
   return gain_ * exact +
          z * phase_sigma_ * std::sqrt(static_cast<double>(phases));
@@ -214,7 +214,7 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
                                     static_cast<double>(hits.back().dot)) {
           continue;
         }
-        const double z = util::counter_normal(q.key, i + cfg_.index_offset);
+        const double z = util::counter_normal(q.key, i);
         d = gain_ * exact + z * phase_sigma_ * q.sqrt_phases;
       }
       const auto dot_int = static_cast<std::int64_t>(std::llround(d));

@@ -49,11 +49,6 @@ struct ImcSearchConfig {
   /// cell still uses its configured MLC levels for calibration parity
   /// with the paper's device experiments.
   int weight_bits = 1;
-  /// Global index of references[0]. Keyed noise draws are keyed on the
-  /// *global* reference index (index + offset), so a shard of a larger
-  /// library reproduces exactly the noise a monolithic engine over the
-  /// whole library would apply to the same references.
-  std::size_t index_offset = 0;
 };
 
 class ImcSearchEngine {

@@ -40,8 +40,8 @@ struct MappingPlan {
 
 /// References of dimension `dim` one chip holds: the column blocks that
 /// fit its arrays (array_count / vertical tiles per reference, at least
-/// one) times the columns per array. The capacity unit the "sharded"
-/// backend cuts a library into (core/search_backend.hpp). Like
+/// one) times the columns per array. The chip slice "rram-statistical"
+/// counts a library in (core/search_backend.hpp). Like
 /// plan_search_mapping, throws std::invalid_argument naming array.rows
 /// when an array holds no differential pair (rows < 2).
 [[nodiscard]] std::size_t references_per_chip(std::uint32_t dim,

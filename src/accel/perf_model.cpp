@@ -65,9 +65,9 @@ double PerfModel::this_work_time_s() const {
   // Encoding parallelizes across arrays (one spectrum per array).
   const double t_encode = static_cast<double>(encode_phases()) /
                           static_cast<double>(hw_.arrays) * hw_.cycle_s;
-  // Measured runs charge each chip entry (per-(block, shard) shipments,
-  // or one per block on a monolithic chip); the entries spread across
-  // chips entering in parallel (mapper.hpp).
+  // Measured runs charge each chip entry (per-(block, chip slice)
+  // shipments, or one per block when no slices are counted); the entries
+  // spread across chips entering in parallel (mapper.hpp).
   const double t_entries =
       measured_ ? shard_entry_latency_s(charged_entry_count(),
                                         measured_->shards, hw_.t_shard_entry_s)

@@ -11,8 +11,8 @@
 //   * measured   — PerfModel::from_measured consumes the counters a real
 //                  backend run recorded (core::BackendStats:
 //                  phases_executed, shard_entries, query_blocks), so the
-//                  batched sweeps' phase amortization and the sharded
-//                  executor's per-block shard entries feed the latency and
+//                  batched sweeps' phase amortization and the per-block
+//                  chip-slice entries feed the latency and
 //                  energy numbers directly instead of the
 //                  candidate_fraction-only estimate. Shard entries carry a
 //                  per-entry latency/energy overhead (block shipment into a
@@ -124,9 +124,9 @@ class PerfModel {
   [[nodiscard]] std::uint64_t search_phase_count() const;
 
   /// Chip entries the measured path charges t_shard_entry_s /
-  /// e_shard_entry_j for: the sharded executor's per-(block, shard)
-  /// entries when present, otherwise one entry per batched query block —
-  /// a monolithic engine is a single chip that every block enters once.
+  /// e_shard_entry_j for: the per-(block, chip slice) entries when
+  /// present, otherwise one entry per batched query block — a backend
+  /// that counts no slices is one chip that every block enters once.
   /// 0 on the analytic path (it has no entry counts to charge).
   [[nodiscard]] std::uint64_t charged_entry_count() const;
 

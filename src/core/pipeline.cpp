@@ -73,12 +73,11 @@ std::vector<util::BitVec> Pipeline::encode_spectra(
     weight_lists[i] = spectra[i].weights;
   }
 
-  // Substrates registered with the imc_encoding trait (the rram-* names,
-  // statistical shards, any runtime-registered device backend) also encode
-  // through the statistical IMC error model; the rest take the exact
-  // digital encoding.
-  const bool imc_encode = BackendRegistry::instance().imc_encoding(
-      backend_name(), cfg_.backend_options);
+  // Substrates registered with the imc_encoding trait ("rram-statistical",
+  // any runtime-registered device backend) also encode through the
+  // statistical IMC error model; the rest take the exact digital encoding.
+  const bool imc_encode =
+      BackendRegistry::instance().imc_encoding(backend_name());
 
   reference_encodes_ += spectra.size();
   std::vector<util::BitVec> hvs;
@@ -136,8 +135,7 @@ void Pipeline::set_library(const std::vector<ms::Spectrum>& targets) {
   // Fail on a typo'd backend name, or a peak cap the array cannot hold,
   // before the (expensive) encoding work.
   BackendRegistry::instance().require(backend_name());
-  if (BackendRegistry::instance().imc_encoding(backend_name(),
-                                               cfg_.backend_options)) {
+  if (BackendRegistry::instance().imc_encoding(backend_name())) {
     ensure_imc_encoder();
   }
   reference_encodes_ = 0;  // count this library build only
@@ -208,8 +206,7 @@ void Pipeline::set_library(
   // Query-side encoding must still go through the IMC model when the
   // backend's trait demands it (the references already did, per the
   // fingerprint).
-  if (BackendRegistry::instance().imc_encoding(backend_name(),
-                                               cfg_.backend_options)) {
+  if (BackendRegistry::instance().imc_encoding(backend_name())) {
     ensure_imc_encoder();
   }
 

@@ -3,11 +3,11 @@
 //
 // The search substrate is selected by registry name (see
 // core/search_backend.hpp): "ideal-hd" is exact digital HD (HyperOMS'
-// algorithm), "rram-statistical" searches through the calibrated MLC RRAM
-// error model ("this work" on hardware), and "sharded" searches the same
-// model with the library cut into chip-capacity slices (multi-chip
-// accounting). The crossbar circuit simulation calibrates that model
-// (accel::calibrate_mvm_error) and is not a backend.
+// algorithm), and "rram-statistical" searches through the calibrated MLC
+// RRAM error model ("this work" on hardware), counting the chip-capacity
+// slices of the library it enters (multi-chip accounting). The crossbar
+// circuit simulation calibrates that model (accel::calibrate_mvm_error)
+// and is not a backend.
 // Independent of the backend, `injected_ber` flips encoded bits at a given
 // rate (the Fig. 11 robustness protocol).
 //
@@ -62,11 +62,10 @@ struct PipelineConfig {
   /// hit across interpretations wins.
   bool charge_tolerant = false;
   double injected_ber = 0.0;          ///< Bit errors on all encoded HVs.
-  /// Search backend registry name ("ideal-hd", "rram-statistical",
-  /// "sharded", or anything registered at runtime).
-  /// Empty → "ideal-hd".
+  /// Search backend registry name ("ideal-hd", "rram-statistical", or
+  /// anything registered at runtime). Empty → "ideal-hd".
   std::string backend_name;
-  /// Device/sharding options handed to BackendRegistry::make. The seed is
+  /// Device and chip-slice options handed to BackendRegistry::make. The seed is
   /// overridden with `seed` below so one knob controls the whole run.
   BackendOptions backend_options{};
   std::uint64_t seed = 2024;

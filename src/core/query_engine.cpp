@@ -11,6 +11,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -68,12 +69,15 @@ struct Emitted {
 
 }  // namespace
 
+namespace detail {
+std::atomic<std::size_t> fail_worker_start_at{0};
+}  // namespace detail
+
 struct QueryEngine::Impl {
   Impl(Pipeline& p, const QueryEngineConfig& engine_cfg)
       : pipeline(p),
         cfg(sanitize(engine_cfg)),
-        imc_encode(BackendRegistry::instance().imc_encoding(
-            p.backend_name(), p.cfg_.backend_options)),
+        imc_encode(BackendRegistry::instance().imc_encoding(p.backend_name())),
         admission(cfg.block_size * cfg.queue_blocks),
         to_encode(cfg.queue_blocks),
         to_search(cfg.queue_blocks),
@@ -109,14 +113,25 @@ struct QueryEngine::Impl {
           "set_library?)");
     }
 
-    workers.emplace_back([this] { preprocess_loop(); });
-    start_stage(to_encode, to_search, obs ? &obs->search_depth : nullptr,
-                &Impl::encode_stage);
-    start_stage(to_search, to_rescore, obs ? &obs->rescore_depth : nullptr,
-                &Impl::search_stage);
-    start_stage(to_rescore, to_emit, obs ? &obs->emit_depth : nullptr,
-                &Impl::rescore_stage);
-    workers.emplace_back([this] { emit_loop(); });
+    // With every slot reserved, only a thread start can throw, and
+    // destroying the joinable workers already started would end the
+    // process. Close every queue, as fail() does, so each of them drains
+    // out whatever stage it serves, join them, and rethrow.
+    workers.reserve(2 + 3 * cfg.stage_threads);
+    try {
+      start_worker([this] { preprocess_loop(); });
+      start_stage(to_encode, to_search, obs ? &obs->search_depth : nullptr,
+                  &Impl::encode_stage);
+      start_stage(to_search, to_rescore, obs ? &obs->rescore_depth : nullptr,
+                  &Impl::search_stage);
+      start_stage(to_rescore, to_emit, obs ? &obs->emit_depth : nullptr,
+                  &Impl::rescore_stage);
+      start_worker([this] { emit_loop(); });
+    } catch (...) {
+      close_queues();
+      shutdown();
+      throw;
+    }
   }
 
   ~Impl() { shutdown(); }
@@ -156,6 +171,18 @@ struct QueryEngine::Impl {
     }
   }
 
+  /// Starts one worker thread running `loop`.
+  template <typename Loop>
+  void start_worker(Loop&& loop) {
+    if (workers.size() + 1 ==
+        detail::fail_worker_start_at.load(std::memory_order_relaxed)) {
+      throw std::system_error(
+          std::make_error_code(std::errc::resource_unavailable_try_again),
+          "QueryEngine: worker start");
+    }
+    workers.emplace_back(std::forward<Loop>(loop));
+  }
+
   /// Starts cfg.stage_threads workers of a block stage. Each one runs
   /// run_stage over `in`; with timing on it observes a block's queue wait
   /// (histogram and kQueueWait trace) and hands `body` the time the stage
@@ -169,7 +196,7 @@ struct QueryEngine::Impl {
                                       const Send<Out>&)) {
     auto live = std::make_shared<std::atomic<std::size_t>>(cfg.stage_threads);
     for (std::size_t t = 0; t < cfg.stage_threads; ++t) {
-      workers.emplace_back([this, &in, &out, depth, body, live] {
+      start_worker([this, &in, &out, depth, body, live] {
         const Send<Out> send = [&](Out item) {
           hand_on(out, depth, std::move(item));
         };
@@ -612,6 +639,10 @@ struct QueryEngine::Impl {
     failed.store(true, std::memory_order_release);
     // Unblock every producer and consumer; run_stage pops and drops the
     // remaining items.
+    close_queues();
+  }
+
+  void close_queues() {
     admission.close();
     to_encode.close();
     to_search.close();

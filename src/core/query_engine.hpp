@@ -54,6 +54,7 @@
 // block size and worker count.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <functional>
@@ -156,12 +157,24 @@ struct QueryEngineStats {
   std::size_t empty_window = 0;   ///< Searched; no candidate in any window.
 };
 
+namespace detail {
+
+/// Test seam for engine start-up. While it holds n > 0, the n-th worker a
+/// QueryEngine constructor starts (1-based, in pipeline order) throws
+/// std::system_error(resource_unavailable_try_again) instead, as
+/// std::thread's constructor does when the system cannot start a thread.
+/// 0, the default, starts every worker.
+extern std::atomic<std::size_t> fail_worker_start_at;
+
+}  // namespace detail
+
 class QueryEngine {
  public:
   /// Binds to a pipeline whose library is already built (set_library must
   /// have run; throws std::logic_error otherwise). The pipeline must
   /// outlive the engine, and set_library must not be called while the
-  /// engine is live.
+  /// engine is live. If a worker cannot be started, the workers already
+  /// started are stopped and joined and the exception propagates.
   explicit QueryEngine(Pipeline& pipeline, const QueryEngineConfig& cfg = {});
   ~QueryEngine();
 

@@ -174,24 +174,43 @@ std::uint64_t slices_entered(std::span<const Query> queries,
   return entered;
 }
 
+accel::ImcSearchConfig imc_config(const BackendOptions& opts) {
+  accel::ImcSearchConfig cfg;
+  cfg.array = opts.array;
+  cfg.activated_pairs = opts.activated_pairs;
+  cfg.calibration_samples = opts.calibration_samples;
+  cfg.seed = opts.seed;
+  return cfg;
+}
+
+/// References per chip slice: `max_refs_per_shard` when set, else what one
+/// chip of `chip_arrays` arrays holds. An empty library has no dimension
+/// to size a chip by, and no slice to enter.
+std::size_t slice_width(std::span<const util::BitVec> references,
+                        const BackendOptions& opts) {
+  if (opts.max_refs_per_shard > 0) return opts.max_refs_per_shard;
+  if (references.empty()) return 1;
+  return accel::references_per_chip(
+      static_cast<std::uint32_t>(references.front().size()),
+      rram::ChipConfig{opts.chip_arrays, opts.array});
+}
+
 /// The MLC-RRAM search model: one accel::ImcSearchEngine over the whole
-/// library. A nonzero `slice_width` ("sharded") cuts the library into
-/// chip-capacity slices for accounting only — shards = ceil(references /
-/// width) and one shard entry per (block, slice its windows meet); the
-/// hits, phases, sigma and gain are the unsliced engine's, since keyed
-/// noise depends on the global reference index alone.
+/// library, cut into chip slices for accounting only — shards =
+/// ceil(references / width) (at least 1) and one shard entry per (block,
+/// slice its windows meet). The hits, phases, sigma and gain are the
+/// engine's, since keyed noise depends on the global reference index
+/// alone.
 class ImcBackend final : public SearchBackend {
  public:
-  ImcBackend(std::string name, std::span<const util::BitVec> references,
-             const accel::ImcSearchConfig& cfg, std::size_t query_block,
-             std::size_t slice_width)
-      : name_(std::move(name)),
-        engine_(references, cfg),
-        query_block_(query_block),
-        slice_width_(slice_width) {}
+  ImcBackend(std::span<const util::BitVec> references,
+             const BackendOptions& opts)
+      : engine_(references, imc_config(opts)),
+        query_block_(opts.query_block),
+        slice_width_(slice_width(references, opts)) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return name_;
+    return "rram-statistical";
   }
 
   [[nodiscard]] std::vector<hd::SearchHit> top_k(
@@ -213,18 +232,17 @@ class ImcBackend final : public SearchBackend {
 
   [[nodiscard]] BackendStats stats() const override {
     BackendStats s;
-    s.backend = name_;
+    s.backend = "rram-statistical";
     s.references = engine_.reference_count();
+    s.shards = std::max<std::size_t>(
+        1, (s.references + slice_width_ - 1) / slice_width_);
     s.phases_executed = engine_.phases_executed();
     s.phase_sigma = engine_.phase_sigma();
     s.gain = engine_.gain();
+    s.shard_entries = slice_entries_.load(std::memory_order_relaxed);
     s.kernel = hd::kernels::tier_name(hd::kernels::active_tier());
     s.contiguous_refs = engine_.view().contiguous();
     s.extent_count = engine_.view().extent_count();
-    if (slice_width_ > 0) {
-      s.shards = (s.references + slice_width_ - 1) / slice_width_;
-      s.shard_entries = slice_entries_.load(std::memory_order_relaxed);
-    }
     counters_.fill(s);
     return s;
   }
@@ -234,7 +252,7 @@ class ImcBackend final : public SearchBackend {
   [[nodiscard]] std::vector<std::vector<hd::SearchHit>> search(
       std::span<const Query> queries, std::size_t k) const {
     auto hits = engine_.search_many(queries, k);
-    if (slice_width_ > 0 && k > 0) {
+    if (k > 0) {
       slice_entries_.fetch_add(
           slices_entered(queries, engine_.reference_count(), slice_width_),
           std::memory_order_relaxed);
@@ -242,73 +260,27 @@ class ImcBackend final : public SearchBackend {
     return hits;
   }
 
-  std::string name_;
-  accel::ImcSearchEngine engine_;
+  accel::ImcSearchEngine engine_;  ///< Validates the device model first.
   std::size_t query_block_;
-  std::size_t slice_width_;  ///< 0 = unsliced ("rram-statistical").
+  std::size_t slice_width_;
   mutable std::atomic<std::uint64_t> slice_entries_{0};
   BlockCounters counters_;
 };
 
-accel::ImcSearchConfig imc_config(const BackendOptions& opts,
-                                  accel::Fidelity fidelity) {
-  accel::ImcSearchConfig cfg;
-  cfg.array = opts.array;
-  cfg.activated_pairs = opts.activated_pairs;
-  cfg.fidelity = fidelity;
-  cfg.calibration_samples = opts.calibration_samples;
-  cfg.seed = opts.seed;
-  return cfg;
-}
-
 }  // namespace
 
 BackendRegistry::BackendRegistry() {
-  const EncodingTrait always_imc_encoded = [](const BackendOptions&) {
-    return true;
-  };
   factories_["ideal-hd"] = {[](std::span<const util::BitVec> refs,
                                const BackendOptions& opts) {
                               return std::make_unique<IdealHdBackend>(
                                   refs, opts.query_block);
                             },
-                            /*imc_encoding=*/nullptr};
+                            /*imc_encoding=*/false};
   factories_["rram-statistical"] = {
       [](std::span<const util::BitVec> refs, const BackendOptions& opts) {
-        return std::make_unique<ImcBackend>(
-            "rram-statistical", refs,
-            imc_config(opts, accel::Fidelity::kStatistical), opts.query_block,
-            /*slice_width=*/0);
+        return std::make_unique<ImcBackend>(refs, opts);
       },
-      always_imc_encoded};
-  factories_["sharded"] = {
-      [](std::span<const util::BitVec> refs, const BackendOptions& opts) {
-        if (opts.sharded_fidelity == accel::Fidelity::kCircuit) {
-          throw std::invalid_argument(
-              "sharded backend does not support circuit fidelity (slices "
-              "search through the keyed statistical or ideal model only)");
-        }
-        if (refs.empty()) {
-          throw std::invalid_argument("sharded backend: empty reference set");
-        }
-        rram::ChipConfig chip = opts.chip;
-        chip.array = opts.array;
-        const std::size_t width =
-            opts.max_refs_per_shard > 0
-                ? opts.max_refs_per_shard
-                : accel::references_per_chip(
-                      static_cast<std::uint32_t>(refs.front().size()), chip);
-        return std::make_unique<ImcBackend>(
-            "sharded", refs, imc_config(opts, opts.sharded_fidelity),
-            opts.query_block, width);
-      },
-      // Statistical slices model the same device noise as the monolithic
-      // rram-statistical engine, so their libraries must be encoded the
-      // same way for end-to-end equivalence; ideal slices take the exact
-      // encoding (matching "ideal-hd").
-      [](const BackendOptions& opts) {
-        return opts.sharded_fidelity == accel::Fidelity::kStatistical;
-      }};
+      /*imc_encoding=*/true};
 }
 
 BackendRegistry& BackendRegistry::instance() {
@@ -318,17 +290,8 @@ BackendRegistry& BackendRegistry::instance() {
 
 void BackendRegistry::register_backend(const std::string& name,
                                        Factory factory, bool imc_encoding) {
-  register_backend(
-      name, std::move(factory),
-      imc_encoding ? EncodingTrait([](const BackendOptions&) { return true; })
-                   : EncodingTrait());
-}
-
-void BackendRegistry::register_backend(const std::string& name,
-                                       Factory factory,
-                                       EncodingTrait imc_encoding) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  factories_[name] = Entry{std::move(factory), std::move(imc_encoding)};
+  factories_[name] = Entry{std::move(factory), imc_encoding};
 }
 
 bool BackendRegistry::contains(const std::string& name) const {
@@ -340,16 +303,10 @@ void BackendRegistry::require(const std::string& name) const {
   if (!contains(name)) throw_unknown(name);
 }
 
-bool BackendRegistry::imc_encoding(const std::string& name,
-                                   const BackendOptions& opts) const {
-  EncodingTrait trait;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = factories_.find(name);
-    if (it == factories_.end() || !it->second.imc_encoding) return false;
-    trait = it->second.imc_encoding;
-  }
-  return trait(opts);
+bool BackendRegistry::imc_encoding(const std::string& name) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = factories_.find(name);
+  return it != factories_.end() && it->second.imc_encoding;
 }
 
 std::vector<std::string> BackendRegistry::names() const {

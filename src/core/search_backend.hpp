@@ -1,7 +1,7 @@
 // Pluggable search-backend seam: every way this codebase can score a query
-// hypervector against a reference library — exact digital HD, statistical
-// MLC-RRAM, the same model sliced across chips — sits behind one abstract
-// interface, selected by registry name at runtime.
+// hypervector against a reference library — exact digital HD or the
+// statistical MLC-RRAM model — sits behind one abstract interface, selected
+// by registry name at runtime.
 //
 // Map of this header:
 //   * Query           — one batched search request (hypervector + candidate
@@ -34,14 +34,13 @@
 //                         "ideal-hd"         exact Hamming search
 //                                            (hd::top_k_search semantics);
 //                         "rram-statistical" calibrated MLC-RRAM noise model
-//                                            (accel::ImcSearchEngine);
-//                         "sharded"          the same engine with the library
-//                                            cut into chip-capacity slices
-//                                            (accel::references_per_chip),
-//                                            which count shards and shard
-//                                            entries for the multi-chip
-//                                            perf model; hits equal the
-//                                            unsliced engine's.
+//                                            (accel::ImcSearchEngine). The
+//                                            library is cut into chip-
+//                                            capacity slices
+//                                            (accel::references_per_chip)
+//                                            that only count shards and
+//                                            shard entries for the
+//                                            multi-chip perf model.
 //                       The crossbar circuit simulation (src/rram/,
 //                       accel::Fidelity::kCircuit) is the statistical
 //                       model's reference — accel::calibrate_mvm_error
@@ -106,10 +105,8 @@
 #include <string_view>
 #include <vector>
 
-#include "accel/error_model.hpp"
 #include "hd/search.hpp"
 #include "rram/array.hpp"
-#include "rram/chip.hpp"
 #include "util/bitvec.hpp"
 
 namespace oms::core {
@@ -126,12 +123,12 @@ using Query = hd::BatchQuery;
 struct BackendStats {
   std::string backend;                ///< Registry name.
   std::size_t references = 0;         ///< Reference hypervectors held.
-  std::size_t shards = 1;             ///< Search partitions (1 = monolithic).
+  std::size_t shards = 1;             ///< Chip slices (1 = one chip).
   std::uint64_t phases_executed = 0;  ///< Hardware activation phases so far.
   double phase_sigma = 0.0;           ///< Per-phase noise sigma (0 = exact).
   double gain = 1.0;                  ///< Multiplicative score gain (IR droop).
-  std::uint64_t shard_entries = 0;    ///< Shard searches: one per (block,
-                                      ///< shard its windows meet); a
+  std::uint64_t shard_entries = 0;    ///< Chip entries: one per (block,
+                                      ///< slice its windows meet); a
                                       ///< one-query top_k is a block.
   std::uint64_t query_blocks = 0;     ///< Blocks served by batched overrides.
   std::uint64_t batched_queries = 0;  ///< Queries inside those blocks.
@@ -185,24 +182,19 @@ struct BackendStats {
 /// must also be hashed by serve::backend_config_hash, or sessions differing
 /// only in it would share one cached backend.
 struct BackendOptions {
-  rram::ArrayConfig array{};           ///< Device model (rram-*, sharded).
+  rram::ArrayConfig array{};           ///< Device model ("rram-statistical").
   std::size_t activated_pairs = 64;    ///< Differential pairs per phase.
   std::size_t calibration_samples = 4096;
   std::uint64_t seed = 2024;
-  /// Engine fidelity for "sharded" ("rram-statistical" fixes its own).
-  /// Circuit fidelity is rejected: the slices search through the keyed
-  /// statistical or ideal model only.
-  accel::Fidelity sharded_fidelity = accel::Fidelity::kStatistical;
-  /// Capacity unit per "sharded" slice. `chip.array` is overridden with
-  /// `array` above so a single device model drives both the noise
-  /// calibration and the slice width (accel::references_per_chip).
-  rram::ChipConfig chip{};
+  /// Arrays per chip. With `array` it sizes the chip slices
+  /// "rram-statistical" counts (accel::references_per_chip).
+  std::size_t chip_arrays = 48;
   std::size_t max_refs_per_shard = 0;  ///< 0 → derive from chip capacity.
   /// Queries per block inside the batched search_batch overrides: each
-  /// block is one reference-major sweep, entering every "sharded" slice
-  /// its windows meet once, and blocks are processed in parallel over
-  /// the global thread pool (a wide block's sweep is itself cut into
-  /// pool slices; hd::sweep_sliced).
+  /// block is one reference-major sweep, entering every chip slice its
+  /// windows meet once, and blocks are processed in parallel over the
+  /// global thread pool (a wide block's sweep is itself cut into pool
+  /// slices; hd::sweep_sliced).
   std::size_t query_block = 64;
 };
 
@@ -243,9 +235,6 @@ class BackendRegistry {
  public:
   using Factory = std::function<std::unique_ptr<SearchBackend>(
       std::span<const util::BitVec>, const BackendOptions&)>;
-  /// Whether a backend built from the given options needs its libraries
-  /// encoded through the IMC statistical error model.
-  using EncodingTrait = std::function<bool(const BackendOptions&)>;
 
   /// The process-wide registry, with built-ins pre-registered.
   [[nodiscard]] static BackendRegistry& instance();
@@ -256,11 +245,6 @@ class BackendRegistry {
   /// instead of hard-coding backend names).
   void register_backend(const std::string& name, Factory factory,
                         bool imc_encoding = false);
-  /// Overload for substrates whose encoding requirement depends on the
-  /// options (e.g. "sharded": statistical shards need IMC-encoded
-  /// libraries, ideal shards exact ones).
-  void register_backend(const std::string& name, Factory factory,
-                        EncodingTrait imc_encoding);
 
   /// True if `name` is registered.
   [[nodiscard]] bool contains(const std::string& name) const;
@@ -269,10 +253,9 @@ class BackendRegistry {
   /// not registered.
   void require(const std::string& name) const;
 
-  /// True when a backend built as (`name`, `opts`) requires IMC-model
+  /// True when the backend registered under `name` requires IMC-model
   /// encoding; false for unknown names.
-  [[nodiscard]] bool imc_encoding(const std::string& name,
-                                  const BackendOptions& opts) const;
+  [[nodiscard]] bool imc_encoding(const std::string& name) const;
 
   /// Registered names, sorted.
   [[nodiscard]] std::vector<std::string> names() const;
@@ -287,7 +270,7 @@ class BackendRegistry {
  private:
   struct Entry {
     Factory factory;
-    EncodingTrait imc_encoding;  ///< Null → never IMC-encoded.
+    bool imc_encoding = false;
   };
 
   BackendRegistry();

@@ -23,8 +23,7 @@
 // accel::ImcSearchEngine::search_many its noise-pruned scoring and phase
 // count. Every single-query search is a
 // one-query batch: top_k_search over a RefView here, top_k_keyed on the
-// RRAM-modelled side (which every RRAM-modelled backend, "sharded"
-// included, searches through).
+// RRAM-modelled side (which "rram-statistical" searches through).
 //
 // Kernel/dispatch seam: the word-level XOR-popcount work underneath lives
 // in hd/kernels.hpp — runtime-dispatched scalar / AVX2 / AVX-512-VPOPCNTDQ

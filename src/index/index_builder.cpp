@@ -22,13 +22,13 @@ namespace {
 
 /// `cfg` with its backend replaced by the canonical backend of its
 /// encoding trait. The stored bytes depend on the backend only through
-/// that trait, so a library persisted for "sharded" is the one persisted
-/// for "rram-statistical", and one configured for a runtime-registered
-/// substrate is built without constructing that substrate.
+/// that trait, so a library configured for a runtime-registered substrate
+/// is the one persisted for "rram-statistical" or "ideal-hd", and is built
+/// without constructing that substrate.
 [[nodiscard]] core::PipelineConfig canonical_build_config(
     const core::PipelineConfig& cfg) {
   const bool imc = core::BackendRegistry::instance().imc_encoding(
-      core::Pipeline::backend_name(cfg), cfg.backend_options);
+      core::Pipeline::backend_name(cfg));
   core::PipelineConfig out = cfg;
   out.backend_name = imc ? "rram-statistical" : "ideal-hd";
   return out;
@@ -114,7 +114,7 @@ IndexFingerprint fingerprint_of(const core::PipelineConfig& cfg) {
   fp.enc_seed = e.seed;
 
   const bool imc = core::BackendRegistry::instance().imc_encoding(
-      core::Pipeline::backend_name(cfg), cfg.backend_options);
+      core::Pipeline::backend_name(cfg));
   fp.imc_encoding = imc ? 1 : 0;
   fp.add_decoys = cfg.add_decoys ? 1 : 0;
   fp.pipeline_seed = cfg.seed;

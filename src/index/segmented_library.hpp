@@ -16,8 +16,8 @@
 // masses are pairwise distinct across segment boundaries — every
 // synthesized and real-spectrum workload in this repo — the merged order
 // is exactly the order a one-shot IndexBuilder::build of the union would
-// produce, so global reference indices (and with them the
-// `ImcSearchConfig::index_offset` noise keying and `Psm::reference_index`)
+// produce, so global reference indices (and with them the keyed search
+// noise of accel::ImcSearchEngine and `Psm::reference_index`)
 // carry over unchanged and search results are bit-identical to the
 // monolithic artifact. Exactly-equal masses across segments order
 // manifest-wise here versus build-interleave-wise one-shot; compaction

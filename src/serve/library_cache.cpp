@@ -18,10 +18,8 @@ std::uint64_t backend_config_hash(const core::PipelineConfig& cfg) noexcept {
   // The pipeline overrides opts.seed with cfg.seed before construction, so
   // the session seed — not the options field — is what keys the instance.
   x = util::hash_combine(x, cfg.seed, o.activated_pairs);
-  x = util::hash_combine(x, o.calibration_samples,
-                         static_cast<std::uint64_t>(o.sharded_fidelity));
+  x = util::hash_combine(x, o.calibration_samples, o.chip_arrays);
   x = util::hash_combine(x, o.max_refs_per_shard, o.query_block);
-  x = util::hash_combine(x, o.chip.array_count);
   // The fingerprint's device hash, but for every backend: the fingerprint
   // leaves the device out for exact backends.
   return util::hash_combine(x, index::device_hash(o.array));

@@ -28,7 +28,7 @@
 //
 // Backends are a second-level cache inside each entry, keyed on a hash of
 // everything that shapes a backend instance (registry name, seed, device
-// model, sharding geometry). The cache never constructs backends itself —
+// model, chip-slice geometry). The cache never constructs backends itself —
 // core::Pipeline owns that logic — sessions donate() the backend their
 // pipeline built. Every registered backend is reentrant with keyed noise,
 // so any of them may be shared.
@@ -79,7 +79,7 @@ struct LibraryLease {
 
 /// Order-sensitive field-by-field hash of everything that shapes a search
 /// backend built by core::Pipeline under this config: registry name, seed,
-/// device model, sharding geometry, batching. Field enumeration, never raw
+/// device model, chip-slice geometry, batching. Field enumeration, never raw
 /// struct bytes — padding must not leak into the key.
 [[nodiscard]] std::uint64_t backend_config_hash(
     const core::PipelineConfig& cfg) noexcept;
@@ -132,8 +132,8 @@ class LibraryCache {
   struct Entry {
     std::shared_ptr<const index::SegmentedLibrary> library;
     /// backend_config_hash → donated backend. Usually one element; more
-    /// when sessions search one artifact through different backend names
-    /// that share an encoding trait (e.g. ideal-hd and exact sharded).
+    /// when sessions search one artifact under different backend options
+    /// (e.g. two chip-slice widths of rram-statistical).
     std::map<std::uint64_t, std::shared_ptr<core::SearchBackend>> backends;
     std::list<Key>::iterator lru;  ///< Position in lru_ (front = hottest).
   };

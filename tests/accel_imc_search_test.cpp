@@ -283,45 +283,41 @@ TEST(ImcSearchPruning, SearchManyAndTopKKeyedEqualBruteForce) {
 
   std::size_t ties = 0;
   for (const Device& dev : devices()) {
-    for (const std::size_t offset : {std::size_t{0}, std::size_t{1000}}) {
-      ImcSearchConfig cfg = dev.cfg;
-      cfg.index_offset = offset;
-      const ImcSearchEngine engine(refs, cfg);
-      const ImcSearchEngine oracle(refs, cfg);
-      const bool noisy = cfg.fidelity == Fidelity::kStatistical;
-      const std::size_t ppq = kDim / cfg.activated_pairs;
+    const ImcSearchConfig& cfg = dev.cfg;
+    const ImcSearchEngine engine(refs, cfg);
+    const ImcSearchEngine oracle(refs, cfg);
+    const bool noisy = cfg.fidelity == Fidelity::kStatistical;
+    const std::size_t ppq = kDim / cfg.activated_pairs;
 
-      std::vector<hd::BatchQuery> block;
-      for (std::size_t q = 0; q < hvs.size(); ++q) {
-        block.push_back({&hvs[q], windows[q].first, windows[q].second,
-                         500 + q});
-      }
-      for (const std::size_t k : {1U, 3U, 8U}) {
-        SCOPED_TRACE(std::string(dev.name) + " offset " +
-                     std::to_string(offset) + " k " + std::to_string(k));
-        std::uint64_t before = engine.phases_executed();
-        const auto batched = engine.search_many(block, k);
-        EXPECT_EQ(engine.phases_executed() - before,
-                  noisy ? ppq * union_size(block, refs.size()) : 0U);
+    std::vector<hd::BatchQuery> block;
+    for (std::size_t q = 0; q < hvs.size(); ++q) {
+      block.push_back({&hvs[q], windows[q].first, windows[q].second,
+                       500 + q});
+    }
+    for (const std::size_t k : {1U, 3U, 8U}) {
+      SCOPED_TRACE(std::string(dev.name) + " k " + std::to_string(k));
+      std::uint64_t before = engine.phases_executed();
+      const auto batched = engine.search_many(block, k);
+      EXPECT_EQ(engine.phases_executed() - before,
+                noisy ? ppq * union_size(block, refs.size()) : 0U);
 
-        for (std::size_t q = 0; q < block.size(); ++q) {
-          const auto want = brute_force(oracle, block[q], k);
-          for (std::size_t h = 1; h < want.size(); ++h) {
-            ties += want[h].dot == want[h - 1].dot;
-          }
-          EXPECT_EQ(batched[q], want) << "search_many query " << q;
-
-          before = engine.phases_executed();
-          EXPECT_EQ(engine.top_k_keyed(*block[q].hv, block[q].first,
-                                       block[q].last, k, block[q].stream),
-                    want)
-              << "top_k_keyed query " << q;
-          const std::size_t last = std::min(block[q].last, refs.size());
-          const std::size_t len = block[q].first < last
-                                      ? last - block[q].first
-                                      : 0;
-          EXPECT_EQ(engine.phases_executed() - before, noisy ? ppq * len : 0U);
+      for (std::size_t q = 0; q < block.size(); ++q) {
+        const auto want = brute_force(oracle, block[q], k);
+        for (std::size_t h = 1; h < want.size(); ++h) {
+          ties += want[h].dot == want[h - 1].dot;
         }
+        EXPECT_EQ(batched[q], want) << "search_many query " << q;
+
+        before = engine.phases_executed();
+        EXPECT_EQ(engine.top_k_keyed(*block[q].hv, block[q].first,
+                                     block[q].last, k, block[q].stream),
+                  want)
+            << "top_k_keyed query " << q;
+        const std::size_t last = std::min(block[q].last, refs.size());
+        const std::size_t len = block[q].first < last
+                                    ? last - block[q].first
+                                    : 0;
+        EXPECT_EQ(engine.phases_executed() - before, noisy ? ppq * len : 0U);
       }
     }
   }

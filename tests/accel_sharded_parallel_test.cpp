@@ -1,6 +1,6 @@
-// Concurrency contracts of the "sharded" backend: one ImcSearchEngine
-// over the whole library whose chip-capacity slices are accounting only,
-// with a batch's query blocks running concurrently over
+// Concurrency contracts of the "rram-statistical" backend: one
+// ImcSearchEngine over the whole library whose chip slices are accounting
+// only, with a batch's query blocks running concurrently over
 // util::ThreadPool::global(). These suites pin what that path must honor:
 // hits bit-identical to the monolithic engine for every block size and
 // every global-pool size — on a library wide enough that each block's
@@ -61,9 +61,8 @@ void expect_identical(const std::vector<std::vector<hd::SearchHit>>& a,
   }
 }
 
-core::BackendOptions sharded_options(Fidelity f, std::size_t refs_per_shard) {
+core::BackendOptions sliced_options(std::size_t refs_per_shard) {
   core::BackendOptions opts;
-  opts.sharded_fidelity = f;
   opts.calibration_samples = 512;
   opts.max_refs_per_shard = refs_per_shard;
   return opts;
@@ -77,7 +76,6 @@ std::vector<std::vector<hd::SearchHit>> monolithic_hits(
   ImcSearchConfig cfg;
   cfg.array = opts.array;
   cfg.activated_pairs = opts.activated_pairs;
-  cfg.fidelity = opts.sharded_fidelity;
   cfg.calibration_samples = opts.calibration_samples;
   cfg.seed = opts.seed;
   const ImcSearchEngine mono(refs, cfg);
@@ -119,7 +117,7 @@ Counters expected_counters(std::span<const core::Query> batch,
   return c;
 }
 
-/// Checks the sharded backend over `refs` (dimension 1024, so 16 phases
+/// Checks the backend over `refs` (dimension 1024, so 16 phases
 /// per candidate row) against the monolithic oracle and the brute-force
 /// counters for every block size; returns the first mismatch, or "".
 std::string check_library(const std::vector<util::BitVec>& refs,
@@ -129,12 +127,12 @@ std::string check_library(const std::vector<util::BitVec>& refs,
   const auto batch = make_batch(query_hvs, refs.size());
   const std::size_t k = 5;
 
-  core::BackendOptions opts = sharded_options(Fidelity::kStatistical, width);
+  core::BackendOptions opts = sliced_options(width);
   const auto expected = monolithic_hits(refs, opts, batch, k);
   for (const std::size_t block : {1UL, 7UL, 64UL}) {
     const std::string at = where + " block=" + std::to_string(block);
     opts.query_block = block;
-    const auto backend = core::make_backend("sharded", refs, opts);
+    const auto backend = core::make_backend("rram-statistical", refs, opts);
     if (backend->stats().shards != shards) return at + ": shard count";
     if (backend->search_batch(batch, k) != expected) {
       return at + ": hits differ from the monolithic engine";
@@ -156,7 +154,7 @@ std::string check_library(const std::vector<util::BitVec>& refs,
 }
 
 /// Child-process body of the global-pool sweep: sizes the fresh process's
-/// global pool to `threads`, then checks the sharded backend against the
+/// global pool to `threads`, then checks the backend against the
 /// monolithic oracle and the brute-force counters for every block size,
 /// on a narrow library (each block one slice of the sweep) and on one
 /// wide enough that every block's sweep is cut into pool slices.
@@ -221,9 +219,9 @@ TEST(ShardedParallel, MatchesMonolithicEngineAcrossBlockAndPoolSizes) {
 }
 
 TEST(ShardedParallel, BackendPathsAgreeAcrossAllApplicableBackends) {
-  // Backend-level equivalence: the "sharded" backend must reproduce the
-  // monolithic backend of the same fidelity ("ideal-hd" for ideal slices,
-  // "rram-statistical" for statistical ones), for every block size.
+  // Backend-level equivalence for every block size: "rram-statistical"
+  // cut into 6 chip slices reproduces the one-chip backend's hits, and
+  // "ideal-hd" reproduces its own one-query-at-a-time hits.
   const auto refs = random_hvs(400, 512, 3);
   const auto query_hvs = random_hvs(40, 512, 7777);
   std::vector<core::Query> batch(query_hvs.size());
@@ -232,39 +230,36 @@ TEST(ShardedParallel, BackendPathsAgreeAcrossAllApplicableBackends) {
   }
   const std::size_t k = 4;
 
-  for (const Fidelity fidelity :
-       {Fidelity::kIdeal, Fidelity::kStatistical}) {
-    core::BackendOptions opts;
-    opts.calibration_samples = 512;
-    opts.seed = 99;
-    opts.sharded_fidelity = fidelity;
-    opts.max_refs_per_shard = 70;  // 6 slices, ragged tail
-    const char* mono_name =
-        fidelity == Fidelity::kIdeal ? "ideal-hd" : "rram-statistical";
-    auto mono = core::make_backend(mono_name, refs, opts);
+  core::BackendOptions opts;
+  opts.calibration_samples = 512;
+  opts.seed = 99;
+  for (const char* name : {"ideal-hd", "rram-statistical"}) {
+    opts.max_refs_per_shard = 0;
+    opts.query_block = 1;
+    const auto mono = core::make_backend(name, refs, opts);
+    ASSERT_EQ(mono->stats().shards, 1U) << name;
+    const auto expected = mono->search_batch(batch, k);
 
+    opts.max_refs_per_shard = 70;  // 6 slices, ragged tail
     for (const std::size_t block : {1UL, 7UL, 64UL}) {
       opts.query_block = block;
-      auto sharded = core::make_backend("sharded", refs, opts);
-      expect_identical(mono->search_batch(batch, k),
-                       sharded->search_batch(batch, k),
-                       "sharded vs monolithic");
+      const auto sliced = core::make_backend(name, refs, opts);
+      expect_identical(expected, sliced->search_batch(batch, k), name);
     }
   }
 }
 
 TEST(ShardedParallel, TieBreaksHoldAcrossSliceBoundaries) {
-  // Duplicated references straddling slice boundaries force exact score
-  // ties, which must come out in ascending global index order.
+  // Duplicated references straddling 75-reference slice boundaries force
+  // exact score ties, which must come out in ascending global index order;
+  // the full-range block enters all 4 slices.
   auto refs = random_hvs(300, 512, 4);
   for (const std::size_t dup : {23UL, 74UL, 75UL, 149UL, 150UL, 299UL}) {
     refs[dup] = refs[5];
   }
-  const auto sharded = core::make_backend(
-      "sharded", refs, sharded_options(Fidelity::kIdeal, 75));
-
   const core::Query q{&refs[5], 0, refs.size(), 0};
-  const auto out = sharded->search_batch(std::span(&q, 1), 7);
+  const auto exact = core::make_backend("ideal-hd", refs);
+  const auto out = exact->search_batch(std::span(&q, 1), 7);
   ASSERT_EQ(out.size(), 1U);
   ASSERT_EQ(out[0].size(), 7U);
   const std::size_t expected[] = {5, 23, 74, 75, 149, 150, 299};
@@ -272,7 +267,11 @@ TEST(ShardedParallel, TieBreaksHoldAcrossSliceBoundaries) {
     EXPECT_EQ(out[0][i].reference_index, expected[i]) << i;
     EXPECT_EQ(out[0][i].dot, 512) << i;
   }
-  EXPECT_EQ(sharded->stats().shard_entries, 4U);
+
+  const auto rram =
+      core::make_backend("rram-statistical", refs, sliced_options(75));
+  (void)rram->search_batch(std::span(&q, 1), 7);
+  EXPECT_EQ(rram->stats().shard_entries, 4U);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// The "sharded" backend: one ImcSearchEngine over the whole library, cut
-// into chip-capacity slices that count shards and shard entries for the
-// multi-chip perf model. These cases pin the slice accounting and show the
-// slicing never changes a hit.
+// Chip-slice accounting of the "rram-statistical" backend: one
+// ImcSearchEngine over the whole library, cut into chip-capacity slices
+// that count shards and shard entries for the multi-chip perf model. These
+// cases pin the slice accounting and show the slicing never changes a hit.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -24,23 +24,22 @@ std::vector<util::BitVec> random_refs(std::size_t n, std::size_t dim,
   return refs;
 }
 
-core::BackendOptions small_options(Fidelity f, std::size_t refs_per_shard) {
+core::BackendOptions small_options(std::size_t refs_per_shard) {
   core::BackendOptions opts;
-  opts.sharded_fidelity = f;
   opts.calibration_samples = 512;
   opts.max_refs_per_shard = refs_per_shard;
   return opts;
 }
 
-std::unique_ptr<core::SearchBackend> sharded(
-    const std::vector<util::BitVec>& refs, Fidelity f,
-    std::size_t refs_per_shard) {
-  return core::make_backend("sharded", refs, small_options(f, refs_per_shard));
+std::unique_ptr<core::SearchBackend> sliced(
+    const std::vector<util::BitVec>& refs, std::size_t refs_per_shard) {
+  return core::make_backend("rram-statistical", refs,
+                            small_options(refs_per_shard));
 }
 
 TEST(ShardedBackend, SplitsIntoExpectedShards) {
   const auto refs = random_refs(1000, 512, 1);
-  const auto backend = sharded(refs, Fidelity::kIdeal, 300);
+  const auto backend = sliced(refs, 300);
   EXPECT_EQ(backend->stats().shards, 4U);  // 300+300+300+100
   EXPECT_EQ(backend->stats().references, 1000U);
 }
@@ -49,24 +48,48 @@ TEST(ShardedBackend, DerivesShardSizeFromChipCapacity) {
   // 512-dim refs need 4 vertical tiles of the default 128-pair arrays;
   // 48 arrays / 4 tiles = 12 column blocks × 256 cols = 3072 refs/shard.
   EXPECT_EQ(references_per_chip(512, rram::ChipConfig{}), 3072U);
-  EXPECT_EQ(sharded(random_refs(100, 512, 2), Fidelity::kIdeal, 0)
-                ->stats()
-                .shards,
+  const auto small = random_refs(100, 512, 2);
+  const auto large = random_refs(3073, 512, 2);
+  EXPECT_EQ(sliced(small, 0)->stats().shards, 1U);
+  EXPECT_EQ(sliced(large, 0)->stats().shards, 2U);
+
+  // chip_arrays sizes the chip: 96 arrays hold 6144 such refs, 4 arrays
+  // one column block of 256.
+  core::BackendOptions opts = small_options(0);
+  opts.chip_arrays = 96;
+  EXPECT_EQ(core::make_backend("rram-statistical", large, opts)->stats().shards,
             1U);
-  EXPECT_EQ(sharded(random_refs(3073, 512, 2), Fidelity::kIdeal, 0)
-                ->stats()
-                .shards,
-            2U);
+  opts.chip_arrays = 4;
+  EXPECT_EQ(core::make_backend("rram-statistical", large, opts)->stats().shards,
+            13U);  // ceil(3073 / 256)
 }
 
-TEST(ShardedBackend, IdealFidelityMatchesGlobalSearch) {
+TEST(ShardedBackend, EmptyLibraryIsOneChipWithNoEntries) {
+  // An empty library builds; it has no dimension to size a chip by, so it
+  // reports one chip, and a search of it enters none.
+  const std::vector<util::BitVec> none;
+  for (const std::size_t width : {0UL, 10UL}) {
+    const auto backend = sliced(none, width);
+    util::BitVec query(512);
+    query.randomize(3);
+    EXPECT_TRUE(backend->top_k(query, 0, 10, 5, 1).empty()) << width;
+    const core::Query q{&query, 0, 10, 1};
+    EXPECT_TRUE(backend->search_batch({&q, 1}, 5).front().empty()) << width;
+    const core::BackendStats s = backend->stats();
+    EXPECT_EQ(s.references, 0U) << width;
+    EXPECT_EQ(s.shards, 1U) << width;
+    EXPECT_EQ(s.shard_entries, 0U) << width;
+  }
+}
+
+TEST(ShardedBackend, IdealHdMatchesGlobalSearch) {
   const auto refs = random_refs(700, 1024, 3);
-  const auto backend = sharded(refs, Fidelity::kIdeal, 128);
+  const auto backend = core::make_backend("ideal-hd", refs);
   util::BitVec query(1024);
   query.randomize(900);
 
   const std::pair<std::size_t, std::size_t> ranges[] = {
-      {0, 700}, {100, 500}, {127, 129} /* shard boundary */, {256, 384}};
+      {0, 700}, {100, 500}, {127, 129}, {256, 384}};
   for (const auto& [first, last] : ranges) {
     const auto global = hd::top_k_search(query, refs, first, last, 5);
     const auto shard = backend->top_k(query, first, last, 5, 42);
@@ -82,7 +105,7 @@ TEST(ShardedBackend, FindsPlantedMatchUnderStatisticalNoise) {
   auto refs = random_refs(600, 2048, 4);
   util::BitVec query = refs[431];
   for (int i = 0; i < 80; ++i) query.flip(i * 23);
-  const auto backend = sharded(refs, Fidelity::kStatistical, 200);
+  const auto backend = sliced(refs, 200);
   const auto hits = backend->top_k(query, 0, refs.size(), 1, 7);
   ASSERT_EQ(hits.size(), 1U);
   EXPECT_EQ(hits[0].reference_index, 431U);
@@ -90,7 +113,7 @@ TEST(ShardedBackend, FindsPlantedMatchUnderStatisticalNoise) {
 
 TEST(ShardedBackend, EmptyRangeAndZeroK) {
   const auto refs = random_refs(100, 256, 5);
-  const auto backend = sharded(refs, Fidelity::kIdeal, 50);
+  const auto backend = sliced(refs, 50);
   EXPECT_TRUE(backend->top_k(refs[0], 10, 10, 5, 1).empty());
   EXPECT_TRUE(backend->top_k(refs[0], 0, 100, 0, 1).empty());
   EXPECT_EQ(backend->stats().shard_entries, 0U);
@@ -100,7 +123,7 @@ TEST(ShardedBackend, TopKIsAOneQuerySearchBatch) {
   // top_k is a one-query block: the same hits, and the same shards
   // entered and phases charged, window by window.
   const auto refs = random_refs(700, 1024, 7);
-  const auto backend = sharded(refs, Fidelity::kStatistical, 128);
+  const auto backend = sliced(refs, 128);
   util::BitVec query(1024);
   query.randomize(950);
 
@@ -145,20 +168,14 @@ TEST(ShardedBackend, TopKIsAOneQuerySearchBatch) {
                std::invalid_argument);
 }
 
-TEST(ShardedBackend, RejectsEmptyReferences) {
-  const std::vector<util::BitVec> none;
-  EXPECT_THROW((void)sharded(none, Fidelity::kIdeal, 10),
-               std::invalid_argument);
-}
-
-TEST(ShardedBackend, SigmaAndGainEqualRramStatistical) {
+TEST(ShardedBackend, SigmaAndGainDoNotDependOnSlices) {
   // Slices are accounting only: one engine calibrates once, so a ragged
-  // library (200 + 200 + 100) reports exactly the monolithic engine's
+  // library (200 + 200 + 100) reports exactly the one-chip engine's
   // noise parameters, before and after a search of the tail slice.
   const auto refs = random_refs(500, 1024, 11);
-  const core::BackendOptions opts = small_options(Fidelity::kStatistical, 200);
-  const auto mono = core::make_backend("rram-statistical", refs, opts);
-  const auto backend = core::make_backend("sharded", refs, opts);
+  const auto mono = sliced(refs, 0);
+  const auto backend = sliced(refs, 200);
+  ASSERT_EQ(mono->stats().shards, 1U);
   ASSERT_EQ(backend->stats().shards, 3U);
   EXPECT_GT(mono->stats().phase_sigma, 0.0);
   EXPECT_EQ(backend->stats().phase_sigma, mono->stats().phase_sigma);
@@ -174,7 +191,7 @@ TEST(ShardedBackend, SigmaAndGainEqualRramStatistical) {
 
 TEST(ShardedBackend, DeterministicAcrossCallsAndThreads) {
   auto refs = random_refs(500, 1024, 6);
-  const auto backend = sharded(refs, Fidelity::kStatistical, 150);
+  const auto backend = sliced(refs, 150);
   std::vector<util::BitVec> queries(40);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     queries[i] = util::BitVec(1024);

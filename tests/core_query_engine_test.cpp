@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -202,11 +203,8 @@ TEST(QueryEngine, RollingMatchesAtDrainIdealHd) {
 
 TEST(QueryEngine, RollingMatchesAtDrainRramStatistical) {
   check_rolling_matches_at_drain("rram-statistical", 8, 2);
+  check_rolling_matches_at_drain("rram-statistical", 16, 2);
   check_rolling_matches_at_drain("rram-statistical", 32, 4);
-}
-
-TEST(QueryEngine, RollingMatchesAtDrainSharded) {
-  check_rolling_matches_at_drain("sharded", 16, 2);
 }
 
 TEST(QueryEngine, RollingWithoutCloseFlushesEverythingAtDrain) {
@@ -297,14 +295,10 @@ TEST(QueryEngine, StreamingMatchesRunRramStatistical) {
   check_streaming_matches_run("rram-statistical");
 }
 
-TEST(QueryEngine, StreamingMatchesRunSharded) {
-  check_streaming_matches_run("sharded");
-}
-
 TEST(QueryEngine, StreamingMatchesRunShardedMultiShard) {
-  // Same contract with several shards actually in play.
+  // Same contract with several chip slices in play.
   const ms::Workload& wl = shared_workload();
-  PipelineConfig cfg = small_config("sharded");
+  PipelineConfig cfg = small_config("rram-statistical");
   cfg.backend_options.max_refs_per_shard = 70;
 
   Pipeline reference(cfg);
@@ -319,7 +313,7 @@ TEST(QueryEngine, StreamingMatchesRunShardedMultiShard) {
   ecfg.stage_threads = 3;
   QueryEngine engine(streamed, ecfg);
   engine.submit_batch(wl.queries);
-  expect_same_psms(sync, engine.drain(), "sharded multi-shard");
+  expect_same_psms(sync, engine.drain(), "many chip slices");
   // Every backend is reentrant, so no backend narrows the stages.
   EXPECT_EQ(engine.stats().stage_threads, 3U);
 }
@@ -501,6 +495,37 @@ TEST(QueryEngine, ThrowingBackendSearchBatchFailsTheStream) {
     EXPECT_STREQ(e.what(), "search_batch");
   }
   EXPECT_TRUE(engine.failed());
+}
+
+TEST(QueryEngine, WorkerStartFailureRethrowsAfterJoiningStartedWorkers) {
+  // A worker that cannot start (std::thread throws EAGAIN) must not end
+  // the process: the engine stops and joins the workers already started
+  // and rethrows, whichever start fails, and the pipeline stays usable.
+  const ms::Workload& wl = shared_workload();
+  Pipeline pipeline(small_config("ideal-hd"));
+  pipeline.set_library(wl.references);
+  const PipelineResult want = pipeline.run(wl.queries);
+
+  struct Disarm {
+    ~Disarm() { detail::fail_worker_start_at = 0; }
+  } disarm;
+  QueryEngineConfig ecfg;
+  ecfg.stage_threads = 2;
+  ecfg.emit_policy = EmitPolicy::Rolling;
+  // preprocess + encode/search/rescore × stage_threads + emit.
+  const std::size_t workers = 2 + 3 * ecfg.stage_threads;
+  for (std::size_t n = 1; n <= workers + 1; ++n) {
+    detail::fail_worker_start_at = n;
+    if (n <= workers) {
+      EXPECT_THROW((void)QueryEngine(pipeline, ecfg), std::system_error) << n;
+    } else {
+      EXPECT_NO_THROW((void)QueryEngine(pipeline, ecfg)) << n;
+    }
+    detail::fail_worker_start_at = 0;
+    QueryEngine engine(pipeline, ecfg);
+    engine.submit_batch(wl.queries);
+    expect_same_psms(want, engine.drain(), "after start " + std::to_string(n));
+  }
 }
 
 TEST(QueryEngine, DrainWithoutSubmissionsIsEmpty) {

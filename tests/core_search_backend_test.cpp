@@ -49,13 +49,15 @@ void expect_deterministic_order(const std::vector<hd::SearchHit>& hits,
 
 TEST(BackendRegistry, ContainsBuiltinNames) {
   const auto names = BackendRegistry::instance().names();
-  for (const char* expected : {"ideal-hd", "rram-statistical", "sharded"}) {
+  for (const char* expected : {"ideal-hd", "rram-statistical"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
   // The crossbar circuit calibrates the statistical model; it is not a
-  // search backend.
+  // search backend. Chip slices are part of "rram-statistical", not a
+  // second name.
   EXPECT_FALSE(BackendRegistry::instance().contains("rram-circuit"));
+  EXPECT_FALSE(BackendRegistry::instance().contains("sharded"));
 }
 
 TEST(BackendRegistry, UnknownNameThrowsListingRegisteredNames) {
@@ -124,10 +126,11 @@ TEST(SearchBackend, ShardedMatchesSingleEngineForSameKeyedStream) {
   BackendOptions opts = small_options();
   auto single = make_backend("rram-statistical", refs, opts);
 
-  BackendOptions sharded_opts = opts;
-  sharded_opts.max_refs_per_shard = 175;  // 4 shards, ragged tail
-  auto sharded = make_backend("sharded", refs, sharded_opts);
-  ASSERT_GT(sharded->stats().shards, 1U);
+  BackendOptions sliced_opts = opts;
+  sliced_opts.max_refs_per_shard = 175;  // 4 shards, ragged tail
+  auto sliced = make_backend("rram-statistical", refs, sliced_opts);
+  ASSERT_EQ(single->stats().shards, 1U);
+  ASSERT_GT(sliced->stats().shards, 1U);
 
   util::BitVec query(1024);
   query.randomize(5000);
@@ -136,7 +139,7 @@ TEST(SearchBackend, ShardedMatchesSingleEngineForSameKeyedStream) {
   for (const auto& [first, last] : ranges) {
     for (const std::uint64_t stream : {0ULL, 7ULL, 123456789ULL}) {
       const auto a = single->top_k(query, first, last, 5, stream);
-      const auto b = sharded->top_k(query, first, last, 5, stream);
+      const auto b = sliced->top_k(query, first, last, 5, stream);
       ASSERT_EQ(a.size(), b.size()) << first << ".." << last;
       for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i], b[i])
@@ -154,12 +157,12 @@ TEST(SearchBackend, BatchedMatchesSequentialTopK) {
     queries[i].randomize(9000 + i);
   }
 
-  BackendOptions sharded_opts = small_options();
-  sharded_opts.max_refs_per_shard = 120;
+  BackendOptions sliced_opts = small_options();
+  sliced_opts.max_refs_per_shard = 120;
   const std::pair<const char*, BackendOptions> cases[] = {
       {"ideal-hd", small_options()},
       {"rram-statistical", small_options()},
-      {"sharded", sharded_opts},
+      {"rram-statistical", sliced_opts},
   };
   for (const auto& [name, opts] : cases) {
     auto backend = make_backend(name, refs, opts);
@@ -210,23 +213,19 @@ TEST(SearchBackend, WrongDimensionInMultiBlockBatchThrows) {
 
 TEST(SearchBackend, EqualScoresOrderByLowerIndexInEveryBackend) {
   // Duplicate reference hypervectors force exact score ties. Place the
-  // duplicates so they straddle the sharded backend's shard boundary.
+  // duplicates so they straddle a 50-reference chip-slice boundary.
   std::vector<util::BitVec> refs = random_refs(200, 512, 6);
   for (const std::size_t dup : {17UL, 49UL, 50UL, 121UL}) {
     refs[dup] = refs[3];
   }
 
-  BackendOptions ideal_shards = small_options();
-  ideal_shards.max_refs_per_shard = 50;
-  ideal_shards.sharded_fidelity = accel::Fidelity::kIdeal;
-  BackendOptions noisy_shards = ideal_shards;
-  noisy_shards.sharded_fidelity = accel::Fidelity::kStatistical;
+  BackendOptions sliced = small_options();
+  sliced.max_refs_per_shard = 50;
 
   const std::pair<const char*, BackendOptions> cases[] = {
       {"ideal-hd", small_options()},
       {"rram-statistical", small_options()},
-      {"sharded", ideal_shards},
-      {"sharded", noisy_shards},
+      {"rram-statistical", sliced},
   };
   for (const auto& [name, opts] : cases) {
     auto backend = make_backend(name, refs, opts);
@@ -235,41 +234,22 @@ TEST(SearchBackend, EqualScoresOrderByLowerIndexInEveryBackend) {
     expect_deterministic_order(hits, name);
   }
 
-  // Exact backends must surface the tied duplicates in index order.
-  for (const char* name : {"ideal-hd", "sharded"}) {
-    auto backend = make_backend(name, refs, ideal_shards);
-    const auto hits = backend->top_k(refs[3], 0, refs.size(), 5, 11);
-    ASSERT_EQ(hits.size(), 5U) << name;
-    const std::size_t expected[] = {3, 17, 49, 50, 121};
-    for (std::size_t i = 0; i < 5; ++i) {
-      EXPECT_EQ(hits[i].reference_index, expected[i]) << name << " hit " << i;
-      EXPECT_EQ(hits[i].dot, 512) << name;
-    }
+  // The exact backend must surface the tied duplicates in index order.
+  auto backend = make_backend("ideal-hd", refs, small_options());
+  const auto hits = backend->top_k(refs[3], 0, refs.size(), 5, 11);
+  ASSERT_EQ(hits.size(), 5U);
+  const std::size_t expected[] = {3, 17, 49, 50, 121};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(hits[i].reference_index, expected[i]) << "hit " << i;
+    EXPECT_EQ(hits[i].dot, 512);
   }
 }
 
 TEST(BackendRegistry, ImcEncodingTraitMarksDeviceSubstrates) {
   auto& reg = BackendRegistry::instance();
-  const BackendOptions opts;  // default sharded_fidelity = statistical
-  EXPECT_TRUE(reg.imc_encoding("rram-statistical", opts));
-  EXPECT_FALSE(reg.imc_encoding("ideal-hd", opts));
-  EXPECT_FALSE(reg.imc_encoding("no-such-backend", opts));
-  // Sharded encodes like the substrate its shards simulate.
-  EXPECT_TRUE(reg.imc_encoding("sharded", opts));
-  BackendOptions ideal = opts;
-  ideal.sharded_fidelity = accel::Fidelity::kIdeal;
-  EXPECT_FALSE(reg.imc_encoding("sharded", ideal));
-}
-
-TEST(SearchBackend, ShardedRejectsCircuitFidelityAtConstruction) {
-  // Slices search through the keyed path, which circuit fidelity cannot
-  // provide; the factory must fail fast instead of letting top_k throw
-  // inside the thread pool later.
-  const auto refs = random_refs(50, 256, 8);
-  BackendOptions opts = small_options();
-  opts.sharded_fidelity = accel::Fidelity::kCircuit;
-  EXPECT_THROW((void)make_backend("sharded", refs, opts),
-               std::invalid_argument);
+  EXPECT_TRUE(reg.imc_encoding("rram-statistical"));
+  EXPECT_FALSE(reg.imc_encoding("ideal-hd"));
+  EXPECT_FALSE(reg.imc_encoding("no-such-backend"));
 }
 
 TEST(SearchBackend, StatsReportSubstrateAccounting) {
@@ -282,11 +262,11 @@ TEST(SearchBackend, StatsReportSubstrateAccounting) {
   EXPECT_EQ(is.shards, 1U);
   EXPECT_EQ(is.phase_sigma, 0.0);
 
-  BackendOptions sharded_opts = small_options();
-  sharded_opts.max_refs_per_shard = 100;
-  auto sharded = make_backend("sharded", refs, sharded_opts);
-  EXPECT_EQ(sharded->stats().shards, 3U);
-  EXPECT_EQ(sharded->stats().references, 300U);
+  BackendOptions sliced_opts = small_options();
+  sliced_opts.max_refs_per_shard = 100;
+  auto sliced = make_backend("rram-statistical", refs, sliced_opts);
+  EXPECT_EQ(sliced->stats().shards, 3U);
+  EXPECT_EQ(sliced->stats().references, 300U);
 
   auto rram = make_backend("rram-statistical", refs, small_options());
   EXPECT_GT(rram->stats().phase_sigma, 0.0);
@@ -297,9 +277,10 @@ TEST(SearchBackend, StatsReportSubstrateAccounting) {
 }
 
 TEST(SearchBackend, RramBackendsReportTheLayoutTheySweep) {
-  // rram-statistical and sharded sweep the same hd::RefView tiers as
-  // ideal-hd, so they report the same kernel and layout: one extent for a
-  // contiguous word block, one per row-run for scattered heap BitVecs.
+  // rram-statistical, at one chip or cut into slices, sweeps the same
+  // hd::RefView tiers as ideal-hd, so it reports the same kernel and
+  // layout: one extent for a contiguous word block, one per row-run for
+  // scattered heap BitVecs.
   const std::size_t dim = 512;
   const std::size_t wc = dim / 64;
   const auto heap = random_refs(120, dim, 21);
@@ -309,22 +290,24 @@ TEST(SearchBackend, RramBackendsReportTheLayoutTheySweep) {
     std::copy_n(heap[i].words().data(), wc, block.data() + i * wc);
     mapped.push_back(util::BitVec::view(block.data() + i * wc, dim));
   }
+  BackendOptions sliced = small_options();
+  sliced.max_refs_per_shard = 50;
   const std::vector<util::BitVec>* layouts[] = {&heap, &mapped};
   for (const auto* refs : layouts) {
     const BackendStats ideal =
         make_backend("ideal-hd", *refs, small_options())->stats();
     ASSERT_FALSE(ideal.kernel.empty());
     ASSERT_GT(ideal.extent_count, 0U);
-    for (const char* name : {"rram-statistical", "sharded"}) {
+    for (const BackendOptions& opts : {small_options(), sliced}) {
       const BackendStats s =
-          make_backend(name, *refs, small_options())->stats();
-      EXPECT_EQ(s.kernel, ideal.kernel) << name;
-      EXPECT_EQ(s.contiguous_refs, ideal.contiguous_refs) << name;
-      EXPECT_EQ(s.extent_count, ideal.extent_count) << name;
+          make_backend("rram-statistical", *refs, opts)->stats();
+      EXPECT_EQ(s.kernel, ideal.kernel) << s.shards;
+      EXPECT_EQ(s.contiguous_refs, ideal.contiguous_refs) << s.shards;
+      EXPECT_EQ(s.extent_count, ideal.extent_count) << s.shards;
     }
   }
   const BackendStats one =
-      make_backend("sharded", mapped, small_options())->stats();
+      make_backend("rram-statistical", mapped, sliced)->stats();
   EXPECT_TRUE(one.contiguous_refs);
   EXPECT_EQ(one.extent_count, 1U);
 }
@@ -332,34 +315,29 @@ TEST(SearchBackend, RramBackendsReportTheLayoutTheySweep) {
 TEST(SearchBackend, RramBackendsRejectAnArrayWithoutAPair) {
   // A differential pair takes two rows; every layout divides by the pairs
   // per column, so 0 or 1 rows must fail at construction, naming the
-  // field, for the monolithic and the chip-sliced engine alike.
+  // field, whether the chip slice is derived from capacity or given.
   const auto refs = random_refs(40, 256, 9);
   for (const std::size_t rows : {0U, 1U}) {
     BackendOptions opts = small_options();
     opts.array.rows = rows;
-    for (const char* name : {"rram-statistical", "sharded"}) {
+    for (const std::size_t width : {0U, 10U}) {
+      opts.max_refs_per_shard = width;
       try {
-        (void)make_backend(name, refs, opts);
-        ADD_FAILURE() << name << " accepted array.rows " << rows;
+        (void)make_backend("rram-statistical", refs, opts);
+        ADD_FAILURE() << "width " << width << " accepted array.rows " << rows;
       } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("array.rows"), std::string::npos)
-            << name << ": " << e.what();
+            << "width " << width << ": " << e.what();
       }
     }
-    // An explicit slice width skips the capacity arithmetic; the engine
-    // still refuses the array.
-    opts.max_refs_per_shard = 10;
-    EXPECT_THROW((void)make_backend("sharded", refs, opts),
-                 std::invalid_argument)
-        << rows;
   }
 }
 
 TEST(Pipeline, ShardedPipelineMatchesMonolithicRramPipeline) {
-  // Scaling out must be transparent: switching backend_name from
-  // "rram-statistical" to "sharded" (statistical shards) on the same
-  // workload reproduces the identical PSM list — same IMC-model encoding,
-  // same engine and keyed search noise; the chip slices only count.
+  // Scaling out must be transparent: cutting the "rram-statistical"
+  // library into many chip slices instead of its one chip reproduces the
+  // identical PSM list — same IMC-model encoding, same engine and keyed
+  // search noise; the chip slices only count.
   ms::WorkloadConfig wcfg;
   wcfg.reference_count = 150;
   wcfg.query_count = 60;
@@ -376,14 +354,14 @@ TEST(Pipeline, ShardedPipelineMatchesMonolithicRramPipeline) {
   cfg.backend_name = "rram-statistical";
   Pipeline mono(cfg);
   mono.set_library(wl.references);
+  EXPECT_EQ(mono.backend_stats().shards, 1U);
   const PipelineResult mr = mono.run(wl.queries);
 
-  cfg.backend_name = "sharded";
   cfg.backend_options.max_refs_per_shard = 70;  // force several shards
-  Pipeline sharded(cfg);
-  sharded.set_library(wl.references);
-  EXPECT_GT(sharded.backend_stats().shards, 1U);
-  const PipelineResult sr = sharded.run(wl.queries);
+  Pipeline sliced(cfg);
+  sliced.set_library(wl.references);
+  EXPECT_GT(sliced.backend_stats().shards, 1U);
+  const PipelineResult sr = sliced.run(wl.queries);
 
   ASSERT_EQ(sr.psms.size(), mr.psms.size());
   for (std::size_t i = 0; i < mr.psms.size(); ++i) {
@@ -397,8 +375,8 @@ TEST(Pipeline, ShardedPipelineMatchesMonolithicRramPipeline) {
 TEST(Pipeline, EmptyBackendNameDefaultsToIdealHd) {
   PipelineConfig cfg;
   EXPECT_EQ(Pipeline(cfg).backend_name(), "ideal-hd");
-  cfg.backend_name = "sharded";
-  EXPECT_EQ(Pipeline(cfg).backend_name(), "sharded");
+  cfg.backend_name = "rram-statistical";
+  EXPECT_EQ(Pipeline(cfg).backend_name(), "rram-statistical");
 }
 
 // --- BackendStats composition (the obs seam) ------------------------------
@@ -445,14 +423,14 @@ TEST(BackendStatsComposition, SinceClampsCountersAndKeepsIdentity) {
   before.phases_executed = 5;
   before.shard_entries = 9;
   BackendStats after;
-  after.backend = "sharded";
+  after.backend = "rram-statistical";
   after.shards = 8;
   after.phases_executed = 12;
   after.shard_entries = 4;  // counter regressed (fresh backend): clamp to 0
   const BackendStats d = after.since(before);
   EXPECT_EQ(d.phases_executed, 7U);
   EXPECT_EQ(d.shard_entries, 0U);
-  EXPECT_EQ(d.backend, "sharded");
+  EXPECT_EQ(d.backend, "rram-statistical");
   EXPECT_EQ(d.shards, 8U);
 }
 
@@ -461,8 +439,8 @@ TEST(BackendStatsComposition, SinceClampsCountersAndKeepsIdentity) {
 /// since() deltas must arrive at exactly the counters of one synchronous
 /// run over the whole batch — for every registered backend.
 TEST(BackendStatsComposition, ChunkedDeltasMergeToSynchronousCounters) {
-  BackendOptions sharded_opts = small_options();
-  sharded_opts.max_refs_per_shard = 64;
+  BackendOptions sliced_opts = small_options();
+  sliced_opts.max_refs_per_shard = 64;
 
   struct Case {
     const char* name;
@@ -475,7 +453,7 @@ TEST(BackendStatsComposition, ChunkedDeltasMergeToSynchronousCounters) {
   Case cases[] = {
       {"ideal-hd", small_options(), 256, 512, 48, 16},
       {"rram-statistical", small_options(), 256, 512, 48, 16},
-      {"sharded", sharded_opts, 256, 512, 48, 16},
+      {"rram-statistical", sliced_opts, 256, 512, 48, 16},
   };
   for (Case& c : cases) {
     c.opts.query_block = c.chunk / 2;
@@ -487,7 +465,9 @@ TEST(BackendStatsComposition, ChunkedDeltasMergeToSynchronousCounters) {
       query_hvs[i].randomize(5000 + i);
       batch[i] = Query{&query_hvs[i], i % 5, c.n_refs - (i % 3), i};
     }
-    const std::string what = c.name;
+    const std::string what =
+        std::string(c.name) + " width=" +
+        std::to_string(c.opts.max_refs_per_shard);
 
     // Both sides window from their post-construction baseline so any
     // calibration work at construction cancels out of the comparison.

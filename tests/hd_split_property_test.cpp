@@ -330,9 +330,7 @@ TEST(SplitProperty, ImcSplitEqualsUnsplitSearchManyAndPhases) {
         const auto rows = library_rows(cuts, 2);
         std::vector<std::vector<std::uint64_t>> storage;
         const auto refs = lay_out(rows, layout, storage);
-        accel::ImcSearchConfig with_offset = *cfg;
-        with_offset.index_offset = p % 2 == 0 ? 0 : 1000;
-        const accel::ImcSearchEngine engine(refs, with_offset);
+        const accel::ImcSearchEngine engine(refs, *cfg);
         const auto hvs = make_queries(rows);
         const auto block = make_block(hvs, cuts);
         ASSERT_EQ(slice_count(block, engine.view()), 1U);

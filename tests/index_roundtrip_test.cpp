@@ -11,6 +11,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "core/pipeline.hpp"
 #include "core/query_engine.hpp"
@@ -67,15 +68,17 @@ void expect_identical(const core::PipelineResult& a,
   EXPECT_EQ(a.identification_set(), b.identification_set());
 }
 
-class IndexRoundTrip : public testing::TestWithParam<const char*> {};
+/// (backend name, BackendOptions::max_refs_per_shard): every backend, plus
+/// rram-statistical cut into several chip slices.
+using BackendCase = std::tuple<const char*, std::size_t>;
+class IndexRoundTrip : public testing::TestWithParam<BackendCase> {};
 
 TEST_P(IndexRoundTrip, LoadPathIsBitIdenticalWithZeroEncodes) {
-  const std::string backend = GetParam();
+  const auto [name, width] = GetParam();
+  const std::string backend = name + std::to_string(width);
   const auto workload = small_workload();
-  auto cfg = test_config(backend, 2048);
-  if (backend == "sharded") {
-    cfg.backend_options.max_refs_per_shard = 150;
-  }
+  auto cfg = test_config(name, 2048);
+  cfg.backend_options.max_refs_per_shard = width;
 
   // Reference behavior: everything derived from spectra in-process.
   core::Pipeline from_spectra(cfg);
@@ -135,8 +138,9 @@ TEST_P(IndexRoundTrip, LoadPathIsBitIdenticalWithZeroEncodes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, IndexRoundTrip,
-                         testing::Values("ideal-hd", "rram-statistical",
-                                         "sharded"));
+                         testing::Values(BackendCase{"ideal-hd", 0},
+                                         BackendCase{"rram-statistical", 0},
+                                         BackendCase{"rram-statistical", 150}));
 
 TEST(IndexRoundTrip, EncodeCounterResetsWhenWarmPipelineAdoptsIndex) {
   // A warm replica that switches from in-process encoding to the artifact
@@ -215,7 +219,7 @@ TEST(IndexRoundTrip, BuilderMatchesWriteFromPipeline) {
   // the artifact must still be byte-identical to persisting a live
   // pipeline that used the real backend.
   const auto workload = small_workload(80, 0, 22);
-  auto cfg = test_config("sharded");
+  auto cfg = test_config("rram-statistical");
   cfg.backend_options.max_refs_per_shard = 64;
 
   core::Pipeline pipeline(cfg);

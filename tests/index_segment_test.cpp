@@ -28,6 +28,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -235,15 +236,25 @@ TEST(IndexSegment, CorruptionFailsLoudly) {
   remove_segmented(man_path);
 }
 
-class SegmentedVsOneShot : public testing::TestWithParam<const char*> {};
+/// (backend name, BackendOptions::max_refs_per_shard) per instantiation.
+using BackendCase = std::tuple<const char*, std::size_t>;
+
+/// Every backend, plus rram-statistical cut into `width`-reference chip
+/// slices.
+auto backend_cases(std::size_t width) {
+  return testing::Values(BackendCase{"ideal-hd", 0},
+                         BackendCase{"rram-statistical", 0},
+                         BackendCase{"rram-statistical", width});
+}
+
+class SegmentedVsOneShot : public testing::TestWithParam<BackendCase> {};
 
 TEST_P(SegmentedVsOneShot, BitIdenticalAcrossAppendsAndCompaction) {
-  const std::string backend = GetParam();
+  const auto [name, width] = GetParam();
+  const std::string backend = name + std::to_string(width);
   const auto workload = small_workload();
-  auto cfg = test_config(backend, 2048);
-  if (backend == "sharded") {
-    cfg.backend_options.max_refs_per_shard = 150;
-  }
+  auto cfg = test_config(name, 2048);
+  cfg.backend_options.max_refs_per_shard = width;
 
   // Reference behavior: one-shot, everything in-process.
   core::Pipeline one_shot(cfg);
@@ -305,8 +316,7 @@ TEST_P(SegmentedVsOneShot, BitIdenticalAcrossAppendsAndCompaction) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SegmentedVsOneShot,
-                         testing::Values("ideal-hd", "rram-statistical",
-                                         "sharded"));
+                         backend_cases(150));
 
 TEST(IndexSegment, CompactionIsByteIdenticalToOneShotArtifact) {
   const auto workload = small_workload(150, 0, 34);
@@ -419,14 +429,15 @@ TEST(IndexSegment, MonolithicIndexOpensAsOneSegmentAlias) {
 // multiples of 64; ragged-tail-word coverage at non-multiple-of-64 dims
 // lives in the kernel-level piecewise tests below and in
 // property_sweeps_test's PiecewiseLayoutSweep.)
-class PiecewiseSweep : public testing::TestWithParam<const char*> {};
+class PiecewiseSweep : public testing::TestWithParam<BackendCase> {};
 
 TEST_P(PiecewiseSweep, BitIdenticalToMonolithicAcrossSegmentCounts) {
-  const std::string backend = GetParam();
+  const auto [name, width] = GetParam();
+  const std::string backend = name + std::to_string(width);
   const std::uint32_t dim = 2048;
   const auto workload = small_workload(260, 50, 11);
-  auto cfg = test_config(backend, dim);
-  if (backend == "sharded") cfg.backend_options.max_refs_per_shard = 90;
+  auto cfg = test_config(name, dim);
+  cfg.backend_options.max_refs_per_shard = width;
 
   core::Pipeline one_shot(cfg);
   one_shot.set_library(workload.references);
@@ -465,9 +476,7 @@ TEST_P(PiecewiseSweep, BitIdenticalToMonolithicAcrossSegmentCounts) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, PiecewiseSweep,
-                         testing::Values("ideal-hd", "rram-statistical",
-                                         "sharded"));
+INSTANTIATE_TEST_SUITE_P(AllBackends, PiecewiseSweep, backend_cases(90));
 
 TEST(IndexSegment, PiecewiseBatchedSweepMatchesMonolithicCopy) {
   // Kernel-level check, below the pipeline: batched search over a

@@ -156,18 +156,18 @@ void expect_streamed_exactly_accepted(std::vector<core::Psm> streamed,
 }
 
 // ---------------------------------------------------------------------------
-// Isolation keystone: 5 concurrent tenants across three backends and two
+// Isolation keystone: 5 concurrent tenants across three backend configs and two
 // artifacts; every session must match its solo run bit for bit, and every
 // on_accept stream must be exactly the accepted set.
 
 TEST(SearchServer, ConcurrentSessionsBitIdenticalToSoloRuns) {
   const auto exact_cfg = serve_config("ideal-hd");
   auto imc_cfg = serve_config("rram-statistical");
-  auto sharded_cfg = serve_config("sharded");
-  sharded_cfg.backend_options.max_refs_per_shard = 150;
+  auto sliced_cfg = serve_config("rram-statistical");
+  sliced_cfg.backend_options.max_refs_per_shard = 150;
   const std::string exact_art = build_artifact("exact", exact_cfg);
-  // sharded-statistical shares the IMC encoding trait (and thus the
-  // fingerprint and the cache entry) with rram-statistical; only the
+  // Chip slices shape no stored bit, so the sliced tenant shares the
+  // fingerprint and the cache entry with the one-chip tenants; only the
   // backend instances differ.
   const std::string imc_art = build_artifact("imc", imc_cfg);
 
@@ -181,7 +181,7 @@ TEST(SearchServer, ConcurrentSessionsBitIdenticalToSoloRuns) {
   tenants.push_back({exact_cfg, exact_art, matched_queries(1)});
   tenants.push_back({imc_cfg, imc_art, matched_queries(2)});
   tenants.push_back({imc_cfg, imc_art, matched_queries(3)});
-  tenants.push_back({sharded_cfg, imc_art, matched_queries(4)});
+  tenants.push_back({sliced_cfg, imc_art, matched_queries(4)});
 
   std::vector<core::PipelineResult> want(tenants.size());
   for (std::size_t i = 0; i < tenants.size(); ++i) {
@@ -235,8 +235,8 @@ TEST(SearchServer, ConcurrentSessionsBitIdenticalToSoloRuns) {
   // Two artifacts, five leases: three were hits.
   EXPECT_EQ(st.cache.misses, 2U);
   EXPECT_EQ(st.cache.hits, 3U);
-  // Both exact sessions share one backend; both statistical sessions
-  // another; sharded built (and donated) its own.
+  // Both exact sessions share one backend; both one-chip statistical
+  // sessions another; the sliced session built (and donated) its own.
   EXPECT_EQ(st.cache.backend_donations, 3U);
   EXPECT_EQ(st.cache.backend_hits, 2U);
   EXPECT_GT(st.scheduler.grants, 0U);
@@ -352,24 +352,21 @@ TEST(LibraryCache, BackendConfigHashKeysEveryResultShapingField) {
   const std::uint64_t h0 = serve::backend_config_hash(base);
 
   // Fields that cannot shape a backend keep the key: the empty name
-  // resolves to "ideal-hd", the pipeline replaces BackendOptions::seed
-  // with PipelineConfig::seed, and the sharded factory replaces
-  // chip.array with BackendOptions::array.
+  // resolves to "ideal-hd", and the pipeline replaces BackendOptions::seed
+  // with PipelineConfig::seed.
   core::PipelineConfig same = base;
   same.backend_name.clear();
   same.backend_options.seed += 1;
-  same.backend_options.chip.array.rows *= 2;
   EXPECT_EQ(serve::backend_config_hash(same), h0);
 
   // Every other field.
 #define PERTURB(stmt) {#stmt, [](core::PipelineConfig& c) { stmt; }}
   const std::pair<const char*, void (*)(core::PipelineConfig&)> fields[] = {
-      PERTURB(c.backend_name = "sharded"),
+      PERTURB(c.backend_name = "rram-statistical"),
       PERTURB(c.seed += 1),
       PERTURB(c.backend_options.activated_pairs += 1),
       PERTURB(c.backend_options.calibration_samples += 1),
-      PERTURB(c.backend_options.sharded_fidelity = accel::Fidelity::kIdeal),
-      PERTURB(c.backend_options.chip.array_count += 1),
+      PERTURB(c.backend_options.chip_arrays += 1),
       PERTURB(c.backend_options.max_refs_per_shard += 1),
       PERTURB(c.backend_options.query_block += 1),
       PERTURB(c.backend_options.array.rows += 2),
