@@ -136,12 +136,12 @@ int main(int argc, char** argv) {
                 index_out.c_str(), st.entries, st.file_bytes);
   }
 
-  // Stream the instrument's output through the staged query engine — the
+  // Stream the instrument's output through the query engine — the
   // serving path a real deployment uses; bit-identical to pipeline.run.
   oms::core::QueryEngineConfig ecfg;
   ecfg.block_size = batch_size;
-  // Stage workers fan search blocks out over the pool themselves; a
-  // handful per stage saturates it without oversubscribing.
+  // Each block fans its queries out over the pool itself; a handful of
+  // blocks at once saturates it without oversubscribing.
   ecfg.stage_threads = std::min<std::size_t>(
       8, oms::util::ThreadPool::global().thread_count());
   if (rolling_fdr) {

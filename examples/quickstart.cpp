@@ -13,8 +13,8 @@
 //       --batch-size=32 --threads=4
 //
 // --batch-size sets the query-block size the engine admits per search
-// stage pass; --threads sizes the global thread pool (and the engine's
-// per-stage workers).
+// pass; --threads sizes the global thread pool the engine's blocks run on
+// (and how many of them run at once).
 //
 // Build-once / load-many: --index-out=FILE persists the encoded library as
 // a LibraryIndex after the first run; --index-in=FILE cold-starts from
@@ -98,13 +98,13 @@ int main(int argc, char** argv) {
                 index_out.c_str(), st.entries, st.file_bytes);
   }
 
-  // --- 3. Stream the queries through the staged engine and report. The
-  // engine pipelines preprocess → encode → search → rescore over
-  // `batch_size`-query blocks; results are bit-identical to pipeline.run.
+  // --- 3. Stream the queries through the engine and report. The engine
+  // runs `batch_size`-query blocks (preprocess → encode → search →
+  // rescore) on the pool; results are bit-identical to pipeline.run.
   oms::core::QueryEngineConfig ecfg;
   ecfg.block_size = batch_size;
-  // Stage workers fan search blocks out over the pool themselves; a
-  // handful per stage saturates it without oversubscribing.
+  // Each block fans its queries out over the pool itself; a handful of
+  // blocks at once saturates it without oversubscribing.
   ecfg.stage_threads = std::min<std::size_t>(
       8, oms::util::ThreadPool::global().thread_count());
   oms::core::QueryEngine engine(pipeline, ecfg);

@@ -104,8 +104,8 @@ oms::core::PipelineConfig base_config() {
 constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
-/// Largest OPEN block=: the engine sizes its admission queue as a multiple
-/// of the block.
+/// Largest OPEN block=: the engine holds up to queue_blocks + 1 blocks of
+/// admitted spectra.
 constexpr std::uint64_t kMaxBlock = 65536;
 /// Largest OPEN timeout_ms= (one day); a longer wait overflows the
 /// condition-variable deadline arithmetic.

@@ -11,10 +11,10 @@
 // Independent of the backend, `injected_ber` flips encoded bits at a given
 // rate (the Fig. 11 robustness protocol).
 //
-// Query execution is staged and streaming: core::QueryEngine
-// (core/query_engine.hpp) admits queries one by one or in chunks and runs
-// them through bounded-queue stages (preprocess → encode → search →
-// rescore → PSM emission) over size-B query blocks. run() is a thin
+// Query execution is streaming: core::QueryEngine (core/query_engine.hpp)
+// admits queries one by one or in chunks and runs size-B query blocks
+// (preprocess → encode → search → rescore → PSM emission) on the shared
+// thread pool. run() is a thin
 // synchronous wrapper — it submits the whole query set to an engine and
 // drains it — so both entry points produce bit-identical results.
 #pragma once
@@ -168,7 +168,7 @@ class Pipeline {
   /// Searches all queries and applies the FDR filter. Implemented as a
   /// QueryEngine stream (submit everything, drain); use QueryEngine
   /// directly to admit queries as they arrive or to tune block size and
-  /// stage workers.
+  /// block concurrency.
   [[nodiscard]] PipelineResult run(const std::vector<ms::Spectrum>& queries);
 
  private:

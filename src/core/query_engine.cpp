@@ -2,18 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstddef>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <system_error>
-#include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -33,32 +32,26 @@ constexpr std::uint64_t kQuerySalt = 0x51554552ULL;
 
 using Clock = std::chrono::steady_clock;
 
-/// One admitted query plus its admission-queue entry time (stamped only
-/// when observability is on; default-constructed otherwise).
-struct Admitted {
-  ms::Spectrum spectrum;
-  Clock::time_point enqueued{};
-};
-
-/// One unit of work flowing through the stages. The hypervectors live on
-/// the heap, so Query::hv pointers into `hvs` stay valid as the block
-/// moves between queues.
+/// One unit of work: up to block_size admitted spectra, which one runner
+/// takes from preprocessing to emission. A block does not move while it
+/// runs, so Query::hv pointers into `hvs` stay valid.
 struct Block {
-  std::vector<ms::BinnedSpectrum> spectra;  ///< Prepped queries.
-  std::vector<std::size_t> index;           ///< Global query index per entry.
-  std::vector<std::uint64_t> span_keys;     ///< Tracer keys, aligned to spectra.
+  std::size_t first_key = 0;                ///< Admission key of raw[0].
+  std::vector<ms::Spectrum> raw;            ///< Admitted, in admission order.
+  std::vector<Clock::time_point> admitted;  ///< Admission times (obs only).
+  std::vector<ms::BinnedSpectrum> spectra;  ///< Survivors of preprocessing.
+  std::vector<std::size_t> keys;            ///< Admission key per survivor.
   std::vector<util::BitVec> hvs;            ///< Encoded, aligned to spectra.
   std::vector<Query> searches;              ///< Interpretation requests.
   /// (local slot, interpreted precursor mass) per search request.
   std::vector<std::pair<std::size_t, double>> interp;
   std::vector<std::vector<hd::SearchHit>> hits;  ///< Aligned to searches.
-  Clock::time_point stamp{};  ///< Last queue-entry time (obs only).
+  Clock::time_point stamp{};  ///< Posting, then each stage's end (obs only).
 };
 
-/// A finished PSM tagged with its global query index for final ordering.
+/// A finished PSM tagged with its admission key for final ordering.
 struct Emitted {
-  std::size_t index = 0;
-  std::uint64_t span_key = 0;
+  std::size_t key = 0;
   Psm psm;
 };
 
@@ -69,20 +62,11 @@ struct Emitted {
 
 }  // namespace
 
-namespace detail {
-std::atomic<std::size_t> fail_worker_start_at{0};
-}  // namespace detail
-
-struct QueryEngine::Impl {
+struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
   Impl(Pipeline& p, const QueryEngineConfig& engine_cfg)
       : pipeline(p),
         cfg(sanitize(engine_cfg)),
-        imc_encode(BackendRegistry::instance().imc_encoding(p.backend_name())),
-        admission(cfg.block_size * cfg.queue_blocks),
-        to_encode(cfg.queue_blocks),
-        to_search(cfg.queue_blocks),
-        to_rescore(cfg.queue_blocks),
-        to_emit(cfg.queue_blocks) {
+        imc_encode(BackendRegistry::instance().imc_encoding(p.backend_name())) {
     if (pipeline.lib().empty() || !pipeline.backend_) {
       throw std::logic_error("QueryEngine: Pipeline::set_library() first");
     }
@@ -112,29 +96,7 @@ struct QueryEngine::Impl {
           "was encoded without it (was the backend re-registered after "
           "set_library?)");
     }
-
-    // With every slot reserved, only a thread start can throw, and
-    // destroying the joinable workers already started would end the
-    // process. Close every queue, as fail() does, so each of them drains
-    // out whatever stage it serves, join them, and rethrow.
-    workers.reserve(2 + 3 * cfg.stage_threads);
-    try {
-      start_worker([this] { preprocess_loop(); });
-      start_stage(to_encode, to_search, obs ? &obs->search_depth : nullptr,
-                  &Impl::encode_stage);
-      start_stage(to_search, to_rescore, obs ? &obs->rescore_depth : nullptr,
-                  &Impl::search_stage);
-      start_stage(to_rescore, to_emit, obs ? &obs->emit_depth : nullptr,
-                  &Impl::rescore_stage);
-      start_worker([this] { emit_loop(); });
-    } catch (...) {
-      close_queues();
-      shutdown();
-      throw;
-    }
   }
-
-  ~Impl() { shutdown(); }
 
   static QueryEngineConfig sanitize(QueryEngineConfig c) {
     c.block_size = std::max<std::size_t>(1, c.block_size);
@@ -143,22 +105,122 @@ struct QueryEngine::Impl {
     return c;
   }
 
-  // --- stage runner -------------------------------------------------------
+  // --- block scheduling ---------------------------------------------------
+  //
+  // Admission fills the open block under `mutex`; a full block (or the
+  // partial one once admission ends) moves to `pending` and a pool task is
+  // posted to run it. At most cfg.stage_threads blocks run at once and at
+  // most cfg.queue_blocks are pending or running. Nothing ever waits on a
+  // queued pool task: submit() at the in-flight cap, drain() and the
+  // destructor run pending blocks themselves (run_one), as parallel_tasks'
+  // caller does, and a pool task that finishes a block takes the next. Pool
+  // tasks hold the Impl by shared_ptr, so one that starts after the engine
+  // is gone finds nothing pending and touches nothing else.
 
-  /// What a block stage hands its output to (see start_stage).
-  template <typename T>
-  using Send = std::function<void(T)>;
-
-  /// Runs `work` on every item popped from `in` until the queue is closed
-  /// and empty. Once the stream has failed, items are popped and dropped;
-  /// an exception from `work` fails the stream.
-  template <typename T, typename Work>
-  void run_stage(util::BoundedQueue<T>& in, const Work& work) {
-    while (auto item = in.pop()) {
-      if (!failed.load(std::memory_order_acquire)) {
-        guarded([&] { work(*item); });
-      }
+  /// The one admission path behind submit, try_submit and submit_for,
+  /// which differ only in `wait`: it is called with `lock` held while the
+  /// open block is full, and returns false to give up. Throws
+  /// std::logic_error naming `who` once the stream is drained or closed;
+  /// returns false once it has failed.
+  template <typename Wait>
+  bool admit(const char* who, ms::Spectrum&& query, const Wait& wait) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (drained) {
+      throw std::logic_error(std::string(who) + ": already drained");
     }
+    if (closed.load(std::memory_order_relaxed)) {
+      throw std::logic_error(std::string(who) + ": stream closed");
+    }
+    for (;;) {
+      if (failed.load(std::memory_order_acquire)) return false;
+      if (open.raw.size() < cfg.block_size) break;
+      if (!wait(lock)) return false;
+    }
+    // Counted under the lock that hands blocks to runners, so the rolling
+    // bound never sees a query resolve before it is counted.
+    open.raw.push_back(std::move(query));
+    if (timing_on()) open.admitted.push_back(Clock::now());
+    submitted.fetch_add(1, std::memory_order_acq_rel);
+    if (obs) obs->submitted.add(1);
+    flush(lock);
+    return true;
+  }
+
+  /// Moves the open block to `pending` once it is full, or holds anything
+  /// after admission ended, while fewer than queue_blocks are in flight.
+  /// Then posts pool tasks for pending blocks that may run now and have
+  /// no runner coming.
+  void flush(std::unique_lock<std::mutex>& lock) {
+    (void)lock;  // held by the caller
+    const bool ended = drained || closed.load(std::memory_order_relaxed);
+    if (!open.raw.empty() && inflight < cfg.queue_blocks &&
+        (open.raw.size() >= cfg.block_size || ended)) {
+      const std::size_t next_key = open.first_key + open.raw.size();
+      if (timing_on()) open.stamp = Clock::now();
+      pending.push_back(std::exchange(open, Block{}));
+      open.first_key = next_key;
+      ++inflight;
+    }
+    while (running + waking < cfg.stage_threads && waking < pending.size()) {
+      util::ThreadPool::global().post(
+          [self = shared_from_this()] { self->run_pending(); });
+      ++waking;  // the task cannot start before `lock` is released
+    }
+  }
+
+  /// A posted pool task: runs pending blocks while the stream has room.
+  void run_pending() {
+    std::unique_lock<std::mutex> lock(mutex);
+    --waking;
+    while (run_one(lock)) {
+    }
+  }
+
+  /// Runs the oldest pending block on this thread, unless none is pending
+  /// or stage_threads blocks already run; returns whether it ran one.
+  /// Releases `lock` while the block runs. Once the stream has failed,
+  /// blocks are taken and dropped.
+  bool run_one(std::unique_lock<std::mutex>& lock) {
+    if (pending.empty() || running >= cfg.stage_threads) return false;
+    Block block = std::move(pending.front());
+    pending.pop_front();
+    ++running;
+    lock.unlock();
+    if (!failed.load(std::memory_order_acquire)) {
+      guarded([&] { run_block(block); });
+    }
+    block = Block{};
+    lock.lock();
+    --running;
+    if (closed.load(std::memory_order_relaxed) && inflight == 1 &&
+        open.raw.empty()) {
+      // The stream's last block: release everything the final filter will
+      // accept before drain() can see the stream finish.
+      lock.unlock();
+      final_release();
+      lock.lock();
+    }
+    --inflight;
+    flush(lock);
+    cv.notify_all();
+    return true;
+  }
+
+  /// Ends admission and runs or waits out every block. Caller holds `lock`
+  /// and has set `drained`.
+  void finish(std::unique_lock<std::mutex>& lock) {
+    for (;;) {
+      flush(lock);
+      if (inflight == 0) return;
+      if (!run_one(lock)) cv.wait(lock);
+    }
+  }
+
+  /// The closed stream's last roll_emit: every query has resolved, so the
+  /// future-arrival bound is zero.
+  void final_release() {
+    const std::lock_guard<std::mutex> lock(emit_mutex);
+    guarded([this] { roll_emit(); });
   }
 
   /// Runs `f`, routing any exception to fail() (the first one wins).
@@ -171,146 +233,129 @@ struct QueryEngine::Impl {
     }
   }
 
-  /// Starts one worker thread running `loop`.
-  template <typename Loop>
-  void start_worker(Loop&& loop) {
-    if (workers.size() + 1 ==
-        detail::fail_worker_start_at.load(std::memory_order_relaxed)) {
-      throw std::system_error(
-          std::make_error_code(std::errc::resource_unavailable_try_again),
-          "QueryEngine: worker start");
-    }
-    workers.emplace_back(std::forward<Loop>(loop));
+  void fail(std::exception_ptr e) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (!error) error = std::move(e);
+    failed.store(true, std::memory_order_release);
+    cv.notify_all();
   }
 
-  /// Starts cfg.stage_threads workers of a block stage. Each one runs
-  /// run_stage over `in`; with timing on it observes a block's queue wait
-  /// (histogram and kQueueWait trace) and hands `body` the time the stage
-  /// started on the block, and `body` passes its output to a Send that
-  /// forwards it to `out` (see hand_on). The last worker to finish closes
-  /// `out`, so the cascade winds down stage by stage.
-  template <typename Out>
-  void start_stage(util::BoundedQueue<Block>& in, util::BoundedQueue<Out>& out,
-                   obs::Gauge* depth,
-                   void (Impl::*body)(Block&, Clock::time_point,
-                                      const Send<Out>&)) {
-    auto live = std::make_shared<std::atomic<std::size_t>>(cfg.stage_threads);
-    for (std::size_t t = 0; t < cfg.stage_threads; ++t) {
-      start_worker([this, &in, &out, depth, body, live] {
-        const Send<Out> send = [&](Out item) {
-          hand_on(out, depth, std::move(item));
-        };
-        run_stage(in, [&](Block& block) {
-          Clock::time_point t0{};
-          if (timing_on()) {
-            t0 = Clock::now();
-            const double wait = seconds_between(block.stamp, t0);
-            if (obs) obs->queue_wait_s.observe(wait);
-            if (tracing_on()) {
-              trace_block(block, obs::Stage::kQueueWait, wait);
-            }
-          }
-          (this->*body)(block, t0, send);
-        });
-        if (live->fetch_sub(1, std::memory_order_acq_rel) == 1) out.close();
-      });
-    }
-  }
+  // --- one block, start to finish -----------------------------------------
 
-  /// Pushes `item` to the next stage and sets that queue's `depth` gauge;
-  /// a block is re-stamped with its queue-entry time first (timing on).
-  /// The push fails only once a failure closed the queue.
-  template <typename T>
-  void hand_on(util::BoundedQueue<T>& out, obs::Gauge* depth, T item) {
-    if constexpr (std::is_same_v<T, Block>) {
-      if (timing_on()) item.stamp = Clock::now();
-    }
-    (void)out.push(std::move(item));
-    if (depth != nullptr) depth->set(static_cast<double>(out.size()));
-  }
-
-  // --- stages -------------------------------------------------------------
-
-  void preprocess_loop() {
-    Block current;
-    // Tracer span keys are admission sequence numbers assigned here, in
-    // the single-threaded preprocess stage — the same admission ordering
-    // the determinism contract keys on, but covering preprocess-dropped
-    // queries too (which never get a `searched` index).
-    std::uint64_t admit_seq = 0;
-    run_stage(admission, [&](Admitted& admitted) {
-      const std::uint64_t key = admit_seq++;
-      const bool traced = cfg.tracer != nullptr && cfg.tracer->sampled(key);
-      Clock::time_point t0{};
-      if (obs || traced) {
-        t0 = Clock::now();
-        const double wait = seconds_between(admitted.enqueued, t0);
-        if (obs) obs->admission_wait_s.observe(wait);
-        if (traced) cfg.tracer->record(key, obs::Stage::kAdmit, wait);
-      }
-      ms::BinnedSpectrum binned;
-      const bool kept =
-          ms::preprocess(admitted.spectrum, pipeline.cfg_.preprocess, binned);
-      if (obs || traced) {
-        const double prep = seconds_between(t0, Clock::now());
-        if (obs) obs->preprocess_s.observe(prep);
-        if (traced) cfg.tracer->record(key, obs::Stage::kPreprocess, prep);
-      }
-      if (!kept) {
-        // Quality-filtered, same as preprocess_all. The query can no
-        // longer produce a PSM, which tightens the rolling bound.
-        dropped_preprocess.fetch_add(1, std::memory_order_relaxed);
-        if (obs) obs->dropped_preprocess.add(1);
-        if (traced) {
-          cfg.tracer->complete(key, obs::SpanOutcome::kDroppedPreprocess);
-        }
-        note_resolved(1);
-        return;
-      }
-      const std::size_t index = searched++;
-      if (obs) {
-        const std::lock_guard<std::mutex> lock(admit_time_mutex);
-        if (admit_time_by_index.size() <= index) {
-          admit_time_by_index.resize(index + 1);
-        }
-        admit_time_by_index[index] = admitted.enqueued;
-      }
-      current.index.push_back(index);
-      current.span_keys.push_back(key);
-      current.spectra.push_back(std::move(binned));
-      if (current.spectra.size() >= cfg.block_size) flush(current);
-    });
-    guarded([&] {
-      if (!current.spectra.empty()) flush(current);
-    });
-    to_encode.close();
-  }
-
-  void flush(Block& current) {
-    ++blocks;
+  void run_block(Block& block) {
+    const Clock::time_point claimed =
+        timing_on() ? Clock::now() : Clock::time_point{};
+    prepare(block);
+    if (block.spectra.empty()) return;  // every query was quality-filtered
+    blocks.fetch_add(1, std::memory_order_relaxed);
     if (obs) obs->blocks.add(1);
-    hand_on(to_encode, obs ? &obs->encode_depth : nullptr,
-            std::exchange(current, Block{}));
-  }
-
-  void encode_stage(Block& block, Clock::time_point t0,
-                    const Send<Block>& send) {
-    encode_block(block);
     build_searches(block);
     if (timing_on()) {
-      const double enc = seconds_between(t0, Clock::now());
-      if (obs) obs->encode_s.observe(enc);
-      if (tracing_on()) trace_block(block, obs::Stage::kEncode, enc);
+      // The wait from posting to a runner, observed once the block is
+      // known to reach the block stages.
+      observe_wait(block, seconds_between(block.stamp, claimed));
+      end_stage(block, claimed, obs ? &obs->encode_s : nullptr,
+                obs::Stage::kEncode);
     }
-    send(std::move(block));
+    search_stage(block);
+    rescore_stage(block);
   }
 
-  void search_stage(Block& block, Clock::time_point t0,
-                    const Send<Block>& send) {
+  /// Preprocesses and encodes the block's spectra, one pool task per query
+  /// (each encode and its injected bit errors are keyed on the spectrum
+  /// id, so the bits do not depend on the thread). Survivors keep
+  /// admission order; quality-filtered queries resolve here.
+  void prepare(Block& block) {
+    const std::size_t n = block.raw.size();
+    std::vector<ms::BinnedSpectrum> binned(n);
+    std::vector<util::BitVec> hvs(n);
+    std::vector<char> kept(n, 0);
+    util::ThreadPool::global().parallel_tasks(n, [&](std::size_t i) {
+      kept[i] = preprocess_one(block, i, binned[i]) ? 1 : 0;
+      if (kept[i] != 0 && !imc_encode) hvs[i] = encode_one(binned[i]);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      if (kept[i] == 0) continue;
+      block.spectra.push_back(std::move(binned[i]));
+      block.keys.push_back(block.first_key + i);
+      block.hvs.push_back(std::move(hvs[i]));
+    }
+    block.raw = {};
+    searched.fetch_add(block.spectra.size(), std::memory_order_relaxed);
+    if (const std::size_t dropped = n - block.spectra.size(); dropped > 0) {
+      // Quality-filtered, same as preprocess_all. These queries can no
+      // longer produce a PSM, which tightens the rolling bound.
+      dropped_preprocess.fetch_add(dropped, std::memory_order_relaxed);
+      if (obs) obs->dropped_preprocess.add(dropped);
+      note_resolved(dropped);
+    }
+    if (!imc_encode || block.spectra.empty()) return;
+    // Deterministic per (device, bucket, seed): block-wise calibration
+    // fills the same sigma cache one whole-batch pass would.
+    std::vector<std::size_t> peak_counts(block.spectra.size());
+    for (std::size_t i = 0; i < peak_counts.size(); ++i) {
+      peak_counts[i] = block.spectra[i].peak_count();
+    }
+    pipeline.imc_encoder_->precalibrate(peak_counts);
+    util::ThreadPool::global().parallel_tasks(
+        block.spectra.size(), [&](std::size_t i) {
+          block.hvs[i] = encode_one(block.spectra[i]);
+        });
+  }
+
+  /// Preprocesses raw spectrum `i` of `block` into `out`; false when the
+  /// quality filter drops it.
+  bool preprocess_one(const Block& block, std::size_t i,
+                      ms::BinnedSpectrum& out) {
+    // Tracer span keys are admission keys: the ordering the determinism
+    // contract keys on, covering preprocess-dropped queries too.
+    const std::size_t key = block.first_key + i;
+    const bool traced = cfg.tracer != nullptr && cfg.tracer->sampled(key);
+    Clock::time_point t0{};
+    if (obs || traced) {
+      // Admission ends when the block is posted; the wait for a runner
+      // after that is the block's queue wait.
+      t0 = Clock::now();
+      const double wait = seconds_between(block.admitted[i], block.stamp);
+      if (obs) obs->admission_wait_s.observe(wait);
+      if (traced) cfg.tracer->record(key, obs::Stage::kAdmit, wait);
+    }
+    const bool kept =
+        ms::preprocess(block.raw[i], pipeline.cfg_.preprocess, out);
+    if (obs || traced) {
+      const double prep = seconds_between(t0, Clock::now());
+      if (obs) obs->preprocess_s.observe(prep);
+      if (traced) cfg.tracer->record(key, obs::Stage::kPreprocess, prep);
+    }
+    if (!kept) {
+      if (traced) cfg.tracer->complete(key, obs::SpanOutcome::kDroppedPreprocess);
+    } else if (obs) {
+      const std::lock_guard<std::mutex> lock(admit_time_mutex);
+      if (admit_time_by_key.size() <= key) admit_time_by_key.resize(key + 1);
+      admit_time_by_key[key] = block.admitted[i];
+    }
+    return kept;
+  }
+
+  [[nodiscard]] util::BitVec encode_one(const ms::BinnedSpectrum& q) const {
+    util::BitVec hv =
+        imc_encode ? pipeline.imc_encoder_->encode_keyed(
+                         q.bins, q.weights, util::hash_combine(kQuerySalt, q.id))
+                   : pipeline.encoder_.encode(q.bins, q.weights);
+    const double ber = pipeline.cfg_.injected_ber;
+    if (ber > 0.0) {
+      hv = hd::with_bit_errors_keyed(
+          hv, ber, util::hash_combine(pipeline.cfg_.seed, kQuerySalt), q.id);
+    }
+    return hv;
+  }
+
+  void search_stage(Block& block) {
+    const Clock::time_point t0 = begin_stage(block);
     const std::size_t k =
         std::max<std::size_t>(1, pipeline.cfg_.rescore_top_k);
     double inner_s = 0.0;
-    const auto run_block = [&] {
+    const auto search = [&] {
       if (timing_on()) {
         const Clock::time_point s0 = Clock::now();
         block.hits = pipeline.backend_->search_batch(block.searches, k);
@@ -322,16 +367,17 @@ struct QueryEngine::Impl {
     // The gate (serve::FairScheduler) only decides *when* the block runs;
     // keyed noise keeps the results schedule-independent.
     if (cfg.search_gate) {
-      cfg.search_gate(run_block);
+      cfg.search_gate(search);
     } else {
-      run_block();
+      search();
     }
     if (timing_on()) {
       // Outer minus inner separates the time waiting on the gate
       // (cross-tenant scheduling) from the backend search itself; for the
       // tracer the gate wait folds into queue-wait.
+      block.stamp = Clock::now();
       const double gate_wait =
-          std::max(0.0, seconds_between(t0, Clock::now()) - inner_s);
+          std::max(0.0, seconds_between(t0, block.stamp) - inner_s);
       if (obs) {
         obs->search_s.observe(inner_s);
         obs->gate_wait_s.observe(gate_wait);
@@ -342,33 +388,31 @@ struct QueryEngine::Impl {
       }
     }
     if (obs) scrape_backend();
-    send(std::move(block));
   }
 
-  void rescore_stage(Block& block, Clock::time_point t0,
-                     const Send<std::vector<Emitted>>& send) {
-    std::vector<Emitted> emitted_block = rescore_block(block);
+  void rescore_stage(Block& block) {
+    const Clock::time_point t0 = begin_stage(block);
+    std::vector<Emitted> out = rescore_block(block);
     if (timing_on()) {
-      const double rs = seconds_between(t0, Clock::now());
-      if (obs) obs->rescore_s.observe(rs);
-      if (tracing_on()) trace_block(block, obs::Stage::kRescore, rs);
+      end_stage(block, t0, obs ? &obs->rescore_s : nullptr,
+                obs::Stage::kRescore);
     }
-    if (tracing_on() && emitted_block.size() != block.span_keys.size()) {
-      // Empty-window slots never reach the emit stage: close their spans
-      // here, after the block's last record. Emitted entries preserve slot
+    if (tracing_on() && out.size() != block.keys.size()) {
+      // Empty-window slots are never emitted: close their spans here,
+      // after the block's last record. Emitted entries preserve slot
       // order, so the non-emitted keys fall out of a two-pointer walk.
       std::size_t j = 0;
-      for (const std::uint64_t key : block.span_keys) {
-        if (j < emitted_block.size() && emitted_block[j].span_key == key) {
+      for (const std::size_t key : block.keys) {
+        if (j < out.size() && out[j].key == key) {
           ++j;
         } else {
           cfg.tracer->complete(key, obs::SpanOutcome::kEmptyWindow);
         }
       }
     }
-    if (!emitted_block.empty()) send(std::move(emitted_block));
-    // Every query in the block is now resolved — either its PSM is en
-    // route to emission or it had no candidate window.
+    if (!out.empty()) emit(out);
+    // Every query in the block is now resolved: its PSM is emitted or it
+    // had no candidate window.
     note_resolved(block.spectra.size());
   }
 
@@ -379,57 +423,42 @@ struct QueryEngine::Impl {
     if (cfg.on_query_resolved) cfg.on_query_resolved(n);
   }
 
-  void emit_loop() {
-    // Estimator adds allocate and the user's on_accept may throw; the
-    // runner routes both to fail() like every other stage.
-    run_stage(to_emit, [this](std::vector<Emitted>& emitted_block) {
-      Clock::time_point t0{};
-      std::vector<std::uint64_t> span_keys;
-      if (timing_on()) {
-        t0 = Clock::now();
-        if (tracing_on()) {
-          span_keys.reserve(emitted_block.size());
-          for (const Emitted& e : emitted_block) {
-            span_keys.push_back(e.span_key);
-          }
-        }
+  /// Hands a block's PSMs to emission. Under emit_mutex, so estimator
+  /// adds, roll_emit and on_accept never run concurrently. Estimator adds
+  /// allocate and the user's on_accept may throw; the block's runner
+  /// routes both to fail().
+  void emit(std::vector<Emitted>& out) {
+    const std::lock_guard<std::mutex> lock(emit_mutex);
+    const Clock::time_point t0 =
+        timing_on() ? Clock::now() : Clock::time_point{};
+    for (const Emitted& e : out) {
+      if (rolling_grouped) {
+        rolling_grouped->add(e.psm, e.key);
+      } else if (rolling) {
+        rolling->add(e.psm, e.key);
       }
-      if (rolling || rolling_grouped) {
-        for (const Emitted& e : emitted_block) {
-          if (rolling_grouped) {
-            rolling_grouped->add(e.psm, e.index);
-          } else {
-            rolling->add(e.psm, e.index);
-          }
-        }
-      }
-      if (obs) obs->psms_emitted.add(emitted_block.size());
-      emitted.insert(emitted.end(),
-                     std::make_move_iterator(emitted_block.begin()),
-                     std::make_move_iterator(emitted_block.end()));
-      roll_emit();
-      if (timing_on()) {
-        const double es = seconds_between(t0, Clock::now());
-        if (obs) obs->emit_s.observe(es);
-        for (const std::uint64_t key : span_keys) {
-          cfg.tracer->record(key, obs::Stage::kEmit, es);
-          // The emission decision ran: the span chain is complete (the
-          // FDR verdict — early release vs drain — is a stream-level
-          // property, not a per-query stage).
-          cfg.tracer->complete(key, obs::SpanOutcome::kEmitted);
-        }
-      }
-    });
-    // The stream is complete once to_emit closes: every stage has finished,
-    // so the outstanding-query count is exact (zero) and everything the
-    // final filter will accept can be released before the drain machinery
-    // runs.
-    guarded([this] { roll_emit(); });
+    }
+    if (obs) obs->psms_emitted.add(out.size());
+    emitted.insert(emitted.end(), std::make_move_iterator(out.begin()),
+                   std::make_move_iterator(out.end()));
+    roll_emit();
+    if (!timing_on()) return;
+    const double es = seconds_between(t0, Clock::now());
+    if (obs) obs->emit_s.observe(es);
+    if (!tracing_on()) return;
+    for (auto it = emitted.end() - static_cast<std::ptrdiff_t>(out.size());
+         it != emitted.end(); ++it) {
+      cfg.tracer->record(it->key, obs::Stage::kEmit, es);
+      // The emission decision ran: the span chain is complete (the FDR
+      // verdict — early release vs drain — is a stream-level property, not
+      // a per-query stage).
+      cfg.tracer->complete(it->key, obs::SpanOutcome::kEmitted);
+    }
   }
 
-  /// Rolling early release: runs on the emission thread after each block.
-  /// Charges every query that could still produce a PSM as a potential
-  /// future decoy; confident survivors go to the user callback now.
+  /// Rolling early release, under emit_mutex after each block. Charges
+  /// every query that could still produce a PSM as a potential future
+  /// decoy; confident survivors go to the user callback now.
   void roll_emit() {
     if (!rolling && !rolling_grouped) return;
     // A future-arrival bound exists once the caller declared the stream
@@ -464,39 +493,6 @@ struct QueryEngine::Impl {
       }
       if (cfg.on_accept) cfg.on_accept(r.psm);
     }
-  }
-
-  // --- stage bodies -------------------------------------------------------
-
-  // One task per query on the global pool: each encode (and its injected
-  // bit errors) is keyed on the spectrum id, so the bits do not depend on
-  // which thread runs it, and parallel_tasks rethrows a failure here.
-  void encode_block(Block& block) {
-    const std::size_t n = block.spectra.size();
-    block.hvs.resize(n);
-
-    if (imc_encode) {
-      // Deterministic per (device, bucket, seed): block-wise calibration
-      // fills the same sigma cache one whole-batch pass would.
-      std::vector<std::size_t> peak_counts(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        peak_counts[i] = block.spectra[i].peak_count();
-      }
-      pipeline.imc_encoder_->precalibrate(peak_counts);
-    }
-    const double ber = pipeline.cfg_.injected_ber;
-    const std::uint64_t ber_seed =
-        util::hash_combine(pipeline.cfg_.seed, kQuerySalt);
-    util::ThreadPool::global().parallel_tasks(n, [&](std::size_t i) {
-      const ms::BinnedSpectrum& q = block.spectra[i];
-      util::BitVec hv =
-          imc_encode ? pipeline.imc_encoder_->encode_keyed(
-                           q.bins, q.weights,
-                           util::hash_combine(kQuerySalt, q.id))
-                     : pipeline.encoder_.encode(q.bins, q.weights);
-      if (ber > 0.0) hv = hd::with_bit_errors_keyed(hv, ber, ber_seed, q.id);
-      block.hvs[i] = std::move(hv);
-    });
   }
 
   void build_searches(Block& block) {
@@ -591,8 +587,7 @@ struct QueryEngine::Impl {
 
       const ms::BinnedSpectrum& ref = pipeline.lib()[best.reference_index];
       Emitted e;
-      e.index = block.index[slot];
-      e.span_key = block.span_keys[slot];
+      e.key = block.keys[slot];
       e.psm.query_id = q.id;
       e.psm.peptide = ref.peptide;
       e.psm.score = best_score;
@@ -602,59 +597,6 @@ struct QueryEngine::Impl {
       out.push_back(std::move(e));
     }
     return out;
-  }
-
-  // --- lifecycle ----------------------------------------------------------
-
-  /// The one admission path behind submit, try_submit and submit_for,
-  /// which differ only in the admission-queue `push` they pass. Throws
-  /// std::logic_error naming `who` once the stream is drained or closed.
-  /// The query is counted before the push, so the rolling bound can only
-  /// over-count the future mid-admission, never under-count (that merely
-  /// delays a release); the count is undone when the push refuses it.
-  template <typename Push>
-  bool admit(const char* who, ms::Spectrum&& query, const Push& push) {
-    if (drained) {
-      throw std::logic_error(std::string(who) + ": already drained");
-    }
-    if (closed.load(std::memory_order_acquire)) {
-      throw std::logic_error(std::string(who) + ": stream closed");
-    }
-    submitted.fetch_add(1, std::memory_order_acq_rel);
-    if (push(Admitted{std::move(query),
-                      timing_on() ? Clock::now() : Clock::time_point{}})) {
-      if (obs) obs->submitted.add(1);
-      return true;
-    }
-    submitted.fetch_sub(1, std::memory_order_acq_rel);
-    return false;
-  }
-
-
-  void fail(std::exception_ptr e) {
-    {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!error) error = std::move(e);
-    }
-    failed.store(true, std::memory_order_release);
-    // Unblock every producer and consumer; run_stage pops and drops the
-    // remaining items.
-    close_queues();
-  }
-
-  void close_queues() {
-    admission.close();
-    to_encode.close();
-    to_search.close();
-    to_rescore.close();
-    to_emit.close();
-  }
-
-  void shutdown() {
-    admission.close();
-    for (std::thread& t : workers) {
-      if (t.joinable()) t.join();
-    }
   }
 
   Pipeline& pipeline;
@@ -682,10 +624,6 @@ struct QueryEngine::Impl {
           rescore_s(r.histogram("engine.stage.rescore_seconds")),
           emit_s(r.histogram("engine.stage.emit_seconds")),
           emit_latency_s(r.histogram("engine.emit_latency_seconds")),
-          encode_depth(r.gauge("engine.queue.encode_depth")),
-          search_depth(r.gauge("engine.queue.search_depth")),
-          rescore_depth(r.gauge("engine.queue.rescore_depth")),
-          emit_depth(r.gauge("engine.queue.emit_depth")),
           be_phases(r.gauge("backend.phases_executed")),
           be_shard_entries(r.gauge("backend.shard_entries")),
           be_query_blocks(r.gauge("backend.query_blocks")),
@@ -707,10 +645,6 @@ struct QueryEngine::Impl {
     obs::Histogram& rescore_s;
     obs::Histogram& emit_s;
     obs::Histogram& emit_latency_s;
-    obs::Gauge& encode_depth;
-    obs::Gauge& search_depth;
-    obs::Gauge& rescore_depth;
-    obs::Gauge& emit_depth;
     obs::Gauge& be_phases;
     obs::Gauge& be_shard_entries;
     obs::Gauge& be_query_blocks;
@@ -732,9 +666,29 @@ struct QueryEngine::Impl {
   /// Adds `s` to `stage` of every sampled span in the block (record()
   /// filters unsampled keys; a cheap modulo per key).
   void trace_block(const Block& b, obs::Stage stage, double s) const {
-    for (const std::uint64_t key : b.span_keys) {
-      cfg.tracer->record(key, stage, s);
-    }
+    for (const std::size_t key : b.keys) cfg.tracer->record(key, stage, s);
+  }
+  /// A block's wait in front of a stage: histogram and kQueueWait spans.
+  void observe_wait(const Block& b, double wait) const {
+    if (obs) obs->queue_wait_s.observe(wait);
+    if (tracing_on()) trace_block(b, obs::Stage::kQueueWait, wait);
+  }
+  /// Starts a block stage; with timing on, observes the block's wait since
+  /// the previous stage ended and returns the start time.
+  [[nodiscard]] Clock::time_point begin_stage(const Block& b) const {
+    if (!timing_on()) return {};
+    const Clock::time_point t0 = Clock::now();
+    observe_wait(b, seconds_between(b.stamp, t0));
+    return t0;
+  }
+  /// Ends a block stage that started at `t0`: observes its time in `hist`
+  /// and the `stage` spans, and stamps the block for the next wait.
+  void end_stage(Block& b, Clock::time_point t0, obs::Histogram* hist,
+                 obs::Stage stage) const {
+    b.stamp = Clock::now();
+    const double s = seconds_between(t0, b.stamp);
+    if (hist != nullptr) hist->observe(s);
+    if (tracing_on()) trace_block(b, stage, s);
   }
   /// Latest full backend snapshot → `backend.*` gauges. Set, not
   /// accumulated: the backend's counters are already monotonic process
@@ -749,83 +703,90 @@ struct QueryEngine::Impl {
     obs->be_batched_queries.set(static_cast<double>(s.batched_queries));
   }
 
-  /// Admission-entry time by searched index, for the Rolling-path
-  /// emission-latency histogram (admission → release). Written by the
-  /// preprocess thread, read by the emission/drain threads; only
-  /// populated when metrics are on.
+  /// Admission time by admission key, for the Rolling-path emission-
+  /// latency histogram (admission → release). Written as queries pass
+  /// preprocessing, read at release; only populated when metrics are on.
   std::mutex admit_time_mutex;
-  std::vector<Clock::time_point> admit_time_by_index;
+  std::vector<Clock::time_point> admit_time_by_key;
 
-  void observe_emit_latency(std::size_t index) {
+  void observe_emit_latency(std::size_t key) {
     Clock::time_point t{};
     {
       const std::lock_guard<std::mutex> lock(admit_time_mutex);
-      if (index < admit_time_by_index.size()) t = admit_time_by_index[index];
+      if (key < admit_time_by_key.size()) t = admit_time_by_key[key];
     }
     if (t != Clock::time_point{}) {
       obs->emit_latency_s.observe(seconds_between(t, Clock::now()));
     }
   }
 
-  util::BoundedQueue<Admitted> admission;
-  util::BoundedQueue<Block> to_encode;
-  util::BoundedQueue<Block> to_search;
-  util::BoundedQueue<Block> to_rescore;
-  util::BoundedQueue<std::vector<Emitted>> to_emit;
-
-  /// Every stage worker in pipeline order (preprocess, encode, search,
-  /// rescore, emit), which is the order shutdown() joins them in.
-  std::vector<std::thread> workers;
+  // --- scheduling state, under `mutex` ------------------------------------
+  std::mutex mutex;
+  std::condition_variable cv;  ///< A block finished, or the stream failed.
+  Block open;                  ///< Filling; keys from open.first_key on.
+  std::deque<Block> pending;   ///< Full blocks waiting for a runner.
+  std::size_t running = 0;     ///< Blocks being run.
+  std::size_t inflight = 0;    ///< Pending + running blocks.
+  std::size_t waking = 0;      ///< Posted pool tasks not yet started.
+  bool drained = false;        ///< drain() or the destructor began.
+  std::exception_ptr error;    ///< First failure; drain() rethrows it.
 
   std::atomic<bool> failed{false};
-  /// Set by close_stream()/drain-after-close: no further arrivals, so the
-  /// rolling bound may treat `submitted` as the exact stream total.
+  /// Set by close_stream(): no further arrivals, so the rolling bound may
+  /// treat `submitted` as the exact stream total.
   std::atomic<bool> closed{false};
-  std::mutex error_mutex;
-  std::exception_ptr error;
 
-  std::vector<Emitted> emitted;  ///< Emission stage only, until joined.
-  /// Producer (caller) thread writes; the emission thread reads it for
-  /// the rolling future-arrival bound, hence atomic.
+  /// Written under `mutex` by admission; read by roll_emit for the
+  /// rolling future-arrival bound, hence atomic.
   std::atomic<std::size_t> submitted{0};
   /// Queries that finished without producing a PSM, split by cause so no
   /// query silently vanishes from the per-run view: quality-filtered at
-  /// preprocessing vs searched-but-empty candidate windows. Written by
-  /// preprocess/rescore workers, read by the emission thread to tighten
-  /// the rolling bound and by drain() for the drop-accounting identity
+  /// preprocessing vs searched-but-empty candidate windows. Read by
+  /// roll_emit to tighten the rolling bound and by drain() for the
+  /// drop-accounting identity
   /// submitted == emitted + dropped_preprocess + empty_window.
   std::atomic<std::size_t> dropped_preprocess{0};
   std::atomic<std::size_t> empty_window{0};
   /// All resolved queries (with or without a PSM) — outstanding() feeds
   /// the serving layer's in-flight accounting.
   std::atomic<std::size_t> resolved{0};
-  std::size_t searched = 0;      ///< Preprocess thread, read after join.
-  std::size_t blocks = 0;        ///< Preprocess thread, read after join.
-  bool drained = false;
+  std::atomic<std::size_t> searched{0};  ///< Survived preprocessing.
+  std::atomic<std::size_t> blocks{0};    ///< Blocks that reached search.
 
-  // Rolling-emission state: owned by the emission thread while stages are
-  // live, read by drain() after the join.
+  // Emission state, under emit_mutex while blocks run; drain() reads it
+  // once every block has finished.
+  std::mutex emit_mutex;
+  std::vector<Emitted> emitted;
   std::unique_ptr<StreamingFdr> rolling;
   std::unique_ptr<StreamingGroupedFdr> rolling_grouped;
-  std::vector<bool> released;     ///< By admission index; emitted early.
+  std::vector<bool> released;     ///< By admission key; emitted early.
   std::size_t early_emitted = 0;  ///< Releases before drain().
 };
 
 QueryEngine::QueryEngine(Pipeline& pipeline, const QueryEngineConfig& cfg)
-    : impl_(std::make_unique<Impl>(pipeline, cfg)) {}
+    : impl_(std::make_shared<Impl>(pipeline, cfg)) {}
 
-QueryEngine::~QueryEngine() = default;
+QueryEngine::~QueryEngine() {
+  // As drain() does, run or wait out every admitted block, so none
+  // outlives the engine.
+  std::unique_lock<std::mutex> lock(impl_->mutex);
+  impl_->drained = true;
+  impl_->finish(lock);
+}
 
 void QueryEngine::submit(const ms::Spectrum& query) {
   submit(ms::Spectrum(query));
 }
 
 void QueryEngine::submit(ms::Spectrum&& query) {
-  // push() only fails when a stage failure closed the queue; drain()
-  // reports the stored exception.
+  // Admission fails only once the stream has failed; drain() reports the
+  // stored exception. At the in-flight cap the producer runs a pending
+  // block before it waits, so a producer inside a pool task never waits
+  // on a block that only a queued pool task would run.
   (void)impl_->admit("QueryEngine::submit", std::move(query),
-                     [this](Admitted&& a) {
-                       return impl_->admission.push(std::move(a));
+                     [this](std::unique_lock<std::mutex>& lock) {
+                       if (!impl_->run_one(lock)) impl_->cv.wait(lock);
+                       return true;
                      });
 }
 
@@ -835,30 +796,41 @@ void QueryEngine::submit_batch(std::span<const ms::Spectrum> queries) {
 
 bool QueryEngine::try_submit(ms::Spectrum&& query) {
   return impl_->admit("QueryEngine::try_submit", std::move(query),
-                      [this](Admitted&& a) {
-                        return impl_->admission.try_push(std::move(a));
-                      });
+                      [](std::unique_lock<std::mutex>&) { return false; });
 }
 
 bool QueryEngine::submit_for(ms::Spectrum&& query,
                              std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
   return impl_->admit("QueryEngine::submit_for", std::move(query),
-                      [this, timeout](Admitted&& a) {
-                        return impl_->admission.push_for(std::move(a),
-                                                         timeout);
+                      [this, deadline](std::unique_lock<std::mutex>& lock) {
+                        if (std::chrono::steady_clock::now() >= deadline) {
+                          return false;
+                        }
+                        impl_->cv.wait_until(lock, deadline);
+                        return true;
                       });
 }
 
 void QueryEngine::close_stream() {
-  if (impl_->drained) {
+  Impl& im = *impl_;
+  std::unique_lock<std::mutex> lock(im.mutex);
+  if (im.drained) {
     throw std::logic_error("QueryEngine::close_stream: already drained");
   }
-  impl_->closed.store(true, std::memory_order_release);
-  // Ends admission: the preprocess loop flushes its partial block and the
-  // stage cascade winds down, so the emission thread's final roll_emit
-  // sees max_future == 0 and releases every PSM the drain filter will
-  // accept — without blocking this caller.
-  impl_->admission.close();
+  if (im.closed.exchange(true, std::memory_order_acq_rel)) return;
+  // Ends admission: the partial block goes to a runner and the last block
+  // to finish runs the final roll_emit, which sees max_future == 0 and
+  // releases every PSM the drain filter will accept — without blocking
+  // this caller. With no block in flight, that release runs here.
+  im.flush(lock);
+  if (im.inflight != 0) return;
+  ++im.inflight;
+  lock.unlock();
+  im.final_release();
+  lock.lock();
+  --im.inflight;
+  im.cv.notify_all();
 }
 
 bool QueryEngine::failed() const noexcept {
@@ -872,42 +844,49 @@ std::size_t QueryEngine::outstanding() const noexcept {
 }
 
 PipelineResult QueryEngine::drain() {
-  if (impl_->drained) {
-    throw std::logic_error("QueryEngine::drain: already drained");
-  }
-  impl_->drained = true;
-  impl_->admission.close();
-  impl_->shutdown();
+  Impl& im = *impl_;
   {
-    const std::lock_guard<std::mutex> lock(impl_->error_mutex);
-    if (impl_->error) std::rethrow_exception(impl_->error);
+    std::unique_lock<std::mutex> lock(im.mutex);
+    if (im.drained) {
+      throw std::logic_error("QueryEngine::drain: already drained");
+    }
+    im.drained = true;
+    im.finish(lock);
+    if (im.error) std::rethrow_exception(im.error);
   }
 
   // Drop accounting is exact on the non-failed path: every admitted query
   // either produced a PSM, was quality-filtered at preprocessing, or had
-  // no candidate in any precursor window. Tested against both emit
-  // policies; a violation means a stage lost a query silently.
-  assert(impl_->submitted.load(std::memory_order_acquire) ==
-         impl_->emitted.size() +
-             impl_->dropped_preprocess.load(std::memory_order_acquire) +
-             impl_->empty_window.load(std::memory_order_acquire));
+  // no candidate in any precursor window. A violation means a block lost
+  // queries silently.
+  const std::size_t submitted = im.submitted.load(std::memory_order_acquire);
+  const std::size_t dropped =
+      im.dropped_preprocess.load(std::memory_order_acquire);
+  const std::size_t empty = im.empty_window.load(std::memory_order_acquire);
+  if (submitted != im.emitted.size() + dropped + empty) {
+    throw std::logic_error(
+        "QueryEngine::drain: lost queries: submitted " +
+        std::to_string(submitted) + " != emitted " +
+        std::to_string(im.emitted.size()) + " + dropped_preprocess " +
+        std::to_string(dropped) + " + empty_window " + std::to_string(empty));
+  }
 
   PipelineResult result;
-  result.queries_in = impl_->submitted.load(std::memory_order_acquire);
-  result.queries_searched = impl_->searched;
-  result.library_targets = impl_->pipeline.lib().target_count();
-  result.library_decoys = impl_->pipeline.lib().decoy_count();
+  result.queries_in = submitted;
+  result.queries_searched = im.searched.load(std::memory_order_acquire);
+  result.library_targets = im.pipeline.lib().target_count();
+  result.library_decoys = im.pipeline.lib().decoy_count();
 
-  // Blocks finish out of order; the assigned query index restores the
-  // admission order the synchronous path emits in.
-  std::sort(impl_->emitted.begin(), impl_->emitted.end(),
-            [](const Emitted& a, const Emitted& b) { return a.index < b.index; });
-  result.psms.reserve(impl_->emitted.size());
-  for (Emitted& e : impl_->emitted) result.psms.push_back(std::move(e.psm));
+  // Blocks finish out of order; the admission key restores the admission
+  // order the synchronous path emits in.
+  std::sort(im.emitted.begin(), im.emitted.end(),
+            [](const Emitted& a, const Emitted& b) { return a.key < b.key; });
+  result.psms.reserve(im.emitted.size());
+  for (Emitted& e : im.emitted) result.psms.push_back(std::move(e.psm));
 
   // One mask serves both the accepted list and the rolling flush; the
   // grouped sort-by-query-id mirrors filter_at_fdr_standard_open.
-  const PipelineConfig& pcfg = impl_->pipeline.cfg_;
+  const PipelineConfig& pcfg = im.pipeline.cfg_;
   const std::vector<bool> mask =
       pcfg.grouped_fdr
           ? accept_mask_at_fdr_standard_open(result.psms, pcfg.fdr_threshold)
@@ -924,14 +903,13 @@ PipelineResult QueryEngine::drain() {
   // the callback now, in admission order, so the callback has seen exactly
   // result.accepted once the drain returns. Early releases are a subset of
   // the final accepted list by the confident-emission bound.
-  if (impl_->cfg.emit_policy == EmitPolicy::Rolling && impl_->cfg.on_accept) {
+  if (im.cfg.emit_policy == EmitPolicy::Rolling && im.cfg.on_accept) {
     for (std::size_t i = 0; i < result.psms.size(); ++i) {
-      const std::size_t admission = impl_->emitted[i].index;
-      const bool was_released = admission < impl_->released.size() &&
-                                impl_->released[admission];
+      const std::size_t key = im.emitted[i].key;
+      const bool was_released = key < im.released.size() && im.released[key];
       if (mask[i] && !was_released) {
-        if (impl_->obs) impl_->observe_emit_latency(admission);
-        impl_->cfg.on_accept(result.psms[i]);
+        if (im.obs) im.observe_emit_latency(key);
+        im.cfg.on_accept(result.psms[i]);
       }
     }
   }
@@ -941,8 +919,8 @@ PipelineResult QueryEngine::drain() {
 QueryEngineStats QueryEngine::stats() const {
   QueryEngineStats s;
   s.submitted = impl_->submitted.load(std::memory_order_acquire);
-  s.searched = impl_->searched;
-  s.blocks = impl_->blocks;
+  s.searched = impl_->searched.load(std::memory_order_acquire);
+  s.blocks = impl_->blocks.load(std::memory_order_acquire);
   s.block_size = impl_->cfg.block_size;
   s.stage_threads = impl_->cfg.stage_threads;
   s.early_emitted = impl_->early_emitted;

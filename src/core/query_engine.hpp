@@ -1,37 +1,32 @@
-// Staged streaming query executor — the engine behind Pipeline::run and
-// the entry point for serving queries as they arrive instead of as one
+// Streaming query executor — the engine behind Pipeline::run and the
+// entry point for serving queries as they arrive instead of as one
 // synchronous batch.
 //
 // Queries are admitted one at a time (submit) or in chunks (submit_batch)
-// and flow through bounded-queue stages:
+// into size-`block_size` blocks; each admission gets the next admission
+// key, so keys follow admission order. A block runs start to finish as one
+// unit of work on util::ThreadPool::global():
 //
-//   admission → preprocess → encode → search → rescore → PSM emission
+//   preprocess + encode → search → rescore → PSM emission
 //
-// The preprocess stage (single-threaded, so query indices are assigned in
-// admission order) packs surviving spectra into size-`block_size` blocks;
-// encode workers turn a block into hypervectors (exact digital or IMC-model
-// encoding, matching the pipeline's backend trait; the block's per-query
-// encodes, injected bit errors included, run as util::ThreadPool::global()
-// tasks after one precalibrate, and each is keyed on its spectrum id, so
-// the bits do not depend on the thread) and expand the
-// precursor-mass interpretations; search workers hand each block to
-// SearchBackend::search_batch — the size-B query blocks the genuinely
-// batched backends amortize activation phases and shard entries over;
-// rescore workers reduce interpretations and build PSMs; the emission stage
-// collects them. drain() flushes everything, applies the FDR filter, and
-// returns the PipelineResult.
+// Its queries are preprocessed and encoded one pool task each (exact
+// digital or IMC-model encoding, matching the pipeline's backend trait;
+// every encode, injected bit errors included, is keyed on its spectrum id,
+// so the bits do not depend on the thread), their precursor-mass
+// interpretations go to SearchBackend::search_batch as one block — the
+// size-B query blocks the batched backends amortize activation phases and
+// shard entries over — and the rescored PSMs are emitted under one lock.
+// drain() flushes everything, applies the FDR filter, and returns the
+// PipelineResult.
 //
-// One stage runner (private to query_engine.cpp) carries the protocol the
-// stages share, so each stage body holds only its own work. It pops the
-// stage's queue until that queue is closed and empty, and drops items once
-// the stream has failed. An exception from any stage fails the stream: the
-// first one is kept for drain() to rethrow, failed() turns true, and every
-// queue closes, so no producer or worker stays blocked. For the encode,
-// search and rescore stages the runner also observes each block's queue
-// wait, re-stamps the block and pushes the stage's output to the next
-// queue with its depth gauge. The last worker of a stage closes the next
-// queue, so the stages wind down in pipeline order. submit, try_submit and
-// submit_for share one admission path and differ only in how they push.
+// The engine starts no thread. At most `stage_threads` blocks of a stream
+// run at once and at most `queue_blocks` are admitted but unfinished; a
+// submit() that finds the stream full runs a pending block itself before
+// it waits, as drain() does, so no pool task ever waits for work that only
+// another queued pool task could do and streams may run from inside pool
+// tasks. An exception from any block fails the stream: the first one is
+// kept for drain() to rethrow, failed() turns true, submissions return
+// without admitting, and blocks not yet run are dropped.
 //
 // Emission is policy-driven: AtDrain (default) holds all PSMs for the
 // batch filter at drain(); Rolling additionally threads every PSM through
@@ -48,13 +43,12 @@
 //
 // Determinism contract: every per-query artifact — encoding noise, injected
 // bit errors, search noise, rescoring — is keyed on the query's spectrum id
-// or assigned index, never on arrival time, block composition, or thread
+// or admission key, never on arrival time, block composition, or thread
 // schedule. Streaming results are therefore bit-identical to a synchronous
 // Pipeline::run over the same queries in the same admission order, for any
-// block size and worker count.
+// block size and block concurrency.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <functional>
@@ -89,20 +83,20 @@ struct QueryEngineConfig {
   /// Queries per search block (B): the unit the backend's batched
   /// search_batch amortizes over. 0 → 1.
   std::size_t block_size = 64;
-  /// Capacity of each inter-stage queue, in blocks. Bounds memory and
-  /// applies back-pressure to admission when a stage falls behind.
+  /// Blocks admitted but not yet finished (pending or running), at most.
+  /// Bounds memory and applies back-pressure to admission. 0 → 1.
   std::size_t queue_blocks = 8;
-  /// Worker threads for each of the encode / search / rescore stages.
-  /// 0 → 1.
+  /// Blocks of this stream that run at once, at most. 0 → 1.
   std::size_t stage_threads = 1;
   /// PSM release policy. Rolling streams confident hits mid-run.
   EmitPolicy emit_policy = EmitPolicy::AtDrain;
-  /// Rolling callback. Early releases fire from an engine-internal thread
-  /// while submit() may still be running on the caller's thread — the
-  /// callback must tolerate that concurrency. The drain-time flush fires
-  /// on the drain() caller's thread, in admission order.
+  /// Rolling callback. Early releases fire on whichever thread runs a
+  /// block — a pool worker, or a caller inside submit(), close_stream() or
+  /// drain() — never two at once, but concurrently with other submit()
+  /// calls. The drain-time flush fires on the drain() caller's thread, in
+  /// admission order.
   std::function<void(const Psm&)> on_accept;
-  /// Serving hook: called from engine-internal stage threads each time
+  /// Serving hook: called from whichever thread runs a block each time
   /// queries finish flowing through the pipeline (with the count newly
   /// resolved) — a query resolves when it is quality-filtered, finds no
   /// candidate window, or has its PSM rescored. Admission-control layers
@@ -110,20 +104,21 @@ struct QueryEngineConfig {
   /// thread-safe; never called again after drain() returns.
   std::function<void(std::size_t)> on_query_resolved;
   /// Serving hook: when set, every backend search_batch call is wrapped in
-  /// this gate — the engine's search workers call gate(run_block) and the
-  /// gate decides when run_block() executes (serve::FairScheduler uses it
+  /// this gate — the block's runner calls gate(search) and the
+  /// gate decides when search() executes (serve::FairScheduler uses it
   /// for round-robin block scheduling across tenant sessions). The gate
   /// must invoke the thunk exactly once (on any thread, but synchronously
-  /// — the engine's worker waits) and propagate its exceptions. Purely a
+  /// — the block's runner waits) and propagate its exceptions. Purely a
   /// scheduling knob: per-query keyed noise makes results independent of
   /// block execution order.
   std::function<void(const std::function<void()>&)> search_gate;
   /// Observability sink (see obs/metrics.hpp). When set, the engine
   /// records `engine.*` counters (submitted / dropped_preprocess /
   /// empty_window / psms_emitted / blocks), per-stage latency histograms
-  /// (`engine.stage.*_seconds`, block-granular for the block stages),
-  /// bounded-queue depth gauges (`engine.queue.*_depth`), per-PSM
-  /// emission-latency (`engine.emit_latency_seconds`, admission → release),
+  /// (`engine.stage.*_seconds`, block-granular for the block stages; the
+  /// encode stage covers a block's preprocess-and-encode fan-out, and
+  /// queue_wait one wait in front of each of the three block stages),
+  /// per-PSM emission-latency (`engine.emit_latency_seconds`, admission → release),
   /// and scrapes the backend's BackendStats into `backend.*` gauges after
   /// each searched block (set, not accumulated — the backend's counters
   /// are already monotonic totals, and concurrent blocks would make
@@ -144,62 +139,54 @@ struct QueryEngineConfig {
 /// Accounting for one streaming run; valid after drain(). The drop
 /// accounting is exact on the non-failed path:
 ///   submitted == emitted + dropped_preprocess + empty_window
-/// (asserted in drain) — no query vanishes from the per-run view.
+/// (checked by drain, which throws std::logic_error naming the counts if
+/// it fails) — no query vanishes from the per-run view.
 struct QueryEngineStats {
   std::size_t submitted = 0;      ///< Spectra handed to submit*().
   std::size_t searched = 0;       ///< Survived preprocessing.
-  std::size_t blocks = 0;         ///< Query blocks formed.
+  std::size_t blocks = 0;         ///< Query blocks that reached search.
   std::size_t block_size = 0;     ///< Effective B.
-  std::size_t stage_threads = 0;  ///< Effective workers per stage.
+  std::size_t stage_threads = 0;  ///< Effective concurrent blocks.
   std::size_t early_emitted = 0;  ///< PSMs released before drain (Rolling).
   std::size_t emitted = 0;        ///< Queries that produced a PSM (pre-FDR).
   std::size_t dropped_preprocess = 0;  ///< Quality-filtered before encoding.
   std::size_t empty_window = 0;   ///< Searched; no candidate in any window.
 };
 
-namespace detail {
-
-/// Test seam for engine start-up. While it holds n > 0, the n-th worker a
-/// QueryEngine constructor starts (1-based, in pipeline order) throws
-/// std::system_error(resource_unavailable_try_again) instead, as
-/// std::thread's constructor does when the system cannot start a thread.
-/// 0, the default, starts every worker.
-extern std::atomic<std::size_t> fail_worker_start_at;
-
-}  // namespace detail
-
 class QueryEngine {
  public:
   /// Binds to a pipeline whose library is already built (set_library must
   /// have run; throws std::logic_error otherwise). The pipeline must
   /// outlive the engine, and set_library must not be called while the
-  /// engine is live. If a worker cannot be started, the workers already
-  /// started are stopped and joined and the exception propagates.
+  /// engine is live.
   explicit QueryEngine(Pipeline& pipeline, const QueryEngineConfig& cfg = {});
+  /// Without a drain(), runs or waits out every admitted query first.
   ~QueryEngine();
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Admits one query spectrum. Blocks while the admission queue is full
-  /// (back-pressure). Throws std::logic_error after drain().
+  /// Admits one query spectrum. While queue_blocks blocks are unfinished
+  /// it runs pending blocks itself or waits (back-pressure). Throws
+  /// std::logic_error after close_stream()/drain().
   void submit(const ms::Spectrum& query);
 
   /// Move overload for streaming producers that hand over ownership
-  /// (avoids copying the peak arrays into the admission queue).
+  /// (avoids copying the peak arrays into the open block).
   void submit(ms::Spectrum&& query);
 
   /// Admits a chunk of query spectra in order.
   void submit_batch(std::span<const ms::Spectrum> queries);
 
   /// Non-blocking admission: returns false (leaving the engine untouched)
-  /// when the admission queue is full — the reject arm of admission
-  /// control. Also returns false after a stage failure (drain() reports
+  /// when queue_blocks blocks are unfinished and the open block is full —
+  /// the reject arm of admission control. Also returns false after a
+  /// block failure (drain() reports
   /// the exception). Throws std::logic_error after close_stream()/drain().
   [[nodiscard]] bool try_submit(ms::Spectrum&& query);
 
-  /// Bounded-wait admission: blocks up to `timeout` for admission-queue
-  /// room, then gives up. Same contract as try_submit otherwise.
+  /// Bounded-wait admission: waits up to `timeout` for room, then gives
+  /// up. Same contract as try_submit otherwise.
   [[nodiscard]] bool submit_for(ms::Spectrum&& query,
                                 std::chrono::milliseconds timeout);
 
@@ -213,21 +200,22 @@ class QueryEngine {
   /// completion and collect the PipelineResult.
   void close_stream();
 
-  /// True once a stage failure has poisoned the stream (drain() rethrows
+  /// True once a block failure has poisoned the stream (drain() rethrows
   /// the stored exception). Submissions are silently dropped from this
   /// point; admission-control layers use this to unblock quota waiters.
   [[nodiscard]] bool failed() const noexcept;
 
   /// Queries admitted but not yet resolved (scored, quality-filtered, or
   /// empty-windowed) — the in-flight occupancy admission control bounds.
-  /// Counter drift after a stage failure is possible (dropped blocks
+  /// Counter drift after a block failure is possible (dropped blocks
   /// never resolve); check failed() first.
   [[nodiscard]] std::size_t outstanding() const noexcept;
 
-  /// Ends the stream: flushes every stage, applies the FDR filter, and
+  /// Ends the stream: runs or waits out every block, applies the FDR
+  /// filter, and
   /// returns exactly what a synchronous Pipeline::run over the submitted
   /// queries would have. The engine accepts no further submissions.
-  /// Rethrows the first stage failure, if any.
+  /// Rethrows the first block failure, if any.
   [[nodiscard]] PipelineResult drain();
 
   /// Streaming accounting; call after drain().
@@ -235,7 +223,7 @@ class QueryEngine {
 
  private:
   struct Impl;
-  std::unique_ptr<Impl> impl_;
+  std::shared_ptr<Impl> impl_;  ///< Shared with the pool tasks it posts.
 };
 
 }  // namespace oms::core

@@ -90,15 +90,20 @@ std::size_t xor_popcount_scalar(const std::uint64_t* a, const std::uint64_t* b,
 
 /// The scalar tier scores the group row by row: each row (a few KiB at
 /// most) stays L1-resident while every query of the group reads it.
+/// `pair` is the scalar pair kernel: the portable loop, or its POPCNT build.
 void hamming_sweep_scalar(const std::uint64_t* const* queries, std::size_t n,
                           const RefExtent& ext, std::size_t wc,
                           std::size_t first, std::size_t last,
-                          std::uint32_t* out, std::size_t out_stride) noexcept {
+                          std::uint32_t* out, std::size_t out_stride,
+                          std::size_t (*pair)(const std::uint64_t*,
+                                              const std::uint64_t*,
+                                              std::size_t) noexcept =
+                              xor_popcount_scalar) noexcept {
   for (std::size_t i = first; i < last; ++i) {
     const std::uint64_t* row = ext.words + i * ext.stride;
     for (std::size_t g = 0; g < n; ++g) {
       out[g * out_stride + (i - first)] =
-          static_cast<std::uint32_t>(xor_popcount_scalar(queries[g], row, wc));
+          static_cast<std::uint32_t>(pair(queries[g], row, wc));
     }
   }
 }
@@ -286,6 +291,23 @@ std::size_t keyed_sign_pass_scalar(const std::int32_t* acc, std::size_t dim,
 }
 
 #ifdef OMSHD_X86_SIMD
+
+// The portable loop compiled for the POPCNT instruction: util::xor_popcount
+// inlines here, so std::popcount becomes one instruction. Baseline x86-64
+// code cannot assume it, and there std::popcount is a bit-twiddling
+// sequence; the scalar tier takes this build when CPUID reports popcnt.
+__attribute__((target("popcnt"))) std::size_t xor_popcount_popcnt(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) noexcept {
+  return util::xor_popcount(a, b, n);
+}
+
+bool has_popcnt() noexcept {
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("popcnt") != 0;
+  }();
+  return supported;
+}
 
 // AVX2 popcount via the nibble-LUT (vpshufb) method: per 256-bit vector,
 // split bytes into nibbles, look up per-nibble popcounts, and fold the byte
@@ -1179,6 +1201,7 @@ std::size_t xor_popcount_tier(Tier tier, const std::uint64_t* a,
     case Tier::kScalar:
       break;
   }
+  if (has_popcnt()) return xor_popcount_popcnt(a, b, n);
 #else
   (void)tier;
 #endif
@@ -1211,6 +1234,11 @@ void hamming_sweep_tier(Tier tier,
         continue;
       case Tier::kScalar:
         break;
+    }
+    if (has_popcnt()) {
+      hamming_sweep_scalar(group, n, ext, word_count, lfirst, llast,
+                           group_out, out_stride, xor_popcount_popcnt);
+      continue;
     }
 #else
     (void)tier;

@@ -49,13 +49,20 @@ LevelBank::LevelBank(std::uint32_t levels, std::uint32_t dim,
   }
 
   // Materialize the packed per-component signs once; the encoder reads
-  // them per peak.
+  // them per peak. A +1 chunk sets its run of `width` bits a word at a
+  // time: a run that crosses words is split at each word boundary.
   const std::uint32_t width = chunk_width();
   sign_words_.assign(static_cast<std::size_t>(levels_) * word_count(), 0);
   for (std::uint32_t q = 0; q < levels_; ++q) {
     std::uint64_t* row = &sign_words_[q * word_count()];
-    for (std::uint32_t d = 0; d < dim_; ++d) {
-      if (signs_[q * chunks_ + d / width]) row[d / 64] |= 1ULL << (d % 64);
+    for (std::uint32_t c = 0; c < chunks_; ++c) {
+      if (!signs_[q * chunks_ + c]) continue;
+      for (std::uint32_t d = c * width, end = d + width; d < end;) {
+        const std::uint32_t bit = d % 64;
+        const std::uint32_t n = std::min(end - d, 64 - bit);
+        row[d / 64] |= (n == 64 ? ~0ULL : ((1ULL << n) - 1)) << bit;
+        d += n;
+      }
     }
   }
 }

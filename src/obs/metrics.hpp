@@ -3,7 +3,7 @@
 //
 // Three metric kinds plus a string annotation:
 //   * Counter   — monotonic u64, per-thread striped atomics so concurrent
-//                 stage workers never contend on one cache line; value() is
+//                 pool workers never contend on one cache line; value() is
 //                 the exact sum (scheduling-independent totals, same
 //                 contract as BackendStats).
 //   * Gauge     — last-writer-wins double (queue depths, scraped backend

@@ -1,8 +1,8 @@
-// obs::Tracer — per-query span records through the staged QueryEngine.
+// obs::Tracer — per-query span records through the QueryEngine.
 //
-// Every admitted query is assigned an admission sequence number in the
-// single-threaded preprocess stage (the same ordering the determinism
-// contract keys on), and that key follows the query through
+// Every admitted query is assigned an admission sequence number as it is
+// admitted (the same ordering the determinism contract keys on), and that
+// key follows the query through
 //
 //   admit → preprocess → encode → queue-wait → search-block → rescore
 //         → emit-decision
@@ -34,10 +34,10 @@ namespace oms::obs {
 
 /// Stages of one query's journey through the engine, in pipeline order.
 enum class Stage : std::uint8_t {
-  kAdmit = 0,      ///< Waiting in the admission queue.
+  kAdmit = 0,      ///< Admitted, waiting for its block to fill.
   kPreprocess,     ///< Peak filtering / normalization.
   kEncode,         ///< HD encoding.
-  kQueueWait,      ///< Encoded block waiting for a search slot.
+  kQueueWait,      ///< Block waiting for a runner, a stage or a search slot.
   kSearch,         ///< Backend block search (gate wait excluded).
   kRescore,        ///< Candidate rescoring + interpolation.
   kEmit,           ///< Emission decision (FDR bound / drain flush).

@@ -11,9 +11,10 @@ namespace oms::serve {
 
 namespace {
 
-/// Serving default: modest per-session stage parallelism — tenants share
-/// the machine, and the FairScheduler already bounds concurrent search
-/// blocks; deep per-session worker pools would only inflate memory.
+/// Serving default: a session runs at most this many of its blocks on the
+/// shared pool at once — tenants share the machine, and the FairScheduler
+/// already bounds concurrent search blocks across sessions. No session
+/// starts a thread of its own.
 [[nodiscard]] std::size_t default_stage_threads() {
   return std::clamp<std::size_t>(
       util::ThreadPool::global().thread_count() / 2, 1, 4);

@@ -12,7 +12,7 @@
 //
 // Admission control: each session carries a bounded in-flight quota
 // (`max_in_flight` queries admitted but not yet resolved). When the quota
-// or the engine's admission queue is full, AdmitPolicy decides: Block
+// or the engine's in-flight blocks are full, AdmitPolicy decides: Block
 // applies back-pressure to the submitting thread; Reject returns false
 // immediately (after an optional bounded wait) so a front-end can shed
 // load per-tenant instead of letting one stream balloon server memory.
@@ -60,9 +60,10 @@ struct SessionConfig {
   /// backend name/options, FDR threshold, seed. Together with the library
   /// path it selects (or creates) the cache entry.
   core::PipelineConfig pipeline{};
-  /// Engine tuning; 0 → serving defaults (block_size 64, stage workers
-  /// scaled to the pool but modest — tenants share the machine, and the
-  /// FairScheduler caps concurrent search blocks anyway).
+  /// Engine tuning; 0 → serving defaults (block_size 64; concurrent
+  /// blocks, stage_threads, scaled to the pool but modest — tenants share
+  /// the machine, and the FairScheduler caps concurrent search blocks
+  /// anyway; queue_blocks 2 * stage_threads + 2 unfinished blocks).
   std::size_t block_size = 0;
   std::size_t stage_threads = 0;
   std::size_t queue_blocks = 0;

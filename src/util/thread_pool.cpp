@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <utility>
 
 namespace oms::util {
 
@@ -39,6 +40,14 @@ void ThreadPool::worker_loop() {
     }
     task();
   }
+}
+
+void ThreadPool::post(std::function<void()> task) {
+  {
+    std::lock_guard lock(mutex_);
+    tasks_.push(std::move(task));
+  }
+  cv_.notify_one();
 }
 
 void ThreadPool::parallel_for(

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -14,11 +17,11 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "ms/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace oms::core {
 namespace {
@@ -497,34 +500,96 @@ TEST(QueryEngine, ThrowingBackendSearchBatchFailsTheStream) {
   EXPECT_TRUE(engine.failed());
 }
 
-TEST(QueryEngine, WorkerStartFailureRethrowsAfterJoiningStartedWorkers) {
-  // A worker that cannot start (std::thread throws EAGAIN) must not end
-  // the process: the engine stops and joins the workers already started
-  // and rethrows, whichever start fails, and the pipeline stays usable.
+/// Threads in this process, from /proc/self/status; 0 where unavailable.
+std::size_t process_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+TEST(QueryEngine, EnginesStartNoThreads) {
+  // Blocks run on the global pool and on the callers' threads, so engines
+  // — live, filled or drained — never change the process thread count.
   const ms::Workload& wl = shared_workload();
   Pipeline pipeline(small_config("ideal-hd"));
   pipeline.set_library(wl.references);
-  const PipelineResult want = pipeline.run(wl.queries);
+  (void)util::ThreadPool::global();
+  const std::size_t before = process_threads();
+  if (before == 0) GTEST_SKIP() << "no Threads: line in /proc/self/status";
 
-  struct Disarm {
-    ~Disarm() { detail::fail_worker_start_at = 0; }
-  } disarm;
   QueryEngineConfig ecfg;
+  ecfg.block_size = 4;
   ecfg.stage_threads = 2;
-  ecfg.emit_policy = EmitPolicy::Rolling;
-  // preprocess + encode/search/rescore × stage_threads + emit.
-  const std::size_t workers = 2 + 3 * ecfg.stage_threads;
-  for (std::size_t n = 1; n <= workers + 1; ++n) {
-    detail::fail_worker_start_at = n;
-    if (n <= workers) {
-      EXPECT_THROW((void)QueryEngine(pipeline, ecfg), std::system_error) << n;
-    } else {
-      EXPECT_NO_THROW((void)QueryEngine(pipeline, ecfg)) << n;
-    }
-    detail::fail_worker_start_at = 0;
+  ecfg.queue_blocks = 2;
+  const std::span<const ms::Spectrum> queries(wl.queries.data(), 12);
+  std::size_t most = before;
+  for (int i = 0; i < 200; ++i) {
     QueryEngine engine(pipeline, ecfg);
-    engine.submit_batch(wl.queries);
-    expect_same_psms(want, engine.drain(), "after start " + std::to_string(n));
+    engine.submit_batch(queries);
+    most = std::max(most, process_threads());
+    EXPECT_EQ(engine.drain().queries_in, queries.size());
+  }
+  EXPECT_EQ(most, before);
+  EXPECT_EQ(process_threads(), before);
+}
+
+TEST(QueryEngine, StreamsInsideEveryPoolWorkerFinish) {
+  // Every worker of the global pool runs a stream at once, with one block
+  // in flight allowed: nothing is left to run posted block tasks, so each
+  // producer and drain() must run its blocks itself. A pool task that
+  // waited on back-pressure instead would deadlock here.
+  const ms::Workload& wl = shared_workload();
+  util::ThreadPool& pool = util::ThreadPool::global();
+  const std::size_t workers = pool.thread_count();
+  const std::vector<ms::Spectrum> queries(wl.queries.begin(),
+                                          wl.queries.begin() + 40);
+  Pipeline reference(small_config("ideal-hd"));
+  reference.set_library(wl.references);
+  const PipelineResult want = reference.run(queries);
+
+  std::vector<std::unique_ptr<Pipeline>> pipelines;
+  for (std::size_t w = 0; w < workers; ++w) {
+    pipelines.push_back(std::make_unique<Pipeline>(small_config("ideal-hd")));
+    pipelines.back()->set_library(wl.references);
+  }
+  std::vector<PipelineResult> got(workers);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t started = 0;
+  std::size_t finished = 0;
+  for (std::size_t w = 0; w < workers; ++w) {
+    pool.post([&, w] {
+      {
+        // Hold every worker before any stream starts.
+        std::unique_lock<std::mutex> lock(mu);
+        ++started;
+        cv.notify_all();
+        cv.wait(lock, [&] { return started == workers; });
+      }
+      QueryEngineConfig ecfg;
+      ecfg.block_size = 4;
+      ecfg.stage_threads = 2;
+      ecfg.queue_blocks = 1;
+      QueryEngine engine(*pipelines[w], ecfg);
+      engine.submit_batch(queries);
+      PipelineResult result = engine.drain();
+      const std::lock_guard<std::mutex> lock(mu);
+      got[w] = std::move(result);
+      ++finished;
+      cv.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  if (!cv.wait_for(lock, std::chrono::seconds(120),
+                   [&] { return finished == workers; })) {
+    ADD_FAILURE() << "streams inside the pool workers did not finish";
+    std::abort();  // the blocked workers could never be joined
+  }
+  for (std::size_t w = 0; w < workers; ++w) {
+    expect_same_psms(want, got[w], "worker " + std::to_string(w));
   }
 }
 

@@ -149,6 +149,38 @@ TEST(Kernels, UnalignedBuffersMatchScalar) {
   }
 }
 
+TEST(Kernels, ScalarTierMatchesPortableLoop) {
+  // The scalar tier runs a POPCNT build of the portable loop wherever
+  // CPUID reports popcnt; util::xor_popcount stays the oracle. Odd word
+  // offsets leave the operands only 8-byte aligned.
+  for (std::size_t n = 1; n <= 130; ++n) {
+    const auto a = random_words(n + 1, 0x5C00 + n);
+    const auto b = random_words(n + 1, 0x5D00 + n);
+    const std::size_t expected = util::xor_popcount(a.data() + 1, b.data(), n);
+    EXPECT_EQ(kernels::xor_popcount_tier(Tier::kScalar, a.data() + 1,
+                                         b.data(), n),
+              expected)
+        << "words=" << n;
+  }
+  const std::size_t n = 130;
+  const std::size_t rows = 9;
+  const auto block = random_words(n * rows + 1, 0x5E00);
+  const auto queries = random_words(3 * n + 1, 0x5F00);
+  const RefExtent ext{block.data() + 1, n, rows, 0};
+  const std::uint64_t* q[3] = {queries.data() + 1, queries.data() + 1 + n,
+                               queries.data() + 1 + 2 * n};
+  std::vector<std::uint32_t> out(3 * rows, 0xFFFFFFFF);
+  kernels::hamming_sweep_tier(Tier::kScalar, q, ext, n, 0, rows, out.data(),
+                              rows);
+  for (std::size_t g = 0; g < 3; ++g) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      EXPECT_EQ(out[g * rows + r],
+                util::xor_popcount(q[g], ext.words + r * n, n))
+          << "query " << g << " row " << r;
+    }
+  }
+}
+
 TEST(Kernels, HammingSweepMatchesPairKernelIncludingPaddedStride) {
   const std::size_t dim = 1000;  // 16 words, non-multiple-of-64 tail
   const std::size_t n = wc(dim);

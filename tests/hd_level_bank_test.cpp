@@ -66,6 +66,29 @@ TEST(LevelBank, UnchunkedModeWorks) {
   EXPECT_GT(bank.level_distance(0, 15), 300U);
 }
 
+TEST(LevelBank, SignWordsMatchPerComponentDefinition) {
+  // Chunk widths that fill whole words, split them, leave a partial last
+  // word, cross word boundaries and span the whole dim.
+  struct Shape {
+    std::uint32_t dim, chunks;
+  };
+  for (const Shape s : {Shape{128, 128}, Shape{192, 64}, Shape{100, 25},
+                        Shape{1024, 32}, Shape{384, 4}, Shape{200, 1}}) {
+    const LevelBank bank(8, s.dim, s.chunks, 15);
+    const std::uint32_t width = bank.chunk_width();
+    for (std::uint32_t q = 0; q < bank.levels(); ++q) {
+      const std::span<const std::uint64_t> words = bank.sign_words(q);
+      ASSERT_EQ(words.size(), (s.dim + 63) / 64U);
+      for (std::uint32_t d = 0; d < words.size() * 64; ++d) {
+        const bool bit = (words[d / 64] >> (d % 64)) & 1U;
+        const bool want = d < s.dim && bank.chunk_sign(q, d / width) > 0;
+        ASSERT_EQ(bit, want) << "dim " << s.dim << " chunks " << s.chunks
+                             << " level " << q << " component " << d;
+      }
+    }
+  }
+}
+
 TEST(LevelBank, QuantizeMapsRangeToLevels) {
   const LevelBank bank(32, 1024, 32, 11);
   EXPECT_EQ(bank.quantize(0.0), 0U);

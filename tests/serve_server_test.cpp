@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -39,6 +40,7 @@
 #include "serve/library_cache.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -679,6 +681,46 @@ TEST(SearchServer, MaxSessionsIsEnforcedAndReleasedOnClose) {
   EXPECT_THROW((void)server.open(testing::TempDir() + "missing.omsx", scfg),
                std::exception);
   EXPECT_EQ(server.stats().sessions_open, 0U);
+}
+
+/// Threads in this process, from /proc/self/status; 0 where unavailable.
+std::size_t process_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+TEST(SearchServer, OpenSessionsAddNoThreads) {
+  // Sessions run their blocks on the global pool: 32 open at once, each
+  // with queries in flight, add no thread beyond the pool and the
+  // maintainer daemon.
+  const auto cfg = serve_config("ideal-hd");
+  const std::string art = build_artifact("exact", cfg);
+  serve::SearchServer server;
+  serve::SessionConfig scfg;
+  scfg.pipeline = cfg;
+  scfg.block_size = 4;
+  scfg.stage_threads = 2;
+  // The first session brings up whatever the server starts lazily.
+  (void)server.open(art, scfg)->close();
+  (void)util::ThreadPool::global();
+  const std::size_t before = process_threads();
+  if (before == 0) GTEST_SKIP() << "no Threads: line in /proc/self/status";
+
+  std::vector<std::shared_ptr<serve::Session>> sessions;
+  for (std::size_t i = 0; i < 32; ++i) {
+    sessions.push_back(server.open(art, scfg));
+    for (const ms::Spectrum& q : matched_queries(i, 8)) {
+      ASSERT_TRUE(sessions.back()->submit(q));
+    }
+  }
+  EXPECT_EQ(server.stats().sessions_open, 32U);
+  EXPECT_EQ(process_threads(), before);
+  for (auto& s : sessions) EXPECT_EQ(s->close().queries_in, 8U);
+  EXPECT_EQ(process_threads(), before);
 }
 
 // The observability contract of the serve layer: metrics_snapshot() (the

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -197,142 +198,38 @@ TEST(ThreadPool, ParallelForKeepsStaticChunks) {
   EXPECT_EQ(chunks, expected);
 }
 
-TEST(BoundedQueue, FifoOrderSingleThread) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_TRUE(q.push(3));
-  EXPECT_EQ(q.size(), 3U);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-}
-
-TEST(BoundedQueue, CloseDrainsThenReturnsNullopt) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(7));
-  q.close();
-  EXPECT_FALSE(q.push(8));  // closed: push fails
-  EXPECT_EQ(q.pop(), 7);    // pending item still delivered
-  EXPECT_EQ(q.pop(), std::nullopt);
-  EXPECT_TRUE(q.closed());
-}
-
-TEST(BoundedQueue, BlockedPushUnblocksWhenConsumerPops) {
-  BoundedQueue<int> q(1);
-  EXPECT_TRUE(q.push(1));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(q.push(2));  // blocks until the consumer pops
-    pushed.store(true);
-  });
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-}
-
-TEST(BoundedQueue, BlockedPushUnblocksOnClose) {
-  BoundedQueue<int> q(1);
-  EXPECT_TRUE(q.push(1));
-  std::thread producer([&] { EXPECT_FALSE(q.push(2)); });
-  q.close();
-  producer.join();
-}
-
-TEST(BoundedQueue, ManyProducersManyConsumersDeliverEverythingOnce) {
-  BoundedQueue<int> q(8);
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 500;
-  std::vector<std::atomic<int>> seen(kProducers * kPerProducer);
-
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      while (auto item = q.pop()) seen[*item].fetch_add(1);
+TEST(ThreadPool, PostRunsEachTaskOnceOnAWorker) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t done = 0;
+  bool on_caller = false;
+  for (int i = 0; i < 50; ++i) {
+    pool.post([&] {
+      const std::lock_guard<std::mutex> lock(mu);
+      on_caller = on_caller || std::this_thread::get_id() == caller;
+      ++done;
+      cv.notify_all();
     });
   }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        EXPECT_TRUE(q.push(p * kPerProducer + i));
-      }
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return done == 50; });
+  EXPECT_FALSE(on_caller);
+}
+
+TEST(ThreadPool, PostedTasksStillQueuedRunBeforeThePoolIsDestroyed) {
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(1);
+    std::atomic<bool> release{false};
+    pool.post([&] {
+      while (!release.load()) std::this_thread::yield();
     });
+    for (int i = 0; i < 10; ++i) pool.post([&] { ran.fetch_add(1); });
+    release.store(true);
   }
-  for (auto& t : producers) t.join();
-  q.close();
-  for (auto& t : consumers) t.join();
-  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
-
-TEST(BoundedQueue, TryPushNeverBlocks) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: rejected, not blocked
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_TRUE(q.try_push(3));  // room again
-  q.close();
-  EXPECT_FALSE(q.try_push(4));  // closed: rejected
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, PushForTimesOutWhenFull) {
-  BoundedQueue<int> q(1);
-  EXPECT_TRUE(q.push(1));
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(q.push_for(2, std::chrono::milliseconds(20)));
-  EXPECT_GE(std::chrono::steady_clock::now() - t0,
-            std::chrono::milliseconds(15));
-  EXPECT_EQ(q.size(), 1U);  // the rejected item was dropped, not queued
-}
-
-TEST(BoundedQueue, PushForSucceedsWhenConsumerMakesRoom) {
-  BoundedQueue<int> q(1);
-  EXPECT_TRUE(q.push(1));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    // Generous deadline: the consumer pops long before it expires.
-    EXPECT_TRUE(q.push_for(2, std::chrono::seconds(30)));
-    pushed.store(true);
-  });
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-}
-
-TEST(BoundedQueue, PushForFailsPromptlyOnCloseRace) {
-  // The closed-queue race: a producer parked in push_for must observe a
-  // concurrent close() and return false well before its deadline, and a
-  // producer that calls push_for after close must fail immediately even
-  // when there is room.
-  BoundedQueue<int> q(1);
-  EXPECT_TRUE(q.push(1));
-  std::atomic<bool> returned{false};
-  std::thread producer([&] {
-    EXPECT_FALSE(q.push_for(2, std::chrono::seconds(30)));
-    returned.store(true);
-  });
-  q.close();
-  producer.join();
-  EXPECT_TRUE(returned.load());
-  EXPECT_EQ(q.pop(), 1);  // close drains pending items
-  // Room available now, but the queue is closed: fail without waiting.
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(q.push_for(3, std::chrono::seconds(30)));
-  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
-}
-
-TEST(BoundedQueue, MoveOnlyItems) {
-  BoundedQueue<std::unique_ptr<int>> q(2);
-  EXPECT_TRUE(q.push(std::make_unique<int>(42)));
-  auto out = q.pop();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(**out, 42);
+  EXPECT_EQ(ran.load(), 10);
 }
 
 }  // namespace
