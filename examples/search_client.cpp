@@ -20,7 +20,7 @@
 // same query stream round-robin across them, closes each, and then:
 //
 //   * verifies every session produced the identical PSM set (isolation:
-//     tenants sharing cache/backends/scheduler must not perturb each
+//     tenants sharing cache/backends/pool must not perturb each
 //     other), exiting non-zero on any mismatch;
 //   * prints session 1's PSMs as sorted `PSM <qid> <peptide> <score>
 //     <shift>` lines — byte-comparable to `quickstart --print-psms`

@@ -10,7 +10,8 @@
 //   --mode=tcp    listen on 127.0.0.1:--port (default 7777), one thread
 //                 per connection, all connections multiplexed onto one
 //                 shared SearchServer (shared library cache, shared
-//                 backends, fair block scheduling).
+//                 backends, one global pool that takes the sessions'
+//                 query blocks in turn).
 //
 // Protocol (text lines; responses marked ←, asynchronous lines ⇠):
 //
@@ -38,10 +39,11 @@
 //   STATS
 //     ← STATS <json>   one-line obs::MetricsRegistry snapshot
 //       (SearchServer::metrics_snapshot().to_json()): serve.* counters
-//       (queries/PSMs, per-session serve.session.<id>.*, admission
-//       rejects/blocks), engine.stage.* latency histograms with
-//       p50/p95/p99, serve.first_psm_seconds / serve.open_seconds,
-//       backend.* gauges, cache + scheduler scrape gauges.
+//       (queries/PSMs across all sessions, admission rejects/blocks),
+//       engine.stage.* latency histograms with p50/p95/p99,
+//       serve.first_psm_seconds / serve.open_seconds, backend.* gauges,
+//       session count, cache and maintainer scrape gauges. Its keys do
+//       not grow with the number of sessions opened.
 //   QUIT
 //     ← BYE   (pipe mode: the process exits; tcp: the connection closes)
 //
@@ -386,8 +388,8 @@ class Conversation {
 
   bool cmd_stats() {
     // The whole registry as one JSON line: per-stage latency histograms
-    // (p50/p95/p99 precomputed), serve counters (global and per-session),
-    // backend gauges, cache/scheduler scrape — Snapshot::to_json() never
+    // (p50/p95/p99 precomputed), serve counters, backend gauges,
+    // session/cache/maintainer scrape — Snapshot::to_json() never
     // emits a newline, so the line protocol ships it verbatim.
     reply("STATS " + app_.server.metrics_snapshot().to_json());
     return true;
@@ -467,12 +469,12 @@ void print_help() {
       "       then CLOSED <sid> accepted=N searched=N\n"
       "  STATS\n"
       "    -> STATS <json> — one-line obs::MetricsRegistry snapshot:\n"
-      "       serve.* counters (queries_total, psms_total, per-session\n"
-      "       serve.session.<id>.queries/.psms, admission rejects/blocks),\n"
-      "       engine.stage.* latency histograms with p50/p95/p99,\n"
-      "       serve.first_psm_seconds and serve.open_seconds histograms,\n"
-      "       backend.* gauges, cache hit/miss/eviction/donation and\n"
-      "       scheduler grant/stream gauges.\n"
+      "       serve.* counters (queries_total, psms_total, admission\n"
+      "       rejects/blocks), engine.stage.* latency histograms with\n"
+      "       p50/p95/p99, serve.first_psm_seconds and serve.open_seconds\n"
+      "       histograms, backend.* gauges, session counts, cache\n"
+      "       hit/miss/eviction/donation and maintainer gauges. The key\n"
+      "       set does not grow with the number of sessions opened.\n"
       "  QUIT\n"
       "    -> BYE\n"
       "  A line over 1 MiB gets ERR line too long and closes the\n"

@@ -113,9 +113,12 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
   // most cfg.queue_blocks are pending or running. Nothing ever waits on a
   // queued pool task: submit() at the in-flight cap, drain() and the
   // destructor run pending blocks themselves (run_one), as parallel_tasks'
-  // caller does, and a pool task that finishes a block takes the next. Pool
-  // tasks hold the Impl by shared_ptr, so one that starts after the engine
-  // is gone finds nothing pending and touches nothing else.
+  // caller does. A pool task runs one block and then posts the stream's
+  // next task at the back of the pool's FIFO queue, so the blocks of
+  // concurrent streams take turns on the pool and no worker serves one
+  // stream's backlog while another's block waits. Pool tasks hold the Impl
+  // by shared_ptr, so one that starts after the engine is gone finds
+  // nothing pending and touches nothing else.
 
   /// The one admission path behind submit, try_submit and submit_for,
   /// which differ only in `wait`: it is called with `lock` held while the
@@ -168,12 +171,13 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
     }
   }
 
-  /// A posted pool task: runs pending blocks while the stream has room.
+  /// A posted pool task: runs one pending block, if the stream has room.
+  /// run_one's flush then queues the stream's next task behind whatever
+  /// other streams posted meanwhile.
   void run_pending() {
     std::unique_lock<std::mutex> lock(mutex);
     --waking;
-    while (run_one(lock)) {
-    }
+    (void)run_one(lock);
   }
 
   /// Runs the oldest pending block on this thread, unless none is pending
@@ -354,38 +358,10 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
     const Clock::time_point t0 = begin_stage(block);
     const std::size_t k =
         std::max<std::size_t>(1, pipeline.cfg_.rescore_top_k);
-    double inner_s = 0.0;
-    const auto search = [&] {
-      if (timing_on()) {
-        const Clock::time_point s0 = Clock::now();
-        block.hits = pipeline.backend_->search_batch(block.searches, k);
-        inner_s = seconds_between(s0, Clock::now());
-      } else {
-        block.hits = pipeline.backend_->search_batch(block.searches, k);
-      }
-    };
-    // The gate (serve::FairScheduler) only decides *when* the block runs;
-    // keyed noise keeps the results schedule-independent.
-    if (cfg.search_gate) {
-      cfg.search_gate(search);
-    } else {
-      search();
-    }
+    block.hits = pipeline.backend_->search_batch(block.searches, k);
     if (timing_on()) {
-      // Outer minus inner separates the time waiting on the gate
-      // (cross-tenant scheduling) from the backend search itself; for the
-      // tracer the gate wait folds into queue-wait.
-      block.stamp = Clock::now();
-      const double gate_wait =
-          std::max(0.0, seconds_between(t0, block.stamp) - inner_s);
-      if (obs) {
-        obs->search_s.observe(inner_s);
-        obs->gate_wait_s.observe(gate_wait);
-      }
-      if (tracing_on()) {
-        trace_block(block, obs::Stage::kSearch, inner_s);
-        trace_block(block, obs::Stage::kQueueWait, gate_wait);
-      }
+      end_stage(block, t0, obs ? &obs->search_s : nullptr,
+                obs::Stage::kSearch);
     }
     if (obs) scrape_backend();
   }
@@ -620,7 +596,6 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
           encode_s(r.histogram("engine.stage.encode_seconds")),
           queue_wait_s(r.histogram("engine.stage.queue_wait_seconds")),
           search_s(r.histogram("engine.stage.search_seconds")),
-          gate_wait_s(r.histogram("engine.stage.gate_wait_seconds")),
           rescore_s(r.histogram("engine.stage.rescore_seconds")),
           emit_s(r.histogram("engine.stage.emit_seconds")),
           emit_latency_s(r.histogram("engine.emit_latency_seconds")),
@@ -641,7 +616,6 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
     obs::Histogram& encode_s;
     obs::Histogram& queue_wait_s;
     obs::Histogram& search_s;
-    obs::Histogram& gate_wait_s;
     obs::Histogram& rescore_s;
     obs::Histogram& emit_s;
     obs::Histogram& emit_latency_s;

@@ -20,7 +20,10 @@
 // PipelineResult.
 //
 // The engine starts no thread. At most `stage_threads` blocks of a stream
-// run at once and at most `queue_blocks` are admitted but unfinished; a
+// run at once and at most `queue_blocks` are admitted but unfinished. A
+// pool task runs one block and then queues the stream's next task at the
+// back of the pool's FIFO, so concurrent streams' blocks take turns on the
+// pool and the pool queue is the one cross-stream scheduler. A
 // submit() that finds the stream full runs a pending block itself before
 // it waits, as drain() does, so no pool task ever waits for work that only
 // another queued pool task could do and streams may run from inside pool
@@ -103,22 +106,15 @@ struct QueryEngineConfig {
   /// (serve::Session) use it to release in-flight quota. Must be
   /// thread-safe; never called again after drain() returns.
   std::function<void(std::size_t)> on_query_resolved;
-  /// Serving hook: when set, every backend search_batch call is wrapped in
-  /// this gate — the block's runner calls gate(search) and the
-  /// gate decides when search() executes (serve::FairScheduler uses it
-  /// for round-robin block scheduling across tenant sessions). The gate
-  /// must invoke the thunk exactly once (on any thread, but synchronously
-  /// — the block's runner waits) and propagate its exceptions. Purely a
-  /// scheduling knob: per-query keyed noise makes results independent of
-  /// block execution order.
-  std::function<void(const std::function<void()>&)> search_gate;
   /// Observability sink (see obs/metrics.hpp). When set, the engine
   /// records `engine.*` counters (submitted / dropped_preprocess /
   /// empty_window / psms_emitted / blocks), per-stage latency histograms
   /// (`engine.stage.*_seconds`, block-granular for the block stages; the
   /// encode stage covers a block's preprocess-and-encode fan-out, and
-  /// queue_wait one wait in front of each of the three block stages),
-  /// per-PSM emission-latency (`engine.emit_latency_seconds`, admission → release),
+  /// queue_wait one wait in front of each of the three block stages; the
+  /// first, from posting to a runner, includes the turns other streams'
+  /// blocks take on the shared pool), per-PSM emission latency
+  /// (`engine.emit_latency_seconds`, admission → release),
   /// and scrapes the backend's BackendStats into `backend.*` gauges after
   /// each searched block (set, not accumulated — the backend's counters
   /// are already monotonic totals, and concurrent blocks would make
@@ -129,10 +125,10 @@ struct QueryEngineConfig {
   /// (sample_every > 0), sampled queries — keyed on the admission index
   /// the determinism contract already assigns — get per-stage wall-time
   /// spans through admit → preprocess → encode → queue-wait → search →
-  /// rescore → emit; gate waits fold into queue-wait. Every admitted
-  /// query completes exactly one span (Emitted, EmptyWindow, or
-  /// DroppedPreprocess) under either emit policy. nullptr or disabled ⇒
-  /// a single branch per stage. Must outlive the engine.
+  /// rescore → emit. Every admitted query completes exactly one span
+  /// (Emitted, EmptyWindow, or DroppedPreprocess) under either emit
+  /// policy. nullptr or disabled ⇒ a single branch per stage. Must
+  /// outlive the engine.
   obs::Tracer* tracer = nullptr;
 };
 

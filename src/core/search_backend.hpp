@@ -69,11 +69,11 @@
 // Multi-tenant serving seam (src/serve/): a backend may be *shared* across
 // concurrent sessions — serve::LibraryCache holds one instance per
 // (fingerprint, path, backend-config) and hands it to every compatible
-// serve::Session via Pipeline::set_library(library, shared_backend), with
-// cross-tenant search_batch calls arbitrated by serve::FairScheduler. Every
-// backend must therefore keep top_k / search_batch reentrant and its
-// BackendStats counters atomic (the built-ins do, for the exact-counter
-// contract above).
+// serve::Session via Pipeline::set_library(library, shared_backend), and
+// the sessions' query blocks call search_batch concurrently from the global
+// pool, which takes their blocks in turn. Every backend must therefore
+// keep top_k / search_batch reentrant and its BackendStats counters
+// atomic (the built-ins do, for the exact-counter contract above).
 //
 // Registering a new backend (e.g. from a plugin or a future GPU/FPGA port):
 //

@@ -26,9 +26,10 @@
 // JSON (the serve layer's STATS verb) or Prometheus text exposition, and
 // supports since(before) deltas for windowed views (bench rounds).
 //
-// This header is the sensor layer the serve-scheduler ROADMAP item needs:
-// the qps and stage-latency percentiles exist *inside* the process, not
-// just in offline bench JSON.
+// This header is the serve layer's sensor layer: the qps and
+// stage-latency percentiles exist *inside* the process, not just in
+// offline bench JSON. Metric names are fixed strings, never built from a
+// session or query id, so a snapshot's size does not grow with traffic.
 #pragma once
 
 #include <atomic>

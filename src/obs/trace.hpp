@@ -37,8 +37,8 @@ enum class Stage : std::uint8_t {
   kAdmit = 0,      ///< Admitted, waiting for its block to fill.
   kPreprocess,     ///< Peak filtering / normalization.
   kEncode,         ///< HD encoding.
-  kQueueWait,      ///< Block waiting for a runner, a stage or a search slot.
-  kSearch,         ///< Backend block search (gate wait excluded).
+  kQueueWait,      ///< Block waiting for a runner or its next stage.
+  kSearch,         ///< Backend block search.
   kRescore,        ///< Candidate rescoring + interpolation.
   kEmit,           ///< Emission decision (FDR bound / drain flush).
   kStageCount_,    ///< Sentinel: number of stages.

@@ -53,7 +53,6 @@ SearchServerStats SearchServer::stats() const {
   out.queries_admitted = core_->queries_total.value();
   out.psms_streamed = core_->psms_total.value();
   out.cache = core_->cache.stats();
-  out.scheduler = core_->scheduler.stats();
   return out;
 }
 
@@ -75,11 +74,6 @@ obs::Snapshot SearchServer::metrics_snapshot() const {
       .set(static_cast<double>(c.backend_hits));
   m.gauge("serve.cache.backend_donations")
       .set(static_cast<double>(c.backend_donations));
-  const SchedulerStats s = core_->scheduler.stats();
-  m.gauge("serve.scheduler.grants").set(static_cast<double>(s.grants));
-  m.gauge("serve.scheduler.streams").set(static_cast<double>(s.streams));
-  m.gauge("serve.scheduler.running").set(static_cast<double>(s.running));
-  m.gauge("serve.scheduler.waiting").set(static_cast<double>(s.waiting));
   core_->maintainer.refresh_gauges();
   return m.snapshot();
 }

@@ -5,13 +5,17 @@
 //    ├─ LibraryCache      (serve/library_cache.hpp) keeps N mmapped
 //    │                    index::LibraryIndex artifacts hot, refcounted,
 //    │                    LRU-evicted, with donated shared backends
-//    ├─ FairScheduler     (serve/scheduler.hpp) round-robins search
-//    │                    blocks from all tenant engines onto the
-//    │                    substrate, bounding any one stream's monopoly
+//    ├─ Maintainer        (serve/maintainer.hpp) compacts fragmented
+//    │                    segmented libraries off the request path
 //    └─ Session…          (serve/session.hpp) one per open query stream:
 //                         private Pipeline + QueryEngine (Rolling FDR,
 //                         on_accept delivery), admission quota, explicit
 //                         open → submit → close lifecycle
+//
+// Every session's engine runs its query blocks on the one global
+// util::ThreadPool, one block per pool task, so the pool's FIFO queue
+// interleaves the tenants' blocks round-robin: no stream's backlog holds
+// a worker for more than one block while another stream's block waits.
 //
 // The server is transport-agnostic: examples/search_server.cpp wraps it
 // in a line protocol over TCP or stdin/stdout, but anything able to call
@@ -24,6 +28,7 @@
 // session and explicit rejection at the door, never unbounded buffering.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -33,7 +38,6 @@
 #include "obs/metrics.hpp"
 #include "serve/library_cache.hpp"
 #include "serve/maintainer.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/session.hpp"
 
 namespace oms::serve {
@@ -42,9 +46,6 @@ struct SearchServerConfig {
   LibraryCacheConfig cache{};
   /// Concurrently open sessions before open() throws.
   std::size_t max_sessions = 64;
-  /// Search blocks on the substrate at once, across all sessions
-  /// (FairScheduler slots). 0 → the global thread pool's worker count.
-  std::size_t max_concurrent_blocks = 0;
   /// Background compaction of segmented libraries (serve/maintainer.hpp):
   /// every manifest a session opens is watched, and fragmented ones are
   /// compacted off the request path. interval 0 disables the daemon
@@ -58,7 +59,6 @@ struct SearchServerStats {
   std::uint64_t queries_admitted = 0;    ///< Across all sessions.
   std::uint64_t psms_streamed = 0;       ///< on_accept deliveries.
   LibraryCacheStats cache{};
-  SchedulerStats scheduler{};
 };
 
 namespace detail {
@@ -70,7 +70,6 @@ namespace detail {
 struct ServerCore {
   explicit ServerCore(const SearchServerConfig& config)
       : cfg(config), cache(config.cache),
-        scheduler(config.max_concurrent_blocks),
         queries_total(metrics.counter("serve.queries_total")),
         psms_total(metrics.counter("serve.psms_total")),
         admission_rejected(metrics.counter("serve.admission.rejected")),
@@ -81,7 +80,6 @@ struct ServerCore {
 
   const SearchServerConfig cfg;
   LibraryCache cache;
-  FairScheduler scheduler;
   obs::MetricsRegistry metrics;
 
   obs::Counter& queries_total;       ///< Admitted, across all sessions.
@@ -94,6 +92,9 @@ struct ServerCore {
   std::mutex mutex;  ///< Guards the session counts.
   std::size_t sessions_open = 0;
   std::uint64_t sessions_total = 0;
+  /// Session ids, never reused: unlike sessions_total, a failed open
+  /// does not give its number back.
+  std::atomic<std::uint64_t> next_session_id{1};
 
   /// Declared LAST on purpose: constructed after (and destroyed before)
   /// the cache and registry its daemon thread touches.
@@ -110,10 +111,9 @@ class SearchServer {
 
   /// Opens a tenant stream over the artifact at `library_path`: leases
   /// the mapping from the cache (mapping it on first touch), builds the
-  /// session's pipeline + engine over the shared backend, and registers
-  /// it with the scheduler. Throws std::runtime_error at max_sessions,
-  /// and propagates open/validation failures (missing file, fingerprint
-  /// drift) without leaking capacity.
+  /// session's pipeline + engine over the shared backend. Throws
+  /// std::runtime_error at max_sessions, and propagates open/validation
+  /// failures (missing file, fingerprint drift) without leaking capacity.
   [[nodiscard]] std::shared_ptr<Session> open(const std::string& library_path,
                                               SessionConfig cfg);
 
@@ -126,9 +126,10 @@ class SearchServer {
     return core_->metrics;
   }
   /// Point-in-time snapshot with the scrape-time gauges refreshed first
-  /// (session counts, LibraryCache hit/miss/eviction/donation,
-  /// FairScheduler grants/streams/running/waiting) — what the line
-  /// protocol's STATS verb serializes via Snapshot::to_json().
+  /// (session counts, LibraryCache hit/miss/eviction/donation, Maintainer
+  /// watch list) — what the line protocol's STATS verb serializes via
+  /// Snapshot::to_json(). Its key set does not grow with the number of
+  /// sessions opened.
   [[nodiscard]] obs::Snapshot metrics_snapshot() const;
 
   [[nodiscard]] LibraryCache& cache() noexcept { return core_->cache; }
@@ -136,9 +137,6 @@ class SearchServer {
   /// tools and tests can run_once() deterministically or read its stats.
   [[nodiscard]] Maintainer& maintainer() noexcept {
     return core_->maintainer;
-  }
-  [[nodiscard]] FairScheduler& scheduler() noexcept {
-    return core_->scheduler;
   }
   [[nodiscard]] const SearchServerConfig& config() const noexcept {
     return core_->cfg;

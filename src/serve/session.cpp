@@ -12,9 +12,9 @@ namespace oms::serve {
 namespace {
 
 /// Serving default: a session runs at most this many of its blocks on the
-/// shared pool at once — tenants share the machine, and the FairScheduler
-/// already bounds concurrent search blocks across sessions. No session
-/// starts a thread of its own.
+/// shared pool at once — tenants share the machine, and the pool's FIFO
+/// queue takes their blocks in turn, one block per task. No session starts
+/// a thread of its own.
 [[nodiscard]] std::size_t default_stage_threads() {
   return std::clamp<std::size_t>(
       util::ThreadPool::global().thread_count() / 2, 1, 4);
@@ -27,6 +27,7 @@ Session::Session(std::shared_ptr<detail::ServerCore> core,
     : core_(std::move(core)),
       library_path_(std::move(library_path)),
       cfg_(std::move(cfg)),
+      id_(core_->next_session_id.fetch_add(1, std::memory_order_relaxed)),
       opened_at_(std::chrono::steady_clock::now()) {
   if (cfg_.max_in_flight == 0) {
     throw std::invalid_argument("Session: max_in_flight must be >= 1");
@@ -56,7 +57,6 @@ Session::Session(std::shared_ptr<detail::ServerCore> core,
   ecfg.on_accept = [this](const core::Psm& psm) {
     streamed_.fetch_add(1, std::memory_order_relaxed);
     core_->psms_total.add(1);
-    if (session_psms_ != nullptr) session_psms_->add(1);
     if (!first_psm_seen_.exchange(true, std::memory_order_relaxed)) {
       core_->first_psm_seconds.observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -66,9 +66,6 @@ Session::Session(std::shared_ptr<detail::ServerCore> core,
     if (cfg_.on_accept) cfg_.on_accept(psm);
   };
   ecfg.on_query_resolved = [this](std::size_t n) { release_quota(n); };
-  ecfg.search_gate = [this](const std::function<void()>& fn) {
-    core_->scheduler.run(id_, fn);
-  };
   ecfg.metrics = &core_->metrics;
   if (cfg_.trace_sample_every != 0) {
     tracer_ = std::make_unique<obs::Tracer>(obs::TracerConfig{
@@ -76,19 +73,6 @@ Session::Session(std::shared_ptr<detail::ServerCore> core,
     ecfg.tracer = tracer_.get();
   }
   engine_ = std::make_unique<core::QueryEngine>(*pipeline_, ecfg);
-
-  // Last: everything that could throw is behind us, so the stream cannot
-  // leak out of the rotation. id_ is only read when a search block runs,
-  // which requires a submit, which requires this constructor to return.
-  id_ = core_->scheduler.register_stream();
-  try {
-    const std::string prefix = "serve.session." + std::to_string(id_);
-    session_queries_ = &core_->metrics.counter(prefix + ".queries");
-    session_psms_ = &core_->metrics.counter(prefix + ".psms");
-  } catch (...) {
-    core_->scheduler.unregister_stream(id_);
-    throw;
-  }
 }
 
 Session::~Session() {
@@ -181,7 +165,6 @@ bool Session::submit(ms::Spectrum query) {
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
   core_->queries_total.add(1);
-  if (session_queries_ != nullptr) session_queries_->add(1);
   return true;
 }
 
@@ -216,12 +199,6 @@ core::PipelineResult Session::close() {
 void Session::detach() noexcept {
   if (detached_) return;
   detached_ = true;
-  try {
-    core_->scheduler.unregister_stream(id_);
-  } catch (...) {
-    // Quiescence is guaranteed by the drain that precedes every detach;
-    // never let teardown throw regardless.
-  }
   const std::lock_guard lock(core_->mutex);
   --core_->sessions_open;
 }

@@ -20,7 +20,7 @@
 // Isolation contract (pinned by tests/serve_server_test.cpp): the PSM
 // stream of a session is bit-identical to a solo run with the same config
 // and query order, regardless of how many other sessions share the
-// server, its backends, and its scheduler slots.
+// server, its backends, and the global pool its blocks run on.
 #pragma once
 
 #include <atomic>
@@ -37,7 +37,6 @@
 #include "core/pipeline.hpp"
 #include "core/query_engine.hpp"
 #include "index/segmented_library.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace oms::serve {
@@ -62,8 +61,8 @@ struct SessionConfig {
   core::PipelineConfig pipeline{};
   /// Engine tuning; 0 → serving defaults (block_size 64; concurrent
   /// blocks, stage_threads, scaled to the pool but modest — tenants share
-  /// the machine, and the FairScheduler caps concurrent search blocks
-  /// anyway; queue_blocks 2 * stage_threads + 2 unfinished blocks).
+  /// the machine's one pool, whose FIFO queue takes their blocks in turn;
+  /// queue_blocks 2 * stage_threads + 2 unfinished blocks).
   std::size_t block_size = 0;
   std::size_t stage_threads = 0;
   std::size_t queue_blocks = 0;
@@ -103,7 +102,8 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Server-unique session id (also the FairScheduler stream id).
+  /// Server-unique session id, never reused within a server (the line
+  /// protocol's <sid>).
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
   /// Admits one query. Returns true when admitted; false when rejected
@@ -161,7 +161,7 @@ class Session {
   /// Quota acquisition per policy; false → reject (or stream failed).
   [[nodiscard]] bool acquire_quota();
   void release_quota(std::size_t n);
-  /// Tears down server-side registration exactly once (close and dtor).
+  /// Releases the server's session slot exactly once (close and dtor).
   void detach() noexcept;
 
   std::shared_ptr<detail::ServerCore> core_;
@@ -188,11 +188,6 @@ class Session {
   bool cache_hit_ = false;
   bool backend_shared_ = false;
 
-  /// Per-session registry counters (serve.session.<id>.queries/.psms),
-  /// resolved right after the scheduler assigns id_ — the first submit
-  /// (and hence the first on_accept) cannot precede constructor return.
-  obs::Counter* session_queries_ = nullptr;
-  obs::Counter* session_psms_ = nullptr;
   /// First-accepted-PSM latency base (session open time).
   std::chrono::steady_clock::time_point opened_at_{};
   std::atomic<bool> first_psm_seen_{false};

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -409,33 +410,6 @@ TEST(QueryEngine, NonFiniteQueriesAreDroppedAtPreprocess) {
   EXPECT_EQ(result.identification_set(), clean_result.identification_set());
 }
 
-// A stage that throws fails the stream: the producer is never left blocked
-// on back-pressure, failed() reports it and drain() rethrows the first
-// exception.
-TEST(QueryEngine, ThrowingSearchGateFailsTheStream) {
-  const ms::Workload& wl = shared_workload();
-  Pipeline pipeline(small_config("ideal-hd"));
-  pipeline.set_library(wl.references);
-  QueryEngineConfig ecfg;
-  ecfg.block_size = 1;
-  ecfg.queue_blocks = 1;
-  ecfg.stage_threads = 2;
-  std::atomic<std::size_t> gated{0};
-  ecfg.search_gate = [&](const std::function<void()>& run_block) {
-    if (gated.fetch_add(1) + 1 == 4) throw std::runtime_error("gate 4");
-    run_block();
-  };
-  QueryEngine engine(pipeline, ecfg);
-  engine.submit_batch(wl.queries);  // returns although the stream failed
-  EXPECT_TRUE(engine.failed());
-  try {
-    (void)engine.drain();
-    FAIL() << "drain() did not rethrow the gate's exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "gate 4");
-  }
-}
-
 TEST(QueryEngine, ThrowingOnAcceptFailsTheStreamAfterClose) {
   const ms::Workload& wl = shared_workload();
   Pipeline pipeline(small_config("ideal-hd"));
@@ -459,45 +433,84 @@ TEST(QueryEngine, ThrowingOnAcceptFailsTheStreamAfterClose) {
   EXPECT_TRUE(engine.failed());
 }
 
-TEST(QueryEngine, ThrowingBackendSearchBatchFailsTheStream) {
-  struct ThrowingBackend final : SearchBackend {
-    [[nodiscard]] std::string_view name() const noexcept override {
-      return "throwing-batch";
-    }
-    [[nodiscard]] std::vector<hd::SearchHit> top_k(
-        const util::BitVec&, std::size_t, std::size_t, std::size_t,
-        std::uint64_t) override {
-      return {};
-    }
-    [[nodiscard]] std::vector<std::vector<hd::SearchHit>> search_batch(
-        std::span<const Query>, std::size_t) override {
-      throw std::runtime_error("search_batch");
-    }
-    [[nodiscard]] BackendStats stats() const override {
-      return BackendStats{"throwing-batch", 0, 1, 0, 0.0, 1.0};
-    }
-  };
-  BackendRegistry::instance().register_backend(
-      "test-throwing-batch",
-      [](std::span<const util::BitVec>, const BackendOptions&) {
-        return std::make_unique<ThrowingBackend>();
-      });
-  const ms::Workload& wl = shared_workload();
-  Pipeline pipeline(small_config("test-throwing-batch"));
-  pipeline.set_library(wl.references);
-  QueryEngineConfig ecfg;
-  ecfg.block_size = 4;
-  ecfg.queue_blocks = 2;
-  ecfg.stage_threads = 2;
-  QueryEngine engine(pipeline, ecfg);
-  engine.submit_batch(wl.queries);
-  try {
-    (void)engine.drain();
-    FAIL() << "drain() did not rethrow search_batch's exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "search_batch");
+/// A backend that finds nothing. Each search_batch call first hands its
+/// queries to `on_search`, which may record them or throw.
+class StubBackend final : public SearchBackend {
+ public:
+  using Hook = std::function<void(std::span<const Query>)>;
+  explicit StubBackend(Hook on_search) : on_search_(std::move(on_search)) {}
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "stub";
   }
-  EXPECT_TRUE(engine.failed());
+  [[nodiscard]] std::vector<hd::SearchHit> top_k(
+      const util::BitVec&, std::size_t, std::size_t, std::size_t,
+      std::uint64_t) override {
+    return {};
+  }
+  [[nodiscard]] std::vector<std::vector<hd::SearchHit>> search_batch(
+      std::span<const Query> queries, std::size_t) override {
+    on_search_(queries);
+    return std::vector<std::vector<hd::SearchHit>>(queries.size());
+  }
+  [[nodiscard]] BackendStats stats() const override {
+    return BackendStats{"stub", 0, 1, 0, 0.0, 1.0};
+  }
+
+ private:
+  const Hook on_search_;
+};
+
+/// Registers `name` as a StubBackend whose search_batch calls `on_search`.
+void register_stub(const std::string& name, StubBackend::Hook on_search) {
+  BackendRegistry::instance().register_backend(
+      name, [on_search = std::move(on_search)](std::span<const util::BitVec>,
+                                               const BackendOptions&) {
+        return std::make_unique<StubBackend>(on_search);
+      });
+}
+
+// A block that throws fails the stream: the producer is never left
+// blocked on back-pressure, failed() reports it and drain() rethrows the
+// first exception.
+TEST(QueryEngine, ThrowingBackendSearchBatchFailsTheStream) {
+  struct Case {
+    std::size_t throw_at, block_size, queue_blocks;
+    const char* what;
+  };
+  // throw_at 0: every search_batch throws; otherwise only the
+  // throw_at-th does. queue_blocks 1 runs blocks one at a time, so the
+  // throw_at-th call is the first to fail.
+  const Case cases[] = {{0, 4, 2, "search_batch"},
+                        {4, 1, 1, "search_batch 4"}};
+  const ms::Workload& wl = shared_workload();
+  for (const Case& c : cases) {
+    auto calls = std::make_shared<std::atomic<std::size_t>>(0);
+    register_stub("test-throwing-batch",
+                  [calls, throw_at = c.throw_at](std::span<const Query>) {
+                    const std::size_t call = calls->fetch_add(1) + 1;
+                    if (throw_at == 0) throw std::runtime_error("search_batch");
+                    if (call == throw_at) {
+                      throw std::runtime_error("search_batch " +
+                                               std::to_string(call));
+                    }
+                  });
+    Pipeline pipeline(small_config("test-throwing-batch"));
+    pipeline.set_library(wl.references);
+    QueryEngineConfig ecfg;
+    ecfg.block_size = c.block_size;
+    ecfg.queue_blocks = c.queue_blocks;
+    ecfg.stage_threads = 2;
+    QueryEngine engine(pipeline, ecfg);
+    engine.submit_batch(wl.queries);  // returns although the stream failed
+    EXPECT_TRUE(engine.failed()) << c.what;
+    try {
+      (void)engine.drain();
+      ADD_FAILURE() << "drain() did not rethrow " << c.what;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), c.what);
+    }
+    EXPECT_TRUE(engine.failed()) << c.what;
+  }
 }
 
 /// Threads in this process, from /proc/self/status; 0 where unavailable.
@@ -591,6 +604,107 @@ TEST(QueryEngine, StreamsInsideEveryPoolWorkerFinish) {
   for (std::size_t w = 0; w < workers; ++w) {
     expect_same_psms(want, got[w], "worker " + std::to_string(w));
   }
+}
+
+/// Child-process body of the fairness test: on a one-worker global pool,
+/// stream A admits 8 one-query blocks, then stream B admits one, while the
+/// worker is held; once released, the worker must reach B's block before
+/// A's third. Exits 0 on success; otherwise prints the search order and
+/// exits 1.
+[[noreturn]] void check_streams_take_turns_on_one_worker() {
+  const auto fail = [](const std::string& what) {
+    std::fprintf(stderr, "%s\n", what.c_str());
+    std::exit(1);
+  };
+  if (!util::ThreadPool::set_global_threads(1) ||
+      util::ThreadPool::global().thread_count() != 1) {
+    fail("global pool not sized to 1");
+  }
+  const ms::Workload& wl = shared_workload();
+  // A query that survives preprocessing and meets a candidate window.
+  Pipeline exact(small_config("ideal-hd"));
+  exact.set_library(wl.references);
+  const PipelineResult found = exact.run(wl.queries);
+  if (found.psms.empty()) fail("no query produced a PSM");
+  const auto probe = std::find_if(
+      wl.queries.begin(), wl.queries.end(), [&](const ms::Spectrum& q) {
+        return q.id == found.psms.front().query_id;
+      });
+
+  // Written only by the one pool worker, which runs every block.
+  std::vector<std::uint64_t> log;
+  register_stub("test-recording", [&log](std::span<const Query> queries) {
+    if (!queries.empty()) log.push_back(queries.front().stream);
+  });
+  Pipeline pa(small_config("test-recording"));
+  Pipeline pb(small_config("test-recording"));
+  pa.set_library(wl.references);
+  pb.set_library(wl.references);
+  QueryEngineConfig ecfg;
+  ecfg.block_size = 1;
+  ecfg.queue_blocks = 8;
+  ecfg.stage_threads = 1;
+  QueryEngine a(pa, ecfg);
+  QueryEngine b(pb, ecfg);
+
+  // Hold the one worker, so both streams' tasks queue behind this one.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool release = false;
+  util::ThreadPool::global().post([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    held = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return held; });
+  }
+  for (std::uint32_t id = 1; id <= 8; ++id) {
+    ms::Spectrum q = *probe;
+    q.id = id;
+    if (!a.try_submit(std::move(q))) fail("A's block was not admitted");
+  }
+  ms::Spectrum qb = *probe;
+  qb.id = 100;
+  if (!b.try_submit(std::move(qb))) fail("B's block was not admitted");
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+
+  // Let the worker run every block before drain(), which would run
+  // pending blocks on this thread.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (a.outstanding() + b.outstanding() != 0) {
+    if (std::chrono::steady_clock::now() > deadline) fail("blocks never ran");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  (void)a.drain();
+  (void)b.drain();
+  std::string order;
+  for (const std::uint64_t id : log) order += " " + std::to_string(id);
+  if (log.size() != 9) fail("searched" + order);
+  const auto at = [&](std::uint64_t id) {
+    return std::find(log.begin(), log.end(), id) - log.begin();
+  };
+  if (at(100) > at(3)) fail("B's block ran after A's third:" + order);
+  std::exit(0);
+}
+
+TEST(QueryEngine, StreamsTakeTurnsOnTheSharedPool) {
+  // A pool task runs one block, then queues its stream's next task behind
+  // the tasks other streams posted meanwhile; so a worker never serves one
+  // stream's backlog while another stream's block waits. The global pool
+  // is sized once per process, so the one-worker pool runs in a freshly
+  // executed child (threadsafe death-test style re-executes this binary
+  // for just this test).
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(check_streams_take_turns_on_one_worker(),
+              testing::ExitedWithCode(0), "");
 }
 
 TEST(QueryEngine, DrainWithoutSubmissionsIsEmpty) {

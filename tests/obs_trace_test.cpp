@@ -269,10 +269,9 @@ TEST(ObsTracerEngine, RegistryCountersMatchEngineStats) {
       snap.histogram("engine.stage.search_seconds");
   ASSERT_NE(search, nullptr);
   EXPECT_EQ(search->count, stats.blocks);
-  // One encode, gate-wait and rescore observation per block, and one
-  // queue wait in front of each of the three block stages.
+  // One encode and rescore observation per block, and one queue wait in
+  // front of each of the three block stages.
   for (const char* name : {"engine.stage.encode_seconds",
-                           "engine.stage.gate_wait_seconds",
                            "engine.stage.rescore_seconds"}) {
     const obs::HistogramSnapshot* h = snap.histogram(name);
     ASSERT_NE(h, nullptr) << name;

@@ -4,7 +4,7 @@
 //     accepted-PSM sequence — is bit-identical to a solo Pipeline::run
 //     with the same config and query stream, regardless of how many
 //     other sessions (on the same or different backends) run
-//     concurrently against the same server, cache, and scheduler.
+//     concurrently against the same server, cache, and global pool.
 //   * LibraryCache: fingerprint+path keying, hit/miss/donation counters,
 //     LRU eviction that cannot pull a mapped artifact out from under an
 //     open session (refcount semantics), fingerprint-drift rejection.
@@ -14,8 +14,8 @@
 //   * Admission control: Reject policy sheds load once max_in_flight
 //     unresolved queries are held on a stalled substrate; the session
 //     still returns the exact solo result for the queries it admitted.
-//   * FairScheduler: round-robin grants across streams, FIFO within.
-//   * SearchServer: max_sessions capacity gate and stats plumbing.
+//   * SearchServer: max_sessions capacity gate and stats plumbing; the
+//     STATS snapshot's key set does not grow with the sessions opened.
 //
 // Runs under the `tsan` ctest label (see CMakeLists) — every contract
 // here is exercised with real cross-session concurrency.
@@ -38,7 +38,6 @@
 #include "index/library_index.hpp"
 #include "ms/synthetic.hpp"
 #include "serve/library_cache.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "util/thread_pool.hpp"
 
@@ -241,8 +240,6 @@ TEST(SearchServer, ConcurrentSessionsBitIdenticalToSoloRuns) {
   // sessions another; the sliced session built (and donated) its own.
   EXPECT_EQ(st.cache.backend_donations, 3U);
   EXPECT_EQ(st.cache.backend_hits, 2U);
-  EXPECT_GT(st.scheduler.grants, 0U);
-  EXPECT_EQ(st.scheduler.running, 0U);
 }
 
 // ---------------------------------------------------------------------------
@@ -599,63 +596,6 @@ TEST(SearchServer, RejectPolicyShedsLoadOnStalledSubstrate) {
 }
 
 // ---------------------------------------------------------------------------
-// FairScheduler: round-robin across streams, FIFO within a stream.
-
-TEST(FairScheduler, RoundRobinAcrossStreamsFifoWithin) {
-  serve::FairScheduler sched(1);  // one slot serializes everything
-  const std::uint64_t a = sched.register_stream();
-  const std::uint64_t b = sched.register_stream();
-  const std::uint64_t c = sched.register_stream();
-
-  std::mutex order_mu;
-  std::vector<std::string> order;
-  SubstrateGate first_block;
-
-  // Occupy the slot with A so the other submissions park deterministically.
-  std::thread holder([&] {
-    sched.run(a, [&] { first_block.wait(); });
-  });
-  while (sched.stats().running == 0) std::this_thread::yield();
-
-  auto queued = [&](std::uint64_t id, const std::string& label) {
-    return std::thread([&, id, label] {
-      sched.run(id, [&, label] {
-        const std::lock_guard lock(order_mu);
-        order.push_back(label);
-      });
-    });
-  };
-  std::vector<std::thread> workers;
-  // Queue in stream-FIFO order: B1 B2 B3, C1 C2, A2. Spawn one at a time
-  // and wait for each to park so within-stream order is deterministic.
-  const std::pair<std::uint64_t, std::string> plan[] = {
-      {b, "B1"}, {b, "B2"}, {b, "B3"}, {c, "C1"}, {c, "C2"}, {a, "A2"}};
-  std::size_t parked = 0;
-  for (const auto& [id, label] : plan) {
-    workers.push_back(queued(id, label));
-    ++parked;
-    while (sched.stats().waiting < parked) std::this_thread::yield();
-  }
-
-  first_block.release();
-  holder.join();
-  for (auto& w : workers) w.join();
-
-  // Cursor sat at A (it ran last); rotation then interleaves fairly:
-  // B C A B C B — stream B's backlog cannot starve C or A.
-  const std::vector<std::string> expected = {"B1", "C1", "A2",
-                                             "B2", "C2", "B3"};
-  EXPECT_EQ(order, expected);
-  EXPECT_EQ(sched.stats().grants, 7U);  // holder + six queued
-
-  sched.unregister_stream(a);
-  sched.unregister_stream(b);
-  sched.unregister_stream(c);
-  EXPECT_EQ(sched.stats().streams, 0U);
-  EXPECT_THROW(sched.unregister_stream(a), std::logic_error);
-}
-
-// ---------------------------------------------------------------------------
 // Server capacity gate.
 
 TEST(SearchServer, MaxSessionsIsEnforcedAndReleasedOnClose) {
@@ -724,9 +664,10 @@ TEST(SearchServer, OpenSessionsAddNoThreads) {
 }
 
 // The observability contract of the serve layer: metrics_snapshot() (the
-// STATS verb's payload) carries per-session query/PSM counts, cache and
-// scheduler gauges, and the engine's stage histograms — and the numbers
-// agree with the results the sessions actually returned.
+// STATS verb's payload) carries the server's query/PSM counts, cache
+// gauges, and the engine's stage histograms, each session's stats() its
+// own counts — and the numbers agree with the results the sessions
+// actually returned.
 TEST(SearchServerObs, MetricsSnapshotCarriesServeAndEngineInstruments) {
   const core::PipelineConfig cfg = serve_config("ideal-hd");
   const std::string art = build_artifact("obs", cfg);
@@ -737,8 +678,6 @@ TEST(SearchServerObs, MetricsSnapshotCarriesServeAndEngineInstruments) {
 
   auto s1 = server.open(art, scfg);
   auto s2 = server.open(art, scfg);
-  const std::uint64_t id1 = s1->id();
-  const std::uint64_t id2 = s2->id();
   const auto q1 = matched_queries(0);
   const auto q2 = matched_queries(1);
   for (const auto& q : q1) ASSERT_TRUE(s1->submit(q));
@@ -758,20 +697,14 @@ TEST(SearchServerObs, MetricsSnapshotCarriesServeAndEngineInstruments) {
   EXPECT_EQ(snap.counter("serve.psms_total"),
             r1.accepted.size() + r2.accepted.size());
   EXPECT_EQ(snap.counter("serve.admission.rejected"), 0U);
-  EXPECT_EQ(
-      snap.counter("serve.session." + std::to_string(id1) + ".queries"),
-      q1.size());
-  EXPECT_EQ(
-      snap.counter("serve.session." + std::to_string(id2) + ".queries"),
-      q2.size());
-  EXPECT_EQ(snap.counter("serve.session." + std::to_string(id1) + ".psms"),
-            r1.accepted.size());
+  EXPECT_EQ(s1->stats().submitted, q1.size());
+  EXPECT_EQ(s2->stats().submitted, q2.size());
+  EXPECT_EQ(s1->stats().streamed, r1.accepted.size());
 
   EXPECT_EQ(snap.gauge("serve.sessions_total"), 2.0);
   EXPECT_EQ(snap.gauge("serve.sessions_open"), 0.0);
   EXPECT_GE(snap.gauge("serve.cache.misses"), 1.0);  // first open
   EXPECT_GE(snap.gauge("serve.cache.hits"), 1.0);    // second open
-  EXPECT_GT(snap.gauge("serve.scheduler.grants"), 0.0);
 
   const obs::HistogramSnapshot* open_h = snap.histogram("serve.open_seconds");
   ASSERT_NE(open_h, nullptr);
@@ -792,6 +725,39 @@ TEST(SearchServerObs, MetricsSnapshotCarriesServeAndEngineInstruments) {
   EXPECT_EQ(json.find('\n'), std::string::npos);
   EXPECT_NE(json.find("\"serve.queries_total\":"), std::string::npos);
   EXPECT_NE(json.find("\"engine.stage.search_seconds\":"), std::string::npos);
+}
+
+// The STATS exposition is bounded: opening and closing sessions adds no
+// counter, gauge or histogram key after the first session registered the
+// serve and engine instruments, so a long-lived server's snapshot does not
+// grow with its session count.
+TEST(SearchServerObs, SnapshotKeysDoNotGrowWithSessions) {
+  const core::PipelineConfig cfg = serve_config("ideal-hd");
+  const std::string art = build_artifact("exact", cfg);
+  serve::SearchServer server;
+  serve::SessionConfig scfg;
+  scfg.pipeline = cfg;
+  const auto queries = matched_queries(0, 4);
+  const auto run_session = [&] {
+    auto session = server.open(art, scfg);
+    for (const ms::Spectrum& q : queries) ASSERT_TRUE(session->submit(q));
+    EXPECT_EQ(session->close().queries_in, queries.size());
+  };
+  run_session();
+  const obs::Snapshot first = server.metrics_snapshot();
+  std::uint64_t last_id = 0;
+  for (int i = 0; i < 1000; ++i) {
+    auto session = server.open(art, scfg);
+    EXPECT_GT(session->id(), last_id);  // ids are never reused
+    last_id = session->id();
+    (void)session->close();
+  }
+  run_session();
+  const obs::Snapshot after = server.metrics_snapshot();
+  EXPECT_EQ(after.gauge("serve.sessions_total"), 1002.0);
+  EXPECT_EQ(after.counters.size(), first.counters.size());
+  EXPECT_EQ(after.gauges.size(), first.gauges.size());
+  EXPECT_EQ(after.histograms.size(), first.histograms.size());
 }
 
 }  // namespace
