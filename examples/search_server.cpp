@@ -19,8 +19,8 @@
 //        [max_in_flight=N] [admit=block|reject] [timeout_ms=N] [trace=N]
 //     ← OK <session-id>            or  ERR <message>
 //     fdr in (0, 1]; seed, trace in [0, 2^64); block in [1, 65536];
-//     max_in_flight >= 1; timeout_ms in [0, 86400000]. Anything else —
-//     a NaN, a sign, trailing bytes — is answered
+//     max_in_flight in [1, 1048576]; timeout_ms in [0, 86400000].
+//     Anything else — a NaN, a sign, trailing bytes — is answered
 //     "ERR <option> must be <range>, got '<value>'".
 //   Q <session-id> <query-id> <precursor_mz> <charge> <mz:int,mz:int,...>
 //     ⇠ (nothing on admission)
@@ -106,9 +106,13 @@ oms::core::PipelineConfig base_config() {
 constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
-/// Largest OPEN block=: the engine holds up to queue_blocks + 1 blocks of
-/// admitted spectra.
+/// Largest OPEN block=: the queries one search batch holds. A session's
+/// memory is bounded by max_in_flight, which also caps the block.
 constexpr std::uint64_t kMaxBlock = 65536;
+/// Largest OPEN max_in_flight= (2^20): a session holds at most this many
+/// admitted, unresolved spectra, the one bound on the memory a client's
+/// stream occupies.
+constexpr std::uint64_t kMaxInFlight = std::uint64_t{1} << 20;
 /// Largest OPEN timeout_ms= (one day); a longer wait overflows the
 /// condition-variable deadline arithmetic.
 constexpr std::uint64_t kMaxTimeoutMs = 86'400'000;
@@ -257,8 +261,8 @@ class Conversation {
           accepts = "an integer in [1, 65536]";
         }
       } else if (key == "max_in_flight") {
-        if (!parse_count(val, 1, kU64Max, scfg.max_in_flight)) {
-          accepts = "an integer >= 1";
+        if (!parse_count(val, 1, kMaxInFlight, scfg.max_in_flight)) {
+          accepts = "an integer in [1, 1048576]";
         }
       } else if (key == "admit") {
         if (val == "block") {
@@ -453,9 +457,10 @@ void print_help() {
       "       [trace=N]\n"
       "    -> OK <session-id> | ERR <message>\n"
       "    fdr in (0, 1]; seed and trace (every Nth query traced, 0 = off)\n"
-      "    in [0, 2^64); block in [1, 65536]; max_in_flight >= 1;\n"
-      "    timeout_ms in [0, 86400000]. A malformed or out-of-range value\n"
-      "    gets ERR <option> must be <range>, got '<value>'.\n"
+      "    in [0, 2^64); block in [1, 65536]; max_in_flight in\n"
+      "    [1, 1048576]; timeout_ms in [0, 86400000]. A malformed or\n"
+      "    out-of-range value gets ERR <option> must be <range>,\n"
+      "    got '<value>'.\n"
       "  Q <session-id> <query-id> <precursor_mz> <charge> <mz:int,...>\n"
       "    -> REJECT <sid> <qid> only when admission sheds the query\n"
       "    query-id in [0, 2^32); precursor_mz finite and > 0; charge >= 1;\n"

@@ -236,15 +236,10 @@ PipelineResult Pipeline::run(const std::vector<ms::Spectrum>& queries) {
   }
   // Thin wrapper over the streaming executor: submit everything, drain.
   // The engine's keyed-noise contract makes the result independent of
-  // block size and worker count. (One historical exception: with
-  // injected_ber > 0 the query-side error realization is now keyed per
-  // spectrum instead of drawn from one batch-sequential RNG, so those
-  // runs differ from pre-engine releases at the same seed — same rate,
-  // different flips.)
+  // block size and worker count.
   QueryEngineConfig ecfg;
   ecfg.stage_threads = std::clamp<std::size_t>(
       util::ThreadPool::global().thread_count(), 1, 8);
-  ecfg.queue_blocks = 2 * ecfg.stage_threads + 2;
   QueryEngine engine(*this, ecfg);
   engine.submit_batch(queries);
   return engine.drain();

@@ -99,19 +99,21 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
   }
 
   static QueryEngineConfig sanitize(QueryEngineConfig c) {
-    c.block_size = std::max<std::size_t>(1, c.block_size);
-    c.queue_blocks = std::max<std::size_t>(1, c.queue_blocks);
+    c.max_in_flight = std::max<std::size_t>(1, c.max_in_flight);
+    // A block holds no more queries than may be unresolved at once, so a
+    // stream at its bound always has a block in flight that frees room.
+    c.block_size = std::clamp<std::size_t>(c.block_size, 1, c.max_in_flight);
     c.stage_threads = std::max<std::size_t>(1, c.stage_threads);
     return c;
   }
 
   // --- block scheduling ---------------------------------------------------
   //
-  // Admission fills the open block under `mutex`; a full block (or the
-  // partial one once admission ends) moves to `pending` and a pool task is
-  // posted to run it. At most cfg.stage_threads blocks run at once and at
-  // most cfg.queue_blocks are pending or running. Nothing ever waits on a
-  // queued pool task: submit() at the in-flight cap, drain() and the
+  // Admission fills the open block under `mutex` while fewer than
+  // cfg.max_in_flight queries are unresolved; a full block (or the partial
+  // one once admission ends) moves to `pending` and a pool task is posted
+  // to run it. At most cfg.stage_threads blocks run at once. Nothing ever
+  // waits on a queued pool task: submit() at the bound, drain() and the
   // destructor run pending blocks themselves (run_one), as parallel_tasks'
   // caller does. A pool task runs one block and then posts the stream's
   // next task at the back of the pool's FIFO queue, so the blocks of
@@ -122,9 +124,9 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
 
   /// The one admission path behind submit, try_submit and submit_for,
   /// which differ only in `wait`: it is called with `lock` held while the
-  /// open block is full, and returns false to give up. Throws
-  /// std::logic_error naming `who` once the stream is drained or closed;
-  /// returns false once it has failed.
+  /// stream is at its bound, and returns false to give up; `query` is
+  /// then left as it was. Throws std::logic_error naming `who` once the
+  /// stream is drained or closed; returns false once it has failed.
   template <typename Wait>
   bool admit(const char* who, ms::Spectrum&& query, const Wait& wait) {
     std::unique_lock<std::mutex> lock(mutex);
@@ -136,7 +138,7 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
     }
     for (;;) {
       if (failed.load(std::memory_order_acquire)) return false;
-      if (open.raw.size() < cfg.block_size) break;
+      if (outstanding() < cfg.max_in_flight) break;
       if (!wait(lock)) return false;
     }
     // Counted under the lock that hands blocks to runners, so the rolling
@@ -150,14 +152,12 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
   }
 
   /// Moves the open block to `pending` once it is full, or holds anything
-  /// after admission ended, while fewer than queue_blocks are in flight.
-  /// Then posts pool tasks for pending blocks that may run now and have
-  /// no runner coming.
+  /// after admission ended. Then posts pool tasks for pending blocks that
+  /// may run now and have no runner coming.
   void flush(std::unique_lock<std::mutex>& lock) {
     (void)lock;  // held by the caller
     const bool ended = drained || closed.load(std::memory_order_relaxed);
-    if (!open.raw.empty() && inflight < cfg.queue_blocks &&
-        (open.raw.size() >= cfg.block_size || ended)) {
+    if (!open.raw.empty() && (open.raw.size() >= cfg.block_size || ended)) {
       const std::size_t next_key = open.first_key + open.raw.size();
       if (timing_on()) open.stamp = Clock::now();
       pending.push_back(std::exchange(open, Block{}));
@@ -188,6 +188,7 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
     if (pending.empty() || running >= cfg.stage_threads) return false;
     Block block = std::move(pending.front());
     pending.pop_front();
+    const std::size_t queries = block.raw.size();
     ++running;
     lock.unlock();
     if (!failed.load(std::memory_order_acquire)) {
@@ -196,6 +197,10 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
     block = Block{};
     lock.lock();
     --running;
+    // Counted under `mutex`, which admission waits on: every query of the
+    // block is now quality-filtered, empty-windowed or emitted (or dropped
+    // with a failed stream), so room opens for as many admissions.
+    resolved.fetch_add(queries, std::memory_order_acq_rel);
     if (closed.load(std::memory_order_relaxed) && inflight == 1 &&
         open.raw.empty()) {
       // The stream's last block: release everything the final filter will
@@ -291,7 +296,6 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
       // longer produce a PSM, which tightens the rolling bound.
       dropped_preprocess.fetch_add(dropped, std::memory_order_relaxed);
       if (obs) obs->dropped_preprocess.add(dropped);
-      note_resolved(dropped);
     }
     if (!imc_encode || block.spectra.empty()) return;
     // Deterministic per (device, bucket, seed): block-wise calibration
@@ -387,16 +391,13 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
       }
     }
     if (!out.empty()) emit(out);
-    // Every query in the block is now resolved: its PSM is emitted or it
-    // had no candidate window.
-    note_resolved(block.spectra.size());
   }
 
-  /// Resolution bookkeeping shared by the preprocess filter and rescore:
-  /// feeds outstanding() and the serving layer's in-flight quota hook.
-  void note_resolved(std::size_t n) {
-    resolved.fetch_add(n, std::memory_order_acq_rel);
-    if (cfg.on_query_resolved) cfg.on_query_resolved(n);
+  /// Queries admitted but not yet resolved.
+  [[nodiscard]] std::size_t outstanding() const noexcept {
+    const std::size_t in = submitted.load(std::memory_order_acquire);
+    const std::size_t out = resolved.load(std::memory_order_acquire);
+    return in > out ? in - out : 0;
   }
 
   /// Hands a block's PSMs to emission. Under emit_mutex, so estimator
@@ -721,8 +722,8 @@ struct QueryEngine::Impl : std::enable_shared_from_this<QueryEngine::Impl> {
   /// submitted == emitted + dropped_preprocess + empty_window.
   std::atomic<std::size_t> dropped_preprocess{0};
   std::atomic<std::size_t> empty_window{0};
-  /// All resolved queries (with or without a PSM) — outstanding() feeds
-  /// the serving layer's in-flight accounting.
+  /// Queries of finished or dropped blocks, written under `mutex`;
+  /// admission bounds submitted − resolved by cfg.max_in_flight.
   std::atomic<std::size_t> resolved{0};
   std::atomic<std::size_t> searched{0};  ///< Survived preprocessing.
   std::atomic<std::size_t> blocks{0};    ///< Blocks that reached search.
@@ -754,9 +755,9 @@ void QueryEngine::submit(const ms::Spectrum& query) {
 
 void QueryEngine::submit(ms::Spectrum&& query) {
   // Admission fails only once the stream has failed; drain() reports the
-  // stored exception. At the in-flight cap the producer runs a pending
-  // block before it waits, so a producer inside a pool task never waits
-  // on a block that only a queued pool task would run.
+  // stored exception. At the bound the producer runs a pending block
+  // before it waits, so a producer inside a pool task never waits on a
+  // block that only a queued pool task would run.
   (void)impl_->admit("QueryEngine::submit", std::move(query),
                      [this](std::unique_lock<std::mutex>& lock) {
                        if (!impl_->run_one(lock)) impl_->cv.wait(lock);
@@ -812,9 +813,7 @@ bool QueryEngine::failed() const noexcept {
 }
 
 std::size_t QueryEngine::outstanding() const noexcept {
-  const std::size_t in = impl_->submitted.load(std::memory_order_acquire);
-  const std::size_t out = impl_->resolved.load(std::memory_order_acquire);
-  return in > out ? in - out : 0;
+  return impl_->outstanding();
 }
 
 PipelineResult QueryEngine::drain() {

@@ -20,16 +20,19 @@
 // PipelineResult.
 //
 // The engine starts no thread. At most `stage_threads` blocks of a stream
-// run at once and at most `queue_blocks` are admitted but unfinished. A
-// pool task runs one block and then queues the stream's next task at the
-// back of the pool's FIFO, so concurrent streams' blocks take turns on the
-// pool and the pool queue is the one cross-stream scheduler. A
-// submit() that finds the stream full runs a pending block itself before
-// it waits, as drain() does, so no pool task ever waits for work that only
-// another queued pool task could do and streams may run from inside pool
-// tasks. An exception from any block fails the stream: the first one is
-// kept for drain() to rethrow, failed() turns true, submissions return
-// without admitting, and blocks not yet run are dropped.
+// run at once, and at most `max_in_flight` queries are admitted but not
+// yet resolved: the stream's one admission bound. A block never holds
+// more queries than that bound, so a stream at its bound always has a
+// block in flight whose resolution frees room. A pool task runs one block
+// and then queues the stream's next task at the back of the pool's FIFO,
+// so concurrent streams' blocks take turns on the pool and the pool queue
+// is the one cross-stream scheduler. A submit() that finds the stream at
+// its bound runs a pending block itself before it waits, as drain() does,
+// so no pool task ever waits for work that only another queued pool task
+// could do and streams may run from inside pool tasks. An exception from
+// any block fails the stream: the first one is kept for drain() to
+// rethrow, failed() turns true, submissions return without admitting, and
+// blocks not yet run are dropped.
 //
 // Emission is policy-driven: AtDrain (default) holds all PSMs for the
 // batch filter at drain(); Rolling additionally threads every PSM through
@@ -84,11 +87,12 @@ enum class EmitPolicy {
 
 struct QueryEngineConfig {
   /// Queries per search block (B): the unit the backend's batched
-  /// search_batch amortizes over. 0 → 1.
+  /// search_batch amortizes over. 0 → 1; capped at max_in_flight.
   std::size_t block_size = 64;
-  /// Blocks admitted but not yet finished (pending or running), at most.
-  /// Bounds memory and applies back-pressure to admission. 0 → 1.
-  std::size_t queue_blocks = 8;
+  /// Queries admitted but not yet resolved (their block has not finished),
+  /// at most. Bounds the stream's memory; admission waits or refuses at
+  /// the bound. 0 → 1.
+  std::size_t max_in_flight = 1024;
   /// Blocks of this stream that run at once, at most. 0 → 1.
   std::size_t stage_threads = 1;
   /// PSM release policy. Rolling streams confident hits mid-run.
@@ -99,13 +103,6 @@ struct QueryEngineConfig {
   /// calls. The drain-time flush fires on the drain() caller's thread, in
   /// admission order.
   std::function<void(const Psm&)> on_accept;
-  /// Serving hook: called from whichever thread runs a block each time
-  /// queries finish flowing through the pipeline (with the count newly
-  /// resolved) — a query resolves when it is quality-filtered, finds no
-  /// candidate window, or has its PSM rescored. Admission-control layers
-  /// (serve::Session) use it to release in-flight quota. Must be
-  /// thread-safe; never called again after drain() returns.
-  std::function<void(std::size_t)> on_query_resolved;
   /// Observability sink (see obs/metrics.hpp). When set, the engine
   /// records `engine.*` counters (submitted / dropped_preprocess /
   /// empty_window / psms_emitted / blocks), per-stage latency histograms
@@ -141,7 +138,7 @@ struct QueryEngineStats {
   std::size_t submitted = 0;      ///< Spectra handed to submit*().
   std::size_t searched = 0;       ///< Survived preprocessing.
   std::size_t blocks = 0;         ///< Query blocks that reached search.
-  std::size_t block_size = 0;     ///< Effective B.
+  std::size_t block_size = 0;     ///< Effective B (capped at max_in_flight).
   std::size_t stage_threads = 0;  ///< Effective concurrent blocks.
   std::size_t early_emitted = 0;  ///< PSMs released before drain (Rolling).
   std::size_t emitted = 0;        ///< Queries that produced a PSM (pre-FDR).
@@ -162,8 +159,9 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Admits one query spectrum. While queue_blocks blocks are unfinished
-  /// it runs pending blocks itself or waits (back-pressure). Throws
+  /// Admits one query spectrum. While max_in_flight queries are unresolved
+  /// it runs pending blocks itself or waits (back-pressure). Returns
+  /// without admitting once the stream has failed. Throws
   /// std::logic_error after close_stream()/drain().
   void submit(const ms::Spectrum& query);
 
@@ -174,11 +172,11 @@ class QueryEngine {
   /// Admits a chunk of query spectra in order.
   void submit_batch(std::span<const ms::Spectrum> queries);
 
-  /// Non-blocking admission: returns false (leaving the engine untouched)
-  /// when queue_blocks blocks are unfinished and the open block is full —
-  /// the reject arm of admission control. Also returns false after a
-  /// block failure (drain() reports
-  /// the exception). Throws std::logic_error after close_stream()/drain().
+  /// Non-blocking admission: returns false when max_in_flight queries are
+  /// unresolved — the reject arm of admission control — or after a block
+  /// failure (drain() reports the exception). A refused `query` is not
+  /// moved from, so the caller may hand it to submit() or submit_for().
+  /// Throws std::logic_error after close_stream()/drain().
   [[nodiscard]] bool try_submit(ms::Spectrum&& query);
 
   /// Bounded-wait admission: waits up to `timeout` for room, then gives
@@ -197,14 +195,13 @@ class QueryEngine {
   void close_stream();
 
   /// True once a block failure has poisoned the stream (drain() rethrows
-  /// the stored exception). Submissions are silently dropped from this
-  /// point; admission-control layers use this to unblock quota waiters.
+  /// the stored exception). Submissions are dropped from this point, and
+  /// producers waiting at the bound return.
   [[nodiscard]] bool failed() const noexcept;
 
   /// Queries admitted but not yet resolved (scored, quality-filtered, or
-  /// empty-windowed) — the in-flight occupancy admission control bounds.
-  /// Counter drift after a block failure is possible (dropped blocks
-  /// never resolve); check failed() first.
+  /// empty-windowed; dropped once the stream has failed) — the occupancy
+  /// max_in_flight bounds. A block's queries resolve when it finishes.
   [[nodiscard]] std::size_t outstanding() const noexcept;
 
   /// Ends the stream: runs or waits out every block, applies the FDR

@@ -226,21 +226,6 @@ void append_json_string(std::string& out, std::string_view s) {
   out += '"';
 }
 
-/// Prometheus metric names allow [a-zA-Z0-9_:] only.
-std::string prometheus_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  if (!out.empty() && out.front() >= '0' && out.front() <= '9') {
-    out.insert(out.begin(), '_');
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string Snapshot::to_json() const {
@@ -312,46 +297,6 @@ std::string Snapshot::to_json() const {
     out += "]}";
   }
   out += "}}";
-  return out;
-}
-
-std::string Snapshot::to_prometheus() const {
-  std::string out;
-  out.reserve(1024);
-  for (const auto& [name, value] : counters) {
-    const std::string n = prometheus_name(name);
-    out += "# TYPE " + n + " counter\n" + n + " " + std::to_string(value) +
-           "\n";
-  }
-  for (const auto& [name, value] : gauges) {
-    const std::string n = prometheus_name(name);
-    out += "# TYPE " + n + " gauge\n" + n + " ";
-    append_double(out, value);
-    out += "\n";
-  }
-  for (const auto& [name, value] : infos) {
-    const std::string n = prometheus_name(name);
-    out += "# TYPE " + n + "_info gauge\n" + n + "_info{value=\"" + value +
-           "\"} 1\n";
-  }
-  for (const auto& [name, h] : histograms) {
-    const std::string n = prometheus_name(name);
-    out += "# TYPE " + n + " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      cumulative += h.counts[i];
-      out += n + "_bucket{le=\"";
-      if (i < h.bounds.size()) {
-        append_double(out, h.bounds[i]);
-      } else {
-        out += "+Inf";
-      }
-      out += "\"} " + std::to_string(cumulative) + "\n";
-    }
-    out += n + "_sum ";
-    append_double(out, h.sum);
-    out += "\n" + n + "_count " + std::to_string(h.count) + "\n";
-  }
   return out;
 }
 

@@ -23,8 +23,8 @@
 // first use of a name; the returned references are stable for the
 // registry's lifetime, so hot paths hold pointers and never lock.
 // snapshot() merges the stripes into a Snapshot that renders as one-line
-// JSON (the serve layer's STATS verb) or Prometheus text exposition, and
-// supports since(before) deltas for windowed views (bench rounds).
+// JSON (the serve layer's STATS verb) and supports since(before) deltas
+// for windowed views (bench rounds).
 //
 // This header is the serve layer's sensor layer: the qps and
 // stage-latency percentiles exist *inside* the process, not just in
@@ -171,7 +171,7 @@ struct HistogramSnapshot {
 };
 
 /// Point-in-time merge of a whole registry. Maps are ordered so the JSON
-/// and Prometheus renderings are deterministic.
+/// rendering is deterministic.
 struct Snapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
@@ -197,10 +197,6 @@ struct Snapshot {
   ///                       "p50":..,"p95":..,"p99":..,
   ///                       "buckets":[[upper,count],...]}}}
   [[nodiscard]] std::string to_json() const;
-
-  /// Prometheus text exposition (counter/gauge/histogram with cumulative
-  /// le-buckets; names sanitized to [a-zA-Z0-9_:]).
-  [[nodiscard]] std::string to_prometheus() const;
 };
 
 /// Name-keyed registry. Thread-safe; references returned are stable for

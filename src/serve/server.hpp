@@ -9,7 +9,7 @@
 //    │                    segmented libraries off the request path
 //    └─ Session…          (serve/session.hpp) one per open query stream:
 //                         private Pipeline + QueryEngine (Rolling FDR,
-//                         on_accept delivery), admission quota, explicit
+//                         on_accept delivery), in-flight bound, explicit
 //                         open → submit → close lifecycle
 //
 // Every session's engine runs its query blocks on the one global
@@ -24,8 +24,9 @@
 // handle stays fully functional (the core dies with the last session).
 //
 // Capacity: open() fails fast at `max_sessions` rather than queueing —
-// the admission-control philosophy is explicit per-tenant quotas inside a
-// session and explicit rejection at the door, never unbounded buffering.
+// the admission-control philosophy is an explicit per-tenant in-flight
+// bound inside a session and explicit rejection at the door, never
+// unbounded buffering.
 #pragma once
 
 #include <atomic>
@@ -85,7 +86,8 @@ struct ServerCore {
   obs::Counter& queries_total;       ///< Admitted, across all sessions.
   obs::Counter& psms_total;          ///< on_accept deliveries.
   obs::Counter& admission_rejected;  ///< Submissions refused (Reject).
-  obs::Counter& admission_blocked;   ///< Submissions that waited for quota.
+  /// Submissions that found the stream at its in-flight bound.
+  obs::Counter& admission_blocked;
   obs::Histogram& open_seconds;      ///< SearchServer::open latency.
   obs::Histogram& first_psm_seconds; ///< Session open → first accepted PSM.
 

@@ -51,8 +51,7 @@ Session::Session(std::shared_ptr<detail::ServerCore> core,
   ecfg.block_size = cfg_.block_size != 0 ? cfg_.block_size : 64;
   ecfg.stage_threads = cfg_.stage_threads != 0 ? cfg_.stage_threads
                                                : default_stage_threads();
-  ecfg.queue_blocks = cfg_.queue_blocks != 0 ? cfg_.queue_blocks
-                                             : 2 * ecfg.stage_threads + 2;
+  ecfg.max_in_flight = cfg_.max_in_flight;
   ecfg.emit_policy = core::EmitPolicy::Rolling;
   ecfg.on_accept = [this](const core::Psm& psm) {
     streamed_.fetch_add(1, std::memory_order_relaxed);
@@ -65,7 +64,6 @@ Session::Session(std::shared_ptr<detail::ServerCore> core,
     }
     if (cfg_.on_accept) cfg_.on_accept(psm);
   };
-  ecfg.on_query_resolved = [this](std::size_t n) { release_quota(n); };
   ecfg.metrics = &core_->metrics;
   if (cfg_.trace_sample_every != 0) {
     tracer_ = std::make_unique<obs::Tracer>(obs::TracerConfig{
@@ -94,71 +92,24 @@ Session::~Session() {
   }
 }
 
-bool Session::acquire_quota() {
-  std::unique_lock lock(quota_mutex_);
-  if (quota_used_ < cfg_.max_in_flight) {
-    ++quota_used_;
-    return true;
-  }
-  if (cfg_.admit == AdmitPolicy::Reject) {
-    if (cfg_.admit_timeout.count() <= 0) return false;
-    core_->admission_blocked.add(1);
-    (void)quota_cv_.wait_for(lock, cfg_.admit_timeout, [&] {
-      return quota_used_ < cfg_.max_in_flight || engine_->failed();
-    });
-    if (engine_->failed() || quota_used_ >= cfg_.max_in_flight) return false;
-    ++quota_used_;
-    return true;
-  }
-  // Block: waiting is open-ended, but a stage failure stops resolutions
-  // (and thus notifications) for good — poll it on a coarse tick so a
-  // blocked producer escapes instead of hanging.
-  core_->admission_blocked.add(1);
-  while (true) {
-    (void)quota_cv_.wait_for(lock, std::chrono::milliseconds(50), [&] {
-      return quota_used_ < cfg_.max_in_flight;
-    });
-    if (quota_used_ < cfg_.max_in_flight) {
-      ++quota_used_;
-      return true;
-    }
-    if (engine_->failed()) return false;
-  }
-}
-
-void Session::release_quota(std::size_t n) {
-  {
-    const std::lock_guard lock(quota_mutex_);
-    quota_used_ -= std::min(n, quota_used_);
-  }
-  quota_cv_.notify_all();
-}
-
 bool Session::submit(ms::Spectrum query) {
   if (closed_.load(std::memory_order_acquire)) {
     throw std::logic_error("Session::submit: session closed");
   }
-  if (engine_->failed()) return false;
-  if (!acquire_quota()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    core_->admission_rejected.add(1);
-    return false;
-  }
-  bool admitted = false;
-  if (cfg_.admit == AdmitPolicy::Block) {
-    // Blocking admission: queue back-pressure stalls this caller. After a
-    // stage failure the push is silently dropped (close() reports the
-    // exception), so the quota slot just acquired is never resolved —
-    // acceptable drift, failed() gates every later submit.
-    engine_->submit(std::move(query));
-    admitted = true;
-  } else if (cfg_.admit_timeout.count() > 0) {
-    admitted = engine_->submit_for(std::move(query), cfg_.admit_timeout);
-  } else {
-    admitted = engine_->try_submit(std::move(query));
+  // The engine holds the one in-flight bound; a refused try_submit leaves
+  // `query` intact for the policy's second attempt.
+  bool admitted = engine_->try_submit(std::move(query));
+  if (!admitted) {
+    if (engine_->failed()) return false;  // close() reports the failure
+    core_->admission_blocked.add(1);
+    if (cfg_.admit == AdmitPolicy::Block) {
+      engine_->submit(std::move(query));
+      admitted = !engine_->failed();  // a failed stream drops the query
+    } else if (cfg_.admit_timeout.count() > 0) {
+      admitted = engine_->submit_for(std::move(query), cfg_.admit_timeout);
+    }
   }
   if (!admitted) {
-    release_quota(1);
     rejected_.fetch_add(1, std::memory_order_relaxed);
     core_->admission_rejected.add(1);
     return false;
@@ -190,8 +141,6 @@ core::PipelineResult Session::close() {
     failure = std::current_exception();
   }
   detach();
-  // Unpark any producer still waiting on quota (it will observe closed_).
-  quota_cv_.notify_all();
   if (failure) std::rethrow_exception(failure);
   return result;
 }

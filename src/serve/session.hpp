@@ -10,12 +10,12 @@
 // every accepted PSM through SessionConfig::on_accept as the in-flight
 // tail resolves — no stream length is needed up front.
 //
-// Admission control: each session carries a bounded in-flight quota
-// (`max_in_flight` queries admitted but not yet resolved). When the quota
-// or the engine's in-flight blocks are full, AdmitPolicy decides: Block
-// applies back-pressure to the submitting thread; Reject returns false
-// immediately (after an optional bounded wait) so a front-end can shed
-// load per-tenant instead of letting one stream balloon server memory.
+// Admission control: each session's engine admits at most `max_in_flight`
+// queries that are not yet resolved. When the stream is at that bound,
+// AdmitPolicy decides: Block applies back-pressure to the submitting
+// thread; Reject returns false immediately (after an optional bounded
+// wait) so a front-end can shed load per-tenant instead of letting one
+// stream balloon server memory.
 //
 // Isolation contract (pinned by tests/serve_server_test.cpp): the PSM
 // stream of a session is bit-identical to a solo run with the same config
@@ -25,12 +25,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 
@@ -47,8 +45,7 @@ namespace detail {
 struct ServerCore;
 }  // namespace detail
 
-/// What happens when the in-flight quota (or the engine's admission
-/// queue) is full at submit time.
+/// What happens when the stream is at its in-flight bound at submit time.
 enum class AdmitPolicy {
   Block,   ///< Back-pressure: submit() waits for room.
   Reject,  ///< Shed load: submit() returns false without admitting.
@@ -61,13 +58,12 @@ struct SessionConfig {
   core::PipelineConfig pipeline{};
   /// Engine tuning; 0 → serving defaults (block_size 64; concurrent
   /// blocks, stage_threads, scaled to the pool but modest — tenants share
-  /// the machine's one pool, whose FIFO queue takes their blocks in turn;
-  /// queue_blocks 2 * stage_threads + 2 unfinished blocks).
+  /// the machine's one pool, whose FIFO queue takes their blocks in turn).
   std::size_t block_size = 0;
   std::size_t stage_threads = 0;
-  std::size_t queue_blocks = 0;
   /// Queries admitted but not yet resolved before admission control kicks
-  /// in. Bounds per-tenant memory. Must be >= 1.
+  /// in (QueryEngineConfig::max_in_flight). Bounds per-tenant memory; a
+  /// block holds at most this many queries. Must be >= 1.
   std::size_t max_in_flight = 1024;
   AdmitPolicy admit = AdmitPolicy::Block;
   /// Reject policy only: how long submit() may wait for room before
@@ -107,7 +103,7 @@ class Session {
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
   /// Admits one query. Returns true when admitted; false when rejected
-  /// (Reject policy with quota/queue full, or after a stage failure —
+  /// (Reject policy at the in-flight bound, or after a stage failure —
   /// close() reports the underlying exception). Blocks for room under
   /// AdmitPolicy::Block. Throws std::logic_error once closed.
   [[nodiscard]] bool submit(ms::Spectrum query);
@@ -158,9 +154,6 @@ class Session {
   Session(std::shared_ptr<detail::ServerCore> core, std::string library_path,
           SessionConfig cfg);
 
-  /// Quota acquisition per policy; false → reject (or stream failed).
-  [[nodiscard]] bool acquire_quota();
-  void release_quota(std::size_t n);
   /// Releases the server's session slot exactly once (close and dtor).
   void detach() noexcept;
 
@@ -175,10 +168,6 @@ class Session {
   /// Keep-alive: the leased library must outlive engine + pipeline even
   /// if the cache evicts it mid-session.
   std::shared_ptr<const index::SegmentedLibrary> library_;
-
-  std::mutex quota_mutex_;
-  std::condition_variable quota_cv_;
-  std::size_t quota_used_ = 0;
 
   std::atomic<bool> closed_{false};
   bool detached_ = false;

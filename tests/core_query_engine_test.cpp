@@ -92,7 +92,7 @@ void check_streaming_matches_run(const std::string& backend) {
       QueryEngineConfig ecfg;
       ecfg.block_size = block;
       ecfg.stage_threads = threads;
-      ecfg.queue_blocks = 3;
+      ecfg.max_in_flight = 3 * block;
       QueryEngine engine(streamed, ecfg);
       // Interleave one-by-one submission with chunked admission.
       std::size_t i = 0;
@@ -158,7 +158,7 @@ void check_rolling_matches_at_drain(const std::string& backend,
   QueryEngineConfig ecfg;
   ecfg.block_size = block;
   ecfg.stage_threads = threads;
-  ecfg.queue_blocks = 3;
+  ecfg.max_in_flight = 3 * block;
   ecfg.emit_policy = EmitPolicy::Rolling;
   std::mutex mu;
   std::vector<Psm> delivered;
@@ -474,13 +474,13 @@ void register_stub(const std::string& name, StubBackend::Hook on_search) {
 // first exception.
 TEST(QueryEngine, ThrowingBackendSearchBatchFailsTheStream) {
   struct Case {
-    std::size_t throw_at, block_size, queue_blocks;
+    std::size_t throw_at, block_size, max_in_flight;
     const char* what;
   };
   // throw_at 0: every search_batch throws; otherwise only the
-  // throw_at-th does. queue_blocks 1 runs blocks one at a time, so the
-  // throw_at-th call is the first to fail.
-  const Case cases[] = {{0, 4, 2, "search_batch"},
+  // throw_at-th does. max_in_flight == block_size runs blocks one at a
+  // time, so the throw_at-th call is the first to fail.
+  const Case cases[] = {{0, 4, 8, "search_batch"},
                         {4, 1, 1, "search_batch 4"}};
   const ms::Workload& wl = shared_workload();
   for (const Case& c : cases) {
@@ -498,7 +498,7 @@ TEST(QueryEngine, ThrowingBackendSearchBatchFailsTheStream) {
     pipeline.set_library(wl.references);
     QueryEngineConfig ecfg;
     ecfg.block_size = c.block_size;
-    ecfg.queue_blocks = c.queue_blocks;
+    ecfg.max_in_flight = c.max_in_flight;
     ecfg.stage_threads = 2;
     QueryEngine engine(pipeline, ecfg);
     engine.submit_batch(wl.queries);  // returns although the stream failed
@@ -511,6 +511,56 @@ TEST(QueryEngine, ThrowingBackendSearchBatchFailsTheStream) {
     }
     EXPECT_TRUE(engine.failed()) << c.what;
   }
+}
+
+// An in-flight bound below the block size caps the block: a stream at its
+// bound always has a block in flight, so a lone producer never waits on an
+// open block that cannot fill. Results stay those of the synchronous run.
+TEST(QueryEngine, InFlightBoundBelowBlockSizeCapsTheBlock) {
+  const ms::Workload& wl = shared_workload();
+  const std::vector<ms::Spectrum> queries(wl.queries.begin(),
+                                          wl.queries.begin() + 40);
+  QueryEngineConfig ecfg;
+  ecfg.block_size = 64;
+  ecfg.max_in_flight = 3;
+  ecfg.stage_threads = 2;
+
+  Pipeline reference(small_config("ideal-hd"));
+  reference.set_library(wl.references);
+  const PipelineResult want = reference.run(queries);
+  Pipeline streamed(small_config("ideal-hd"));
+  streamed.set_library(wl.references);
+  QueryEngine engine(streamed, ecfg);
+  engine.submit_batch(queries);
+  expect_same_psms(want, engine.drain(), "max_in_flight 3 < block_size 64");
+  EXPECT_EQ(engine.stats().block_size, 3U);
+
+  // Distinct spectra per search_batch call: the block's queries that met a
+  // candidate window (each may ask for several precursor interpretations).
+  std::mutex mu;
+  std::vector<std::size_t> block_sizes;
+  register_stub("test-recording-blocks", [&](std::span<const Query> batch) {
+    std::vector<std::uint64_t> ids;
+    for (const Query& q : batch) ids.push_back(q.stream);
+    std::sort(ids.begin(), ids.end());
+    const auto distinct = static_cast<std::size_t>(
+        std::unique(ids.begin(), ids.end()) - ids.begin());
+    const std::lock_guard<std::mutex> lock(mu);
+    block_sizes.push_back(distinct);
+  });
+  Pipeline recorded(small_config("test-recording-blocks"));
+  recorded.set_library(wl.references);
+  QueryEngine stub_engine(recorded, ecfg);
+  stub_engine.submit_batch(queries);
+  const PipelineResult stub_result = stub_engine.drain();
+  const std::lock_guard<std::mutex> lock(mu);
+  std::size_t searched = 0;
+  for (const std::size_t n : block_sizes) {
+    EXPECT_LE(n, 3U);
+    searched += n;
+  }
+  EXPECT_GT(searched, 0U);
+  EXPECT_LE(searched, stub_result.queries_searched);
 }
 
 /// Threads in this process, from /proc/self/status; 0 where unavailable.
@@ -536,7 +586,7 @@ TEST(QueryEngine, EnginesStartNoThreads) {
   QueryEngineConfig ecfg;
   ecfg.block_size = 4;
   ecfg.stage_threads = 2;
-  ecfg.queue_blocks = 2;
+  ecfg.max_in_flight = 8;
   const std::span<const ms::Spectrum> queries(wl.queries.data(), 12);
   std::size_t most = before;
   for (int i = 0; i < 200; ++i) {
@@ -550,10 +600,10 @@ TEST(QueryEngine, EnginesStartNoThreads) {
 }
 
 TEST(QueryEngine, StreamsInsideEveryPoolWorkerFinish) {
-  // Every worker of the global pool runs a stream at once, with one block
-  // in flight allowed: nothing is left to run posted block tasks, so each
-  // producer and drain() must run its blocks itself. A pool task that
-  // waited on back-pressure instead would deadlock here.
+  // Every worker of the global pool runs a stream at once, with one block's
+  // queries in flight allowed: nothing is left to run posted block tasks,
+  // so each producer and drain() must run its blocks itself. A pool task
+  // that waited on back-pressure instead would deadlock here.
   const ms::Workload& wl = shared_workload();
   util::ThreadPool& pool = util::ThreadPool::global();
   const std::size_t workers = pool.thread_count();
@@ -585,7 +635,7 @@ TEST(QueryEngine, StreamsInsideEveryPoolWorkerFinish) {
       QueryEngineConfig ecfg;
       ecfg.block_size = 4;
       ecfg.stage_threads = 2;
-      ecfg.queue_blocks = 1;
+      ecfg.max_in_flight = 4;
       QueryEngine engine(*pipelines[w], ecfg);
       engine.submit_batch(queries);
       PipelineResult result = engine.drain();
@@ -642,7 +692,7 @@ TEST(QueryEngine, StreamsInsideEveryPoolWorkerFinish) {
   pb.set_library(wl.references);
   QueryEngineConfig ecfg;
   ecfg.block_size = 1;
-  ecfg.queue_blocks = 8;
+  ecfg.max_in_flight = 8;
   ecfg.stage_threads = 1;
   QueryEngine a(pa, ecfg);
   QueryEngine b(pb, ecfg);

@@ -1,8 +1,8 @@
 // obs::MetricsRegistry — the concurrency suite (CI runs this under
 // ThreadSanitizer via `ctest -L tsan`): striped counters and histograms
 // hammered from many threads must yield *exact* snapshot totals, and the
-// snapshot renderings (JSON, Prometheus, since-deltas, percentiles) must
-// be deterministic functions of those totals.
+// snapshot renderings (JSON, since-deltas, percentiles) must be
+// deterministic functions of those totals.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -175,27 +175,6 @@ TEST(ObsSnapshot, JsonHasEverySectionAndBalancedBraces) {
     ASSERT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
-}
-
-TEST(ObsSnapshot, PrometheusSanitizesNamesAndEmitsCumulativeBuckets) {
-  MetricsRegistry reg;
-  reg.counter("serve.queries_total").add(5);
-  const double bounds[] = {1.0, 2.0};
-  Histogram& h = reg.histogram("stage.latency", bounds);
-  h.observe(0.5);
-  h.observe(1.5);
-  h.observe(9.0);
-  const std::string text = reg.snapshot().to_prometheus();
-  EXPECT_NE(text.find("# TYPE serve_queries_total counter"),
-            std::string::npos) << text;
-  EXPECT_NE(text.find("serve_queries_total 5"), std::string::npos);
-  // le buckets are cumulative; the +Inf bucket equals the total count.
-  EXPECT_NE(text.find("stage_latency_bucket{le=\"1\"} 1"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("stage_latency_bucket{le=\"2\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("stage_latency_bucket{le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("stage_latency_count 3"), std::string::npos);
 }
 
 TEST(ObsRegistry, ReturnsStableReferencesPerName) {

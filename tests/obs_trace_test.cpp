@@ -147,7 +147,7 @@ void check_span_completeness(core::EmitPolicy policy, std::size_t block,
   core::QueryEngineConfig ecfg;
   ecfg.block_size = block;
   ecfg.stage_threads = threads;
-  ecfg.queue_blocks = 3;
+  ecfg.max_in_flight = 3 * block;
   ecfg.emit_policy = policy;
   ecfg.tracer = &tracer;
   core::QueryEngine engine(pipeline, ecfg);

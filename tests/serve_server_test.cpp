@@ -14,6 +14,8 @@
 //   * Admission control: Reject policy sheds load once max_in_flight
 //     unresolved queries are held on a stalled substrate; the session
 //     still returns the exact solo result for the queries it admitted.
+//     A bound below the block size never strands admitted queries in an
+//     open block.
 //   * SearchServer: max_sessions capacity gate and stats plumbing; the
 //     STATS snapshot's key set does not grow with the sessions opened.
 //
@@ -23,6 +25,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <fstream>
 #include <memory>
@@ -505,7 +508,7 @@ TEST(SearchServer, CloseFlushesExactlyTheAcceptedSet) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission control: a stalled substrate fills the in-flight quota; the
+// Admission control: a stalled substrate fills the in-flight bound; the
 // Reject policy then sheds load instead of buffering without bound, and
 // the session still answers exactly for what it admitted.
 
@@ -567,7 +570,6 @@ TEST(SearchServer, RejectPolicyShedsLoadOnStalledSubstrate) {
   scfg.pipeline = cfg;
   scfg.block_size = 1;
   scfg.stage_threads = 1;
-  scfg.queue_blocks = 2;
   scfg.max_in_flight = 3;
   scfg.admit = serve::AdmitPolicy::Reject;
   auto session = server.open(art, scfg);
@@ -593,6 +595,31 @@ TEST(SearchServer, RejectPolicyShedsLoadOnStalledSubstrate) {
   // The admitted prefix is answered exactly — rejection is load shedding,
   // not corruption. (Gate open → the backend is ideal-hd bit for bit.)
   expect_same_psms(solo_run(cfg, art, admitted), result, "admitted subset");
+}
+
+TEST(SearchServer, InFlightBoundBelowBlockSizeAdmitsEveryQuery) {
+  // The 8 queries a bound of 8 admits cannot fill a 64-query block; they
+  // must still run and resolve, so every later submit finds room well
+  // within its timeout instead of being refused.
+  const auto cfg = serve_config("ideal-hd");
+  const std::string art = build_artifact("exact", cfg);
+  const auto all = matched_queries(3);
+  const std::vector<ms::Spectrum> queries(all.begin(), all.begin() + 20);
+
+  serve::SearchServer server;
+  serve::SessionConfig scfg;
+  scfg.pipeline = cfg;
+  scfg.block_size = 64;
+  scfg.max_in_flight = 8;
+  scfg.admit = serve::AdmitPolicy::Reject;
+  scfg.admit_timeout = std::chrono::seconds(10);
+  auto session = server.open(art, scfg);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(session->submit(queries[i])) << "submit " << i + 1;
+  }
+  expect_same_psms(solo_run(cfg, art, queries), session->close(),
+                   "max_in_flight 8 < block_size 64");
+  EXPECT_EQ(session->stats().rejected, 0U);
 }
 
 // ---------------------------------------------------------------------------
